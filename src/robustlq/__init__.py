@@ -1,13 +1,13 @@
 """Robust Stackelberg equilibria for zero-sum stochastic linear-quadratic
 leader-follower games with asymmetric drift uncertainty."""
 
-from .augment import (GainMaps, SelectorSet, build_blackboard, build_check,
-                      build_cost_weights, build_doublehat, build_gain_maps,
-                      build_hat, selectors)
+from .augment import (FollowerTerms, GainMaps, SelectorSet, build_blackboard,
+                      build_check, build_cost_weights, build_doublehat,
+                      build_gain_maps, build_hat, follower_terms, selectors)
 from .backward import (OffsetSolution, RiccatiProblem, RiccatiSolution,
                        closed_form_special_case, integrate_backward,
-                       solve_lyapunov, solve_offset_b1, solve_offset_b2,
-                       solve_offset_b3, solve_offset_b4,
+                       solve_lyapunov, solve_offset_b1, solve_offset_b3,
+                       solve_offset_b4,
                        solve_riccati_disturbance, solve_riccati_follower,
                        solve_riccati_generalized, solve_value_offset)
 from .equilibrium import (EquilibriumSolution, StrategyOutput,
@@ -15,7 +15,7 @@ from .equilibrium import (EquilibriumSolution, StrategyOutput,
                           scalar_bode, solve_game, value)
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
                     SpecError, TimeGrid, ValidationReport, build_spec,
-                    dump_spec, load_spec, make_grid, sample, spec_from_dict,
+                    dump_spec, load_spec, make_grid, spec_from_dict,
                     spec_to_dict, validate_spec)
 from .montecarlo import (OracleResult, PerturbationReport, SimConfig,
                          SimOutput, bvp_oracle, perturb_best_response,
@@ -24,17 +24,18 @@ from .montecarlo import (OracleResult, PerturbationReport, SimConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowUpError", "EquilibriumSolution", "GainMaps", "GameSpec", "MatrixPath",
+    "BlowUpError", "EquilibriumSolution", "FollowerTerms", "GainMaps",
+    "GameSpec", "MatrixPath",
     "OffsetSolution", "OracleResult", "PerturbationReport", "RegularityError",
     "RiccatiProblem", "RiccatiSolution", "SelectorSet", "SimConfig", "SimOutput",
     "SpecError", "StrategyOutput", "TimeGrid", "ValidationReport",
     "build_blackboard", "build_check", "build_cost_weights", "build_doublehat",
     "build_gain_maps", "build_hat", "build_spec", "bvp_oracle",
     "clamp_nonnegative", "closed_form_special_case", "dump_spec",
-    "ensure_diagnostics", "feedback", "integrate_backward", "load_spec",
-    "make_grid", "perturb_best_response", "sample", "sampled_convexity",
+    "ensure_diagnostics", "feedback", "follower_terms", "integrate_backward",
+    "load_spec", "make_grid", "perturb_best_response", "sampled_convexity",
     "scalar_bode", "selectors", "simulate", "solve_game", "solve_lyapunov",
-    "solve_offset_b1", "solve_offset_b2", "solve_offset_b3", "solve_offset_b4",
+    "solve_offset_b1", "solve_offset_b3", "solve_offset_b4",
     "solve_riccati_disturbance", "solve_riccati_follower",
     "solve_riccati_generalized", "solve_value_offset", "spec_from_dict",
     "spec_to_dict", "validate_spec", "value",

@@ -9,9 +9,11 @@ two nested robust control problems:
   blackboard stage 5n forward / 5n backward   (leader-side worst case)
   doublehat stage 10n forward / 10n backward  (leader optimality system)
 
-Each builder forms its blocks exactly at grid nodes and wraps them as
-matrix paths; no symbolic simplification is attempted, so every block can
-be audited entry by entry against its definition.
+The follower quantities every stage shares are formed and checked once,
+by `follower_terms`.  Each builder then forms its blocks exactly at the
+grid nodes, for all nodes at once as (N+1, rows, cols) arrays, and wraps
+them as matrix paths; no symbolic simplification is attempted, so every
+block can be audited entry by entry against its definition.
 
 Component layout of the ten n-blocks of the doublehat stage (0-based):
 
@@ -67,10 +69,6 @@ class SelectorSet:
     row_pbar: np.ndarray
 
     @property
-    def row_ybar(self) -> np.ndarray:
-        return self.M7
-
-    @property
     def row_xtil(self) -> np.ndarray:
         return self.M4
 
@@ -98,37 +96,109 @@ def selectors(n: int) -> SelectorSet:
     )
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 # ---------------------------------------------------------------------------
-# per-node ingredients shared by several builders
+# follower ingredients shared by several builders
 
 
-def _node_basics(spec: GameSpec, P: MatrixPath, k: int, delta: float):
-    A = spec.A.samples[k]
-    C = spec.C.samples[k]
-    B1 = spec.B1.samples[k]
-    D1 = spec.D1.samples[k]
-    B2 = spec.B2.samples[k]
-    D2 = spec.D2.samples[k]
-    Pk = P.samples[k]
-    Rt1 = spec.R1.samples[k] + D1.T @ Pk @ D1
-    if np.linalg.eigvalsh(0.5 * (Rt1 + Rt1.T)).min() < delta:
-        raise RegularityError(
-            f"R1 + D1'PD1 is not strongly positive at node {k}", node=k
-        )
+@dataclass(frozen=True)
+class FollowerTerms:
+    """Follower quantities of the cascade at every grid node, as
+    (N+1, rows, cols) arrays.
+
+    With Rt1 = R1 + D1'P D1 the follower's control weight:
+
+      Rt1inv      Rt1^{-1}
+      K           B1'P + D1'P C, the follower's gain numerator
+      BK, DK      B1 Rt1^{-1} K and D1 Rt1^{-1} K
+      BB, BD,     B1 Rt1^{-1} B1', B1 Rt1^{-1} D1',
+      DB, DD      D1 Rt1^{-1} B1', D1 Rt1^{-1} D1'
+      aR          (2/alpha) R0^{-1}, the follower-side worst-case gain
+      B2eff       B2 - BD P D2, the leader's drift column after the
+                  follower's reaction (D2eff likewise for the diffusion)
+      w, sig      BD P sigma and sigma - DD P sigma
+      R           Rt1^{-1} R1 Rt1^{-1}, the follower-substitution weight
+      DPD1        D2'P D1
+      Rbb         R2 + DPD1 R DPD1', the leader's reduced control weight
+      Rbbinv      Rbb^{-1}
+      W2          Rbb^{-1} R2 Rbb^{-1}, the leader's weight on its gain-map
+                  output, as R is the follower's
+      cross       DPD1 R D1'P sigma, the constant leader control offset
+    """
+
+    P: np.ndarray
+    Rt1inv: np.ndarray
+    K: np.ndarray
+    BK: np.ndarray
+    DK: np.ndarray
+    BB: np.ndarray
+    BD: np.ndarray
+    DB: np.ndarray
+    DD: np.ndarray
+    aR: np.ndarray
+    B2eff: np.ndarray
+    D2eff: np.ndarray
+    w: np.ndarray
+    sig: np.ndarray
+    R: np.ndarray
+    DPD1: np.ndarray
+    Rbb: np.ndarray
+    Rbbinv: np.ndarray
+    W2: np.ndarray
+    cross: np.ndarray
+
+
+def follower_terms(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> FollowerTerms:
+    """Form the follower terms from the follower Riccati path.
+
+    Raises RegularityError naming the first node where R1 + D1'PD1 is not
+    strongly positive, or the node where the leader control weight Rbb is
+    farthest from being strongly negative.
+    """
+    Ps = P.samples
+    C, B1, D1 = spec.C.samples, spec.B1.samples, spec.D1.samples
+    D2, sigma = spec.D2.samples, spec.sigma.samples
+    R1, R2 = spec.R1.samples, spec.R2.samples
+
+    Rt1 = R1 + _t(D1) @ Ps @ D1
+    bad = np.flatnonzero(np.linalg.eigvalsh(0.5 * (Rt1 + _t(Rt1))).min(axis=1) < delta)
+    if bad.size:
+        k = int(bad[0])
+        raise RegularityError(f"R1 + D1'PD1 is not strongly positive at node {k}", node=k)
     Rt1inv = np.linalg.inv(Rt1)
-    K = B1.T @ Pk + D1.T @ Pk @ C  # m1 x n
-    return A, C, B1, D1, B2, D2, Pk, Rt1inv, K
+    K = _t(B1) @ Ps + _t(D1) @ Ps @ C
 
+    R = Rt1inv @ R1 @ Rt1inv
+    DPD1 = _t(D2) @ Ps @ D1
+    Rbb = R2 + DPD1 @ R @ _t(DPD1)
+    lam = np.linalg.eigvalsh(0.5 * (Rbb + _t(Rbb))).max(axis=1)
+    worst_node = int(np.argmax(lam))
+    worst = lam[worst_node]
+    if worst > -delta:
+        raise RegularityError(
+            f"leader control weight failed to be strongly negative at node "
+            f"{worst_node} (max eig {worst:.3e} > {-delta:.1e})",
+            node=worst_node,
+        )
+    Rbbinv = np.linalg.inv(Rbb)
 
-def _zeros(r, c):
-    return np.zeros((r, c))
-
-
-def _inv_guarded(mat, what, k):
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise RegularityError(f"{what} is singular at node {k}", node=k) from exc
+    B1R = B1 @ Rt1inv
+    D1R = D1 @ Rt1inv
+    BD = B1R @ _t(D1)
+    DD = D1R @ _t(D1)
+    return FollowerTerms(
+        P=Ps, Rt1inv=Rt1inv, K=K, BK=B1R @ K, DK=D1R @ K,
+        BB=B1R @ _t(B1), BD=BD, DB=D1R @ _t(B1), DD=DD,
+        aR=(2.0 / spec.alpha) * np.linalg.inv(spec.R0.samples),
+        B2eff=spec.B2.samples - BD @ Ps @ D2, D2eff=D2 - DD @ Ps @ D2,
+        w=BD @ Ps @ sigma, sig=sigma - DD @ Ps @ sigma,
+        R=R, DPD1=DPD1, Rbb=Rbb, Rbbinv=Rbbinv, W2=Rbbinv @ R2 @ Rbbinv,
+        cross=DPD1 @ R @ _t(D1) @ Ps @ sigma,
+    )
 
 
 @dataclass(frozen=True)
@@ -160,68 +230,48 @@ class HatStage:
         assert self.B2.shape == (two, self.m2) and self.G.shape == (two, two)
 
 
-def build_hat(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> HatStage:
-    """Hat-stage blocks from the follower Riccati path."""
+def build_hat(spec: GameSpec, ft: FollowerTerms) -> HatStage:
+    """Hat-stage blocks from the follower terms."""
     n, m2, grid = spec.n, spec.m2, spec.grid
-    K1 = len(grid)
-    zn = _zeros(n, n)
+    zn = np.zeros((len(grid), n, n))
+    zm = np.zeros((len(grid), n, m2))
+    z1 = np.zeros((len(grid), n, 1))
+    A, C, Q = spec.A.samples, spec.C.samples, spec.Q.samples
+    D1, B2, D2 = spec.D1.samples, spec.B2.samples, spec.D2.samples
+    P, sig = ft.P, spec.sigma.samples
 
-    A1s = np.empty((K1, 2 * n, 2 * n))
-    A2s = np.empty_like(A1s)
-    Cs = np.empty_like(A1s)
-    B1s = np.empty_like(A1s)
-    B3s = np.empty_like(A1s)
-    D1s = np.empty_like(A1s)
-    D3s = np.empty_like(A1s)
-    B2s = np.empty((K1, 2 * n, m2))
-    D2s = np.empty_like(B2s)
-    bs = np.empty((K1, 2 * n, 1))
-    sigs = np.empty_like(bs)
-    vs = np.empty_like(bs)
-    Fs = np.empty((K1, 2 * n, m2))
-    Qs = np.empty((K1, 2 * n, 2 * n))
-
-    a = 2.0 / spec.alpha
-    for k in range(K1):
-        A, C, B1, D1, B2, D2, Pk, Rt1inv, K = _node_basics(spec, P, k, delta)
-        R0inv = np.linalg.inv(spec.R0.samples[k])
-        aR = a * R0inv
-        aRP = aR @ Pk
-        AK = A - B1 @ Rt1inv @ K
-        CK = C - D1 @ Rt1inv @ K
-        sig = spec.sigma.samples[k]
-        A1s[k] = np.block([[AK, zn], [-aRP, A]])
-        A2s[k] = np.block([[AK, zn], [aRP, A]])
-        Cs[k] = np.block([[CK, zn], [zn, C]])
-        B1s[k] = np.block([[B1 @ Rt1inv @ B1.T, -aR], [aR, -aR]])
-        B3s[k] = np.block([[B1 @ Rt1inv @ D1.T, zn], [zn, zn]])
-        D1s[k] = np.block([[D1 @ Rt1inv @ B1.T, zn], [zn, zn]])
-        D3s[k] = np.block([[D1 @ Rt1inv @ D1.T, zn], [zn, zn]])
-        B2eff = B2 - B1 @ Rt1inv @ D1.T @ Pk @ D2
-        D2eff = D2 - D1 @ Rt1inv @ D1.T @ Pk @ D2
-        B2s[k] = np.vstack([B2eff, _zeros(n, m2)])
-        D2s[k] = np.vstack([D2eff, _zeros(n, m2)])
-        w = B1 @ Rt1inv @ D1.T @ Pk @ sig
-        bs[k] = np.vstack([-w, _zeros(n, 1)])
-        sigs[k] = np.vstack([sig - D1 @ Rt1inv @ D1.T @ Pk @ sig, _zeros(n, 1)])
-        # the backward pair is the completed-squares shift of the raw adjoint,
-        # so the sigma source carries the closed-loop diffusion map: CK' P sig
-        vs[k] = np.vstack([CK.T @ Pk @ sig, _zeros(n, 1)])
-        Ftop = -K.T @ Rt1inv @ D1.T @ Pk @ D2 + Pk @ B2 + C.T @ Pk @ D2
-        Fs[k] = np.vstack([Ftop, _zeros(n, m2)])
-        Qk = spec.Q.samples[k]
-        Qs[k] = np.block([[zn, -Qk], [Qk, zn]])
+    aRP = ft.aR @ P
+    AK = A - ft.BK
+    CK = C - ft.DK
+    # the backward pair is the completed-squares shift of the raw adjoint,
+    # so the sigma source carries the closed-loop diffusion map: CK' P sig
+    v = _t(CK) @ P @ sig
+    Ftop = -_t(ft.K) @ ft.Rt1inv @ _t(D1) @ P @ D2 + P @ B2 + _t(C) @ P @ D2
 
     G = spec.G
+    z = np.zeros((n, n))
     # terminal of the shifted backward pair: ybar(T) = G qbar(T) (the raw
     # adjoint's -G x part is absorbed by the shift since P(T) = G)
-    Ghat = np.block([[zn, G], [-G, zn]])
-    xihat = np.vstack([spec.xi, _zeros(n, 1)])
+    Ghat = np.block([[z, G], [-G, z]])
+    xihat = np.vstack([spec.xi, np.zeros((n, 1))])
     mp = lambda s: MatrixPath(grid, s)
     return HatStage(
-        n=n, m2=m2, A1=mp(A1s), A2=mp(A2s), C=mp(Cs), B1=mp(B1s), B2=mp(B2s),
-        B3=mp(B3s), D1=mp(D1s), D2=mp(D2s), D3=mp(D3s), b=mp(bs), sigma=mp(sigs),
-        v=mp(vs), F=mp(Fs), Q=mp(Qs), G=Ghat, xi=xihat,
+        n=n, m2=m2,
+        A1=mp(np.block([[AK, zn], [-aRP, A]])),
+        A2=mp(np.block([[AK, zn], [aRP, A]])),
+        C=mp(np.block([[CK, zn], [zn, C]])),
+        B1=mp(np.block([[ft.BB, -ft.aR], [ft.aR, -ft.aR]])),
+        B2=mp(np.block([[ft.B2eff], [zm]])),
+        B3=mp(np.block([[ft.BD, zn], [zn, zn]])),
+        D1=mp(np.block([[ft.DB, zn], [zn, zn]])),
+        D2=mp(np.block([[ft.D2eff], [zm]])),
+        D3=mp(np.block([[ft.DD, zn], [zn, zn]])),
+        b=mp(np.block([[-ft.w], [z1]])),
+        sigma=mp(np.block([[ft.sig], [z1]])),
+        v=mp(np.block([[v], [z1]])),
+        F=mp(np.block([[Ftop], [zm]])),
+        Q=mp(np.block([[zn, -Q], [Q, zn]])),
+        G=Ghat, xi=xihat,
     )
 
 
@@ -255,68 +305,41 @@ class CheckStage:
         assert self.Iinj.shape == (3 * self.n, self.n)
 
 
-def build_check(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> CheckStage:
+def build_check(spec: GameSpec, ft: FollowerTerms) -> CheckStage:
     """Check-stage blocks; the first n-block is the physical state."""
     n, m2, grid = spec.n, spec.m2, spec.grid
-    K1 = len(grid)
-    zn = _zeros(n, n)
-
-    As = np.empty((K1, 3 * n, 3 * n))
-    Cs = np.empty_like(As)
-    B1s = np.empty((K1, 3 * n, 2 * n))
-    B3s = np.empty_like(B1s)
-    D1s = np.empty_like(B1s)
-    D3s = np.empty_like(B1s)
-    B2s = np.empty((K1, 3 * n, m2))
-    D2s = np.empty_like(B2s)
-    F1s = np.empty((K1, 3 * n, 1))
-    sigs = np.empty_like(F1s)
-    Qs = np.empty((K1, 2 * n, 3 * n))
-    Qbars = np.empty((K1, 3 * n, 3 * n))
-
-    a = 2.0 / spec.alpha
-    for k in range(K1):
-        A, C, B1, D1, B2, D2, Pk, Rt1inv, K = _node_basics(spec, P, k, delta)
-        R0inv = np.linalg.inv(spec.R0.samples[k])
-        aRP = a * R0inv @ Pk
-        BK = B1 @ Rt1inv @ K
-        DK = D1 @ Rt1inv @ K
-        sig = spec.sigma.samples[k]
-        As[k] = np.block([[A, -BK, zn], [zn, A - BK, zn], [zn, -aRP, A]])
-        Cs[k] = np.block([[C, -DK, zn], [zn, C - DK, zn], [zn, zn, C]])
-        BB = B1 @ Rt1inv @ B1.T
-        BD = B1 @ Rt1inv @ D1.T
-        DB = D1 @ Rt1inv @ B1.T
-        DD = D1 @ Rt1inv @ D1.T
-        aR = a * R0inv
-        B1s[k] = np.block([[BB, zn], [BB, -aR], [aR, -aR]])
-        B3s[k] = np.block([[BD, zn], [BD, zn], [zn, zn]])
-        D1s[k] = np.block([[DB, zn], [DB, zn], [zn, zn]])
-        D3s[k] = np.block([[DD, zn], [DD, zn], [zn, zn]])
-        B2eff = B2 - B1 @ Rt1inv @ D1.T @ Pk @ D2
-        D2eff = D2 - D1 @ Rt1inv @ D1.T @ Pk @ D2
-        B2s[k] = np.vstack([B2eff, B2eff, _zeros(n, m2)])
-        D2s[k] = np.vstack([D2eff, D2eff, _zeros(n, m2)])
-        w = B1 @ Rt1inv @ D1.T @ Pk @ sig
-        F1s[k] = np.vstack([spec.f1.samples[k] - w, -w, _zeros(n, 1)])
-        s = sig - D1 @ Rt1inv @ D1.T @ Pk @ sig
-        sigs[k] = np.vstack([s, s, _zeros(n, 1)])
-        Qk = spec.Q.samples[k]
-        Qs[k] = np.block([[zn, zn, -Qk], [zn, Qk, zn]])
-        Qbars[k] = np.block([[Qk, zn, zn], [zn, zn, zn], [zn, zn, zn]])
+    zn = np.zeros((len(grid), n, n))
+    zm = np.zeros((len(grid), n, m2))
+    z1 = np.zeros((len(grid), n, 1))
+    A, C, Q = spec.A.samples, spec.C.samples, spec.Q.samples
+    aR, BK, DK = ft.aR, ft.BK, ft.DK
+    aRP = aR @ ft.P
 
     G = spec.G
+    z = np.zeros((n, n))
     # same shifted-pair terminal as the hat stage, with the physical-state
     # column prepended
-    Gcheck = np.block([[zn, zn, G], [zn, -G, zn]])
-    Gbar = np.block([[G, zn, zn], [zn, zn, zn], [zn, zn, zn]])
-    Iinj = np.vstack([np.eye(n), zn, zn])
-    xicheck = np.vstack([spec.xi, spec.xi, _zeros(n, 1)])
+    Gcheck = np.block([[z, z, G], [z, -G, z]])
+    Gbar = np.block([[G, z, z], [z, z, z], [z, z, z]])
+    Iinj = np.vstack([np.eye(n), z, z])
+    xicheck = np.vstack([spec.xi, spec.xi, np.zeros((n, 1))])
     mp = lambda s: MatrixPath(grid, s)
     return CheckStage(
-        n=n, m2=m2, A=mp(As), C=mp(Cs), B1=mp(B1s), B2=mp(B2s), B3=mp(B3s),
-        D1=mp(D1s), D2=mp(D2s), D3=mp(D3s), F1=mp(F1s), sigma=mp(sigs),
-        Q=mp(Qs), G=Gcheck, Qbar=mp(Qbars), Gbar=Gbar, Iinj=Iinj, xi=xicheck,
+        n=n, m2=m2,
+        A=mp(np.block([[A, -BK, zn], [zn, A - BK, zn], [zn, -aRP, A]])),
+        C=mp(np.block([[C, -DK, zn], [zn, C - DK, zn], [zn, zn, C]])),
+        B1=mp(np.block([[ft.BB, zn], [ft.BB, -aR], [aR, -aR]])),
+        B2=mp(np.block([[ft.B2eff], [ft.B2eff], [zm]])),
+        B3=mp(np.block([[ft.BD, zn], [ft.BD, zn], [zn, zn]])),
+        D1=mp(np.block([[ft.DB, zn], [ft.DB, zn], [zn, zn]])),
+        D2=mp(np.block([[ft.D2eff], [ft.D2eff], [zm]])),
+        D3=mp(np.block([[ft.DD, zn], [ft.DD, zn], [zn, zn]])),
+        F1=mp(np.block([[spec.f1.samples - ft.w], [-ft.w], [z1]])),
+        sigma=mp(np.block([[ft.sig], [ft.sig], [z1]])),
+        Q=mp(np.block([[zn, zn, -Q], [zn, Q, zn]])),
+        G=Gcheck,
+        Qbar=mp(np.block([[Q, zn, zn], [zn, zn, zn], [zn, zn, zn]])),
+        Gbar=Gbar, Iinj=Iinj, xi=xicheck,
     )
 
 
@@ -355,56 +378,40 @@ def build_blackboard(check: CheckStage, hat: HatStage, gamma: float,
     n, m2 = check.n, check.m2
     gridobj = check.A.grid
     K1 = len(gridobj)
-    z32 = _zeros(3 * n, 2 * n)
-    z23 = _zeros(2 * n, 3 * n)
-    z22 = _zeros(2 * n, 2 * n)
-    z33 = _zeros(3 * n, 3 * n)
+    z32 = np.zeros((K1, 3 * n, 2 * n))
+    z23 = np.zeros((K1, 2 * n, 3 * n))
+    z22 = np.zeros((K1, 2 * n, 2 * n))
+    z33 = np.zeros((K1, 3 * n, 3 * n))
+    z2m = np.zeros((K1, 2 * n, m2))
+    z21 = np.zeros((K1, 2 * n, 1))
 
-    As = np.empty((K1, 5 * n, 5 * n))
-    Cs = np.empty_like(As)
-    B1s = np.empty_like(As)
-    B3s = np.empty_like(As)
-    D1s = np.empty_like(As)
-    D3s = np.empty_like(As)
-    Qs = np.empty_like(As)
-    B2s = np.empty((K1, 5 * n, m2))
-    D2s = np.empty_like(B2s)
-    F2s = np.empty_like(B2s)
-    F1s = np.empty((K1, 5 * n, 1))
-    Sigs = np.empty_like(F1s)
-    Upss = np.empty_like(F1s)
-
-    g = 2.0 / gamma
     Iinj = check.Iinj
-    for k in range(K1):
-        R0hinv = np.linalg.inv(R0hat.samples[k])
-        corner = g * Iinj @ R0hinv @ Iinj.T
-        cB1 = check.B1.samples[k]
-        cB3 = check.B3.samples[k]
-        cD1 = check.D1.samples[k]
-        cD3 = check.D3.samples[k]
-        As[k] = np.block([[check.A.samples[k], z32], [z23, hat.A2.samples[k]]])
-        Cs[k] = np.block([[check.C.samples[k], z32], [z23, hat.C.samples[k]]])
-        B1s[k] = np.block([[corner, cB1], [-cB1.T, z22]])
-        B3s[k] = np.block([[z33, cB3], [-cD1.T, z22]])
-        D1s[k] = np.block([[z33, cD1], [-cB3.T, z22]])
-        D3s[k] = np.block([[z33, cD3], [-cD3.T, z22]])
-        B2s[k] = np.vstack([check.B2.samples[k], _zeros(2 * n, m2)])
-        D2s[k] = np.vstack([check.D2.samples[k], _zeros(2 * n, m2)])
-        F2s[k] = np.vstack([_zeros(3 * n, m2), hat.F.samples[k]])
-        F1s[k] = np.vstack([check.F1.samples[k], _zeros(2 * n, 1)])
-        Sigs[k] = np.vstack([check.sigma.samples[k], _zeros(2 * n, 1)])
-        Upss[k] = np.vstack([_zeros(3 * n, 1), hat.v.samples[k]])
-        cQ = check.Q.samples[k]
-        Qs[k] = np.block([[check.Qbar.samples[k], -cQ.T], [cQ, z22]])
+    corner = (2.0 / gamma) * Iinj @ np.linalg.inv(R0hat.samples) @ Iinj.T
+    cB1 = check.B1.samples
+    cB3 = check.B3.samples
+    cD1 = check.D1.samples
+    cD3 = check.D3.samples
+    cQ = check.Q.samples
 
-    Gbb = np.block([[-check.Gbar, -check.G.T], [check.G, z22]])
-    Xi = np.vstack([check.xi, _zeros(2 * n, 1)])
+    Gbb = np.block([[-check.Gbar, -check.G.T], [check.G, np.zeros((2 * n, 2 * n))]])
+    Xi = np.vstack([check.xi, np.zeros((2 * n, 1))])
     mp = lambda s: MatrixPath(gridobj, s)
     return BlackboardStage(
-        n=n, m2=m2, A=mp(As), C=mp(Cs), B1=mp(B1s), B2=mp(B2s), B3=mp(B3s),
-        D1=mp(D1s), D2=mp(D2s), D3=mp(D3s), F1=mp(F1s), F2=mp(F2s),
-        Sigma=mp(Sigs), Upsilon=mp(Upss), Q=mp(Qs), G=Gbb, Xi=Xi,
+        n=n, m2=m2,
+        A=mp(np.block([[check.A.samples, z32], [z23, hat.A2.samples]])),
+        C=mp(np.block([[check.C.samples, z32], [z23, hat.C.samples]])),
+        B1=mp(np.block([[corner, cB1], [-_t(cB1), z22]])),
+        B2=mp(np.block([[check.B2.samples], [z2m]])),
+        B3=mp(np.block([[z33, cB3], [-_t(cD1), z22]])),
+        D1=mp(np.block([[z33, cD1], [-_t(cB3), z22]])),
+        D2=mp(np.block([[check.D2.samples], [z2m]])),
+        D3=mp(np.block([[z33, cD3], [-_t(cD3), z22]])),
+        F1=mp(np.block([[check.F1.samples], [z21]])),
+        F2=mp(np.block([[np.zeros((K1, 3 * n, m2))], [hat.F.samples]])),
+        Sigma=mp(np.block([[check.sigma.samples], [z21]])),
+        Upsilon=mp(np.block([[np.zeros((K1, 3 * n, 1))], [hat.v.samples]])),
+        Q=mp(np.block([[check.Qbar.samples, -_t(cQ)], [cQ, z22]])),
+        G=Gbb, Xi=Xi,
     )
 
 
@@ -439,14 +446,14 @@ class LeaderCostWeights:
     sigma: MatrixPath
 
 
-def build_cost_weights(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> LeaderCostWeights:
-    """Reduced leader cost weights; raises when Rbb fails to be << 0."""
+def build_cost_weights(spec: GameSpec, ft: FollowerTerms) -> LeaderCostWeights:
+    """Reduced leader cost weights from the follower terms."""
     n, m1, m2, grid = spec.n, spec.m1, spec.m2, spec.grid
     K1 = len(grid)
     five = 5 * n
+    B1, D1 = spec.B1.samples, spec.D1.samples
+    P, K, R, DPD1 = ft.P, ft.K, ft.R, ft.DPD1
 
-    Rs = np.empty((K1, m1, m1))
-    Rbbs = np.empty((K1, m2, m2))
     Qbars = np.zeros((K1, five, five))
     Bbars = np.zeros((K1, five, five))
     Dbars = np.zeros((K1, five, five))
@@ -459,54 +466,32 @@ def build_cost_weights(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> Le
     S3s = np.zeros((K1, n, five))
     M3s = np.zeros((K1, n, five))
     L3s = np.zeros((K1, n, five))
-    crosses = np.empty((K1, m2, 1))
 
-    g = 2.0 / spec.gamma
     b4 = slice(3 * n, 4 * n)  # fourth n-block (ybar / zbar rows)
     b2 = slice(n, 2 * n)      # second n-block (xbar columns)
-    for k in range(K1):
-        A, C, B1, D1, B2, D2, Pk, Rt1inv, K = _node_basics(spec, P, k, delta)
-        R = Rt1inv @ spec.R1.samples[k] @ Rt1inv
-        DPD1 = D2.T @ Pk @ D1  # m2 x m1
-        Rbb = spec.R2.samples[k] + DPD1 @ R @ DPD1.T
-        Rs[k] = R
-        Rbbs[k] = Rbb
-        Qbars[k][:n, :n] = spec.Q.samples[k]
-        Qbars[k][b2, b2] = K.T @ R @ K
-        Bbars[k][:n, :n] = g * np.linalg.inv(spec.R0hat.samples[k])
-        Bbars[k][b4, b4] = B1 @ R @ B1.T
-        Dbars[k][b4, b4] = D1 @ R @ D1.T
-        S1s[k][b4, b2] = -B1 @ R @ K
-        M1s[k][b4, b4] = D1 @ R @ B1.T
-        L1s[k][b4, b2] = -D1 @ R @ K
-        S2s[k][:, b2] = DPD1 @ R @ K
-        M2s[k][:, b4] = -DPD1 @ R @ B1.T
-        L2s[k][:, b4] = -DPD1 @ R @ D1.T
-        S3s[k][:, b2] = Pk @ D1 @ R @ K
-        M3s[k][:, b4] = -Pk @ D1 @ R @ B1.T
-        L3s[k][:, b4] = -Pk @ D1 @ R @ D1.T
-        crosses[k] = DPD1 @ R @ D1.T @ Pk @ spec.sigma.samples[k]
-
-    worst_node, worst = 0, -np.inf
-    for k in range(K1):
-        lam = np.linalg.eigvalsh(0.5 * (Rbbs[k] + Rbbs[k].T)).max()
-        if lam > worst:
-            worst, worst_node = lam, k
-    if worst > -delta:
-        raise RegularityError(
-            f"leader control weight failed to be strongly negative at node "
-            f"{worst_node} (max eig {worst:.3e} > {-delta:.1e})",
-            node=worst_node,
-        )
+    Qbars[:, :n, :n] = spec.Q.samples
+    Qbars[:, b2, b2] = _t(K) @ R @ K
+    Bbars[:, :n, :n] = (2.0 / spec.gamma) * np.linalg.inv(spec.R0hat.samples)
+    Bbars[:, b4, b4] = B1 @ R @ _t(B1)
+    Dbars[:, b4, b4] = D1 @ R @ _t(D1)
+    S1s[:, b4, b2] = -B1 @ R @ K
+    M1s[:, b4, b4] = D1 @ R @ _t(B1)
+    L1s[:, b4, b2] = -D1 @ R @ K
+    S2s[:, :, b2] = DPD1 @ R @ K
+    M2s[:, :, b4] = -DPD1 @ R @ _t(B1)
+    L2s[:, :, b4] = -DPD1 @ R @ _t(D1)
+    S3s[:, :, b2] = P @ D1 @ R @ K
+    M3s[:, :, b4] = -P @ D1 @ R @ _t(B1)
+    L3s[:, :, b4] = -P @ D1 @ R @ _t(D1)
 
     Gbar = np.zeros((five, five))
     Gbar[:n, :n] = spec.G
     mp = lambda s: MatrixPath(grid, s)
     return LeaderCostWeights(
-        n=n, m1=m1, m2=m2, R=mp(Rs), Rbb=mp(Rbbs), Qbar=mp(Qbars), Bbar=mp(Bbars),
+        n=n, m1=m1, m2=m2, R=mp(R), Rbb=mp(ft.Rbb), Qbar=mp(Qbars), Bbar=mp(Bbars),
         Dbar=mp(Dbars), Gbar=Gbar, S1=mp(S1s), M1=mp(M1s), L1=mp(L1s), S2=mp(S2s),
         M2=mp(M2s), L2=mp(L2s), S3=mp(S3s), M3=mp(M3s), L3=mp(L3s),
-        cross=mp(crosses), sigma=spec.sigma,
+        cross=mp(ft.cross), sigma=spec.sigma,
     )
 
 
@@ -537,108 +522,91 @@ class DoubleHatStage:
         assert self.Xi.shape == (ten, 1) and self.G.shape == (ten, ten)
 
 
-def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights) -> DoubleHatStage:
-    """Hamiltonian-stage blocks with the leader's control eliminated."""
+def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
+                    Rbbinv: np.ndarray) -> DoubleHatStage:
+    """Hamiltonian-stage blocks with the leader's control eliminated;
+    Rbbinv holds the inverse of w.Rbb at every node."""
     n = bb.n
     grid = bb.A.grid
-    K1 = len(grid)
-    ten = 10 * n
+    A = bb.A.samples
+    C = bb.C.samples
+    Bb1 = bb.B1.samples
+    Bb2 = bb.B2.samples
+    Bb3 = bb.B3.samples
+    Db1 = bb.D1.samples
+    Db2 = bb.D2.samples
+    Db3 = bb.D3.samples
+    Qbb = bb.Q.samples
+    F2 = bb.F2.samples
+    S1, S2 = w.S1.samples, w.S2.samples
+    M1, M2 = w.M1.samples, w.M2.samples
+    L1, L2 = w.L1.samples, w.L2.samples
+    cross = w.cross.samples
+    sig = w.sigma.samples
 
-    A1s = np.empty((K1, ten, ten))
-    A2s = np.empty_like(A1s)
-    C1s = np.empty_like(A1s)
-    C2s = np.empty_like(A1s)
-    B1s = np.empty_like(A1s)
-    B2s = np.empty_like(A1s)
-    D1s = np.empty_like(A1s)
-    D2s = np.empty_like(A1s)
-    Qs = np.empty_like(A1s)
-    Fs = np.empty((K1, ten, 1))
-    Sigs = np.empty_like(Fs)
-    Upss = np.empty_like(Fs)
+    B2R = Bb2 @ Rbbinv
+    D2R = Db2 @ Rbbinv
+    M2R = _t(M2) @ Rbbinv
+    L2R = _t(L2) @ Rbbinv
+    S2R = _t(S2) @ Rbbinv
+    F2R = F2 @ Rbbinv
+    F2T, Bb2T, Db2T = _t(F2), _t(Bb2), _t(Db2)
 
-    for k in range(K1):
-        A = bb.A.samples[k]
-        C = bb.C.samples[k]
-        Bb1 = bb.B1.samples[k]
-        Bb2 = bb.B2.samples[k]
-        Bb3 = bb.B3.samples[k]
-        Db1 = bb.D1.samples[k]
-        Db2 = bb.D2.samples[k]
-        Db3 = bb.D3.samples[k]
-        Qbb = bb.Q.samples[k]
-        F2 = bb.F2.samples[k]
-        Rinv = _inv_guarded(w.Rbb.samples[k], "leader control weight", k)
-        S1, S2 = w.S1.samples[k], w.S2.samples[k]
-        M1, M2 = w.M1.samples[k], w.M2.samples[k]
-        L1, L2 = w.L1.samples[k], w.L2.samples[k]
-        cross = w.cross.samples[k]
-        sig = w.sigma.samples[k]
-
-        B2R = Bb2 @ Rinv
-        D2R = Db2 @ Rinv
-        M2R = M2.T @ Rinv
-        L2R = L2.T @ Rinv
-        S2R = S2.T @ Rinv
-        F2R = F2 @ Rinv
-
-        A1s[k] = np.block([
-            [A - B2R @ S2, B2R @ F2.T],
-            [S1 - M2R @ S2, A + M2R @ F2.T],
-        ])
-        A2s[k] = np.block([
-            [A - B2R @ S2, -B2R @ F2.T],
-            [-S1 + M2R @ S2, A + M2R @ F2.T],
-        ])
-        C1s[k] = np.block([
-            [C - D2R @ S2, D2R @ F2.T],
-            [L1 - L2R @ S2, C + L2R @ F2.T],
-        ])
-        C2s[k] = np.block([
-            [C - D2R @ S2, -D2R @ F2.T],
-            [-L1 + L2R @ S2, C + L2R @ F2.T],
-        ])
-        B1s[k] = np.block([
-            [B2R @ Bb2.T, Bb1 - B2R @ M2],
-            [-Bb1.T + M2R @ Bb2.T, w.Bbar.samples[k] - M2R @ M2],
-        ])
-        B2s[k] = np.block([
-            [B2R @ Db2.T, Bb3 - B2R @ L2],
-            [-Db1.T + M2R @ Db2.T, M1.T - M2R @ L2],
-        ])
-        D1s[k] = np.block([
-            [D2R @ Bb2.T, Db1 - D2R @ M2],
-            [-Bb3.T + L2R @ Bb2.T, M1 - L2R @ M2],
-        ])
-        D2s[k] = np.block([
-            [D2R @ Db2.T, Db3 - D2R @ L2],
-            [-Db3.T + L2R @ Db2.T, w.Dbar.samples[k] - L2R @ L2],
-        ])
-        Qs[k] = np.block([
-            [w.Qbar.samples[k] - S2R @ S2, -Qbb.T + S2R @ F2.T],
-            [Qbb - F2R @ S2, F2R @ F2.T],
-        ])
-        Fs[k] = np.vstack([
-            bb.F1.samples[k] - B2R @ cross,
-            w.M3.samples[k].T @ sig - M2R @ cross,
-        ])
-        Sigs[k] = np.vstack([
-            bb.Sigma.samples[k] - D2R @ cross,
-            w.L3.samples[k].T @ sig - L2R @ cross,
-        ])
-        Upss[k] = np.vstack([
-            w.S3.samples[k].T @ sig - S2R @ cross,
-            bb.Upsilon.samples[k] - F2R @ cross,
-        ])
-
-    z5 = _zeros(5 * n, 5 * n)
+    z5 = np.zeros((5 * n, 5 * n))
     Gdh = np.block([[-w.Gbar, -bb.G.T], [bb.G, z5]])
-    Xi = np.vstack([bb.Xi, _zeros(5 * n, 1)])
+    Xi = np.vstack([bb.Xi, np.zeros((5 * n, 1))])
     mp = lambda s: MatrixPath(grid, s)
     return DoubleHatStage(
-        n=n, A1=mp(A1s), A2=mp(A2s), C1=mp(C1s), C2=mp(C2s), B1=mp(B1s),
-        B2=mp(B2s), D1=mp(D1s), D2=mp(D2s), Q=mp(Qs), F=mp(Fs), Sigma=mp(Sigs),
-        Upsilon=mp(Upss), Xi=Xi, G=Gdh,
+        n=n,
+        A1=mp(np.block([
+            [A - B2R @ S2, B2R @ F2T],
+            [S1 - M2R @ S2, A + M2R @ F2T],
+        ])),
+        A2=mp(np.block([
+            [A - B2R @ S2, -B2R @ F2T],
+            [-S1 + M2R @ S2, A + M2R @ F2T],
+        ])),
+        C1=mp(np.block([
+            [C - D2R @ S2, D2R @ F2T],
+            [L1 - L2R @ S2, C + L2R @ F2T],
+        ])),
+        C2=mp(np.block([
+            [C - D2R @ S2, -D2R @ F2T],
+            [-L1 + L2R @ S2, C + L2R @ F2T],
+        ])),
+        B1=mp(np.block([
+            [B2R @ Bb2T, Bb1 - B2R @ M2],
+            [-_t(Bb1) + M2R @ Bb2T, w.Bbar.samples - M2R @ M2],
+        ])),
+        B2=mp(np.block([
+            [B2R @ Db2T, Bb3 - B2R @ L2],
+            [-_t(Db1) + M2R @ Db2T, _t(M1) - M2R @ L2],
+        ])),
+        D1=mp(np.block([
+            [D2R @ Bb2T, Db1 - D2R @ M2],
+            [-_t(Bb3) + L2R @ Bb2T, M1 - L2R @ M2],
+        ])),
+        D2=mp(np.block([
+            [D2R @ Db2T, Db3 - D2R @ L2],
+            [-_t(Db3) + L2R @ Db2T, w.Dbar.samples - L2R @ L2],
+        ])),
+        Q=mp(np.block([
+            [w.Qbar.samples - S2R @ S2, -_t(Qbb) + S2R @ F2T],
+            [Qbb - F2R @ S2, F2R @ F2T],
+        ])),
+        F=mp(np.block([
+            [bb.F1.samples - B2R @ cross],
+            [_t(w.M3.samples) @ sig - M2R @ cross],
+        ])),
+        Sigma=mp(np.block([
+            [bb.Sigma.samples - D2R @ cross],
+            [_t(w.L3.samples) @ sig - L2R @ cross],
+        ])),
+        Upsilon=mp(np.block([
+            [_t(w.S3.samples) @ sig - S2R @ cross],
+            [bb.Upsilon.samples - F2R @ cross],
+        ])),
+        Xi=Xi, G=Gdh,
     )
 
 
@@ -652,72 +620,59 @@ class GainMaps:
     phiM2: MatrixPath
 
 
-def decoupling_terms(dh: DoubleHatStage, Phat: MatrixPath, phihat: MatrixPath, k: int):
-    """State gain and offset of the decoupled martingale integrand at node k:
+def decoupling_terms(dh: DoubleHatStage, Phat: MatrixPath, phihat: MatrixPath):
+    """State gains and offsets of the decoupled martingale integrand at
+    every node, as (N+1, 10n, 10n) and (N+1, 10n, 1) arrays:
 
         Zhat = E @ Xhat + e,
         E = (I - Phat D2)^{-1} Phat (C1 + D1 Phat),
         e = (I - Phat D2)^{-1} (Phat D1 phihat + Phat Sigma).
     """
     ten = dh.A1.rows
-    Pk = Phat.samples[k]
-    gap = np.eye(ten) - Pk @ dh.D2.samples[k]
-    rhs_state = Pk @ dh.C1.samples[k] + Pk @ dh.D1.samples[k] @ Pk
-    rhs_off = Pk @ dh.D1.samples[k] @ phihat.samples[k] + Pk @ dh.Sigma.samples[k]
+    P = Phat.samples
+    gap = np.eye(ten) - P @ dh.D2.samples
+    rhs_state = P @ dh.C1.samples + P @ dh.D1.samples @ P
+    rhs_off = P @ dh.D1.samples @ phihat.samples + P @ dh.Sigma.samples
     try:
-        sol = np.linalg.solve(gap, np.hstack([rhs_state, rhs_off]))
+        sol = np.linalg.solve(gap, np.concatenate([rhs_state, rhs_off], axis=2))
     except np.linalg.LinAlgError as exc:
+        k = int(np.argmax(np.linalg.slogdet(gap)[0] == 0.0))
         raise RegularityError(
             f"decoupling matrix (I - P D2) is singular at node {k}", node=k
         ) from exc
-    return sol[:, :ten], sol[:, ten:]
+    return sol[:, :, :ten], sol[:, :, ten:]
 
 
-def build_gain_maps(spec: GameSpec, P: MatrixPath, Phat: MatrixPath,
-                    dh: DoubleHatStage, sel: SelectorSet, phihat: MatrixPath,
-                    delta: float = 1e-8) -> GainMaps:
-    """Assemble the control feedback maps from the solved decoupling.
+def build_gain_maps(spec: GameSpec, ft: FollowerTerms, sel: SelectorSet,
+                    Phat: MatrixPath, phihat: MatrixPath, E: np.ndarray,
+                    e: np.ndarray) -> GainMaps:
+    """Assemble the control feedback maps from the solved decoupling, whose
+    integrand gains (E, e) come from `decoupling_terms`.
 
     The leader map is built first; the follower map references it through
     the direct-control coupling D1'P D2.  Row selectors follow the
     component layout documented in the module docstring: the follower's
     backward pair sits at slots 8 and 9, so its feedback reads M7 rows.
     """
-    n, grid = spec.n, spec.grid
-    K1 = len(grid)
-    ten = 10 * n
-
-    PM1s = np.empty((K1, spec.m1, ten))
-    PM2s = np.empty((K1, spec.m2, ten))
-    phiM1s = np.empty((K1, spec.m1, 1))
-    phiM2s = np.empty((K1, spec.m2, 1))
-
+    B1T, D1T = _t(spec.B1.samples), _t(spec.D1.samples)
+    B2T, D2T = _t(spec.B2.samples), _t(spec.D2.samples)
+    C, D2, sig = spec.C.samples, spec.D2.samples, spec.sigma.samples
+    P, K, Ph, ph = ft.P, ft.K, Phat.samples, phihat.samples
     M2r, M3r, M7r = sel.M2, sel.M3, sel.M7
-    for k in range(K1):
-        A, C, B1, D1, B2, D2, Pk, Rt1inv, K = _node_basics(spec, P, k, delta)
-        R = Rt1inv @ spec.R1.samples[k] @ Rt1inv
-        DPD1 = D2.T @ Pk @ D1
-        Rbb = spec.R2.samples[k] + DPD1 @ R @ DPD1.T
-        Rbbinv = np.linalg.inv(Rbb)
-        sig = spec.sigma.samples[k]
-        E, e = decoupling_terms(dh, Phat, phihat, k)
-        phk = phihat.samples[k]
-        Phk = Phat.samples[k]
 
-        T1 = B2.T - DPD1 @ Rt1inv @ B1.T          # m2 x n
-        T2 = B2.T @ Pk + D2.T @ Pk @ C - DPD1 @ Rt1inv @ K
-        T3 = DPD1 @ R @ K
-        T4 = DPD1 @ R @ B1.T
-        T5 = D2.T @ M3r - DPD1 @ Rt1inv @ D1.T @ M3r + DPD1 @ R @ D1.T @ M7r
-        cross = DPD1 @ R @ D1.T @ Pk @ sig
+    DR1 = ft.DPD1 @ ft.Rt1inv
+    DR = ft.DPD1 @ ft.R
+    T1 = B2T - DR1 @ B1T          # m2 x n
+    T2 = B2T @ P + D2T @ P @ C - DR1 @ K
+    T3 = DR @ K
+    T4 = DR @ B1T
+    T5 = D2T @ M3r - DR1 @ D1T @ M3r + DR @ D1T @ M7r
 
-        PM2 = T1 @ M3r @ Phk + T2 @ M7r - T3 @ M2r + T4 @ M7r @ Phk + T5 @ E
-        phiM2 = T1 @ M3r @ phk + T4 @ M7r @ phk - cross + T5 @ e
-        PM1 = B1.T @ M7r @ Phk + D1.T @ M7r @ E - K @ M2r - D1.T @ Pk @ D2 @ Rbbinv @ PM2
-        phiM1 = (B1.T @ M7r @ phk + D1.T @ M7r @ e - D1.T @ Pk @ sig
-                 - D1.T @ Pk @ D2 @ Rbbinv @ phiM2)
+    PM2 = T1 @ M3r @ Ph + T2 @ M7r - T3 @ M2r + T4 @ M7r @ Ph + T5 @ E
+    phiM2 = T1 @ M3r @ ph + T4 @ M7r @ ph - ft.cross + T5 @ e
+    coupling = D1T @ P @ D2 @ ft.Rbbinv
+    PM1 = B1T @ M7r @ Ph + D1T @ M7r @ E - K @ M2r - coupling @ PM2
+    phiM1 = B1T @ M7r @ ph + D1T @ M7r @ e - D1T @ P @ sig - coupling @ phiM2
 
-        PM1s[k], PM2s[k], phiM1s[k], phiM2s[k] = PM1, PM2, phiM1, phiM2
-
-    mp = lambda s: MatrixPath(grid, s)
-    return GainMaps(PM1=mp(PM1s), PM2=mp(PM2s), phiM1=mp(phiM1s), phiM2=mp(phiM2s))
+    mp = lambda s: MatrixPath(spec.grid, s)
+    return GainMaps(PM1=mp(PM1), PM2=mp(PM2), phiM1=mp(phiM1), phiM2=mp(phiM2))

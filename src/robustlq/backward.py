@@ -1,5 +1,5 @@
 """Backward-in-time integration: Riccati equations, offset equations,
-the Lyapunov equation and the fundamental-matrix closed forms.
+the Lyapunov equation and the fundamental-matrix closed form.
 
 Every equation here is integrated with classical fixed-step RK4 on the spec
 grid, marching from the terminal node to 0 with coefficients interpolated at
@@ -107,15 +107,11 @@ class RiccatiSolution:
     regularity: dict = field(default_factory=dict)
 
 
-def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) -> RiccatiSolution:
-    """Integrate the unified Riccati equation backward on the grid.
-
-    When the fraction part is present, the reciprocal condition number of
-    (I - P D2) is logged at every node and must stay above `delta`.
-    """
+def generalized_riccati_rhs(prob: RiccatiProblem):
+    """Time derivative prescribed by the unified equation; the solver
+    integrates this callable and residual checks evaluate it."""
     fraction = prob.has_fraction
-    d = prob.terminal.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(prob.terminal.shape[0])
 
     def rhs(t, P):
         val = P @ prob.A1.at(t) + prob.A2.at(t).T @ P + P @ prob.B1.at(t) @ P - prob.Q.at(t)
@@ -127,9 +123,19 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
             )
         return -val
 
-    P = integrate_backward(rhs, prob.terminal, prob.grid)
+    return rhs
+
+
+def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) -> RiccatiSolution:
+    """Integrate the unified Riccati equation backward on the grid.
+
+    When the fraction part is present, the reciprocal condition number of
+    (I - P D2) is logged at every node and must stay above `delta`.
+    """
+    P = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, prob.grid)
     reg = {}
-    if fraction:
+    if prob.has_fraction:
+        eye = np.eye(prob.terminal.shape[0])
         rconds = np.empty(len(prob.grid))
         for k, t in enumerate(prob.grid.nodes):
             gap = eye - P.samples[k] @ prob.D2.at(t)
@@ -144,6 +150,21 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
     return RiccatiSolution(P=P, regularity=reg)
 
 
+def follower_riccati_rhs(spec):
+    """Time derivative prescribed by the follower Riccati equation; the
+    solver integrates this callable and residual checks evaluate it."""
+
+    def rhs(t, P):
+        A, C = spec.A.at(t), spec.C.at(t)
+        B1, D1 = spec.B1.at(t), spec.D1.at(t)
+        gain = P @ B1 + C.T @ P @ D1
+        rt1 = spec.R1.at(t) + D1.T @ P @ D1
+        quad = _solve_guarded(rt1, gain.T, "control weight R1 + D1'PD1", t)
+        return -(P @ A + A.T @ P + C.T @ P @ C + spec.Q.at(t) - gain @ quad)
+
+    return rhs
+
+
 def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
     """Solve the follower's Riccati equation
 
@@ -152,21 +173,10 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
 
     with P(T) = G, enforcing R1 + D1^T P D1 >= delta*I at every node.
     """
-
-    def rtilde(t, P):
-        return spec.R1.at(t) + spec.D1.at(t).T @ P @ spec.D1.at(t)
-
-    def rhs(t, P):
-        A, C = spec.A.at(t), spec.C.at(t)
-        B1, D1 = spec.B1.at(t), spec.D1.at(t)
-        gain = P @ B1 + C.T @ P @ D1
-        quad = _solve_guarded(rtilde(t, P), gain.T, "control weight R1 + D1'PD1", t)
-        return -(P @ A + A.T @ P + C.T @ P @ C + spec.Q.at(t) - gain @ quad)
-
-    P = integrate_backward(rhs, spec.G, spec.grid)
-    eigs = np.empty(len(spec.grid))
-    for k, t in enumerate(spec.grid.nodes):
-        eigs[k] = np.linalg.eigvalsh(rtilde(t, P.samples[k])).min()
+    P = integrate_backward(follower_riccati_rhs(spec), spec.G, spec.grid)
+    D1 = spec.D1.samples
+    rtilde = spec.R1.samples + D1.transpose(0, 2, 1) @ P.samples @ D1
+    eigs = np.linalg.eigvalsh(rtilde).min(axis=1)
     worst = int(np.argmin(eigs))
     if eigs[worst] < delta:
         raise RegularityError(
@@ -177,6 +187,19 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
     return RiccatiSolution(P=P, regularity={"rtilde1_min_eig": eigs})
 
 
+def disturbance_riccati_rhs(spec):
+    """Time derivative prescribed by the disturbance Riccati equation; the
+    solver integrates this callable and residual checks evaluate it."""
+    coef = 2.0 / spec.alpha
+
+    def rhs(t, P1):
+        A, C = spec.A.at(t), spec.C.at(t)
+        mixed = coef * P1 @ _solve_guarded(spec.R0.at(t), P1, "disturbance weight R0", t)
+        return -(P1 @ A + A.T @ P1 - mixed + C.T @ P1 @ C - spec.Q.at(t))
+
+    return rhs
+
+
 def solve_riccati_disturbance(spec) -> RiccatiSolution:
     """Solve the disturbance-side Riccati equation
 
@@ -185,14 +208,7 @@ def solve_riccati_disturbance(spec) -> RiccatiSolution:
     with P1(T) = -G.  A finite-time blow-up signals that the attenuation
     level is too aggressive for this instance.
     """
-    coef = 2.0 / spec.alpha
-
-    def rhs(t, P1):
-        A, C = spec.A.at(t), spec.C.at(t)
-        mixed = coef * P1 @ _solve_guarded(spec.R0.at(t), P1, "disturbance weight R0", t)
-        return -(P1 @ A + A.T @ P1 - mixed + C.T @ P1 @ C - spec.Q.at(t))
-
-    P1 = integrate_backward(rhs, -spec.G, spec.grid)
+    P1 = integrate_backward(disturbance_riccati_rhs(spec), -spec.G, spec.grid)
     return RiccatiSolution(P=P1)
 
 
@@ -243,57 +259,50 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
     return _linear_backward(spec.grid, lin, src, spec.n)
 
 
-def _fraction_pieces(t, P, C2, B2, D2):
-    """Return (C2^T + P B2) (I - P D2)^{-1} evaluated at t."""
-    Pt = P.at(t)
-    gap = np.eye(Pt.shape[0]) - Pt @ D2.at(t)
-    left = C2.at(t).T + Pt @ B2.at(t)
-    return left @ _solve_guarded(gap, np.eye(Pt.shape[0]), "decoupling matrix (I - P D2)", t), Pt
+def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetSolution:
+    """Offset equation of a decoupled stage whose Riccati path P solves the
+    unified equation with these coefficients:
 
+        phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
+        F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
-def solve_offset_b2(hat, P2: MatrixPath, u2: MatrixPath | None = None,
-                    include_sources: bool = True) -> OffsetSolution:
-    """Offset equation of the follower-stage decoupling, driven by a
-    deterministic leader control path."""
-    dim = hat.A1.rows
+    where sources(t) returns the drift, diffusion and adjoint sources
+    (s_drift, s_diff, s_adj) at t.
+    """
+    dim = A2.rows
+    eye = np.eye(dim)
 
-    def lin(t):
-        frac, P2t = _fraction_pieces(t, P2, hat.C, hat.B3, hat.D3)
-        return hat.A2.at(t).T + P2t @ hat.B1.at(t) + frac @ P2t @ hat.D1.at(t)
+    def rhs(t, phi):
+        Pt = P.at(t)
+        gap = eye - Pt @ D2.at(t)
+        FP = (C2.at(t).T + Pt @ B2.at(t)) @ _solve_guarded(
+            gap, eye, "decoupling matrix (I - P D2)", t) @ Pt
+        drift, diff, adj = sources(t)
+        lin = A2.at(t).T + Pt @ B1.at(t) + FP @ D1.at(t)
+        return -(lin @ phi + (FP @ diff + Pt @ drift - adj))
 
-    def src(t):
-        frac, P2t = _fraction_pieces(t, P2, hat.C, hat.B3, hat.D3)
-        out = np.zeros((dim, 1))
-        if u2 is not None:
-            u2t = u2.at(t)
-            out = out + frac @ P2t @ hat.D2.at(t) @ u2t + (P2t @ hat.B2.at(t) - hat.F.at(t)) @ u2t
-        if include_sources:
-            out = out + frac @ P2t @ hat.sigma.at(t) + P2t @ hat.b.at(t) - hat.v.at(t)
-        return out
-
-    return _linear_backward(P2.grid, lin, src, dim)
+    return OffsetSolution(phi=integrate_backward(rhs, np.zeros((dim, 1)), P.grid))
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath | None = None,
                     include_sources: bool = True) -> OffsetSolution:
-    """Offset equation of the leader-stage decoupling (5n blocks)."""
-    dim = bb.A.rows
+    """Offset equation of the leader-stage decoupling (5n blocks), driven by
+    a deterministic leader control path u2 and, with include_sources, by
+    the stage's own drift, diffusion and adjoint offsets."""
+    zero = np.zeros((bb.A.rows, 1))
 
-    def lin(t):
-        frac, P3t = _fraction_pieces(t, P3, bb.C, bb.B3, bb.D3)
-        return bb.A.at(t).T + P3t @ bb.B1.at(t) + frac @ P3t @ bb.D1.at(t)
-
-    def src(t):
-        frac, P3t = _fraction_pieces(t, P3, bb.C, bb.B3, bb.D3)
-        out = np.zeros((dim, 1))
+    def sources(t):
+        drift = diff = adj = zero
         if u2 is not None:
             u2t = u2.at(t)
-            out = out + frac @ P3t @ bb.D2.at(t) @ u2t + (P3t @ bb.B2.at(t) - bb.F2.at(t)) @ u2t
+            drift, diff, adj = bb.B2.at(t) @ u2t, bb.D2.at(t) @ u2t, bb.F2.at(t) @ u2t
         if include_sources:
-            out = out + frac @ P3t @ bb.Sigma.at(t) + P3t @ bb.F1.at(t) - bb.Upsilon.at(t)
-        return out
+            drift = drift + bb.F1.at(t)
+            diff = diff + bb.Sigma.at(t)
+            adj = adj + bb.Upsilon.at(t)
+        return drift, diff, adj
 
-    return _linear_backward(P3.grid, lin, src, dim)
+    return _decoupled_offset(P3, bb.A, bb.B1, bb.C, bb.B3, bb.D1, bb.D3, sources)
 
 
 def solve_offset_b4(dh, Phat: MatrixPath) -> OffsetSolution:
@@ -302,17 +311,11 @@ def solve_offset_b4(dh, Phat: MatrixPath) -> OffsetSolution:
     All control inputs have been absorbed by the stage construction; only
     the deterministic drift and diffusion offsets source the equation.
     """
-    dim = dh.A1.rows
 
-    def lin(t):
-        frac, Pt = _fraction_pieces(t, Phat, dh.C2, dh.B2, dh.D2)
-        return dh.A2.at(t).T + Pt @ dh.B1.at(t) + frac @ Pt @ dh.D1.at(t)
+    def sources(t):
+        return dh.F.at(t), dh.Sigma.at(t), dh.Upsilon.at(t)
 
-    def src(t):
-        frac, Pt = _fraction_pieces(t, Phat, dh.C2, dh.B2, dh.D2)
-        return frac @ Pt @ dh.Sigma.at(t) + Pt @ dh.F.at(t) - dh.Upsilon.at(t)
-
-    return _linear_backward(Phat.grid, lin, src, dim)
+    return _decoupled_offset(Phat, dh.A2, dh.B1, dh.C2, dh.B2, dh.D1, dh.D2, sources)
 
 
 def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
@@ -344,39 +347,6 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
         return Lt @ Btil.at(t) + Ctil.at(t).T @ Lt @ Dtil.at(t) + extra_source.at(t)
 
     return _linear_backward(grid, lin, src, Atil.rows)
-
-
-def fundamental_matrix(Apath: MatrixPath, grid: TimeGrid, anchor: int | None = None) -> MatrixPath:
-    """Fundamental matrix Psi of Psi' = A(t) Psi with Psi(t_anchor) = I.
-
-    With the default anchor at the terminal node, the result at node k is
-    the transition matrix from t_k to T read backward, i.e. Psi(t_k)
-    propagates data at t_k to data at ... the anchor; Psi(anchor) = I
-    exactly.
-    """
-    d = Apath.rows
-    if anchor is None:
-        anchor = grid.steps
-    eye = np.eye(d)
-    out = np.empty((len(grid), d, d))
-    out[anchor] = eye
-    h = grid.dt
-
-    def step(t, m, sign):
-        # one RK4 step of M' = A(t) M with step sign*h
-        k1 = Apath.at(t) @ m
-        k2 = Apath.at(t + 0.5 * sign * h) @ (m + 0.5 * sign * h * k1)
-        k3 = Apath.at(t + 0.5 * sign * h) @ (m + 0.5 * sign * h * k2)
-        k4 = Apath.at(t + sign * h) @ (m + sign * h * k3)
-        return m + (sign * h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    for k in range(anchor, grid.steps):
-        out[k + 1] = step(grid.nodes[k], out[k], +1.0)
-    for k in range(anchor, 0, -1):
-        out[k - 1] = step(grid.nodes[k], out[k], -1.0)
-    if not np.isfinite(out).all():
-        raise BlowUpError("fundamental matrix integration blew up")
-    return MatrixPath(grid, out)
 
 
 def transition_from_terminal(Apath: MatrixPath, grid: TimeGrid) -> MatrixPath:
@@ -467,47 +437,3 @@ def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
     for k, t in enumerate(P.grid.nodes):
         out[k] = np.linalg.norm(deriv[k] - rhs(t, P.samples[k]))
     return out
-
-
-def follower_riccati_rhs(spec):
-    """Time derivative prescribed by the follower Riccati equation, for
-    residual checks against a solved path."""
-
-    def rhs(t, P):
-        A, C = spec.A.at(t), spec.C.at(t)
-        B1, D1 = spec.B1.at(t), spec.D1.at(t)
-        gain = P @ B1 + C.T @ P @ D1
-        rt1 = spec.R1.at(t) + D1.T @ P @ D1
-        return -(P @ A + A.T @ P + C.T @ P @ C + spec.Q.at(t)
-                 - gain @ np.linalg.solve(rt1, gain.T))
-
-    return rhs
-
-
-def disturbance_riccati_rhs(spec):
-    """Time derivative prescribed by the disturbance Riccati equation."""
-    coef = 2.0 / spec.alpha
-
-    def rhs(t, P1):
-        A, C = spec.A.at(t), spec.C.at(t)
-        mixed = coef * P1 @ np.linalg.solve(spec.R0.at(t), P1)
-        return -(P1 @ A + A.T @ P1 - mixed + C.T @ P1 @ C - spec.Q.at(t))
-
-    return rhs
-
-
-def generalized_riccati_rhs(prob: RiccatiProblem):
-    """Return the rhs callable of the unified equation, for residual checks."""
-    fraction = prob.has_fraction
-    d = prob.terminal.shape[0]
-    eye = np.eye(d)
-
-    def rhs(t, P):
-        val = P @ prob.A1.at(t) + prob.A2.at(t).T @ P + P @ prob.B1.at(t) @ P - prob.Q.at(t)
-        if fraction:
-            gap = eye - P @ prob.D2.at(t)
-            inner = P @ prob.C1.at(t) + P @ prob.D1.at(t) @ P
-            val = val + (prob.C2.at(t).T + P @ prob.B2.at(t)) @ np.linalg.solve(gap, inner)
-        return -val
-
-    return rhs

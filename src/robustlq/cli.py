@@ -235,22 +235,23 @@ def cmd_dump_blocks(args) -> int:
     spec = _load(args)
     from .backward import solve_riccati_follower
     P = solve_riccati_follower(spec, args.delta).P
-    hat = augment.build_hat(spec, P, args.delta)
+    terms = augment.follower_terms(spec, P, args.delta)
+    hat = augment.build_hat(spec, terms)
     stage = None
     if args.stage == "hat":
         stage = hat
     elif args.stage == "check":
-        stage = augment.build_check(spec, P, args.delta)
+        stage = augment.build_check(spec, terms)
     elif args.stage == "weights":
-        stage = augment.build_cost_weights(spec, P, args.delta)
+        stage = augment.build_cost_weights(spec, terms)
     elif args.stage in ("blackboard", "doublehat"):
-        check = augment.build_check(spec, P, args.delta)
+        check = augment.build_check(spec, terms)
         bb = augment.build_blackboard(check, hat, spec.gamma, spec.R0hat)
         if args.stage == "blackboard":
             stage = bb
         else:
-            w = augment.build_cost_weights(spec, P, args.delta)
-            stage = augment.build_doublehat(bb, w)
+            w = augment.build_cost_weights(spec, terms)
+            stage = augment.build_doublehat(bb, w, terms.Rbbinv)
     doc = {"stage": args.stage, "t": args.t, "blocks": {}}
     for name in stage.__dataclass_fields__:
         val = getattr(stage, name)

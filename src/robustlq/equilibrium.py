@@ -50,28 +50,19 @@ def riccati_problem_hamiltonian(dh: augment.DoubleHatStage) -> backward.RiccatiP
 
 
 def build_closed_loop(dh: augment.DoubleHatStage, Phat: MatrixPath,
-                      phihat: MatrixPath):
-    """Closed-loop drift/diffusion coefficients of the equilibrium state:
+                      phihat: MatrixPath, E: np.ndarray, e: np.ndarray):
+    """Closed-loop drift/diffusion coefficients of the equilibrium state,
 
-        dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW.
+        dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW,
+
+    from the decoupling gains (E, e) of `augment.decoupling_terms`.
     """
-    grid = dh.A1.grid
-    K1 = len(grid)
-    ten = dh.A1.rows
-    Atils = np.empty((K1, ten, ten))
-    Ctils = np.empty_like(Atils)
-    Btils = np.empty((K1, ten, 1))
-    Dtils = np.empty_like(Btils)
-    for k in range(K1):
-        E, e = augment.decoupling_terms(dh, Phat, phihat, k)
-        Pk = Phat.samples[k]
-        phk = phihat.samples[k]
-        Atils[k] = dh.A1.samples[k] + dh.B1.samples[k] @ Pk + dh.B2.samples[k] @ E
-        Btils[k] = dh.B1.samples[k] @ phk + dh.B2.samples[k] @ e + dh.F.samples[k]
-        Ctils[k] = dh.C1.samples[k] + dh.D1.samples[k] @ Pk + dh.D2.samples[k] @ E
-        Dtils[k] = dh.D1.samples[k] @ phk + dh.D2.samples[k] @ e + dh.Sigma.samples[k]
-    mp = lambda s: MatrixPath(grid, s)
-    return mp(Atils), mp(Btils), mp(Ctils), mp(Dtils)
+    P, ph = Phat.samples, phihat.samples
+    mp = lambda s: MatrixPath(dh.A1.grid, s)
+    return (mp(dh.A1.samples + dh.B1.samples @ P + dh.B2.samples @ E),
+            mp(dh.B1.samples @ ph + dh.B2.samples @ e + dh.F.samples),
+            mp(dh.C1.samples + dh.D1.samples @ P + dh.D2.samples @ E),
+            mp(dh.D1.samples @ ph + dh.D2.samples @ e + dh.Sigma.samples))
 
 
 @dataclass
@@ -97,6 +88,7 @@ class EquilibriumSolution:
     bb: augment.BlackboardStage
     weights: augment.LeaderCostWeights
     dh: augment.DoubleHatStage
+    terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
     P2: MatrixPath | None = None
     P3: MatrixPath | None = None
@@ -140,12 +132,14 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
     P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
     P = Psol.P
 
-    hat = _stage("hat blocks", augment.build_hat, spec, P, delta)
-    check = _stage("check blocks", augment.build_check, spec, P, delta)
-    bb = _stage("blackboard blocks", augment.build_blackboard, check, hat,
-                spec.gamma, spec.R0hat)
-    weights = _stage("leader cost weights", augment.build_cost_weights, spec, P, delta)
-    dh = _stage("hamiltonian blocks", augment.build_doublehat, bb, weights)
+    # Rbb is formed and checked with the follower terms, so a leader weight
+    # that fails keeps the stage name of the weights it belongs to
+    terms = _stage("leader cost weights", augment.follower_terms, spec, P, delta)
+    hat = augment.build_hat(spec, terms)
+    check = augment.build_check(spec, terms)
+    bb = augment.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+    weights = augment.build_cost_weights(spec, terms)
+    dh = augment.build_doublehat(bb, weights, terms.Rbbinv)
 
     Phsol = _stage("hamiltonian riccati", backward.solve_riccati_generalized,
                    riccati_problem_hamiltonian(dh))
@@ -153,24 +147,17 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
     phihat = _stage("hamiltonian offset", backward.solve_offset_b4, dh, Phat).phi
 
     sel = augment.selectors(spec.n)
-    gains = _stage("gain maps", augment.build_gain_maps, spec, P, Phat, dh, sel,
-                   phihat, delta)
-    Atil, Btil, Ctil, Dtil = build_closed_loop(dh, Phat, phihat)
+    E, e = _stage("gain maps", augment.decoupling_terms, dh, Phat, phihat)
+    gains = augment.build_gain_maps(spec, terms, sel, Phat, phihat, E, e)
+    Atil, Btil, Ctil, Dtil = build_closed_loop(dh, Phat, phihat, E, e)
 
     grid = spec.grid
-    K1 = len(grid)
-    ten = 10 * spec.n
-    lyap_src = np.empty((K1, ten, ten))
-    psi_src = np.empty((K1, ten, 1))
-    for k in range(K1):
-        Rk = weights.R.samples[k]
-        Rbbinv = np.linalg.inv(weights.Rbb.samples[k])
-        mid = Rbbinv @ spec.R2.samples[k] @ Rbbinv
-        PM1, PM2 = gains.PM1.samples[k], gains.PM2.samples[k]
-        lyap_src[k] = (sel.M1.T @ spec.Q.samples[k] @ sel.M1
-                       + PM1.T @ Rk @ PM1 + PM2.T @ mid @ PM2)
-        psi_src[k] = (PM1.T @ Rk @ gains.phiM1.samples[k]
-                      + PM2.T @ mid @ gains.phiM2.samples[k])
+    PM1, PM2 = gains.PM1.samples, gains.PM2.samples
+    PM1T, PM2T = PM1.transpose(0, 2, 1), PM2.transpose(0, 2, 1)
+    lyap_src = (sel.M1.T @ spec.Q.samples @ sel.M1
+                + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2)
+    psi_src = (PM1T @ terms.R @ gains.phiM1.samples
+               + PM2T @ terms.W2 @ gains.phiM2.samples)
 
     Lterm = sel.M1.T @ spec.G @ sel.M1
     L = _stage("lyapunov", backward.solve_lyapunov, Atil, Ctil,
@@ -185,7 +172,7 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
         spec=spec, delta=delta, P=P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, sel=sel, Atil=Atil, Btil=Btil, Ctil=Ctil,
         Dtil=Dtil, hat=hat, check=check, bb=bb, weights=weights, dh=dh,
-        regularity=regularity,
+        terms=terms, regularity=regularity,
     )
     if diagnostics:
         ensure_diagnostics(sol)
@@ -247,23 +234,14 @@ def value(sol: EquilibriumSolution) -> float:
 
         Xi' L(0) Xi + 2 Xi' psi(0).
     """
-    spec = sol.spec
-    grid = spec.grid
-    K1 = len(grid)
-    integrand = np.empty(K1)
-    for k in range(K1):
-        phi1 = sol.gains.phiM1.samples[k]
-        phi2 = sol.gains.phiM2.samples[k]
-        Rk = sol.weights.R.samples[k]
-        Rbbinv = np.linalg.inv(sol.weights.Rbb.samples[k])
-        mid = Rbbinv @ spec.R2.samples[k] @ Rbbinv
-        Dt = sol.Dtil.samples[k]
-        Bt = sol.Btil.samples[k]
-        integrand[k] = (
-            phi1.T @ Rk @ phi1 + phi2.T @ mid @ phi2
-            + Dt.T @ sol.L.samples[k] @ Dt + 2.0 * Bt.T @ sol.psi.samples[k]
-        ).item()
-    quad = np.trapezoid(integrand, grid.nodes)
+    tr = lambda a: a.transpose(0, 2, 1)
+    phi1, phi2 = sol.gains.phiM1.samples, sol.gains.phiM2.samples
+    Dt, Bt = sol.Dtil.samples, sol.Btil.samples
+    integrand = (
+        tr(phi1) @ sol.terms.R @ phi1 + tr(phi2) @ sol.terms.W2 @ phi2
+        + tr(Dt) @ sol.L.samples @ Dt + 2.0 * tr(Bt) @ sol.psi.samples
+    )[:, 0, 0]
+    quad = np.trapezoid(integrand, sol.spec.grid.nodes)
     Xi = sol.dh.Xi
     boundary = Xi.T @ sol.L.samples[0] @ Xi + 2.0 * Xi.T @ sol.psi.samples[0]
     return float(quad) + boundary.item()

@@ -103,10 +103,6 @@ class MatrixPath:
         return self.samples.shape[1]
 
     @property
-    def cols(self) -> int:
-        return self.samples.shape[2]
-
-    @property
     def shape(self):
         return self.samples.shape[1:]
 
@@ -124,9 +120,6 @@ class MatrixPath:
         samples = np.stack([np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in grid.nodes])
         return cls(grid, samples)
 
-    def node(self, k: int) -> np.ndarray:
-        return self.samples[k]
-
     def at(self, t: float) -> np.ndarray:
         k, w = self.grid.locate(t)
         if w == 0.0:
@@ -135,11 +128,6 @@ class MatrixPath:
 
     def __call__(self, t: float) -> np.ndarray:
         return self.at(t)
-
-
-def sample(path: MatrixPath, t: float) -> np.ndarray:
-    """Evaluate a path at time t (linear interpolation, exact at nodes)."""
-    return path.at(t)
 
 
 # Matrix-valued fields of a game spec, with expected (rows, cols) as functions
@@ -198,7 +186,10 @@ class GameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float).reshape(self.n, 1))
+        xi = np.asarray(self.xi, dtype=float)
+        if xi.size != self.n:
+            raise SpecError(f"xi has {xi.size} entries, expected {self.n}")
+        object.__setattr__(self, "xi", xi.reshape(self.n, 1))
         for name in _MATRIX_SHAPES:
             path = getattr(self, name)
             want = _MATRIX_SHAPES[name](self.n, self.m1, self.m2)
@@ -366,11 +357,13 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
     entries = sorted(obj["nodes"], key=lambda e: e["t"])
     ts = np.array([float(e["t"]) for e in entries])
     vals = np.stack([np.asarray(e["value"], dtype=float).reshape(shape) for e in entries])
-    if len(entries) == 1:
-        return MatrixPath.constant(grid, vals[0])
+    if np.any(np.diff(ts) == 0.0):
+        raise SpecError(f"matrix {name!r} repeats a node time")
+    if ts[0] > 0.0 or ts[-1] < grid.horizon:
+        raise SpecError(f"matrix {name!r} nodes span [{ts[0]}, {ts[-1]}], "
+                        f"which does not cover [0, {grid.horizon}]")
 
     def interp(t):
-        t = np.clip(t, ts[0], ts[-1])
         j = np.searchsorted(ts, t, side="right") - 1
         j = min(max(j, 0), len(ts) - 2)
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
@@ -389,10 +382,19 @@ def load_spec(path_or_file) -> GameSpec:
     return spec_from_dict(doc)
 
 
+def _integer(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"spec field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(doc: dict) -> GameSpec:
     try:
-        n, m1, m2 = int(doc["n"]), int(doc["m1"]), int(doc["m2"])
-        T, N = float(doc["T"]), int(doc["N"])
+        n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
+        T, N = float(doc["T"]), _integer(doc, "N")
         alpha, gamma = float(doc["alpha"]), float(doc["gamma"])
         xi = np.asarray(doc["xi"], dtype=float)
         matrices = doc["matrices"]

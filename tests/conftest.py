@@ -95,3 +95,24 @@ def sol_b():
 @pytest.fixture(scope="session")
 def sol_homog():
     return rl.solve_game(homogeneous_spec(xi=1.0))
+
+
+def malformed_spec_docs():
+    """Spec documents with one defect each, keyed by the defect, with a
+    fragment of the SpecError message that must name it."""
+
+    def doc_with(**edits):
+        doc = rl.spec_to_dict(instance_a(N=8))
+        for key, val in edits.items():
+            if key == "Q":
+                doc["matrices"]["Q"] = {"nodes": [{"t": t, "value": [[1.0]]} for t in val]}
+            else:
+                doc[key] = val
+        return doc
+
+    return {
+        "xi_length": (doc_with(xi=[1.0, 2.0]), "xi has 2 entries"),
+        "fractional_N": (doc_with(N=3.7), "'N' must be an integer"),
+        "duplicate_node_time": (doc_with(Q=[0.0, 0.5, 0.5, 1.0]), "repeats a node time"),
+        "uncovered_nodes": (doc_with(Q=[0.2, 0.4]), "does not cover"),
+    }

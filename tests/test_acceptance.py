@@ -53,11 +53,12 @@ def test_criterion_2_riccati_residuals():
             assert rl.validate_spec(spec).ok
             P = backward.solve_riccati_follower(spec).P
             P1 = backward.solve_riccati_disturbance(spec).P
-            hat = rl.build_hat(spec, P)
-            check = rl.build_check(spec, P)
+            terms = rl.follower_terms(spec, P)
+            hat = rl.build_hat(spec, terms)
+            check = rl.build_check(spec, terms)
             bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
-            w = rl.build_cost_weights(spec, P)
-            dh = rl.build_doublehat(bb, w)
+            w = rl.build_cost_weights(spec, terms)
+            dh = rl.build_doublehat(bb, w, terms.Rbbinv)
             prob = equilibrium.riccati_problem_hamiltonian(dh)
             Ph = backward.solve_riccati_generalized(prob).P
             for rhs, path, tag in (
@@ -78,11 +79,12 @@ def test_criterion_3_special_case_equivalence():
             n = 1 + (seed % 2)
             spec = random_spec(100 + seed, n, special=True)
             P = backward.solve_riccati_follower(spec).P
-            hat = rl.build_hat(spec, P)
-            check = rl.build_check(spec, P)
+            terms = rl.follower_terms(spec, P)
+            hat = rl.build_hat(spec, terms)
+            check = rl.build_check(spec, terms)
             bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
-            w = rl.build_cost_weights(spec, P)
-            dh = rl.build_doublehat(bb, w)
+            w = rl.build_cost_weights(spec, terms)
+            dh = rl.build_doublehat(bb, w, terms.Rbbinv)
             for prob in (equilibrium.riccati_problem_hat(hat),
                          equilibrium.riccati_problem_blackboard(bb),
                          equilibrium.riccati_problem_hamiltonian(dh)):

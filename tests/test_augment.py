@@ -52,7 +52,7 @@ def hat_example_spec():
 
 def test_hat_blocks_hand_checked():
     spec = hat_example_spec()
-    hat = rl.build_hat(spec, const_path(spec, [[1.0]]))
+    hat = rl.build_hat(spec, rl.follower_terms(spec, const_path(spec, [[1.0]])))
     assert np.allclose(hat.A1.samples[0], [[0.0, 0.0], [-1.0, 1.0]])
     assert np.allclose(hat.A2.samples[0], [[0.0, 0.0], [1.0, 1.0]])
     assert np.allclose(hat.B1.samples[0], [[1.0, -1.0], [1.0, -1.0]])
@@ -60,7 +60,7 @@ def test_hat_blocks_hand_checked():
 
 def test_hat_zero_weights_zero_terminals():
     spec = hat_example_spec()
-    hat = rl.build_hat(spec, const_path(spec, [[0.0]]))
+    hat = rl.build_hat(spec, rl.follower_terms(spec, const_path(spec, [[0.0]])))
     assert np.all(hat.Q.samples == 0.0)
     assert np.all(hat.G == 0.0)
 
@@ -82,7 +82,7 @@ def test_hat_regularity_failure():
         R0=1.0, R0hat=1.0,
     )
     with pytest.raises(RegularityError):
-        rl.build_hat(bad, const_path(spec, [[0.0]]))
+        rl.follower_terms(bad, const_path(spec, [[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +96,14 @@ def test_check_stacks_initial_state():
         B1=[[1.0], [0.0]], D1=None, B2=[[1.0], [0.0]], D2=None,
         Q=np.zeros((2, 2)), R1=1.0, R2=-1.0, R0=np.eye(2), R0hat=np.eye(2),
     )
-    check = rl.build_check(spec, MatrixPath.zeros(spec.grid, 2, 2))
+    check = rl.build_check(spec, rl.follower_terms(spec, MatrixPath.zeros(spec.grid, 2, 2)))
     assert np.array_equal(check.xi[:, 0], [1, 1, 1, 1, 0, 0])
     assert np.array_equal(check.Iinj, np.vstack([np.eye(2), np.zeros((4, 2))]))
 
 
 def test_check_zero_sigma_zero_noise_offset():
     spec = hat_example_spec()
-    check = rl.build_check(spec, const_path(spec, [[1.0]]))
+    check = rl.build_check(spec, rl.follower_terms(spec, const_path(spec, [[1.0]])))
     assert np.all(check.sigma.samples == 0.0)
 
 
@@ -114,7 +114,7 @@ def test_check_disturbance_offset_formula():
         Q=0.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[2.0]])
-    check = rl.build_check(spec, P)
+    check = rl.build_check(spec, rl.follower_terms(spec, P))
     rt1 = 1.0 + 0.5 * 2.0 * 0.5
     w = 1.0 / rt1 * 0.5 * 2.0 * 0.8  # B1 Rt1^-1 D1' P sigma
     assert np.allclose(check.F1.samples[0][:, 0], [0.3 - w, -w, 0.0])
@@ -126,8 +126,9 @@ def test_check_disturbance_offset_formula():
 
 def test_blackboard_disturbance_corner(sol_a):
     spec = instance_a()
-    hat = rl.build_hat(spec, sol_a.P)
-    check = rl.build_check(spec, sol_a.P)
+    terms = rl.follower_terms(spec, sol_a.P)
+    hat = rl.build_hat(spec, terms)
+    check = rl.build_check(spec, terms)
     bb = rl.build_blackboard(check, hat, 2.0, const_path(spec, np.eye(spec.n)))
     n = spec.n
     assert np.allclose(bb.B1.samples[0][:n, :n], np.eye(n))
@@ -157,7 +158,7 @@ def test_weights_no_diffusion_coupling():
         R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[0.7]])
-    w = rl.build_cost_weights(spec, P)
+    w = rl.build_cost_weights(spec, rl.follower_terms(spec, P))
     assert np.allclose(w.R.samples, 0.5)      # R1^{-1} when D1 = 0
     assert np.allclose(w.Rbb.samples, -1.0)   # R2 when D2 = 0
     for name in ("M1", "L1", "S2", "M2", "L2", "S3", "M3", "L3"):
@@ -172,7 +173,7 @@ def test_weights_indefinite_follower_weight():
         R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[2.0]])
-    w = rl.build_cost_weights(spec, P)
+    w = rl.build_cost_weights(spec, rl.follower_terms(spec, P))
     # Rt1 = -1 + 2 = 1, R = 1 * (-1) * 1 = -1, Rbb = 1 + (2)^2 (-1) = -3
     assert np.allclose(w.R.samples, -1.0)
     assert np.allclose(w.Rbb.samples, -3.0)
@@ -185,7 +186,7 @@ def test_weights_reject_positive_leader_weight():
         R0=1.0, R0hat=1.0,
     )
     with pytest.raises(RegularityError):
-        rl.build_cost_weights(spec, const_path(spec, [[0.0]]))
+        rl.follower_terms(spec, const_path(spec, [[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def _synthetic_bb_weights(n=1, m2=1, N=4):
 
 def test_doublehat_zero_propagation_structure():
     bb, w = _synthetic_bb_weights()
-    dh = rl.build_doublehat(bb, w)
+    dh = rl.build_doublehat(bb, w, np.linalg.inv(w.Rbb.samples))
     five = 5
     Q = dh.Q.samples[0]
     assert np.all(Q[:five, :] == 0.0) and np.all(Q[five:, :five] == 0.0)
@@ -246,11 +247,12 @@ def test_doublehat_xi_stacking(sol_a):
 def test_stage_dimension_audit():
     spec = random_spec(21, 2, N=6)
     P = rl.solve_riccati_follower(spec).P
-    hat = rl.build_hat(spec, P)
-    check = rl.build_check(spec, P)
+    terms = rl.follower_terms(spec, P)
+    hat = rl.build_hat(spec, terms)
+    check = rl.build_check(spec, terms)
     bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
-    w = rl.build_cost_weights(spec, P)
-    dh = rl.build_doublehat(bb, w)
+    w = rl.build_cost_weights(spec, terms)
+    dh = rl.build_doublehat(bb, w, terms.Rbbinv)
     n = 2
     assert hat.A1.shape == (2 * n, 2 * n)
     assert check.A.shape == (3 * n, 3 * n) and check.Q.shape == (2 * n, 3 * n)
@@ -278,13 +280,13 @@ def test_gain_map_matches_componentwise_formula(sol_a):
     n = spec.n
     rng = np.random.default_rng(8)
     worst = 0.0
+    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
     for _ in range(25):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
         X = rng.standard_normal((10 * n, 1))
-        E, e = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat, k)
         Y = sol_a.Phat.samples[k] @ X + sol_a.phihat.samples[k]
-        Z = E @ X + e
+        Z = Es[k] @ X + es[k]
         blk = lambda vec, i: vec[i * n:(i + 1) * n]
         P = sol_a.P.samples[k]
         B1, D1 = spec.B1.samples[k], spec.D1.samples[k]

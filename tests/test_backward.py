@@ -257,14 +257,6 @@ def test_closed_form_rejects_fraction():
         rl.closed_form_special_case(prob)
 
 
-def test_fundamental_matrix_anchor_identity():
-    grid = rl.make_grid(1.0, 16)
-    Ap = MatrixPath.constant(grid, [[0.0, 1.0], [-1.0, 0.0]])
-    for anchor in (0, 7, 16):
-        psi = backward.fundamental_matrix(Ap, grid, anchor)
-        assert np.array_equal(psi.samples[anchor], np.eye(2))
-
-
 # ---------------------------------------------------------------------------
 # order and residual diagnostics
 

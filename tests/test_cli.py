@@ -6,7 +6,7 @@ import pytest
 import robustlq as rl
 from robustlq import cli
 
-from conftest import homogeneous_spec, instance_b
+from conftest import homogeneous_spec, instance_b, malformed_spec_docs
 
 
 @pytest.fixture()
@@ -100,6 +100,15 @@ def test_malformed_json_exit_code(tmp_path):
     f = tmp_path / "broken.json"
     f.write_text("{ not json")
     assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("case", sorted(malformed_spec_docs()))
+def test_malformed_spec_exit_code(case, tmp_path, capsys):
+    doc, message = malformed_spec_docs()[case]
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(doc))
+    assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -5,7 +5,8 @@ import robustlq as rl
 from robustlq import augment, backward, equilibrium, montecarlo
 from robustlq.model import RegularityError
 
-from conftest import homogeneous_spec, instance_a, production_spec
+from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
+                      random_spec)
 
 
 def test_homogeneous_game_everything_zero(sol_homog):
@@ -54,14 +55,14 @@ def test_feedback_leader_control_consistency(sol_a):
     stacked processes under the decoupled representation."""
     spec = sol_a.spec
     rng = np.random.default_rng(12)
+    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
     for _ in range(10):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
         X = rng.standard_normal(10 * spec.n)
         out = rl.feedback(sol_a, X, t)
-        E, e = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat, k)
         Y = sol_a.Phat.samples[k] @ X[:, None] + sol_a.phihat.samples[k]
-        Z = E @ X[:, None] + e
+        Z = Es[k] @ X[:, None] + es[k]
         five = 5 * spec.n
         bb, w = sol_a.bb, sol_a.weights
         stat = (bb.B2.samples[k].T @ Y[:five] + bb.D2.samples[k].T @ Z[:five]
@@ -159,9 +160,9 @@ def test_decoupled_representation_residual(sol_a):
         Y[k] = sol_a.Phat.samples[k] @ X[k] + sol_a.phihat.samples[k][:, 0]
     dY = backward._derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
     worst = 0.0
+    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
     for k in range(len(grid)):
-        E, e = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat, k)
-        Z = E @ X[k] + e[:, 0]
+        Z = Es[k] @ X[k] + es[k][:, 0]
         drift = (-sol_a.dh.A2.samples[k].T @ Y[k] - sol_a.dh.C2.samples[k].T @ Z
                  + sol_a.dh.Q.samples[k] @ X[k] + sol_a.dh.Upsilon.samples[k][:, 0])
         res = np.linalg.norm(dY[k] - drift) / (1.0 + np.linalg.norm(Y[k]))
@@ -189,3 +190,26 @@ def test_intermediate_stage_residuals():
         res = backward.riccati_residuals(backward.generalized_riccati_rhs(prob), path)
         rel = res / (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))
         assert rel.max() <= 1e-5
+
+
+# value, |Phat(0)|_F and Xi' Phat(0) Xi of fixed instances; a change to the
+# cascade that moves any of them beyond roundoff changes the solver's output
+GOLDEN = {
+    "instance_a": (1.742874750108786, 8.455454668126766, -1.5447423256672923),
+    "instance_b": (0.36456497956483347, 1.1338268640794733, -0.3380626237484416),
+    "random_1_1": (0.027933112154448936, 1.2313819855911539, -0.029489333570746862),
+    "random_1_2": (0.07274786407922532, 1.3513551881052637, -0.05292043297137604),
+    "random_1_4": (0.9023611593537108, 18.484800474670696, -3.278778436822907),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_values(name):
+    if name.startswith("random"):
+        spec = random_spec(1, int(name[-1]), N=200)
+    else:
+        spec = {"instance_a": instance_a, "instance_b": instance_b}[name]()
+    sol = rl.solve_game(spec)
+    P0, Xi = sol.Phat.samples[0], sol.dh.Xi
+    got = (rl.value(sol), np.linalg.norm(P0), (Xi.T @ P0 @ Xi).item())
+    assert got == pytest.approx(GOLDEN[name], rel=1e-12, abs=0.0)

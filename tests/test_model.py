@@ -4,7 +4,7 @@ import pytest
 import robustlq as rl
 from robustlq.model import MatrixPath, SpecError
 
-from conftest import instance_a
+from conftest import instance_a, malformed_spec_docs
 
 
 def test_make_grid_uniform():
@@ -28,22 +28,22 @@ def test_sample_constant_path():
     grid = rl.make_grid(1.0, 4)
     path = MatrixPath.constant(grid, np.eye(2))
     for t in (0.0, 0.3, 0.77, 1.0):
-        assert np.array_equal(rl.sample(path, t), np.eye(2))
+        assert np.array_equal(path.at(t), np.eye(2))
 
 
 def test_sample_midpoint_interpolation():
     grid = rl.make_grid(1.0, 1)
     path = MatrixPath(grid, np.array([[[0.0]], [[2.0]]]))
-    assert rl.sample(path, 0.5) == np.array([[1.0]])
+    assert path.at(0.5) == np.array([[1.0]])
 
 
 def test_sample_rejects_out_of_range():
     grid = rl.make_grid(1.0, 1)
     path = MatrixPath.constant(grid, [[1.0]])
     with pytest.raises(SpecError):
-        rl.sample(path, -0.1)
+        path.at(-0.1)
     with pytest.raises(SpecError):
-        rl.sample(path, 1.5)
+        path.at(1.5)
 
 
 def test_sample_nodes_bit_exact():
@@ -139,3 +139,10 @@ def test_spec_shape_mismatch_rejected():
             B2=None, D2=None, Q=np.eye(2), R1=1.0, R2=-1.0, R0=np.eye(2),
             R0hat=np.eye(2),
         )
+
+
+@pytest.mark.parametrize("case", sorted(malformed_spec_docs()))
+def test_spec_malformed_raises_spec_error(case):
+    doc, message = malformed_spec_docs()[case]
+    with pytest.raises(SpecError, match=message):
+        rl.spec_from_dict(doc)
