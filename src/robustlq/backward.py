@@ -223,13 +223,14 @@ class OffsetSolution:
         return self.phi.at(t)
 
 
-def _linear_backward(grid, coef_at, source_at, dim) -> OffsetSolution:
-    """Solve phi' = -(coef(t) phi + source(t)), phi(T) = 0."""
+def _linear_backward(grid, coef_at, source_at) -> OffsetSolution:
+    """Solve phi' = -(coef(t) phi + source(t)), phi(T) = 0, with as many
+    columns as the source has."""
 
     def rhs(t, phi):
         return -(coef_at(t) @ phi + source_at(t))
 
-    phi = integrate_backward(rhs, np.zeros((dim, 1)), grid)
+    phi = integrate_backward(rhs, np.zeros(source_at(grid.horizon).shape), grid)
     return OffsetSolution(phi=phi)
 
 
@@ -237,7 +238,8 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
                     u2: MatrixPath | None = None, include_sigma: bool = True) -> OffsetSolution:
     """Offset of the disturbance-side value expansion for given deterministic
     controls: phi1' = -[(A^T - (2/alpha) P1 R0^{-1}) phi1 + P1 (B1 u1 + B2 u2)
-    + C^T P1 (D1 u1 + D2 u2) + C^T P1 sigma], phi1(T) = 0."""
+    + C^T P1 (D1 u1 + D2 u2) + C^T P1 sigma], phi1(T) = 0.  Control paths
+    with D columns give D offset columns in one solve."""
     coef = 2.0 / spec.alpha
 
     def lin(t):
@@ -256,7 +258,7 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
             out = out + C.T @ P1t @ spec.sigma.at(t)
         return out
 
-    return _linear_backward(spec.grid, lin, src, spec.n)
+    return _linear_backward(spec.grid, lin, src)
 
 
 def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetSolution:
@@ -267,10 +269,10 @@ def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetS
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
     where sources(t) returns the drift, diffusion and adjoint sources
-    (s_drift, s_diff, s_adj) at t.
+    (s_drift, s_diff, s_adj) at t; phi has as many columns as they do.
     """
-    dim = A2.rows
-    eye = np.eye(dim)
+    eye = np.eye(A2.rows)
+    terminal = np.zeros(np.broadcast_shapes(*(s.shape for s in sources(P.grid.horizon))))
 
     def rhs(t, phi):
         Pt = P.at(t)
@@ -281,14 +283,15 @@ def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetS
         lin = A2.at(t).T + Pt @ B1.at(t) + FP @ D1.at(t)
         return -(lin @ phi + (FP @ diff + Pt @ drift - adj))
 
-    return OffsetSolution(phi=integrate_backward(rhs, np.zeros((dim, 1)), P.grid))
+    return OffsetSolution(phi=integrate_backward(rhs, terminal, P.grid))
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath | None = None,
                     include_sources: bool = True) -> OffsetSolution:
     """Offset equation of the leader-stage decoupling (5n blocks), driven by
-    a deterministic leader control path u2 and, with include_sources, by
-    the stage's own drift, diffusion and adjoint offsets."""
+    a deterministic leader control path u2 (one offset column per column of
+    u2) and, with include_sources, by the stage's own drift, diffusion and
+    adjoint offsets."""
     zero = np.zeros((bb.A.rows, 1))
 
     def sources(t):
@@ -346,7 +349,7 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
         Lt = L.at(t)
         return Lt @ Btil.at(t) + Ctil.at(t).T @ Lt @ Dtil.at(t) + extra_source.at(t)
 
-    return _linear_backward(grid, lin, src, Atil.rows)
+    return _linear_backward(grid, lin, src)
 
 
 def transition_from_terminal(Apath: MatrixPath, grid: TimeGrid) -> MatrixPath:

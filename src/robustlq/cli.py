@@ -218,7 +218,7 @@ def cmd_example(args) -> int:
     sol = equilibrium.solve_game(spec)
     # clamped strategies along the deterministic skeleton (outputs are
     # productions, so negative prescriptions are cut at zero)
-    X = montecarlo._integrate_forward(sol.Atil, sol.Btil, sol.dh.Xi[:, 0], spec.grid)
+    X = equilibrium.skeleton(sol)
     lines = ["t,u1,u2,u1_clamped,u2_clamped,f,f1_implied,f2"]
     for k, t in enumerate(spec.grid.nodes):
         s = equilibrium.feedback(sol, X[k], t)

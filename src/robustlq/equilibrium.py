@@ -191,6 +191,28 @@ def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
     return sol
 
 
+def skeleton(sol: EquilibriumSolution) -> np.ndarray:
+    """Noise-free closed-loop state on the spec grid, (N+1, 10n): RK4 on
+    dX = (Atil X + Btil) dt from the stacked initial state."""
+    grid = sol.spec.grid
+    out = np.empty((len(grid), sol.dh.Xi.shape[0]))
+    out[0] = sol.dh.Xi[:, 0]
+    h = grid.dt
+
+    def f(t, x):
+        return sol.Atil.at(t) @ x + sol.Btil.at(t)[:, 0]
+
+    for k in range(grid.steps):
+        t = grid.nodes[k]
+        x = out[k]
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        out[k + 1] = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return out
+
+
 @dataclass(frozen=True)
 class StrategyOutput:
     """Controls and worst-case disturbances at one (t, state) pair.

@@ -348,15 +348,33 @@ def _path_to_json(path: MatrixPath):
     }
 
 
+def _floats(value, what, shape=None) -> np.ndarray:
+    """value as a float array, reshaped when a shape is given; a SpecError
+    naming `what` when it is not numeric or does not fit the shape."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        return arr if shape is None else arr.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        fit = "" if shape is None else f" of shape {shape}"
+        raise SpecError(f"{what} must be numeric{fit}, got {value!r}") from exc
+
+
 def _path_from_json(grid: TimeGrid, obj, shape, name):
     if "constant" in obj:
-        value = np.asarray(obj["constant"], dtype=float)
-        return MatrixPath.constant(grid, value.reshape(shape))
+        return MatrixPath.constant(grid, _floats(obj["constant"], f"matrix {name!r}", shape))
     if "nodes" not in obj:
         raise SpecError(f"matrix {name!r} must have a 'constant' or 'nodes' entry")
-    entries = sorted(obj["nodes"], key=lambda e: e["t"])
-    ts = np.array([float(e["t"]) for e in entries])
-    vals = np.stack([np.asarray(e["value"], dtype=float).reshape(shape) for e in entries])
+    nodes = obj["nodes"]
+    if not nodes:
+        raise SpecError(f"matrix {name!r} has an empty node list")
+    try:
+        times, values = [e["t"] for e in nodes], [e["value"] for e in nodes]
+    except (KeyError, TypeError) as exc:
+        raise SpecError(f"matrix {name!r} nodes must be entries with 't' and 'value'") from exc
+    ts = _floats(times, f"node times of matrix {name!r}", (len(nodes),))
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    vals = np.stack([_floats(values[i], f"matrix {name!r}", shape) for i in order])
     if np.any(np.diff(ts) == 0.0):
         raise SpecError(f"matrix {name!r} repeats a node time")
     if ts[0] > 0.0 or ts[-1] < grid.horizon:
@@ -394,9 +412,10 @@ def _integer(doc: dict, key: str) -> int:
 def spec_from_dict(doc: dict) -> GameSpec:
     try:
         n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
-        T, N = float(doc["T"]), _integer(doc, "N")
-        alpha, gamma = float(doc["alpha"]), float(doc["gamma"])
-        xi = np.asarray(doc["xi"], dtype=float)
+        T, N = float(_floats(doc["T"], "spec field 'T'", ())), _integer(doc, "N")
+        alpha = float(_floats(doc["alpha"], "spec field 'alpha'", ()))
+        gamma = float(_floats(doc["gamma"], "spec field 'gamma'", ()))
+        xi = _floats(doc["xi"], "spec field 'xi'")
         matrices = doc["matrices"]
     except KeyError as exc:
         raise SpecError(f"spec file missing required field {exc}") from exc
@@ -406,7 +425,7 @@ def spec_from_dict(doc: dict) -> GameSpec:
     gobj = matrices["G"]
     if "constant" not in gobj:
         raise SpecError("terminal weight G must be given as a constant matrix")
-    G = np.asarray(gobj["constant"], dtype=float).reshape(n, n)
+    G = _floats(gobj["constant"], "matrix 'G'", (n, n))
 
     paths = {}
     for name in _MATRIX_SHAPES:

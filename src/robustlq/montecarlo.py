@@ -17,6 +17,11 @@ with per-path (cross, quad) integrals accumulated alongside the base
 simulation.  The eps = 0 null difference is therefore exactly zero.  The
 quad samples double as estimates of the second-variation functionals that
 the sampled convexity probes report.
+
+Each test is one `_Response` record: the criterion it perturbs, the sign
+of the deviating side, the linear response system and the deviation of
+every signal that moves.  One function turns a record into its cross and
+quad integrands, so the four tests share all of the cost bookkeeping.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augment, backward
-from .equilibrium import EquilibriumSolution, ensure_diagnostics
-from .model import BlowUpError, MatrixPath, make_grid
+from .equilibrium import EquilibriumSolution, ensure_diagnostics, skeleton
+from .model import BlowUpError, MatrixPath, SpecError, make_grid
 
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
 
@@ -40,8 +45,17 @@ class SimConfig:
     chunk: int = 20_000
 
     def __post_init__(self):
-        if self.paths < 1 or self.substeps < 1:
-            raise ValueError("paths and substeps must be positive")
+        for name in ("paths", "substeps", "chunk"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+
+def _mean_se(arr):
+    # blown paths are flagged with nan and excluded from the statistics
+    good = arr[np.isfinite(arr)]
+    mean = float(np.mean(good))
+    se = float(np.std(good, ddof=1) / np.sqrt(len(good))) if len(good) > 1 else 0.0
+    return mean, se
 
 
 @dataclass
@@ -58,26 +72,19 @@ class SimOutput:
     j_leader: np.ndarray
     blown: int
 
-    def _stats(self, arr):
-        # blown paths are flagged with nan and excluded from the statistics
-        good = arr[np.isfinite(arr)]
-        mean = float(np.mean(good))
-        stderr = float(np.std(good, ddof=1) / np.sqrt(len(good))) if len(good) > 1 else 0.0
-        return mean, stderr
-
     @property
     def j_mean(self):
-        return self._stats(self.j)[0]
+        return _mean_se(self.j)[0]
 
     @property
     def j_stderr(self):
-        return self._stats(self.j)[1]
+        return _mean_se(self.j)[1]
 
     def summary(self) -> dict:
         out = {"paths": int(len(self.j)), "blown": int(self.blown)}
         for name, arr in (("j", self.j), ("j_follower", self.j_follower),
                           ("j_leader", self.j_leader)):
-            mean, se = self._stats(arr)
+            mean, se = _mean_se(arr)
             out[name] = {"mean": mean, "stderr": se}
         good = np.isfinite(self.terminal).all(axis=1)
         out["terminal_mean"] = self.terminal[good].mean(axis=0).tolist()
@@ -132,359 +139,220 @@ def _at_times(path: MatrixPath, times) -> np.ndarray:
     return np.stack([path.at(t) for t in times])
 
 
+def _criteria(spec) -> dict:
+    """The three criteria as (terms, terminal signal), each term a
+    (signal, weight, coefficient) triple:
+
+        J = sum of coefficient * int signal' weight signal dt
+            + terminal' G terminal.
+    """
+    controls = (("u1", "R1", 1.0), ("u2", "R2", 1.0))
+    return {
+        "game": ((("x", "Q", 1.0),) + controls, "x"),
+        "follower": ((("xbar", "Q", 1.0),) + controls + (("f", "R0", -0.5 * spec.alpha),),
+                     "xbar"),
+        "leader": ((("x", "Q", 1.0),) + controls + (("f2", "R0h", 0.5 * spec.gamma),), "x"),
+    }
+
+
 def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
-    """Sample everything the fused Euler loop needs at the sub-grid nodes."""
+    """Sample everything the fused Euler loop needs at the left ends of the
+    sub-grid steps."""
     spec = sol.spec
     times = _subtimes(spec.grid, substeps)
     left = times[:-1]
-    n = spec.n
+    at = lambda path: _at_times(path, left)
 
-    pre = {
-        "times": times,
+    R1, R0, R0h, D1 = at(spec.R1), at(spec.R0), at(spec.R0hat), at(spec.D1)
+    rt1inv = np.linalg.inv(R1 + D1.transpose(0, 2, 1) @ at(sol.P) @ D1)
+    r0inv, r0hinv = np.linalg.inv(R0), np.linalg.inv(R0h)
+    Ph, ph = at(sol.Phat), at(sol.phihat)
+    f_map = (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar
+    f2_map = ((2.0 / spec.gamma) * r0hinv) @ sol.sel.row_xtil
+
+    def signal(left_map, gain, off):
+        # (gain, offset) of a signal that is left_map @ (gain X + off)
+        return left_map @ gain, (left_map @ off)[:, :, 0]
+
+    return {
+        "left": left,
         "dt": times[1] - times[0],
-        "steps": len(times) - 1,
-        "n": n,
-        "A": _at_times(sol.Atil, left),
-        "b": _at_times(sol.Btil, left)[:, :, 0],
-        "C": _at_times(sol.Ctil, left),
-        "d": _at_times(sol.Dtil, left)[:, :, 0],
-        "Q": _at_times(spec.Q, left),
-        "R1": _at_times(spec.R1, left),
-        "R2": _at_times(spec.R2, left),
-        "R0": _at_times(spec.R0, left),
-        "R0h": _at_times(spec.R0hat, left),
+        "steps": len(left),
+        "n": spec.n,
+        "A": at(sol.Atil),
+        "b": at(sol.Btil)[:, :, 0],
+        "C": at(sol.Ctil),
+        "d": at(sol.Dtil)[:, :, 0],
+        "Q": at(spec.Q),
+        "R1": R1,
+        "R2": at(spec.R2),
+        "R0": R0,
+        "R0h": R0h,
         "G": spec.G,
         "x0": sol.dh.Xi[:, 0],
+        "rt1inv": rt1inv,
+        "r0inv": r0inv,
+        "r0hinv": r0hinv,
+        "signals": {
+            "u1": signal(rt1inv, at(sol.gains.PM1), at(sol.gains.phiM1)),
+            "u2": signal(np.linalg.inv(at(sol.weights.Rbb)), at(sol.gains.PM2),
+                         at(sol.gains.phiM2)),
+            "f": signal(f_map, Ph, ph),
+            "f2": signal(f2_map, Ph, ph),
+        },
+        "criteria": _criteria(spec),
     }
-
-    S = pre["steps"]
-    m1, m2 = spec.m1, spec.m2
-    u1_gain = np.empty((S, m1, 10 * n))
-    u1_off = np.empty((S, m1))
-    u2_gain = np.empty((S, m2, 10 * n))
-    u2_off = np.empty((S, m2))
-    f_gain = np.empty((S, n, 10 * n))
-    f_off = np.empty((S, n))
-    f2_gain = np.empty((S, n, 10 * n))
-    f2_off = np.empty((S, n))
-    row_p, row_x = sol.sel.row_pbar, sol.sel.row_xtil
-    for k, t in enumerate(left):
-        rt1 = np.linalg.inv(sol.rtilde1_at(t))
-        rbb = np.linalg.inv(sol.rbb_at(t))
-        u1_gain[k] = rt1 @ sol.gains.PM1.at(t)
-        u1_off[k] = (rt1 @ sol.gains.phiM1.at(t))[:, 0]
-        u2_gain[k] = rbb @ sol.gains.PM2.at(t)
-        u2_off[k] = (rbb @ sol.gains.phiM2.at(t))[:, 0]
-        Ph, ph = sol.Phat.at(t), sol.phihat.at(t)
-        r0inv = np.linalg.inv(spec.R0.at(t))
-        r0hinv = np.linalg.inv(spec.R0hat.at(t))
-        f_gain[k] = -(2.0 / spec.alpha) * r0inv @ row_p @ Ph
-        f_off[k] = (-(2.0 / spec.alpha) * r0inv @ row_p @ ph)[:, 0]
-        f2_gain[k] = (2.0 / spec.gamma) * r0hinv @ row_x @ Ph
-        f2_off[k] = ((2.0 / spec.gamma) * r0hinv @ row_x @ ph)[:, 0]
-    pre.update(u1_gain=u1_gain, u1_off=u1_off, u2_gain=u2_gain, u2_off=u2_off,
-               f_gain=f_gain, f_off=f_off, f2_gain=f2_gain, f2_off=f2_off,
-               alpha=spec.alpha, gamma=spec.gamma)
-    return pre
 
 
 def _base_at(pre, k, X):
     n = pre["n"]
-    return {
-        "x": X[:, :n],
-        "xbar": X[:, n:2 * n],
-        "u1": X @ pre["u1_gain"][k].T + pre["u1_off"][k],
-        "u2": X @ pre["u2_gain"][k].T + pre["u2_off"][k],
-        "f": X @ pre["f_gain"][k].T + pre["f_off"][k],
-        "f2": X @ pre["f2_gain"][k].T + pre["f2_off"][k],
-    }
+    base = {name: X @ gain[k].T + off[k] for name, (gain, off) in pre["signals"].items()}
+    base.update(x=X[:, :n], xbar=X[:, n:2 * n])
+    return base
 
 
-def _qform(M, a, b=None):
-    """Rows of a (paths, i) against M (i, j) and b (paths, j)."""
-    if b is None:
-        b = a
-    return np.einsum("pi,pi->p", a @ M, b)
-
-
-def _qform_dir(M, a, Z):
-    """a (paths, i) with M (i, j) against per-direction Z (paths, j, D)."""
-    return np.einsum("pi,pid->pd", a @ M, Z)
-
-
-def _quad_dir(M, Z, W=None):
-    if W is None:
-        W = Z
-    return np.einsum("pid,ij,pjd->pd", Z, M, W)
+def _qform(M, a):
+    """Row-wise a' M a of a (paths, i) against M (i, i)."""
+    return np.einsum("pi,pi->p", a @ M, a)
 
 
 # ---------------------------------------------------------------------------
-# linear-response systems of the four perturbation tests
+# linear responses of the four perturbation tests
 
 
-def _unit_directions(rng, grid, dim: int, count: int, pieces: int = 8):
+@dataclass
+class _Response:
+    """Linear response of one deviation test,
+
+        dZ = (A Z + b) dt + (C Z + d) dW,  Z(0) = 0,
+
+    with one column of b, d and Z per direction.  Every signal of the
+    perturbed criterion that moves is deviated by gain @ Z + off; either
+    part may be None, and a 2-D gain is constant in time.  sign is +1 when
+    the deviating side minimizes the criterion: a deviation must not lower
+    sign * J.
+    """
+
+    name: str
+    sign: float
+    criterion: str
+    A: np.ndarray  # (S, dim, dim)
+    b: np.ndarray  # (S, dim, D)
+    C: np.ndarray  # (S, dim, dim)
+    d: np.ndarray  # (S, dim, D)
+    moves: dict    # signal -> (gain, off)
+
+
+def _deviation(move, k, Z):
+    gain, off = move
+    if gain is None:
+        return np.broadcast_to(off[k], (len(Z),) + off.shape[1:])
+    dev = np.einsum("ij,pjd->pid", gain if gain.ndim == 2 else gain[k], Z)
+    return dev if off is None else dev + off[k]
+
+
+def _cross_quad(terms, moves, base, Z, k=None):
+    """Per-path, per-direction (cross, quad) of sum coef * s' W s when each
+    moving signal s becomes s + eps * dev; terms are (signal, W, coef)."""
+    cross = quad = 0.0
+    for signal, W, coef in terms:
+        if signal in moves:
+            dev = _deviation(moves[signal], k, Z)
+            cross = cross + 2.0 * coef * np.einsum("pi,pid->pd", base[signal] @ W, dev)
+            quad = quad + coef * np.einsum("pid,ij,pjd->pd", dev, W, dev)
+    return cross, quad
+
+
+def _unit_directions(rng, grid, dim: int, count: int, pieces: int = 8) -> MatrixPath:
     """Random piecewise-constant deterministic direction paths with unit
-    L2 norm, sampled onto the grid."""
-    out = []
-    T = grid.horizon
-    for _ in range(count):
-        vals = rng.standard_normal((pieces, dim))
-        samples = np.empty((len(grid), dim, 1))
-        for k, t in enumerate(grid.nodes):
-            j = min(int(pieces * t / T), pieces - 1)
-            samples[k, :, 0] = vals[j]
-        norm2 = np.trapezoid([float(v[:, 0] @ v[:, 0]) for v in samples], grid.nodes)
-        out.append(MatrixPath(grid, samples / np.sqrt(max(norm2, 1e-300))))
-    return out
+    L2 norm, one per column of a (N+1, dim, count) path on the grid."""
+    vals = rng.standard_normal((count, pieces, dim))
+    piece = np.minimum((pieces * grid.nodes / grid.horizon).astype(int), pieces - 1)
+    # squared norm of each piece, integrated per direction over the nodes
+    sq = [np.array([v @ v for v in per_dir]) for per_dir in vals]
+    norm2 = np.array([np.trapezoid(s[piece], grid.nodes) for s in sq])
+    samples = vals[:, piece].transpose(1, 2, 0)
+    return MatrixPath(grid, samples / np.sqrt(np.maximum(norm2, 1e-300)))
 
 
-def _dirs_at(dirs, times):
-    arr = np.empty((len(times), dirs[0].rows, len(dirs)))
-    for j, d in enumerate(dirs):
-        for k, t in enumerate(times):
-            arr[k, :, j] = d.at(t)[:, 0]
-    return arr
-
-
-class _TestSystem:
-    """Per-test linear response: dZ = (A Z + b)dt + (C Z + d)dW, Z(0)=0,
-    with per-step cross/quad integrand hooks."""
-
-    def __init__(self, name, dim, D):
-        self.name = name
-        self.dim = dim
-        self.D = D
-        self.A = None       # (S, dim, dim)
-        self.b = None       # (S, dim, D)
-        self.Cm = None      # (S, dim, dim)
-        self.d = None       # (S, dim, D)
-
-    def cross_step(self, pre, k, base, Z):
-        raise NotImplementedError
-
-    def quad_step(self, pre, k, Z):
-        raise NotImplementedError
-
-    def cross_terminal(self, pre, base_T, Z):
-        raise NotImplementedError
-
-    def quad_terminal(self, pre, Z):
-        raise NotImplementedError
-
-
-class _FollowerControlTest(_TestSystem):
+def _follower_control(sol, pre, dirs) -> _Response:
     """Follower deviates u1 -> u1 + eps*v; the combined disturbance
     re-optimizes through its linear response; leader replays."""
-
-    def __init__(self, sol, dirs, substeps):
-        super().__init__("follower_control", sol.spec.n, len(dirs))
-        spec = sol.spec
-        times = _subtimes(spec.grid, substeps)
-        left = times[:-1]
-        S = len(left)
-        n = spec.n
-        a = 2.0 / spec.alpha
-        phis = [backward.solve_offset_b1(spec, sol.P1, u1=v, include_sigma=False)
-                for v in dirs]
-        self.v = _dirs_at(dirs, left)                      # (S, m1, D)
-        self.A = np.empty((S, n, n))
-        self.b = np.empty((S, n, self.D))
-        self.Cm = np.empty((S, n, n))
-        self.d = np.empty((S, n, self.D))
-        self.df_gain = np.empty((S, n, n))
-        self.df_off = np.empty((S, n, self.D))
-        for k, t in enumerate(left):
-            A, C = spec.A.at(t), spec.C.at(t)
-            B1, D1 = spec.B1.at(t), spec.D1.at(t)
-            P1 = sol.P1.at(t)
-            r0inv = np.linalg.inv(spec.R0.at(t))
-            phi = np.hstack([p.phi.at(t) for p in phis])   # (n, D)
-            self.A[k] = A - a * r0inv @ P1
-            self.b[k] = B1 @ self.v[k] - a * r0inv @ phi
-            self.Cm[k] = C
-            self.d[k] = D1 @ self.v[k]
-            self.df_gain[k] = -a * r0inv @ P1
-            self.df_off[k] = -a * r0inv @ phi
-
-    def _df(self, k, Z):
-        return np.einsum("ij,pjd->pid", self.df_gain[k], Z) + self.df_off[k]
-
-    def cross_step(self, pre, k, base, Z):
-        df = self._df(k, Z)
-        out = 2.0 * _qform_dir(pre["Q"][k], base["xbar"], Z)
-        out += 2.0 * (base["u1"] @ pre["R1"][k]) @ self.v[k]
-        out -= pre["alpha"] * np.einsum("pi,pid->pd", base["f"] @ pre["R0"][k], df)
-        return out
-
-    def quad_step(self, pre, k, Z):
-        df = self._df(k, Z)
-        out = _quad_dir(pre["Q"][k], Z)
-        out += np.einsum("id,ij,jd->d", self.v[k], pre["R1"][k], self.v[k])
-        out -= 0.5 * pre["alpha"] * _quad_dir(pre["R0"][k], df)
-        return out
-
-    def cross_terminal(self, pre, base_T, Z):
-        return 2.0 * _qform_dir(pre["G"], base_T["xbar"], Z)
-
-    def quad_terminal(self, pre, Z):
-        return _quad_dir(pre["G"], Z)
+    spec = sol.spec
+    at = lambda path: _at_times(path, pre["left"])
+    phi = backward.solve_offset_b1(spec, sol.P1, u1=dirs, include_sigma=False).phi
+    v = at(dirs)
+    a_r0inv = (2.0 / spec.alpha) * pre["r0inv"]
+    df_gain, df_off = -a_r0inv @ at(sol.P1), -a_r0inv @ at(phi)
+    return _Response(
+        "follower_control", +1.0, "follower",
+        A=at(spec.A) + df_gain, b=at(spec.B1) @ v + df_off, C=at(spec.C), d=at(spec.D1) @ v,
+        moves={"xbar": (np.eye(spec.n), None), "u1": (None, v), "f": (df_gain, df_off)})
 
 
-class _LeaderControlTest(_TestSystem):
+def _leader_control(sol, pre, dirs) -> _Response:
     """Leader deviates u2 -> u2 + eps*v; follower and both worst cases
     re-respond through the 5n decoupled response."""
+    spec = sol.spec
+    n = spec.n
+    ensure_diagnostics(sol)
+    bb = sol.bb
+    at = lambda path: _at_times(path, pre["left"])
+    tr = lambda a: a.transpose(0, 2, 1)
+    q = at(backward.solve_offset_b3(bb, sol.P3, u2=dirs, include_sources=False).phi)
+    v, P3 = at(dirs), at(sol.P3)
+    Ab, Cb, B1b, B2b, B3b, D1b, D2b, D3b = map(
+        at, (bb.A, bb.C, bb.B1, bb.B2, bb.B3, bb.D1, bb.D2, bb.D3))
+    gap = np.eye(5 * n) - P3 @ D3b
+    Zx = np.linalg.solve(gap, P3 @ Cb + P3 @ D1b @ P3)
+    zoff = np.linalg.solve(gap, P3 @ D1b @ q + P3 @ D2b @ v)
 
-    def __init__(self, sol, dirs, substeps):
-        spec = sol.spec
-        n = spec.n
-        super().__init__("leader_control", 5 * n, len(dirs))
-        ensure_diagnostics(sol)
-        bb, P3 = sol.bb, sol.P3
-        times = _subtimes(spec.grid, substeps)
-        left = times[:-1]
-        S = len(left)
-        phis = [backward.solve_offset_b3(bb, P3, u2=v, include_sources=False)
-                for v in dirs]
-        self.v = _dirs_at(dirs, left)                      # (S, m2, D)
-        five = 5 * n
-        self.A = np.empty((S, five, five))
-        self.b = np.empty((S, five, self.D))
-        self.Cm = np.empty((S, five, five))
-        self.d = np.empty((S, five, self.D))
-        self.du1_gain = np.empty((S, spec.m1, five))
-        self.du1_off = np.empty((S, spec.m1, self.D))
-        self.df2_gain = np.empty((S, n, five))
-        self.df2_off = np.empty((S, n, self.D))
-
-        r_xtil = augment.block_row(0, n, 5)
-        r_xbar = augment.block_row(1, n, 5)
-        r_ybar = augment.block_row(3, n, 5)
-        g = 2.0 / spec.gamma
-        eye5 = np.eye(five)
-        for k, t in enumerate(left):
-            P3t = P3.at(t)
-            q = np.hstack([p.phi.at(t) for p in phis])     # (5n, D)
-            vk = self.v[k]
-            Ab, Cb = bb.A.at(t), bb.C.at(t)
-            B1b, B2b, B3b = bb.B1.at(t), bb.B2.at(t), bb.B3.at(t)
-            D1b, D2b, D3b = bb.D1.at(t), bb.D2.at(t), bb.D3.at(t)
-            gap = eye5 - P3t @ D3b
-            Zx = np.linalg.solve(gap, P3t @ Cb + P3t @ D1b @ P3t)
-            zoff = np.linalg.solve(gap, P3t @ D1b @ q + P3t @ D2b @ vk)
-            self.A[k] = Ab + B1b @ P3t + B3b @ Zx
-            self.b[k] = B1b @ q + B3b @ zoff + B2b @ vk
-            self.Cm[k] = Cb + D1b @ P3t + D3b @ Zx
-            self.d[k] = D1b @ q + D3b @ zoff + D2b @ vk
-
-            B1s, D1s, D2s = spec.B1.at(t), spec.D1.at(t), spec.D2.at(t)
-            K = B1s.T @ sol.P.at(t) + D1s.T @ sol.P.at(t) @ spec.C.at(t)
-            rt1inv = np.linalg.inv(sol.rtilde1_at(t))
-            self.du1_gain[k] = rt1inv @ (B1s.T @ r_ybar @ P3t + D1s.T @ r_ybar @ Zx
-                                         - K @ r_xbar)
-            self.du1_off[k] = rt1inv @ (B1s.T @ r_ybar @ q + D1s.T @ r_ybar @ zoff
-                                        - D1s.T @ sol.P.at(t) @ D2s @ vk)
-            r0hinv = np.linalg.inv(spec.R0hat.at(t))
-            self.df2_gain[k] = g * r0hinv @ r_xtil @ P3t
-            self.df2_off[k] = g * r0hinv @ r_xtil @ q
-
-    def _du1(self, k, Z):
-        return np.einsum("ij,pjd->pid", self.du1_gain[k], Z) + self.du1_off[k]
-
-    def _df2(self, k, Z):
-        return np.einsum("ij,pjd->pid", self.df2_gain[k], Z) + self.df2_off[k]
-
-    def cross_step(self, pre, k, base, Z):
-        n = pre["n"]
-        dx = Z[:, :n, :]
-        out = 2.0 * _qform_dir(pre["Q"][k], base["x"], dx)
-        out += 2.0 * np.einsum("pi,pid->pd", base["u1"] @ pre["R1"][k], self._du1(k, Z))
-        out += 2.0 * (base["u2"] @ pre["R2"][k]) @ self.v[k]
-        out += pre["gamma"] * np.einsum("pi,pid->pd", base["f2"] @ pre["R0h"][k],
-                                        self._df2(k, Z))
-        return out
-
-    def quad_step(self, pre, k, Z):
-        n = pre["n"]
-        dx = Z[:, :n, :]
-        du1 = self._du1(k, Z)
-        df2 = self._df2(k, Z)
-        out = _quad_dir(pre["Q"][k], dx)
-        out += _quad_dir(pre["R1"][k], du1)
-        out += np.einsum("id,ij,jd->d", self.v[k], pre["R2"][k], self.v[k])
-        out += 0.5 * pre["gamma"] * _quad_dir(pre["R0h"][k], df2)
-        return out
-
-    def cross_terminal(self, pre, base_T, Z):
-        n = pre["n"]
-        return 2.0 * _qform_dir(pre["G"], base_T["x"], Z[:, :n, :])
-
-    def quad_terminal(self, pre, Z):
-        n = pre["n"]
-        return _quad_dir(pre["G"], Z[:, :n, :])
+    B1, D1, D2, P = at(spec.B1), at(spec.D1), at(spec.D2), at(sol.P)
+    r_xtil, r_xbar, r_ybar = (augment.block_row(slot, n, 5) for slot in (0, 1, 3))
+    K = tr(B1) @ P + tr(D1) @ P @ at(spec.C)
+    du1_gain = pre["rt1inv"] @ (tr(B1) @ r_ybar @ P3 + tr(D1) @ r_ybar @ Zx - K @ r_xbar)
+    du1_off = pre["rt1inv"] @ (tr(B1) @ r_ybar @ q + tr(D1) @ r_ybar @ zoff
+                               - tr(D1) @ P @ D2 @ v)
+    g_r0hinv = (2.0 / spec.gamma) * pre["r0hinv"]
+    return _Response(
+        "leader_control", -1.0, "leader",
+        A=Ab + B1b @ P3 + B3b @ Zx, b=B1b @ q + B3b @ zoff + B2b @ v,
+        C=Cb + D1b @ P3 + D3b @ Zx, d=D1b @ q + D3b @ zoff + D2b @ v,
+        moves={"x": (r_xtil, None), "u1": (du1_gain, du1_off), "u2": (None, v),
+               "f2": (g_r0hinv @ r_xtil @ P3, g_r0hinv @ r_xtil @ q)})
 
 
-class _DisturbanceTest(_TestSystem):
+def _disturbance(sol, pre, dirs, side) -> _Response:
     """Additive disturbance deviation f -> f + eps*h (follower side) or
     f2 -> f2 + eps*h (leader side); controls replay."""
-
-    def __init__(self, sol, dirs, substeps, side):
-        spec = sol.spec
-        super().__init__(f"{side}_disturbance", spec.n, len(dirs))
-        self.side = side
-        times = _subtimes(spec.grid, substeps)
-        left = times[:-1]
-        S = len(left)
-        n = spec.n
-        self.h = _dirs_at(dirs, left)                     # (S, n, D)
-        self.A = np.stack([spec.A.at(t) for t in left])
-        self.Cm = np.stack([spec.C.at(t) for t in left])
-        self.b = self.h.copy()
-        self.d = np.zeros((S, n, self.D))
-
-    def cross_step(self, pre, k, base, Z):
-        if self.side == "follower":
-            out = 2.0 * _qform_dir(pre["Q"][k], base["xbar"], Z)
-            out -= pre["alpha"] * (base["f"] @ pre["R0"][k]) @ self.h[k]
-        else:
-            out = 2.0 * _qform_dir(pre["Q"][k], base["x"], Z)
-            out += pre["gamma"] * (base["f2"] @ pre["R0h"][k]) @ self.h[k]
-        return out
-
-    def quad_step(self, pre, k, Z):
-        out = _quad_dir(pre["Q"][k], Z)
-        hh = np.einsum("id,ij,jd->d", self.h[k], pre["R0"][k] if self.side == "follower"
-                       else pre["R0h"][k], self.h[k])
-        if self.side == "follower":
-            out -= 0.5 * pre["alpha"] * hh
-        else:
-            out += 0.5 * pre["gamma"] * hh
-        return out
-
-    def cross_terminal(self, pre, base_T, Z):
-        key = "xbar" if self.side == "follower" else "x"
-        return 2.0 * _qform_dir(pre["G"], base_T[key], Z)
-
-    def quad_terminal(self, pre, Z):
-        return _quad_dir(pre["G"], Z)
+    spec = sol.spec
+    at = lambda path: _at_times(path, pre["left"])
+    h = at(dirs)
+    state, signal, sign = ("xbar", "f", -1.0) if side == "follower" else ("x", "f2", +1.0)
+    return _Response(
+        f"{side}_disturbance", sign, side,
+        A=at(spec.A), b=h, C=at(spec.C), d=np.zeros_like(h),
+        moves={state: (np.eye(spec.n), None), signal: (None, h)})
 
 
 # ---------------------------------------------------------------------------
 # fused Euler loop
 
 
-def _run(sol: EquilibriumSolution, cfg: SimConfig, tests=()):
+def _run(pre: dict, cfg: SimConfig, tests=()):
     """Simulate the closed loop and all requested linear responses under
-    common increments; returns per-path costs and per-test (cross, quad)."""
-    pre = _precompute_base(sol, cfg.substeps)
-    S, dt = pre["steps"], pre["dt"]
-    dim = len(pre["x0"])
-
-    j = np.empty(cfg.paths)
-    jf = np.empty(cfg.paths)
-    jl = np.empty(cfg.paths)
-    terminal = np.empty((cfg.paths, dim))
-    cross = {t.name: np.empty((cfg.paths, t.D)) for t in tests}
-    quad = {t.name: np.empty((cfg.paths, t.D)) for t in tests}
+    common increments.  Returns the SimOutput and the per-path outputs:
+    the cost of each criterion by name, and each test's per-direction
+    cross and quad under ("cross", name) and ("quad", name)."""
+    S, dt, n = pre["steps"], pre["dt"], pre["n"]
+    criteria = pre["criteria"]
+    forms = {(s, w) for terms, _ in criteria.values() for s, w, _ in terms}
+    # per-path outputs: one cost per criterion, (cross, quad) per test
+    shapes = {name: () for name in criteria}
+    for t in tests:
+        shapes["cross", t.name] = shapes["quad", t.name] = t.b.shape[2:]
+    out = {key: np.empty((cfg.paths,) + shape) for key, shape in shapes.items()}
+    terminal = np.empty((cfg.paths, len(pre["x0"])))
 
     done = 0
     blown = 0
@@ -492,62 +360,48 @@ def _run(sol: EquilibriumSolution, cfg: SimConfig, tests=()):
         count = min(cfg.chunk, cfg.paths - done)
         dW = path_increments(cfg.seed, done, count, S, dt)
         X = np.tile(pre["x0"], (count, 1))
-        Z = {t.name: np.zeros((count, t.dim, t.D)) for t in tests}
-        cj = np.zeros(count)
-        cjf = np.zeros(count)
-        cjl = np.zeros(count)
-        ccross = {t.name: np.zeros((count, t.D)) for t in tests}
-        cquad = {t.name: np.zeros((count, t.D)) for t in tests}
+        Z = {t.name: np.zeros((count,) + t.b.shape[1:]) for t in tests}
+        acc = {key: np.zeros((count,) + shape) for key, shape in shapes.items()}
 
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
             for k in range(S):
                 base = _base_at(pre, k, X)
-                cj += dt * (_qform(pre["Q"][k], base["x"])
-                            + _qform(pre["R1"][k], base["u1"])
-                            + _qform(pre["R2"][k], base["u2"]))
-                cjf += dt * (_qform(pre["Q"][k], base["xbar"])
-                             + _qform(pre["R1"][k], base["u1"])
-                             + _qform(pre["R2"][k], base["u2"])
-                             - 0.5 * pre["alpha"] * _qform(pre["R0"][k], base["f"]))
-                cjl += dt * (_qform(pre["Q"][k], base["x"])
-                             + _qform(pre["R1"][k], base["u1"])
-                             + _qform(pre["R2"][k], base["u2"])
-                             + 0.5 * pre["gamma"] * _qform(pre["R0h"][k], base["f2"]))
+                q = {(s, w): _qform(pre[w][k], base[s]) for s, w in forms}
+                for name, (terms, _) in criteria.items():
+                    acc[name] += dt * sum(c * q[s, w] for s, w, c in terms)
                 for t in tests:
                     zk = Z[t.name]
-                    ccross[t.name] += dt * t.cross_step(pre, k, base, zk)
-                    cquad[t.name] += dt * t.quad_step(pre, k, zk)
+                    terms = [(s, pre[w][k], c) for s, w, c in criteria[t.criterion][0]]
+                    cross, quad = _cross_quad(terms, t.moves, base, zk, k)
+                    acc["cross", t.name] += dt * cross
+                    acc["quad", t.name] += dt * quad
                     drift = np.einsum("ij,pjd->pid", t.A[k], zk) + t.b[k]
-                    diff = np.einsum("ij,pjd->pid", t.Cm[k], zk) + t.d[k]
+                    diff = np.einsum("ij,pjd->pid", t.C[k], zk) + t.d[k]
                     Z[t.name] = zk + dt * drift + diff * dW[:, k, None, None]
                 incr = dW[:, k][:, None]
                 X = X + dt * (X @ pre["A"][k].T + pre["b"][k]) \
                     + (X @ pre["C"][k].T + pre["d"][k]) * incr
 
-            base_T = {"x": X[:, :pre["n"]], "xbar": X[:, pre["n"]:2 * pre["n"]]}
-            cj += _qform(pre["G"], base_T["x"])
-            cjf += _qform(pre["G"], base_T["xbar"])
-            cjl += _qform(pre["G"], base_T["x"])
+            base_T = {"x": X[:, :n], "xbar": X[:, n:2 * n]}
+            for name, (_, s) in criteria.items():
+                acc[name] += _qform(pre["G"], base_T[s])
             for t in tests:
-                ccross[t.name] += t.cross_terminal(pre, base_T, Z[t.name])
-                cquad[t.name] += t.quad_terminal(pre, Z[t.name])
+                s = criteria[t.criterion][1]
+                cross, quad = _cross_quad([(s, pre["G"], 1.0)], t.moves, base_T, Z[t.name])
+                acc["cross", t.name] += cross
+                acc["quad", t.name] += quad
 
         bad = ~np.isfinite(X).all(axis=1)
         for t in tests:
             bad |= ~np.isfinite(Z[t.name]).all(axis=(1, 2))
         blown += int(bad.sum())
-        if bad.any():
-            cj[bad] = np.nan
-            cjf[bad] = np.nan
-            cjl[bad] = np.nan
 
         sl = slice(done, done + count)
-        j[sl], jf[sl], jl[sl] = cj, cjf, cjl
         terminal[sl] = X
-        for t in tests:
-            cross[t.name][sl] = ccross[t.name]
-            quad[t.name][sl] = cquad[t.name]
+        for key, arr in acc.items():
+            arr[bad] = np.nan
+            out[key][sl] = arr
         done += count
 
     if blown > BLOWUP_PATH_BUDGET * cfg.paths:
@@ -555,33 +409,49 @@ def _run(sol: EquilibriumSolution, cfg: SimConfig, tests=()):
             f"{blown} of {cfg.paths} simulated paths blew up (budget "
             f"{BLOWUP_PATH_BUDGET:.1%})"
         )
-    return SimOutput(terminal=terminal, j=j, j_follower=jf, j_leader=jl,
-                     blown=blown), cross, quad
+    sim = SimOutput(terminal=terminal, j=out["game"], j_follower=out["follower"],
+                    j_leader=out["leader"], blown=blown)
+    return sim, out
 
 
 def simulate(sol: EquilibriumSolution, cfg: SimConfig) -> SimOutput:
     """Euler-Maruyama simulation of the equilibrium closed loop."""
-    out, _, _ = _run(sol, cfg)
-    return out
+    sim, _ = _run(_precompute_base(sol, cfg.substeps), cfg)
+    return sim
 
 
-def _mean_se(arr):
-    mean = float(np.mean(arr))
-    se = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return mean, se
+def _deviation_tests(sol, cfg, count, spawn_key, directions_seed):
+    """Simulate the four deviation tests, each along `count` random unit
+    directions drawn from the stream keyed by spawn_key; returns the tests
+    and the per-path outputs of `_run`."""
+    if count < 1:
+        raise SpecError(f"directions per test must be at least 1, got {count}")
+    spec = sol.spec
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=cfg.seed if directions_seed is None
+                               else directions_seed, spawn_key=(spawn_key,))))
+    dirs_u1, dirs_u2, dirs_f, dirs_f2 = [_unit_directions(rng, spec.grid, dim, count)
+                                         for dim in (spec.m1, spec.m2, spec.n, spec.n)]
+    pre = _precompute_base(sol, cfg.substeps)
+    tests = [
+        _follower_control(sol, pre, dirs_u1),
+        _leader_control(sol, pre, dirs_u2),
+        _disturbance(sol, pre, dirs_f, "follower"),
+        _disturbance(sol, pre, dirs_f2, "leader"),
+    ]
+    _, out = _run(pre, cfg, tests)
+    return tests, out
 
 
-def _verdict(mean, se, lower_ok: bool, scale: float) -> str:
+def _verdict(mean, se, sign: float, scale: float) -> str:
     """3-stderr rule with an explicit inconclusive band.
 
-    lower_ok=True encodes a `mean >= -3 se` requirement (deviations should
-    not help), else `mean <= +3 se`.  A pass additionally requires the
+    sign = +1 encodes a `mean >= -3 se` requirement (deviations should not
+    help), sign = -1 `mean <= +3 se`.  A pass additionally requires the
     noise floor to resolve the expected effect scale.
     """
     bound = 3.0 * se
-    if lower_ok and mean < -bound:
-        return "fail"
-    if not lower_ok and mean > bound:
+    if sign * mean < -bound:
         return "fail"
     if se == 0.0:
         return "pass"
@@ -601,53 +471,27 @@ def perturb_best_response(sol: EquilibriumSolution, cfg: SimConfig,
     deterministic path; the replayed players' strategies and the linear
     worst-case responses ride on the same Brownian increments.
     """
-    spec = sol.spec
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=cfg.seed if directions_seed is None
-                               else directions_seed, spawn_key=(0xD1,))))
-    dirs_u1 = _unit_directions(rng, spec.grid, spec.m1, directions)
-    dirs_u2 = _unit_directions(rng, spec.grid, spec.m2, directions)
-    dirs_f = _unit_directions(rng, spec.grid, spec.n, directions)
-    dirs_f2 = _unit_directions(rng, spec.grid, spec.n, directions)
-
-    tests = [
-        _FollowerControlTest(sol, dirs_u1, cfg.substeps),
-        _LeaderControlTest(sol, dirs_u2, cfg.substeps),
-        _DisturbanceTest(sol, dirs_f, cfg.substeps, "follower"),
-        _DisturbanceTest(sol, dirs_f2, cfg.substeps, "leader"),
-    ]
-    _, cross, quad = _run(sol, cfg, tests)
-
-    # deviation must not lower J^wo (follower minimizes) or J~_f (leader-side
-    # disturbance minimizes); must not raise J~^wo / J_f (maximizers)
-    lower_ok = {"follower_control": True, "leader_control": False,
-                "follower_disturbance": False, "leader_disturbance": True}
-
+    tests, out = _deviation_tests(sol, cfg, directions, 0xD1, directions_seed)
     report = PerturbationReport()
     for t in tests:
-        for d in range(t.D):
-            c = cross[t.name][:, d]
-            q = quad[t.name][:, d]
+        for d in range(directions):
+            c = out["cross", t.name][:, d]
+            q = out["quad", t.name][:, d]
             for e in eps:
                 if e == 0.0:
                     report.rows.append(PerturbationRow(t.name, d, 0.0, 0.0, 0.0, "pass"))
                     continue
-                samples = e * c + e * e * q
-                mean, se = _mean_se(samples)
-                scale = e * e * abs(float(np.mean(q)))
+                mean, se = _mean_se(e * c + e * e * q)
+                scale = e * e * abs(_mean_se(q)[0])
                 report.rows.append(PerturbationRow(
-                    t.name, d, float(e), mean, se,
-                    _verdict(mean, se, lower_ok[t.name], scale)))
+                    t.name, d, float(e), mean, se, _verdict(mean, se, t.sign, scale)))
     return report
 
 
-_CONVEXITY_SIGNS = {
-    # functional name -> (test name, sign of the quad mean)
-    "follower_disturbance_concavity": ("follower_disturbance", -1.0),
-    "follower_control_convexity": ("follower_control", +1.0),
-    "leader_disturbance_convexity": ("leader_disturbance", +1.0),
-    "leader_control_concavity": ("leader_control", -1.0),
-}
+# the nested problems from the inside out: each player's disturbance
+# problem before its control problem, the follower's before the leader's
+_NESTED_ORDER = ("follower_disturbance", "follower_control",
+                 "leader_disturbance", "leader_control")
 
 
 def sampled_convexity(sol: EquilibriumSolution, cfg: SimConfig,
@@ -659,35 +503,21 @@ def sampled_convexity(sol: EquilibriumSolution, cfg: SimConfig,
     systems; a uniformly positive sample is evidence for the corresponding
     definiteness assumption (sampling cannot prove it).
     """
-    spec = sol.spec
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=cfg.seed if directions_seed is None
-                               else directions_seed, spawn_key=(0xC0,))))
-    dirs_u1 = _unit_directions(rng, spec.grid, spec.m1, samples)
-    dirs_u2 = _unit_directions(rng, spec.grid, spec.m2, samples)
-    dirs_f = _unit_directions(rng, spec.grid, spec.n, samples)
-    dirs_f2 = _unit_directions(rng, spec.grid, spec.n, samples)
-
-    tests = [
-        _FollowerControlTest(sol, dirs_u1, cfg.substeps),
-        _LeaderControlTest(sol, dirs_u2, cfg.substeps),
-        _DisturbanceTest(sol, dirs_f, cfg.substeps, "follower"),
-        _DisturbanceTest(sol, dirs_f2, cfg.substeps, "leader"),
-    ]
-    _, _, quad = _run(sol, cfg, tests)
-
+    tests, out = _deviation_tests(sol, cfg, samples, 0xC0, directions_seed)
+    by_name = {t.name: t for t in tests}
     report = PerturbationReport()
-    for fname, (tname, sign) in _CONVEXITY_SIGNS.items():
-        for d in range(quad[tname].shape[1]):
-            vals = sign * quad[tname][:, d]
-            mean, se = _mean_se(vals)
+    for name in _NESTED_ORDER:
+        t = by_name[name]
+        functional = f"{name}_{'convexity' if t.sign > 0 else 'concavity'}"
+        for d in range(samples):
+            mean, se = _mean_se(t.sign * out["quad", name][:, d])
             if mean - 3.0 * se > 0.0:
                 verdict = "pass"
             elif mean + 3.0 * se < 0.0:
                 verdict = "fail"
             else:
                 verdict = "inconclusive"
-            report.rows.append(PerturbationRow(fname, d, 1.0, mean, se, verdict))
+            report.rows.append(PerturbationRow(functional, d, 1.0, mean, se, verdict))
     return report
 
 
@@ -710,25 +540,6 @@ class OracleResult:
         gy = np.max(np.linalg.norm(self.Y_oracle - self.Y_pipeline, axis=1)
                     / (1.0 + np.linalg.norm(self.Y_pipeline, axis=1)))
         return float(max(gx, gy))
-
-
-def _integrate_forward(Apath, bpath, x0, grid):
-    out = np.empty((len(grid), len(x0)))
-    out[0] = x0
-    h = grid.dt
-
-    def f(t, x):
-        return Apath.at(t) @ x + bpath.at(t)[:, 0]
-
-    for k in range(grid.steps):
-        t = grid.nodes[k]
-        x = out[k]
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        out[k + 1] = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
 
 
 def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
@@ -791,8 +602,7 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     Yo = solvec[(coarse_n + 1) * ten:].reshape(coarse_n + 1, ten)
 
     # pipeline skeleton on the fine grid, sampled at the coarse nodes
-    Xfine = _integrate_forward(sol.Atil, sol.Btil, dh.Xi[:, 0], sol.spec.grid)
-    fine_path = MatrixPath(sol.spec.grid, Xfine[:, :, None])
+    fine_path = MatrixPath(sol.spec.grid, skeleton(sol)[:, :, None])
     Xp = np.empty_like(Xo)
     Yp = np.empty_like(Yo)
     for k, t in enumerate(grid.nodes):

@@ -115,4 +115,9 @@ def malformed_spec_docs():
         "fractional_N": (doc_with(N=3.7), "'N' must be an integer"),
         "duplicate_node_time": (doc_with(Q=[0.0, 0.5, 0.5, 1.0]), "repeats a node time"),
         "uncovered_nodes": (doc_with(Q=[0.2, 0.4]), "does not cover"),
+        "empty_node_list": (doc_with(Q=[]), "'Q' has an empty node list"),
+        "non_numeric_T": (doc_with(T="abc"), "'T' must be numeric"),
+        "non_numeric_alpha": (doc_with(alpha="x"), "'alpha' must be numeric"),
+        "non_numeric_xi": (doc_with(xi=["a"]), "'xi' must be numeric"),
+        "non_numeric_node_time": (doc_with(Q=["a", 1.0]), "node times of matrix 'Q'"),
     }

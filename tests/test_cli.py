@@ -96,6 +96,15 @@ def test_verify_validation_failure_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--paths", "0"],
+                                  ["simulate", "--substeps", "0"],
+                                  ["verify", "--directions", "0"]])
+def test_counts_below_one_exit_code(argv, homog_file, tmp_path, capsys):
+    code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code(tmp_path):
     f = tmp_path / "broken.json"
     f.write_text("{ not json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import augment, backward, equilibrium, montecarlo
+from robustlq import augment, backward, equilibrium
 from robustlq.model import RegularityError
 
 from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
@@ -153,8 +153,7 @@ def test_decoupled_representation_residual(sol_a):
     optimality system along the deterministic skeleton."""
     spec = sol_a.spec
     grid = spec.grid
-    X = montecarlo._integrate_forward(sol_a.Atil, sol_a.Btil,
-                                      sol_a.dh.Xi[:, 0], grid)
+    X = equilibrium.skeleton(sol_a)
     Y = np.empty_like(X)
     for k in range(len(grid)):
         Y[k] = sol_a.Phat.samples[k] @ X[k] + sol_a.phihat.samples[k][:, 0]

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import robustlq as rl
 from robustlq import montecarlo
-from robustlq.model import BlowUpError
+from robustlq.model import BlowUpError, SpecError
 
 from conftest import homogeneous_spec
 
@@ -49,8 +51,7 @@ def test_no_noise_paths_identical():
 def test_no_noise_matches_skeleton():
     sol = rl.solve_game(no_noise_spec(N=200))
     out = rl.simulate(sol, rl.SimConfig(paths=2, seed=1, substeps=4))
-    skel = montecarlo._integrate_forward(sol.Atil, sol.Btil, sol.dh.Xi[:, 0],
-                                         sol.spec.grid)
+    skel = rl.equilibrium.skeleton(sol)
     assert np.allclose(out.terminal[0], skel[-1], rtol=2e-3, atol=2e-3)
 
 
@@ -76,8 +77,7 @@ def test_brownian_moments():
 
 def test_euler_weak_order_noise_off(sol_a):
     grid = sol_a.spec.grid
-    ref = montecarlo._integrate_forward(sol_a.Atil, sol_a.Btil,
-                                        sol_a.dh.Xi[:, 0], grid)[-1]
+    ref = rl.equilibrium.skeleton(sol_a)[-1]
 
     def euler_terminal(substeps):
         times = montecarlo._subtimes(grid, substeps)
@@ -212,34 +212,108 @@ def test_equilibrium_verification_n2():
     assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
 
 
-def test_blowup_budget(monkeypatch, sol_a):
+def poison_paths(monkeypatch, blown):
+    """Make the Brownian increments of every path index for which
+    blown(index) holds infinite."""
     real = montecarlo.path_increments
 
     def poisoned(seed, first, count, steps, dt):
         out = real(seed, first, count, steps, dt)
         for pid in range(first, first + count):
-            if pid % 10 == 0:
+            if blown(pid):
                 out[pid - first] = np.inf
         return out
 
     monkeypatch.setattr(montecarlo, "path_increments", poisoned)
+
+
+def test_blowup_budget(monkeypatch, sol_a):
+    poison_paths(monkeypatch, lambda pid: pid % 10 == 0)
     with pytest.raises(BlowUpError):
         rl.simulate(sol_a, rl.SimConfig(paths=100, seed=1, substeps=1))
 
 
 def test_blowup_within_budget_flags(monkeypatch, sol_a):
-    real = montecarlo.path_increments
-
-    def poisoned(seed, first, count, steps, dt):
-        out = real(seed, first, count, steps, dt)
-        for pid in range(first, first + count):
-            if pid == 7:
-                out[pid - first] = np.inf
-        return out
-
-    monkeypatch.setattr(montecarlo, "path_increments", poisoned)
+    poison_paths(monkeypatch, lambda pid: pid == 7)
     out = rl.simulate(sol_a, rl.SimConfig(paths=2000, seed=1, substeps=1))
     assert out.blown == 1
     assert np.isnan(out.j[7]) and np.isfinite(out.j_mean)
     summary = out.summary()
     assert summary["blown"] == 1 and np.isfinite(summary["j"]["mean"])
+
+
+def test_blown_path_leaves_rows_finite(monkeypatch, sol_a):
+    # one blown path is within the budget; it is dropped from every row's
+    # statistics instead of turning the row into nan
+    poison_paths(monkeypatch, lambda pid: pid == 7)
+    cfg = rl.SimConfig(paths=3000, seed=1, substeps=1)
+    for rep in (rl.perturb_best_response(sol_a, cfg, directions=2),
+                rl.sampled_convexity(sol_a, cfg, samples=2)):
+        assert all(np.isfinite([r.delta_j, r.stderr]).all() for r in rep.rows)
+        assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
+
+
+@pytest.mark.parametrize("field", ["paths", "substeps", "chunk"])
+def test_sim_config_rejects_counts_below_one(field):
+    with pytest.raises(SpecError, match=f"{field} must be at least 1"):
+        rl.SimConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("suite, count", [(rl.perturb_best_response, "directions"),
+                                          (rl.sampled_convexity, "samples")])
+def test_deviation_suites_reject_no_directions(sol_a, suite, count):
+    with pytest.raises(SpecError, match="must be at least 1"):
+        suite(sol_a, rl.SimConfig(paths=10), **{count: 0})
+
+
+# sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
+# substeps=2, chunk=17): any change to the realized numbers shows here
+SIM_GOLDEN = {
+    "j": "c9a96f6e1ee6bac3c783e3d74cf63502fec2e090bb99d15eb27712697bab874c",
+    "j_follower": "a55e42bb5e569fa2a226f9152fcbd39fd16108326748533a8629de3427bf5773",
+    "j_leader": "3e83e4229cfecb9a5fc7230de14239bc49db2fbfd96bd7ca0cde016a604a7734",
+    "terminal": "b20833a0ca733efb2e7d6bf2973af10e80a28c6a81bfe07b776522f9c33c22af",
+}
+
+# rows of perturb_best_response(directions=2) and sampled_convexity(samples=2)
+# on instance_a with 200 paths, seed 0, one substep
+ROWS_GOLDEN = [
+    ("follower_control", 0, 0.05, -9.36016529936165e-05, 0.0037231261454024516, "inconclusive"),
+    ("follower_control", 0, 0.1, 0.005640031815727988, 0.007342480783614789, "inconclusive"),
+    ("follower_control", 1, 0.05, 0.001512778753415847, 0.003100488926872929, "inconclusive"),
+    ("follower_control", 1, 0.1, 0.008098882836222341, 0.006140041580547353, "inconclusive"),
+    ("leader_control", 0, 0.05, -0.005342972328833411, 0.0013552683796688584, "pass"),
+    ("leader_control", 0, 0.1, -0.015681088974267225, 0.002738605744957075, "pass"),
+    ("leader_control", 1, 0.05, -0.002648507292344931, 0.0014445852846171013, "inconclusive"),
+    ("leader_control", 1, 0.1, -0.0102731573660438, 0.0028570870065310725, "pass"),
+    ("follower_disturbance", 0, 0.05, -0.009361433545994818, 0.000550239861405054, "pass"),
+    ("follower_disturbance", 0, 0.1, -0.03786697793459627, 0.0010912763682280056, "pass"),
+    ("follower_disturbance", 1, 0.05, -0.00963454948407181, 0.0006898886775098459, "pass"),
+    ("follower_disturbance", 1, 0.1, -0.03800950451578839, 0.0013931382395756034, "pass"),
+    ("leader_disturbance", 0, 0.05, 0.00999876642157361, 0.0002773581666937653, "pass"),
+    ("leader_disturbance", 0, 0.1, 0.04012766337644726, 0.0005548167546751253, "pass"),
+    ("leader_disturbance", 1, 0.05, 0.010167712543683372, 0.00023169578949256437, "pass"),
+    ("leader_disturbance", 1, 0.1, 0.04041681169735236, 0.0004632167745885995, "pass"),
+    ("follower_disturbance_concavity", 0, 1.0, 3.367423442399895, 0.008622520513457212, "pass"),
+    ("follower_disturbance_concavity", 1, 1.0, 3.810701314765108, 0.003542388616992521, "pass"),
+    ("follower_control_convexity", 0, 1.0, 1.0802603613254576, 0.02693611331944197, "pass"),
+    ("follower_control_convexity", 1, 1.0, 1.448389131892797, 0.05451433028915402, "pass"),
+    ("leader_disturbance_convexity", 0, 1.0, 4.024908951216922, 0.0002116473095363951, "pass"),
+    ("leader_disturbance_convexity", 1, 1.0, 4.082170603725057, 0.0009060090620968629, "pass"),
+    ("leader_control_concavity", 0, 1.0, 1.0856049033937663, 0.005167596684185323, "pass"),
+    ("leader_control_concavity", 1, 1.0, 1.1276729093366904, 0.0038207084867060205, "pass"),
+]
+
+
+def test_harness_golden_values(sol_a):
+    out = rl.simulate(sol_a, rl.SimConfig(paths=64, seed=3, substeps=2, chunk=17))
+    for name, digest in SIM_GOLDEN.items():
+        assert hashlib.sha256(getattr(out, name).tobytes()).hexdigest() == digest, name
+    cfg = rl.SimConfig(paths=200)
+    rows = (rl.perturb_best_response(sol_a, cfg, directions=2).rows
+            + rl.sampled_convexity(sol_a, cfg, samples=2).rows)
+    assert [(r.test, r.direction, r.eps, r.verdict) for r in rows] == \
+        [(g[0], g[1], g[2], g[5]) for g in ROWS_GOLDEN]
+    for r, (*_, delta_j, stderr, _) in zip(rows, ROWS_GOLDEN):
+        tol = 1e-9 * (abs(delta_j) + stderr)
+        assert abs(r.delta_j - delta_j) <= tol and abs(r.stderr - stderr) <= tol, r
