@@ -5,6 +5,11 @@ Every equation here is integrated with classical fixed-step RK4 on the spec
 grid, marching from the terminal node to 0 with coefficients interpolated at
 half-steps.  Because all inputs are deterministic paths, the offset
 equations have identically-zero martingale parts and reduce to linear ODEs.
+Stage times are located once per grid, so right-hand sides read their
+coefficients by index, once per distinct stage time.  Stage solves are
+plain LU (an exactly singular matrix is a RegularityError with its node);
+near singularity is judged per node after the march, from SVD reciprocal
+condition numbers recorded in `regularity`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BlowUpError, MatrixPath, RegularityError, TimeGrid
+from .model import (BlowUpError, MatrixPath, RegularityError, StageTime, TimeGrid,
+                    frobenius)
 
 # Reciprocal-condition floor below which a decoupling inverse is treated as
 # a hypothesis failure rather than roundoff.
@@ -33,13 +39,12 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     # overflow is detected and reported via the finiteness check, so the
     # intermediate warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps, 0, -1):
-            t = grid.nodes[k]
+        for k, (t, mid, end) in zip(range(grid.steps, 0, -1), grid.rk4_stages):
             m = out[k]
             k1 = rhs(t, m)
-            k2 = rhs(t - 0.5 * h, m - 0.5 * h * k1)
-            k3 = rhs(t - 0.5 * h, m - 0.5 * h * k2)
-            k4 = rhs(t - h, m - h * k3)
+            k2 = rhs(mid, m - 0.5 * h * k1)
+            k3 = rhs(mid, m - 0.5 * h * k2)
+            k4 = rhs(end, m - h * k3)
             step = m - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(step).all():
                 raise BlowUpError(
@@ -50,22 +55,42 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     return MatrixPath(grid, out)
 
 
-def _rcond(mat) -> float:
-    """Smallest singular value against max(1, largest): an absolute-scale
-    near-singularity measure (a plain condition number is blind to a 1x1
-    matrix crossing zero)."""
-    if not np.isfinite(mat).all():
-        return 0.0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(s[-1] / max(1.0, s[0]))
+def _per_stage(coef):
+    """coef(t), reused while the StageTime repeats: RK4 reads its half step
+    twice and usually ends a step on the node where the next begins."""
+    last = []
+
+    def cached(t):
+        if not isinstance(t, StageTime):
+            return coef(t)
+        if not (last and last[0].grid is t.grid and (last[0].k, last[0].w) == (t.k, t.w)):
+            last[:] = t, coef(t)
+        return last[1]
+
+    return cached
+
+
+def _rcond(mats) -> np.ndarray:
+    """Per matrix of a stack, smallest singular value against max(1,
+    largest): an absolute-scale near-singularity measure (a plain condition
+    number is blind to a 1x1 matrix crossing zero); 0 when not finite."""
+    out = np.zeros(len(mats))
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    s = np.linalg.svd(mats[finite], compute_uv=False)
+    out[finite] = s[:, -1] / np.maximum(1.0, s[:, 0])
+    return out
 
 
 def _solve_guarded(mat, rhs_mat, what, t):
-    """Solve mat @ X = rhs_mat, failing loudly when mat is near singular."""
-    rcond = _rcond(mat)
-    if rcond < RCOND_LIMIT:
-        raise RegularityError(f"{what} is near singular at t={t:.6g} (rcond={rcond:.2e})")
-    return np.linalg.solve(mat, rhs_mat)
+    """Solve mat @ X = rhs_mat by LU; an exactly singular mat fails loudly,
+    naming the node of a StageTime t.  Near singularity is checked per node
+    after the march, where the margins are recorded."""
+    try:
+        return np.linalg.solve(mat, rhs_mat)
+    except np.linalg.LinAlgError:
+        node = getattr(t, "k", None)
+        when = f"t={t:.6g} (node {node})" if np.ndim(t) == 0 else "a node"
+        raise RegularityError(f"{what} is singular at {when}", node=node) from None
 
 
 @dataclass
@@ -109,16 +134,27 @@ class RiccatiSolution:
 
 def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
-    integrates this callable and residual checks evaluate it."""
+    integrates this callable and residual checks evaluate it on all nodes
+    at once (a time array and a stack of matrices)."""
     fraction = prob.has_fraction
     eye = np.eye(prob.terminal.shape[0])
 
+    @_per_stage
+    def coef(t):
+        plain = (prob.A1.at(t), prob.A2.at(t).mT, prob.B1.at(t), prob.Q.at(t))
+        if not fraction:
+            return plain, None
+        return plain, (prob.D2.at(t), prob.C1.at(t), prob.D1.at(t), prob.C2.at(t).mT,
+                       prob.B2.at(t))
+
     def rhs(t, P):
-        val = P @ prob.A1.at(t) + prob.A2.at(t).T @ P + P @ prob.B1.at(t) @ P - prob.Q.at(t)
-        if fraction:
-            gap = eye - P @ prob.D2.at(t)
-            inner = P @ prob.C1.at(t) + P @ prob.D1.at(t) @ P
-            val = val + (prob.C2.at(t).T + P @ prob.B2.at(t)) @ _solve_guarded(
+        (A1, A2T, B1, Q), frac = coef(t)
+        val = P @ A1 + A2T @ P + P @ B1 @ P - Q
+        if frac:
+            D2, C1, D1, C2T, B2 = frac
+            gap = eye - P @ D2
+            inner = P @ C1 + P @ D1 @ P
+            val = val + (C2T + P @ B2) @ _solve_guarded(
                 gap, inner, "decoupling matrix (I - P D2)", t
             )
         return -val
@@ -136,10 +172,7 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
     reg = {}
     if prob.has_fraction:
         eye = np.eye(prob.terminal.shape[0])
-        rconds = np.empty(len(prob.grid))
-        for k, t in enumerate(prob.grid.nodes):
-            gap = eye - P.samples[k] @ prob.D2.at(t)
-            rconds[k] = _rcond(gap)
+        rconds = _rcond(eye - P.samples @ prob.D2.at(prob.grid.nodes))
         reg["decouple_rcond"] = rconds
         worst = int(np.argmin(rconds))
         if rconds[worst] < delta:
@@ -152,15 +185,20 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
 
 def follower_riccati_rhs(spec):
     """Time derivative prescribed by the follower Riccati equation; the
-    solver integrates this callable and residual checks evaluate it."""
+    solver integrates this callable and residual checks evaluate it on all
+    nodes at once."""
+
+    @_per_stage
+    def coef(t):
+        return (spec.A.at(t), spec.C.at(t), spec.B1.at(t), spec.D1.at(t), spec.R1.at(t),
+                spec.Q.at(t))
 
     def rhs(t, P):
-        A, C = spec.A.at(t), spec.C.at(t)
-        B1, D1 = spec.B1.at(t), spec.D1.at(t)
-        gain = P @ B1 + C.T @ P @ D1
-        rt1 = spec.R1.at(t) + D1.T @ P @ D1
-        quad = _solve_guarded(rt1, gain.T, "control weight R1 + D1'PD1", t)
-        return -(P @ A + A.T @ P + C.T @ P @ C + spec.Q.at(t) - gain @ quad)
+        A, C, B1, D1, R1, Q = coef(t)
+        gain = P @ B1 + C.mT @ P @ D1
+        rt1 = R1 + D1.mT @ P @ D1
+        quad = _solve_guarded(rt1, gain.mT, "control weight R1 + D1'PD1", t)
+        return -(P @ A + A.mT @ P + C.mT @ P @ C + Q - gain @ quad)
 
     return rhs
 
@@ -175,7 +213,7 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
     """
     P = integrate_backward(follower_riccati_rhs(spec), spec.G, spec.grid)
     D1 = spec.D1.samples
-    rtilde = spec.R1.samples + D1.transpose(0, 2, 1) @ P.samples @ D1
+    rtilde = spec.R1.samples + D1.mT @ P.samples @ D1
     eigs = np.linalg.eigvalsh(rtilde).min(axis=1)
     worst = int(np.argmin(eigs))
     if eigs[worst] < delta:
@@ -189,13 +227,18 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
 
 def disturbance_riccati_rhs(spec):
     """Time derivative prescribed by the disturbance Riccati equation; the
-    solver integrates this callable and residual checks evaluate it."""
-    coef = 2.0 / spec.alpha
+    solver integrates this callable and residual checks evaluate it on all
+    nodes at once."""
+    scale = 2.0 / spec.alpha
+
+    @_per_stage
+    def coef(t):
+        return spec.A.at(t), spec.C.at(t), spec.R0.at(t), spec.Q.at(t)
 
     def rhs(t, P1):
-        A, C = spec.A.at(t), spec.C.at(t)
-        mixed = coef * P1 @ _solve_guarded(spec.R0.at(t), P1, "disturbance weight R0", t)
-        return -(P1 @ A + A.T @ P1 - mixed + C.T @ P1 @ C - spec.Q.at(t))
+        A, C, R0, Q = coef(t)
+        mixed = scale * P1 @ _solve_guarded(R0, P1, "disturbance weight R0", t)
+        return -(P1 @ A + A.mT @ P1 - mixed + C.mT @ P1 @ C - Q)
 
     return rhs
 
@@ -219,19 +262,18 @@ class OffsetSolution:
 
     phi: MatrixPath
 
-    def at(self, t):
-        return self.phi.at(t)
 
-
-def _linear_backward(grid, coef_at, source_at) -> OffsetSolution:
-    """Solve phi' = -(coef(t) phi + source(t)), phi(T) = 0, with as many
-    columns as the source has."""
+def _linear_backward(grid, coef) -> OffsetSolution:
+    """Solve phi' = -(lin(t) phi + src(t)), phi(T) = 0, where coef(t)
+    returns (lin, src); phi has as many columns as src."""
+    coef = _per_stage(coef)
 
     def rhs(t, phi):
-        return -(coef_at(t) @ phi + source_at(t))
+        lin, src = coef(t)
+        return -(lin @ phi + src)
 
-    phi = integrate_backward(rhs, np.zeros(source_at(grid.horizon).shape), grid)
-    return OffsetSolution(phi=phi)
+    terminal = np.zeros(coef(grid.rk4_stages[0][0])[1].shape)
+    return OffsetSolution(phi=integrate_backward(rhs, terminal, grid))
 
 
 def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
@@ -240,15 +282,10 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
     controls: phi1' = -[(A^T - (2/alpha) P1 R0^{-1}) phi1 + P1 (B1 u1 + B2 u2)
     + C^T P1 (D1 u1 + D2 u2) + C^T P1 sigma], phi1(T) = 0.  Control paths
     with D columns give D offset columns in one solve."""
-    coef = 2.0 / spec.alpha
+    scale = 2.0 / spec.alpha
 
-    def lin(t):
-        P1t = P1.at(t)
-        return spec.A.at(t).T - coef * P1t @ np.linalg.inv(spec.R0.at(t))
-
-    def src(t):
-        P1t = P1.at(t)
-        C = spec.C.at(t)
+    def coef(t):
+        P1t, C = P1.at(t), spec.C.at(t)
         out = np.zeros((spec.n, 1))
         if u1 is not None:
             out = out + P1t @ spec.B1.at(t) @ u1.at(t) + C.T @ P1t @ spec.D1.at(t) @ u1.at(t)
@@ -256,9 +293,9 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
             out = out + P1t @ spec.B2.at(t) @ u2.at(t) + C.T @ P1t @ spec.D2.at(t) @ u2.at(t)
         if include_sigma:
             out = out + C.T @ P1t @ spec.sigma.at(t)
-        return out
+        return spec.A.at(t).T - scale * P1t @ np.linalg.inv(spec.R0.at(t)), out
 
-    return _linear_backward(spec.grid, lin, src)
+    return _linear_backward(spec.grid, coef)
 
 
 def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetSolution:
@@ -272,18 +309,16 @@ def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetS
     (s_drift, s_diff, s_adj) at t; phi has as many columns as they do.
     """
     eye = np.eye(A2.rows)
-    terminal = np.zeros(np.broadcast_shapes(*(s.shape for s in sources(P.grid.horizon))))
 
-    def rhs(t, phi):
+    def coef(t):
         Pt = P.at(t)
         gap = eye - Pt @ D2.at(t)
         FP = (C2.at(t).T + Pt @ B2.at(t)) @ _solve_guarded(
             gap, eye, "decoupling matrix (I - P D2)", t) @ Pt
         drift, diff, adj = sources(t)
-        lin = A2.at(t).T + Pt @ B1.at(t) + FP @ D1.at(t)
-        return -(lin @ phi + (FP @ diff + Pt @ drift - adj))
+        return A2.at(t).T + Pt @ B1.at(t) + FP @ D1.at(t), FP @ diff + Pt @ drift - adj
 
-    return OffsetSolution(phi=integrate_backward(rhs, terminal, P.grid))
+    return _linear_backward(P.grid, coef)
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath | None = None,
@@ -325,9 +360,14 @@ def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
                    terminal: np.ndarray, grid: TimeGrid) -> MatrixPath:
     """Solve L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0 backward."""
 
-    def rhs(t, L):
+    @_per_stage
+    def coef(t):
         At, Ct = Atil.at(t), Ctil.at(t)
-        return -(L @ At + At.T @ L + Ct.T @ L @ Ct + source.at(t))
+        return At, At.T, Ct, Ct.T, source.at(t)
+
+    def rhs(t, L):
+        At, AtT, Ct, CtT, src = coef(t)
+        return -(L @ At + AtT @ L + CtT @ L @ Ct + src)
 
     return integrate_backward(rhs, terminal, grid)
 
@@ -342,25 +382,12 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
     with psi(T) = 0 and the martingale integrand identically zero.
     """
 
-    def lin(t):
-        return Atil.at(t).T
-
-    def src(t):
+    def coef(t):
         Lt = L.at(t)
-        return Lt @ Btil.at(t) + Ctil.at(t).T @ Lt @ Dtil.at(t) + extra_source.at(t)
+        return (Atil.at(t).T,
+                Lt @ Btil.at(t) + Ctil.at(t).T @ Lt @ Dtil.at(t) + extra_source.at(t))
 
-    return _linear_backward(grid, lin, src)
-
-
-def transition_from_terminal(Apath: MatrixPath, grid: TimeGrid) -> MatrixPath:
-    """Return Theta(t) := Psi(T, t), the state-transition matrix of A from t
-    to the terminal time, computed in one backward sweep of
-    Theta' = -Theta A(t), Theta(T) = I."""
-
-    def rhs(t, Th):
-        return -Th @ Apath.at(t)
-
-    return integrate_backward(rhs, np.eye(Apath.rows), grid)
+    return _linear_backward(grid, coef)
 
 
 def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> RiccatiSolution:
@@ -369,12 +396,13 @@ def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> 
 
     Writing Pi := P - terminal, Pi satisfies a shifted quadratic equation
     with zero terminal value, whose solution is the linear-fractional image
-    of the 2d x 2d flow
+    of the 2d x 2d flow M(t)
 
         [[A1 + B1 Pterm,                        B1       ],
          [-(Pterm A1 + A2^T Pterm + Pterm B1 Pterm - Q),  -(A2^T + Pterm B1)]].
 
-    With Theta(t) the transition of that flow from t to T,
+    With Theta(t) the transition of that flow from t to T (one backward
+    sweep of Theta' = -Theta M(t), Theta(T) = I),
     P(t) = Pterm - Theta22(t)^{-1} Theta21(t).
     """
     if prob.has_fraction:
@@ -386,30 +414,20 @@ def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> 
                 )
     d = prob.terminal.shape[0]
     Pterm = prob.terminal
-
-    def big(t):
-        A1, A2, B1, Q = prob.A1.at(t), prob.A2.at(t), prob.B1.at(t), prob.Q.at(t)
-        qshift = Pterm @ A1 + A2.T @ Pterm + Pterm @ B1 @ Pterm - Q
-        top = np.hstack([A1 + B1 @ Pterm, B1])
-        bot = np.hstack([-qshift, -(A2.T + Pterm @ B1)])
-        return np.vstack([top, bot])
-
-    bigpath = MatrixPath.from_function(prob.grid, big)
-    theta = transition_from_terminal(bigpath, prob.grid)
-
-    out = np.empty((len(prob.grid), d, d))
-    rconds = np.empty(len(prob.grid))
-    for k in range(len(prob.grid)):
-        th = theta.samples[k]
-        corner = th[d:, d:]
-        rconds[k] = _rcond(corner)
-        if rconds[k] < 1.0 / cond_limit:
-            raise RegularityError(
-                f"corner block of the fundamental matrix is ill conditioned at node {k} "
-                f"(rcond={rconds[k]:.2e})",
-                node=k,
-            )
-        out[k] = Pterm - np.linalg.solve(corner, th[d:, :d])
+    A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))
+    qshift = Pterm @ A1 + A2.mT @ Pterm + Pterm @ B1 @ Pterm - Q
+    M = MatrixPath(prob.grid, np.block([[A1 + B1 @ Pterm, B1], [-qshift, -(A2.mT + Pterm @ B1)]]))
+    th = integrate_backward(lambda t, Th: -Th @ M.at(t), np.eye(2 * d), prob.grid).samples
+    rconds = _rcond(th[:, d:, d:])
+    bad = np.flatnonzero(rconds < 1.0 / cond_limit)
+    if bad.size:
+        k = int(bad[0])
+        raise RegularityError(
+            f"corner block of the fundamental matrix is ill conditioned at node {k} "
+            f"(rcond={rconds[k]:.2e})",
+            node=k,
+        )
+    out = Pterm - np.linalg.solve(th[:, d:, d:], th[:, d:, :d])
     return RiccatiSolution(P=MatrixPath(prob.grid, out), regularity={"corner_rcond": rconds})
 
 
@@ -431,12 +449,10 @@ def _derivative_4th_order(samples: np.ndarray, dt: float) -> np.ndarray:
 def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
     """Per-node Frobenius residual of P against its equation.
 
-    `rhs(t, P)` must return the time derivative the equation prescribes;
+    `rhs(t, P)` must return the time derivative the equation prescribes,
+    here for all nodes at once (the node times and the stack of samples);
     the residual compares it with a 4th-order finite-difference derivative
     of the solved node samples.
     """
     deriv = _derivative_4th_order(P.samples, P.grid.dt)
-    out = np.empty(len(P.grid))
-    for k, t in enumerate(P.grid.nodes):
-        out[k] = np.linalg.norm(deriv[k] - rhs(t, P.samples[k]))
-    return out
+    return frobenius(deriv - rhs(P.grid.nodes, P.samples))

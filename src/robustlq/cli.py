@@ -71,7 +71,7 @@ def _load(args):
 def _regrid(spec, N):
     from .model import GameSpec, _MATRIX_SHAPES
     grid = make_grid(spec.grid.horizon, N)
-    paths = {name: MatrixPath.from_function(grid, getattr(spec, name).at)
+    paths = {name: MatrixPath(grid, getattr(spec, name).at(grid.nodes))
              for name in _MATRIX_SHAPES}
     return GameSpec(n=spec.n, m1=spec.m1, m2=spec.m2, grid=grid, G=spec.G,
                     alpha=spec.alpha, gamma=spec.gamma, xi=spec.xi, **paths)

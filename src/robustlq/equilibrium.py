@@ -191,6 +191,9 @@ def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
     return sol
 
 
+_SKELETON_BLOCK = 64  # RK4 steps whose stage coefficients are sampled at once
+
+
 def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     """Noise-free closed-loop state on the spec grid, (N+1, 10n): RK4 on
     dX = (Atil X + Btil) dt from the stacked initial state."""
@@ -198,17 +201,18 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     out = np.empty((len(grid), sol.dh.Xi.shape[0]))
     out[0] = sol.dh.Xi[:, 0]
     h = grid.dt
-
-    def f(t, x):
-        return sol.Atil.at(t) @ x + sol.Btil.at(t)[:, 0]
+    offsets = np.array([0.0, 0.5, 1.0]) * h
 
     for k in range(grid.steps):
-        t = grid.nodes[k]
+        j = k % _SKELETON_BLOCK
+        if j == 0:  # sample a block of steps at a time, so memory stays bounded
+            stages = grid.nodes[:-1][k:k + _SKELETON_BLOCK, None] + offsets
+            A, b = sol.Atil.at(stages), sol.Btil.at(stages)[..., 0]
         x = out[k]
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
+        k1 = A[j, 0] @ x + b[j, 0]
+        k2 = A[j, 1] @ (x + 0.5 * h * k1) + b[j, 1]
+        k3 = A[j, 1] @ (x + 0.5 * h * k2) + b[j, 1]
+        k4 = A[j, 2] @ (x + h * k3) + b[j, 2]
         out[k + 1] = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
 

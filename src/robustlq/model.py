@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,23 +51,47 @@ class TimeGrid:
     def __len__(self):
         return self.steps + 1
 
-    def locate(self, t: float):
-        """Return (k, w) with t = (1-w)*t_k + w*t_{k+1}, 0 <= w < 1.
+    def locate(self, t):
+        """Return (k, w) with t = (1-w)*t_k + w*t_{k+1}, 0 <= w < 1: an int
+        and a float for a scalar t, arrays of its shape for an array.
 
         Exact node values snap to w = 0 so stored samples are returned
         bit-exactly.
         """
-        if t < 0.0 or t > self.horizon * (1.0 + 1e-12):
-            raise SpecError(f"time {t} outside [0, {self.horizon}]")
-        u = t / self.dt
-        k = min(max(int(np.floor(u)), 0), self.steps)
-        if k < self.steps and t == self.nodes[k + 1]:
-            return k + 1, 0.0
-        if t == self.nodes[k]:
-            return k, 0.0
-        if k == self.steps:
-            return k, 0.0
-        return k, u - k
+        ts = np.asarray(t, dtype=float)
+        bad = ~((ts >= 0.0) & (ts <= self.horizon * (1.0 + 1e-12)))
+        if bad.any():
+            raise SpecError(f"time {ts[bad].flat[0]} outside [0, {self.horizon}]")
+        u = ts / self.dt
+        k = np.clip(np.floor(u), 0, self.steps).astype(int)
+        nxt = (k < self.steps) & (ts == self.nodes[np.minimum(k + 1, self.steps)])
+        snap = nxt | (ts == self.nodes[k]) | (k == self.steps)
+        k, w = k + nxt, np.where(snap, 0.0, u - k)
+        return (int(k), float(w)) if ts.ndim == 0 else (k, w)
+
+    @cached_property
+    def rk4_stages(self) -> list:
+        """StageTimes (t_k, t_k - h/2, t_k - h) of the backward RK4 march,
+        k = N..1, located in one call per grid."""
+        times = (self.nodes[:0:-1, None] - np.array([0.0, 0.5, 1.0]) * self.dt).ravel()
+        ks, ws = self.locate(times)
+        flat = [StageTime(self, *a) for a in zip(times.tolist(), ks.tolist(), ws.tolist())]
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+
+class StageTime(float):
+    """A time already located on a grid: a plain float to arithmetic, read
+    by index by every path on that grid."""
+
+    __slots__ = ("grid", "k", "w")
+
+    def __new__(cls, grid, t, k, w):
+        self = super().__new__(cls, t)
+        self.grid, self.k, self.w = grid, k, w
+        return self
+
+    def __reduce__(self):
+        return StageTime, (self.grid, float(self), self.k, self.w)
 
 
 def make_grid(T: float, N: int) -> TimeGrid:
@@ -120,14 +145,20 @@ class MatrixPath:
         samples = np.stack([np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in grid.nodes])
         return cls(grid, samples)
 
-    def at(self, t: float) -> np.ndarray:
-        k, w = self.grid.locate(t)
-        if w == 0.0:
-            return self.samples[k]
-        return (1.0 - w) * self.samples[k] + w * self.samples[k + 1]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.at(t)
+    def at(self, t) -> np.ndarray:
+        """Value at time t, or values stacked along the leading axes for an
+        array of times; a StageTime of this path's grid is read by index."""
+        if isinstance(t, StageTime) and t.grid is self.grid:
+            if t.w == 0.0:
+                return self.samples[t.k]
+            return (1.0 - t.w) * self.samples[t.k] + t.w * self.samples[t.k + 1]
+        ts = np.asarray(t, dtype=float)
+        k, w = self.grid.locate(ts.reshape(-1))
+        out = self.samples[k]
+        mid = w != 0.0
+        wm, km = w[mid][:, None, None], k[mid]
+        out[mid] = (1.0 - wm) * self.samples[km] + wm * self.samples[km + 1]
+        return out.reshape(ts.shape + self.shape)
 
 
 # Matrix-valued fields of a game spec, with expected (rows, cols) as functions
@@ -187,6 +218,9 @@ class GameSpec:
     def __post_init__(self):
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         xi = np.asarray(self.xi, dtype=float)
+        for name in ("alpha", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpecError(f"attenuation {name!r} must be finite, got {getattr(self, name)}")
         if xi.size != self.n:
             raise SpecError(f"xi has {xi.size} entries, expected {self.n}")
         object.__setattr__(self, "xi", xi.reshape(self.n, 1))
@@ -262,25 +296,31 @@ class ValidationReport:
         return out
 
 
+def frobenius(stack) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bit for bit the
+    np.linalg.norm of each (the same dot product per matrix)."""
+    flat = np.reshape(stack, (len(stack), 1, -1))
+    return np.sqrt(flat @ flat.mT)[:, 0, 0]
+
+
 def _first_asymmetric_node(path: MatrixPath):
-    for k in range(len(path.grid)):
-        m = path.samples[k]
-        denom = np.linalg.norm(m)
-        gap = np.linalg.norm(m - m.T)
-        if gap > _SYMMETRY_RTOL * max(denom, 1e-300) and gap > 0.0:
-            return k, gap, denom
-    return None
+    m = path.samples
+    denom, gap = frobenius(m), frobenius(m - m.mT)
+    bad = np.flatnonzero((gap > _SYMMETRY_RTOL * np.maximum(denom, 1e-300)) & (gap > 0.0))
+    if bad.size == 0:
+        return None
+    k = int(bad[0])
+    return k, gap[k], denom[k]
 
 
 def _min_eig_over_nodes(path: MatrixPath):
-    worst = np.inf
-    worst_node = 0
-    for k in range(len(path.grid)):
-        m = path.samples[k]
-        lam = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
-        if lam < worst:
-            worst, worst_node = lam, k
-    return worst, worst_node
+    """Smallest eigenvalue over the nodes and the first node attaining it
+    (a node whose eigenvalues are nan never counts)."""
+    m = path.samples
+    lam = np.linalg.eigvalsh(0.5 * (m + m.mT)).min(axis=1)
+    lam = np.where(np.isnan(lam), np.inf, lam)
+    k = int(np.argmin(lam))
+    return lam[k], k
 
 
 def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
@@ -381,13 +421,10 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
         raise SpecError(f"matrix {name!r} nodes span [{ts[0]}, {ts[-1]}], "
                         f"which does not cover [0, {grid.horizon}]")
 
-    def interp(t):
-        j = np.searchsorted(ts, t, side="right") - 1
-        j = min(max(j, 0), len(ts) - 2)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * vals[j] + w * vals[j + 1]
-
-    return MatrixPath.from_function(grid, interp)
+    t = grid.nodes
+    j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    w = ((t - ts[j]) / (ts[j + 1] - ts[j]))[:, None, None]
+    return MatrixPath(grid, (1.0 - w) * vals[j] + w * vals[j + 1])
 
 
 def load_spec(path_or_file) -> GameSpec:

@@ -135,10 +135,6 @@ def _subtimes(grid, substeps: int) -> np.ndarray:
     return fine.nodes
 
 
-def _at_times(path: MatrixPath, times) -> np.ndarray:
-    return np.stack([path.at(t) for t in times])
-
-
 def _criteria(spec) -> dict:
     """The three criteria as (terms, terminal signal), each term a
     (signal, weight, coefficient) triple:
@@ -161,7 +157,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     spec = sol.spec
     times = _subtimes(spec.grid, substeps)
     left = times[:-1]
-    at = lambda path: _at_times(path, left)
+    at = lambda path: path.at(left)
 
     R1, R0, R0h, D1 = at(spec.R1), at(spec.R0), at(spec.R0hat), at(spec.D1)
     rt1inv = np.linalg.inv(R1 + D1.transpose(0, 2, 1) @ at(sol.P) @ D1)
@@ -279,7 +275,7 @@ def _follower_control(sol, pre, dirs) -> _Response:
     """Follower deviates u1 -> u1 + eps*v; the combined disturbance
     re-optimizes through its linear response; leader replays."""
     spec = sol.spec
-    at = lambda path: _at_times(path, pre["left"])
+    at = lambda path: path.at(pre["left"])
     phi = backward.solve_offset_b1(spec, sol.P1, u1=dirs, include_sigma=False).phi
     v = at(dirs)
     a_r0inv = (2.0 / spec.alpha) * pre["r0inv"]
@@ -297,7 +293,7 @@ def _leader_control(sol, pre, dirs) -> _Response:
     n = spec.n
     ensure_diagnostics(sol)
     bb = sol.bb
-    at = lambda path: _at_times(path, pre["left"])
+    at = lambda path: path.at(pre["left"])
     tr = lambda a: a.transpose(0, 2, 1)
     q = at(backward.solve_offset_b3(bb, sol.P3, u2=dirs, include_sources=False).phi)
     v, P3 = at(dirs), at(sol.P3)
@@ -326,7 +322,7 @@ def _disturbance(sol, pre, dirs, side) -> _Response:
     """Additive disturbance deviation f -> f + eps*h (follower side) or
     f2 -> f2 + eps*h (leader side); controls replay."""
     spec = sol.spec
-    at = lambda path: _at_times(path, pre["left"])
+    at = lambda path: path.at(pre["left"])
     h = at(dirs)
     state, signal, sign = ("xbar", "f", -1.0) if side == "follower" else ("x", "f2", +1.0)
     return _Response(
@@ -556,42 +552,29 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     ten = dh.A1.rows
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
     dtc = grid.dt
-    m = 2 * (coarse_n + 1) * ten
-    M = np.zeros((m, m))
-    rhs = np.zeros(m)
-
-    def xi(k):
-        return slice(k * ten, (k + 1) * ten)
-
-    def yi(k):
-        return slice((coarse_n + 1 + k) * ten, (coarse_n + 2 + k) * ten)
-
+    c = coarse_n
     eye = np.eye(ten)
-    row = 0
-    M[row:row + ten, xi(0)] = eye
-    rhs[row:row + ten] = dh.Xi[:, 0]
-    row += ten
-    for k in range(coarse_n):
-        t_next = grid.nodes[k + 1]
-        sl = slice(row, row + ten)
-        M[sl, xi(k + 1)] = eye - dtc * dh.A1.at(t_next)
-        M[sl, xi(k)] = -eye
-        M[sl, yi(k + 1)] = -dtc * dh.B1.at(t_next)
-        rhs[sl] = dtc * dh.F.at(t_next)[:, 0]
-        row += ten
-    for k in range(coarse_n):
-        t_here = grid.nodes[k]
-        sl = slice(row, row + ten)
-        M[sl, yi(k + 1)] = eye
-        M[sl, yi(k)] = -eye + dtc * dh.A2.at(t_here).T
-        M[sl, xi(k)] = -dtc * dh.Q.at(t_here)
-        rhs[sl] = dtc * dh.Upsilon.at(t_here)[:, 0]
-        row += ten
-    sl = slice(row, row + ten)
-    M[sl, yi(coarse_n)] = eye
-    M[sl, xi(coarse_n)] = -dh.G
-    row += ten
-    assert row == m
+    # block rows: initial state, c forward steps, c backward steps, terminal;
+    # block columns: x_0..x_c, then y_0..y_c
+    M = np.zeros((2 * (c + 1), ten, 2 * (c + 1), ten))
+    rhs = np.zeros((2 * (c + 1), ten))
+    nxt = grid.nodes[1:]
+    here = grid.nodes[:-1]
+    k = np.arange(c)
+    M[0, :, 0] = eye
+    rhs[0] = dh.Xi[:, 0]
+    M[1 + k, :, 1 + k] = eye - dtc * dh.A1.at(nxt)
+    M[1 + k, :, k] = -eye
+    M[1 + k, :, c + 2 + k] = -dtc * dh.B1.at(nxt)
+    rhs[1 + k] = dtc * dh.F.at(nxt)[:, :, 0]
+    M[c + 1 + k, :, c + 2 + k] = eye
+    M[c + 1 + k, :, c + 1 + k] = -eye + dtc * dh.A2.at(here).mT
+    M[c + 1 + k, :, k] = -dtc * dh.Q.at(here)
+    rhs[c + 1 + k] = dtc * dh.Upsilon.at(here)[:, :, 0]
+    M[-1, :, -1] = eye
+    M[-1, :, c] = -dh.G
+    M = M.reshape(rhs.size, rhs.size)
+    rhs = rhs.ravel()
 
     try:
         solvec = np.linalg.solve(M, rhs)
@@ -602,12 +585,9 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     Yo = solvec[(coarse_n + 1) * ten:].reshape(coarse_n + 1, ten)
 
     # pipeline skeleton on the fine grid, sampled at the coarse nodes
-    fine_path = MatrixPath(sol.spec.grid, skeleton(sol)[:, :, None])
-    Xp = np.empty_like(Xo)
-    Yp = np.empty_like(Yo)
-    for k, t in enumerate(grid.nodes):
-        xk = fine_path.at(t)[:, 0]
-        Xp[k] = xk
-        Yp[k] = sol.Phat.at(t) @ xk + sol.phihat.at(t)[:, 0]
+    Xp = MatrixPath(sol.spec.grid, skeleton(sol)[:, :, None]).at(grid.nodes)[:, :, 0]
+    Ph = sol.Phat.at(grid.nodes)
+    ph = sol.phihat.at(grid.nodes)[:, :, 0]
+    Yp = np.array([Ph[k] @ Xp[k] + ph[k] for k in range(len(Xp))])
     return OracleResult(times=grid.nodes, X_oracle=Xo, Y_oracle=Yo,
                         X_pipeline=Xp, Y_pipeline=Yp)

@@ -120,4 +120,6 @@ def malformed_spec_docs():
         "non_numeric_alpha": (doc_with(alpha="x"), "'alpha' must be numeric"),
         "non_numeric_xi": (doc_with(xi=["a"]), "'xi' must be numeric"),
         "non_numeric_node_time": (doc_with(Q=["a", 1.0]), "node times of matrix 'Q'"),
+        "infinite_alpha": (doc_with(alpha=float("inf")), "'alpha' must be finite"),
+        "infinite_gamma": (doc_with(gamma=-float("inf")), "'gamma' must be finite"),
     }

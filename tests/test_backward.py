@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -148,6 +150,37 @@ def test_generalized_monitors_decoupling_condition():
     with pytest.raises(RegularityError) as err:
         rl.solve_riccati_generalized(prob, delta=0.05)
     assert err.value.node is not None
+
+
+def test_singular_stage_matrix_is_regularity_error():
+    # I - P D2 = 0 exactly at the terminal time, the first RK4 stage
+    grid = rl.make_grid(1.0, 10)
+    z = MatrixPath.zeros(grid, 1, 1)
+    prob = backward.RiccatiProblem(
+        grid=grid, A1=z, A2=z, B1=z, Q=z, terminal=np.array([[1.0]]),
+        C1=z, C2=z, B2=z, D1=z, D2=MatrixPath.constant(grid, [[1.0]]),
+    )
+    with pytest.raises(RegularityError, match="singular") as err:
+        rl.solve_riccati_generalized(prob)
+    assert err.value.node == 10
+
+
+def test_singular_stage_matrix_names_stage_and_node():
+    # R1 + D1' G D1 = -0.5 + 0.5 = 0 exactly at the terminal time
+    spec = scalar_spec(R1=-0.5, D1=1.0, G=[[0.5]], N=20)
+    with pytest.raises(RegularityError, match=r"\[stage follower riccati\].*singular") as err:
+        rl.solve_game(spec)
+    assert err.value.node == 20
+
+
+def test_singular_offset_gap_names_terminal_node():
+    # I - P D2 = 0 at every node: the first stage, at T, fails with node N
+    grid = rl.make_grid(1.0, 10)
+    one, z = MatrixPath.constant(grid, [[1.0]]), MatrixPath.zeros(grid, 1, 1)
+    dh = SimpleNamespace(F=z, Sigma=z, Upsilon=z, A2=z, B1=z, C2=z, B2=z, D1=z, D2=one)
+    with pytest.raises(RegularityError, match=r"singular at t=1 \(node 10\)") as err:
+        backward.solve_offset_b4(dh, one)
+    assert err.value.node == 10
 
 
 # ---------------------------------------------------------------------------

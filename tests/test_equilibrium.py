@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,53 @@ def test_golden_values(name):
     P0, Xi = sol.Phat.samples[0], sol.dh.Xi
     got = (rl.value(sol), np.linalg.norm(P0), (Xi.T @ P0 @ Xi).item())
     assert got == pytest.approx(GOLDEN[name], rel=1e-12, abs=0.0)
+
+
+# sha256 of the node samples of the solution paths, recorded before the
+# march read its coefficients through pre-located stage times and guarded
+# its stage solves with LU: the output must stay bit for bit the same
+PATH_GOLDEN = {
+    "instance_a": {
+        "P": "9228d6dad5538b4f9d9a75deab5949aa2841e16d94dd3322e03552bb88fcdbae",
+        "P1": "a72fbfc1483cf4659d5d6fe0328b21b43868681aecd45de0320d5ab3224f35de",
+        "Phat": "da615643f2c17e04d3870597cd7b412738038a189c4be37291b39cbd0f36213d",
+        "phihat": "1fbdf556751cc9ba5987694c0e6dec4cb1d5290576ef744b2153c8a52fe29121",
+        "L": "7effa40d9e1529066da40d88743eb2e303915b1d7198a8385b9d2b34cc72015d",
+        "psi": "673215d034bd31a616c518c945783b552b454e51e2c0e3a687bbfa8538dad905",
+    },
+    "random_1_4": {
+        "P": "fbeb45d00cda2638b546acb5336d705a89f226ad5caa69b934bb33b0b463b91a",
+        "P1": "6eb1248a78727f07d701e4668df3f2f12c7bb99626923bc27948b7fa42db1366",
+        "Phat": "143263394a078f283ff779038b2b9c03a0a1acb8b25c818ae7241b07df6b8660",
+        "phihat": "ffab7ea9b8f2c79f13f70385cfece7bcdea083a9ca0cab2cfc2c3468321e0ac0",
+        "L": "dd84b099d483530a384e029c8d545e7b7c87713c42fd0d4414bab3841d20441a",
+        "psi": "8a578209e5470bdc9f2b4ddae80241da6cee3aad682e6cf766f2f3b49677bf2c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_GOLDEN))
+def test_solution_paths_bit_exact(name):
+    spec = instance_a() if name == "instance_a" else random_spec(1, 4, N=200)
+    sol = rl.solve_game(spec)
+    for field, digest in PATH_GOLDEN[name].items():
+        got = hashlib.sha256(getattr(sol, field).samples.tobytes()).hexdigest()
+        assert got == digest, field
+
+
+def test_locate_calls_independent_of_grid_size(monkeypatch):
+    # stage times are located once per grid, so a per-stage lookup that
+    # comes back shows up as a count growing with N
+    locate = rl.TimeGrid.locate
+    counts = []
+
+    def counting(grid, t):
+        counts[-1] += 1
+        return locate(grid, t)
+
+    monkeypatch.setattr(rl.TimeGrid, "locate", counting)
+    for N in (50, 200):
+        spec = instance_a(N)
+        counts.append(0)
+        rl.solve_game(spec)
+    assert counts[0] == counts[1], counts

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq.model import MatrixPath, SpecError
+from robustlq.model import MatrixPath, SpecError, StageTime
 
 from conftest import instance_a, malformed_spec_docs
 
@@ -52,6 +55,62 @@ def test_sample_nodes_bit_exact():
     path = MatrixPath(grid, rng.standard_normal((14, 2, 3)))
     for k, t in enumerate(grid.nodes):
         assert np.array_equal(path.at(t), path.samples[k])
+
+
+def _reference_at(path, t):
+    # the interpolation rule written out for one time: node times snap to
+    # the stored sample, including a time that rounds onto the next node
+    grid = path.grid
+    u = t / grid.dt
+    k = min(max(int(np.floor(u)), 0), grid.steps)
+    if k < grid.steps and t == grid.nodes[k + 1]:
+        return path.samples[k + 1]
+    if t == grid.nodes[k] or k == grid.steps:
+        return path.samples[k]
+    w = u - k
+    return (1.0 - w) * path.samples[k] + w * path.samples[k + 1]
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("N", [7, 200, 256])
+def test_located_reads_match_scalar_at(N, T):
+    # every RK4 stage time as the march forms it: t_k, t_k - h/2, t_k - h
+    grid = rl.make_grid(T, N)
+    path = MatrixPath(grid, np.random.default_rng(N).standard_normal((N + 1, 2, 3)))
+    h = grid.dt
+    times = [s for k in range(N, 0, -1)
+             for s in (grid.nodes[k], grid.nodes[k] - 0.5 * h, grid.nodes[k] - h)]
+    samples = path.samples.copy()
+    ref = np.stack([_reference_at(path, t) for t in times])
+    assert np.array_equal(path.at(np.array(times)), ref)
+    assert np.array_equal(np.stack([path.at(t) for t in times]), ref)
+    assert np.array_equal(path.at(np.array(times[1])), ref[1])
+    assert np.array_equal(path.samples, samples)
+    staged = np.stack([path.at(s) for stage in grid.rk4_stages for s in stage])
+    assert np.array_equal(staged, ref)
+    k, w = grid.locate(np.array(times))
+    assert list(zip(k.tolist(), w.tolist())) == [grid.locate(t) for t in times]
+
+
+def test_located_read_rejects_out_of_range():
+    grid = rl.make_grid(1.0, 4)
+    path = MatrixPath.constant(grid, [[1.0]])
+    for bad in (np.array([0.5, 1.5]), np.array([-0.1]), np.nan):
+        with pytest.raises(SpecError, match="outside"):
+            path.at(bad)
+
+
+def test_solved_objects_copy_and_pickle():
+    # a march caches located stage times on the grid; copies must keep
+    # working and keep reading by index on their own grid
+    spec = instance_a(N=20)
+    sol = rl.solve_game(spec)
+    for copy_of in (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        spec2, sol2 = copy_of(spec), copy_of(sol)
+        assert np.array_equal(sol2.P.samples, sol.P.samples)
+        stage = spec2.grid.rk4_stages[0][1]
+        assert isinstance(stage, StageTime) and stage.grid is spec2.grid
+        assert np.array_equal(rl.solve_game(spec2).Phat.samples, sol.Phat.samples)
 
 
 def test_validate_passes_on_sound_spec():
