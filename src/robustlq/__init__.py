@@ -4,7 +4,7 @@ leader-follower games with asymmetric drift uncertainty."""
 from .augment import (FollowerTerms, GainMaps, SelectorSet, build_blackboard,
                       build_check, build_cost_weights, build_doublehat,
                       build_gain_maps, build_hat, follower_terms, selectors)
-from .backward import (OffsetSolution, RiccatiProblem, RiccatiSolution,
+from .backward import (RiccatiProblem, RiccatiSolution,
                        closed_form_special_case, integrate_backward,
                        solve_lyapunov, solve_offset_b1, solve_offset_b3,
                        solve_offset_b4,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "EquilibriumSolution", "FollowerTerms", "GainMaps",
     "GameSpec", "MatrixPath",
-    "OffsetSolution", "OracleResult", "PerturbationReport", "RegularityError",
+    "OracleResult", "PerturbationReport", "RegularityError",
     "RiccatiProblem", "RiccatiSolution", "SelectorSet", "SimConfig", "SimOutput",
     "SpecError", "StrategyOutput", "TimeGrid", "ValidationReport",
     "build_blackboard", "build_check", "build_cost_weights", "build_doublehat",

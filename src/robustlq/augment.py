@@ -13,7 +13,10 @@ The follower quantities every stage shares are formed and checked once,
 by `follower_terms`.  Each builder then forms its blocks exactly at the
 grid nodes, for all nodes at once as (N+1, rows, cols) arrays, and wraps
 them as matrix paths; no symbolic simplification is attempted, so every
-block can be audited entry by entry against its definition.
+block can be audited entry by entry against its definition.  The 2n, 5n
+and 10n stages map their blocks to the unified Riccati form in their
+`problem()` method, and `decoupling` turns a solved stage into its
+martingale integrand and closed loop.
 
 Component layout of the ten n-blocks of the doublehat stage (0-based):
 
@@ -36,15 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backward import RiccatiProblem
 from .model import GameSpec, MatrixPath, RegularityError
-
-# Slots (0-based n-block indices) of named components in the stacked
-# 10n vectors; see module docstring.
-SLOT_X = 0
-SLOT_XBAR = 1
-SLOT_XTIL = 5
-SLOT_YBAR = 8
-SLOT_PBAR = 9
 
 
 def block_row(slot: int, n: int, blocks: int = 10) -> np.ndarray:
@@ -96,11 +92,6 @@ def selectors(n: int) -> SelectorSet:
     )
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
 # ---------------------------------------------------------------------------
 # follower ingredients shared by several builders
 
@@ -118,6 +109,7 @@ class FollowerTerms:
       BB, BD,     B1 Rt1^{-1} B1', B1 Rt1^{-1} D1',
       DB, DD      D1 Rt1^{-1} B1', D1 Rt1^{-1} D1'
       aR          (2/alpha) R0^{-1}, the follower-side worst-case gain
+      gR          (2/gamma) R0hat^{-1}, the leader-side worst-case gain
       B2eff       B2 - BD P D2, the leader's drift column after the
                   follower's reaction (D2eff likewise for the diffusion)
       w, sig      BD P sigma and sigma - DD P sigma
@@ -140,6 +132,7 @@ class FollowerTerms:
     DB: np.ndarray
     DD: np.ndarray
     aR: np.ndarray
+    gR: np.ndarray
     B2eff: np.ndarray
     D2eff: np.ndarray
     w: np.ndarray
@@ -164,18 +157,18 @@ def follower_terms(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> Follow
     D2, sigma = spec.D2.samples, spec.sigma.samples
     R1, R2 = spec.R1.samples, spec.R2.samples
 
-    Rt1 = R1 + _t(D1) @ Ps @ D1
-    bad = np.flatnonzero(np.linalg.eigvalsh(0.5 * (Rt1 + _t(Rt1))).min(axis=1) < delta)
+    Rt1 = R1 + D1.mT @ Ps @ D1
+    bad = np.flatnonzero(np.linalg.eigvalsh(0.5 * (Rt1 + Rt1.mT)).min(axis=1) < delta)
     if bad.size:
         k = int(bad[0])
         raise RegularityError(f"R1 + D1'PD1 is not strongly positive at node {k}", node=k)
     Rt1inv = np.linalg.inv(Rt1)
-    K = _t(B1) @ Ps + _t(D1) @ Ps @ C
+    K = B1.mT @ Ps + D1.mT @ Ps @ C
 
     R = Rt1inv @ R1 @ Rt1inv
-    DPD1 = _t(D2) @ Ps @ D1
-    Rbb = R2 + DPD1 @ R @ _t(DPD1)
-    lam = np.linalg.eigvalsh(0.5 * (Rbb + _t(Rbb))).max(axis=1)
+    DPD1 = D2.mT @ Ps @ D1
+    Rbb = R2 + DPD1 @ R @ DPD1.mT
+    lam = np.linalg.eigvalsh(0.5 * (Rbb + Rbb.mT)).max(axis=1)
     worst_node = int(np.argmax(lam))
     worst = lam[worst_node]
     if worst > -delta:
@@ -188,16 +181,17 @@ def follower_terms(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> Follow
 
     B1R = B1 @ Rt1inv
     D1R = D1 @ Rt1inv
-    BD = B1R @ _t(D1)
-    DD = D1R @ _t(D1)
+    BD = B1R @ D1.mT
+    DD = D1R @ D1.mT
     return FollowerTerms(
         P=Ps, Rt1inv=Rt1inv, K=K, BK=B1R @ K, DK=D1R @ K,
-        BB=B1R @ _t(B1), BD=BD, DB=D1R @ _t(B1), DD=DD,
+        BB=B1R @ B1.mT, BD=BD, DB=D1R @ B1.mT, DD=DD,
         aR=(2.0 / spec.alpha) * np.linalg.inv(spec.R0.samples),
+        gR=(2.0 / spec.gamma) * np.linalg.inv(spec.R0hat.samples),
         B2eff=spec.B2.samples - BD @ Ps @ D2, D2eff=D2 - DD @ Ps @ D2,
         w=BD @ Ps @ sigma, sig=sigma - DD @ Ps @ sigma,
         R=R, DPD1=DPD1, Rbb=Rbb, Rbbinv=Rbbinv, W2=Rbbinv @ R2 @ Rbbinv,
-        cross=DPD1 @ R @ _t(D1) @ Ps @ sigma,
+        cross=DPD1 @ R @ D1.mT @ Ps @ sigma,
     )
 
 
@@ -229,6 +223,13 @@ class HatStage:
         assert self.A1.shape == (two, two) and self.A2.shape == (two, two)
         assert self.B2.shape == (two, self.m2) and self.G.shape == (two, two)
 
+    def problem(self) -> RiccatiProblem:
+        """The stage's (2n) Riccati equation in unified form."""
+        return RiccatiProblem(
+            grid=self.A1.grid, A1=self.A1, A2=self.A2, B1=self.B1, Q=self.Q,
+            terminal=self.G, C1=self.C, C2=self.C, B2=self.B3, D1=self.D1, D2=self.D3,
+        )
+
 
 def build_hat(spec: GameSpec, ft: FollowerTerms) -> HatStage:
     """Hat-stage blocks from the follower terms."""
@@ -245,8 +246,8 @@ def build_hat(spec: GameSpec, ft: FollowerTerms) -> HatStage:
     CK = C - ft.DK
     # the backward pair is the completed-squares shift of the raw adjoint,
     # so the sigma source carries the closed-loop diffusion map: CK' P sig
-    v = _t(CK) @ P @ sig
-    Ftop = -_t(ft.K) @ ft.Rt1inv @ _t(D1) @ P @ D2 + P @ B2 + _t(C) @ P @ D2
+    v = CK.mT @ P @ sig
+    Ftop = -ft.K.mT @ ft.Rt1inv @ D1.mT @ P @ D2 + P @ B2 + C.mT @ P @ D2
 
     G = spec.G
     z = np.zeros((n, n))
@@ -370,9 +371,15 @@ class BlackboardStage:
         assert self.A.shape == (five, five) and self.Q.shape == (five, five)
         assert self.B2.shape == (five, self.m2)
 
+    def problem(self) -> RiccatiProblem:
+        """The stage's (5n) Riccati equation in unified form."""
+        return RiccatiProblem(
+            grid=self.A.grid, A1=self.A, A2=self.A, B1=self.B1, Q=self.Q,
+            terminal=self.G, C1=self.C, C2=self.C, B2=self.B3, D1=self.D1, D2=self.D3,
+        )
 
-def build_blackboard(check: CheckStage, hat: HatStage, gamma: float,
-                     R0hat: MatrixPath) -> BlackboardStage:
+
+def build_blackboard(check: CheckStage, hat: HatStage, ft: FollowerTerms) -> BlackboardStage:
     """Stack the check-stage system with the adjoint pair of the leader's
     inner disturbance problem, worst case substituted."""
     n, m2 = check.n, check.m2
@@ -386,7 +393,7 @@ def build_blackboard(check: CheckStage, hat: HatStage, gamma: float,
     z21 = np.zeros((K1, 2 * n, 1))
 
     Iinj = check.Iinj
-    corner = (2.0 / gamma) * Iinj @ np.linalg.inv(R0hat.samples) @ Iinj.T
+    corner = Iinj @ ft.gR @ Iinj.T
     cB1 = check.B1.samples
     cB3 = check.B3.samples
     cD1 = check.D1.samples
@@ -400,17 +407,17 @@ def build_blackboard(check: CheckStage, hat: HatStage, gamma: float,
         n=n, m2=m2,
         A=mp(np.block([[check.A.samples, z32], [z23, hat.A2.samples]])),
         C=mp(np.block([[check.C.samples, z32], [z23, hat.C.samples]])),
-        B1=mp(np.block([[corner, cB1], [-_t(cB1), z22]])),
+        B1=mp(np.block([[corner, cB1], [-cB1.mT, z22]])),
         B2=mp(np.block([[check.B2.samples], [z2m]])),
-        B3=mp(np.block([[z33, cB3], [-_t(cD1), z22]])),
-        D1=mp(np.block([[z33, cD1], [-_t(cB3), z22]])),
+        B3=mp(np.block([[z33, cB3], [-cD1.mT, z22]])),
+        D1=mp(np.block([[z33, cD1], [-cB3.mT, z22]])),
         D2=mp(np.block([[check.D2.samples], [z2m]])),
-        D3=mp(np.block([[z33, cD3], [-_t(cD3), z22]])),
+        D3=mp(np.block([[z33, cD3], [-cD3.mT, z22]])),
         F1=mp(np.block([[check.F1.samples], [z21]])),
         F2=mp(np.block([[np.zeros((K1, 3 * n, m2))], [hat.F.samples]])),
         Sigma=mp(np.block([[check.sigma.samples], [z21]])),
         Upsilon=mp(np.block([[np.zeros((K1, 3 * n, 1))], [hat.v.samples]])),
-        Q=mp(np.block([[check.Qbar.samples, -_t(cQ)], [cQ, z22]])),
+        Q=mp(np.block([[check.Qbar.samples, -cQ.mT], [cQ, z22]])),
         G=Gbb, Xi=Xi,
     )
 
@@ -470,19 +477,19 @@ def build_cost_weights(spec: GameSpec, ft: FollowerTerms) -> LeaderCostWeights:
     b4 = slice(3 * n, 4 * n)  # fourth n-block (ybar / zbar rows)
     b2 = slice(n, 2 * n)      # second n-block (xbar columns)
     Qbars[:, :n, :n] = spec.Q.samples
-    Qbars[:, b2, b2] = _t(K) @ R @ K
-    Bbars[:, :n, :n] = (2.0 / spec.gamma) * np.linalg.inv(spec.R0hat.samples)
-    Bbars[:, b4, b4] = B1 @ R @ _t(B1)
-    Dbars[:, b4, b4] = D1 @ R @ _t(D1)
+    Qbars[:, b2, b2] = K.mT @ R @ K
+    Bbars[:, :n, :n] = ft.gR
+    Bbars[:, b4, b4] = B1 @ R @ B1.mT
+    Dbars[:, b4, b4] = D1 @ R @ D1.mT
     S1s[:, b4, b2] = -B1 @ R @ K
-    M1s[:, b4, b4] = D1 @ R @ _t(B1)
+    M1s[:, b4, b4] = D1 @ R @ B1.mT
     L1s[:, b4, b2] = -D1 @ R @ K
     S2s[:, :, b2] = DPD1 @ R @ K
-    M2s[:, :, b4] = -DPD1 @ R @ _t(B1)
-    L2s[:, :, b4] = -DPD1 @ R @ _t(D1)
+    M2s[:, :, b4] = -DPD1 @ R @ B1.mT
+    L2s[:, :, b4] = -DPD1 @ R @ D1.mT
     S3s[:, :, b2] = P @ D1 @ R @ K
-    M3s[:, :, b4] = -P @ D1 @ R @ _t(B1)
-    L3s[:, :, b4] = -P @ D1 @ R @ _t(D1)
+    M3s[:, :, b4] = -P @ D1 @ R @ B1.mT
+    L3s[:, :, b4] = -P @ D1 @ R @ D1.mT
 
     Gbar = np.zeros((five, five))
     Gbar[:n, :n] = spec.G
@@ -521,6 +528,14 @@ class DoubleHatStage:
             assert getattr(self, name).shape == (ten, ten), name
         assert self.Xi.shape == (ten, 1) and self.G.shape == (ten, ten)
 
+    def problem(self) -> RiccatiProblem:
+        """The stage's (10n) Riccati equation in unified form, with the
+        two-sided C1/C2 split."""
+        return RiccatiProblem(
+            grid=self.A1.grid, A1=self.A1, A2=self.A2, B1=self.B1, Q=self.Q,
+            terminal=self.G, C1=self.C1, C2=self.C2, B2=self.B2, D1=self.D1, D2=self.D2,
+        )
+
 
 def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
                     Rbbinv: np.ndarray) -> DoubleHatStage:
@@ -546,11 +561,11 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
 
     B2R = Bb2 @ Rbbinv
     D2R = Db2 @ Rbbinv
-    M2R = _t(M2) @ Rbbinv
-    L2R = _t(L2) @ Rbbinv
-    S2R = _t(S2) @ Rbbinv
+    M2R = M2.mT @ Rbbinv
+    L2R = L2.mT @ Rbbinv
+    S2R = S2.mT @ Rbbinv
     F2R = F2 @ Rbbinv
-    F2T, Bb2T, Db2T = _t(F2), _t(Bb2), _t(Db2)
+    F2T, Bb2T, Db2T = F2.mT, Bb2.mT, Db2.mT
 
     z5 = np.zeros((5 * n, 5 * n))
     Gdh = np.block([[-w.Gbar, -bb.G.T], [bb.G, z5]])
@@ -576,34 +591,34 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
         ])),
         B1=mp(np.block([
             [B2R @ Bb2T, Bb1 - B2R @ M2],
-            [-_t(Bb1) + M2R @ Bb2T, w.Bbar.samples - M2R @ M2],
+            [-Bb1.mT + M2R @ Bb2T, w.Bbar.samples - M2R @ M2],
         ])),
         B2=mp(np.block([
             [B2R @ Db2T, Bb3 - B2R @ L2],
-            [-_t(Db1) + M2R @ Db2T, _t(M1) - M2R @ L2],
+            [-Db1.mT + M2R @ Db2T, M1.mT - M2R @ L2],
         ])),
         D1=mp(np.block([
             [D2R @ Bb2T, Db1 - D2R @ M2],
-            [-_t(Bb3) + L2R @ Bb2T, M1 - L2R @ M2],
+            [-Bb3.mT + L2R @ Bb2T, M1 - L2R @ M2],
         ])),
         D2=mp(np.block([
             [D2R @ Db2T, Db3 - D2R @ L2],
-            [-_t(Db3) + L2R @ Db2T, w.Dbar.samples - L2R @ L2],
+            [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2],
         ])),
         Q=mp(np.block([
-            [w.Qbar.samples - S2R @ S2, -_t(Qbb) + S2R @ F2T],
+            [w.Qbar.samples - S2R @ S2, -Qbb.mT + S2R @ F2T],
             [Qbb - F2R @ S2, F2R @ F2T],
         ])),
         F=mp(np.block([
             [bb.F1.samples - B2R @ cross],
-            [_t(w.M3.samples) @ sig - M2R @ cross],
+            [w.M3.samples.mT @ sig - M2R @ cross],
         ])),
         Sigma=mp(np.block([
             [bb.Sigma.samples - D2R @ cross],
-            [_t(w.L3.samples) @ sig - L2R @ cross],
+            [w.L3.samples.mT @ sig - L2R @ cross],
         ])),
         Upsilon=mp(np.block([
-            [_t(w.S3.samples) @ sig - S2R @ cross],
+            [w.S3.samples.mT @ sig - S2R @ cross],
             [bb.Upsilon.samples - F2R @ cross],
         ])),
         Xi=Xi, G=Gdh,
@@ -620,19 +635,27 @@ class GainMaps:
     phiM2: MatrixPath
 
 
-def decoupling_terms(dh: DoubleHatStage, Phat: MatrixPath, phihat: MatrixPath):
-    """State gains and offsets of the decoupled martingale integrand at
-    every node, as (N+1, 10n, 10n) and (N+1, 10n, 1) arrays:
+def decoupling(prob: RiccatiProblem, P: np.ndarray, phi: np.ndarray, drift: np.ndarray,
+               diff: np.ndarray, at):
+    """Martingale integrand and closed loop of a decoupled stage, Y = P X +
+    phi with P solving `prob` and phi its offset:
 
-        Zhat = E @ Xhat + e,
-        E = (I - Phat D2)^{-1} Phat (C1 + D1 Phat),
-        e = (I - Phat D2)^{-1} (Phat D1 phihat + Phat Sigma).
+        Z = E X + e,
+        E = (I - P D2)^{-1} P (C1 + D1 P),
+        e = (I - P D2)^{-1} (P D1 phi + P diff),
+        dX = (A X + b) dt + (C X + d) dW,
+        A = A1 + B1 P + B2 E,  b = B1 phi + B2 e + drift,
+        C = C1 + D1 P + D2 E,  d = D1 phi + D2 e + diff.
+
+    at(path) samples a coefficient path of `prob` at the wanted times;
+    P, phi and the forward drift and diffusion offsets are given as samples
+    at those times.  Returns the arrays (E, e, A, b, C, d).
     """
-    ten = dh.A1.rows
-    P = Phat.samples
-    gap = np.eye(ten) - P @ dh.D2.samples
-    rhs_state = P @ dh.C1.samples + P @ dh.D1.samples @ P
-    rhs_off = P @ dh.D1.samples @ phihat.samples + P @ dh.Sigma.samples
+    A1, B1, C1, B2, D1, D2 = map(at, (prob.A1, prob.B1, prob.C1, prob.B2, prob.D1, prob.D2))
+    dim = P.shape[-1]
+    gap = np.eye(dim) - P @ D2
+    rhs_state = P @ C1 + P @ D1 @ P
+    rhs_off = P @ D1 @ phi + P @ diff
     try:
         sol = np.linalg.solve(gap, np.concatenate([rhs_state, rhs_off], axis=2))
     except np.linalg.LinAlgError as exc:
@@ -640,22 +663,27 @@ def decoupling_terms(dh: DoubleHatStage, Phat: MatrixPath, phihat: MatrixPath):
         raise RegularityError(
             f"decoupling matrix (I - P D2) is singular at node {k}", node=k
         ) from exc
-    return sol[:, :, :ten], sol[:, :, ten:]
+    # free the solve's inputs before the closed loop, which sets the peak
+    # memory of a solve
+    del gap, rhs_state, rhs_off
+    E, e = sol[:, :, :dim], sol[:, :, dim:]
+    return (E, e, A1 + B1 @ P + B2 @ E, B1 @ phi + B2 @ e + drift,
+            C1 + D1 @ P + D2 @ E, D1 @ phi + D2 @ e + diff)
 
 
 def build_gain_maps(spec: GameSpec, ft: FollowerTerms, sel: SelectorSet,
                     Phat: MatrixPath, phihat: MatrixPath, E: np.ndarray,
                     e: np.ndarray) -> GainMaps:
     """Assemble the control feedback maps from the solved decoupling, whose
-    integrand gains (E, e) come from `decoupling_terms`.
+    integrand gains (E, e) come from `decoupling`.
 
     The leader map is built first; the follower map references it through
     the direct-control coupling D1'P D2.  Row selectors follow the
     component layout documented in the module docstring: the follower's
     backward pair sits at slots 8 and 9, so its feedback reads M7 rows.
     """
-    B1T, D1T = _t(spec.B1.samples), _t(spec.D1.samples)
-    B2T, D2T = _t(spec.B2.samples), _t(spec.D2.samples)
+    B1T, D1T = spec.B1.samples.mT, spec.D1.samples.mT
+    B2T, D2T = spec.B2.samples.mT, spec.D2.samples.mT
     C, D2, sig = spec.C.samples, spec.D2.samples, spec.sigma.samples
     P, K, Ph, ph = ft.P, ft.K, Phat.samples, phihat.samples
     M2r, M3r, M7r = sel.M2, sel.M3, sel.M7

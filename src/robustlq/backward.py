@@ -100,8 +100,9 @@ class RiccatiProblem:
         P' + P A1 + A2^T P + P B1 P - Q
            + (C2^T + P B2)(I - P D2)^{-1}(P C1 + P D1 P) = 0,  P(T) = terminal.
 
-    The fraction part (C1, C2, B2, D1, D2) is optional; when omitted the
-    equation is the plain non-symmetric quadratic one.
+    Each decoupled stage maps its blocks to these coefficients in its
+    `problem()` method; zero fraction paths (C1, C2, B2, D1, D2) give the
+    plain non-symmetric quadratic equation.
     """
 
     grid: TimeGrid
@@ -110,20 +111,11 @@ class RiccatiProblem:
     B1: MatrixPath
     Q: MatrixPath
     terminal: np.ndarray
-    C1: MatrixPath | None = None
-    C2: MatrixPath | None = None
-    B2: MatrixPath | None = None
-    D1: MatrixPath | None = None
-    D2: MatrixPath | None = None
-
-    @property
-    def has_fraction(self) -> bool:
-        parts = (self.C1, self.C2, self.B2, self.D1, self.D2)
-        if all(p is None for p in parts):
-            return False
-        if any(p is None for p in parts):
-            raise ValueError("fraction coefficients C1, C2, B2, D1, D2 must be given together")
-        return True
+    C1: MatrixPath
+    C2: MatrixPath
+    B2: MatrixPath
+    D1: MatrixPath
+    D2: MatrixPath
 
 
 @dataclass
@@ -136,27 +128,21 @@ def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
     integrates this callable and residual checks evaluate it on all nodes
     at once (a time array and a stack of matrices)."""
-    fraction = prob.has_fraction
     eye = np.eye(prob.terminal.shape[0])
 
     @_per_stage
     def coef(t):
-        plain = (prob.A1.at(t), prob.A2.at(t).mT, prob.B1.at(t), prob.Q.at(t))
-        if not fraction:
-            return plain, None
-        return plain, (prob.D2.at(t), prob.C1.at(t), prob.D1.at(t), prob.C2.at(t).mT,
-                       prob.B2.at(t))
+        return (prob.A1.at(t), prob.A2.at(t).mT, prob.B1.at(t), prob.Q.at(t), prob.D2.at(t),
+                prob.C1.at(t), prob.D1.at(t), prob.C2.at(t).mT, prob.B2.at(t))
 
     def rhs(t, P):
-        (A1, A2T, B1, Q), frac = coef(t)
+        A1, A2T, B1, Q, D2, C1, D1, C2T, B2 = coef(t)
         val = P @ A1 + A2T @ P + P @ B1 @ P - Q
-        if frac:
-            D2, C1, D1, C2T, B2 = frac
-            gap = eye - P @ D2
-            inner = P @ C1 + P @ D1 @ P
-            val = val + (C2T + P @ B2) @ _solve_guarded(
-                gap, inner, "decoupling matrix (I - P D2)", t
-            )
+        gap = eye - P @ D2
+        inner = P @ C1 + P @ D1 @ P
+        val = val + (C2T + P @ B2) @ _solve_guarded(
+            gap, inner, "decoupling matrix (I - P D2)", t
+        )
         return -val
 
     return rhs
@@ -165,22 +151,18 @@ def generalized_riccati_rhs(prob: RiccatiProblem):
 def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) -> RiccatiSolution:
     """Integrate the unified Riccati equation backward on the grid.
 
-    When the fraction part is present, the reciprocal condition number of
-    (I - P D2) is logged at every node and must stay above `delta`.
+    The reciprocal condition number of (I - P D2) is logged at every node
+    and must stay above `delta`.
     """
     P = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, prob.grid)
-    reg = {}
-    if prob.has_fraction:
-        eye = np.eye(prob.terminal.shape[0])
-        rconds = _rcond(eye - P.samples @ prob.D2.at(prob.grid.nodes))
-        reg["decouple_rcond"] = rconds
-        worst = int(np.argmin(rconds))
-        if rconds[worst] < delta:
-            raise RegularityError(
-                f"(I - P D2) near singular at node {worst} (rcond={rconds[worst]:.2e})",
-                node=worst,
-            )
-    return RiccatiSolution(P=P, regularity=reg)
+    rconds = _rcond(np.eye(prob.terminal.shape[0]) - P.samples @ prob.D2.at(prob.grid.nodes))
+    worst = int(np.argmin(rconds))
+    if rconds[worst] < delta:
+        raise RegularityError(
+            f"(I - P D2) near singular at node {worst} (rcond={rconds[worst]:.2e})",
+            node=worst,
+        )
+    return RiccatiSolution(P=P, regularity={"decouple_rcond": rconds})
 
 
 def follower_riccati_rhs(spec):
@@ -255,17 +237,10 @@ def solve_riccati_disturbance(spec) -> RiccatiSolution:
     return RiccatiSolution(P=P1)
 
 
-@dataclass
-class OffsetSolution:
-    """Solution of a backward offset equation; the martingale integrand is
-    identically zero under deterministic inputs and is not stored."""
-
-    phi: MatrixPath
-
-
-def _linear_backward(grid, coef) -> OffsetSolution:
+def _linear_backward(grid, coef) -> MatrixPath:
     """Solve phi' = -(lin(t) phi + src(t)), phi(T) = 0, where coef(t)
-    returns (lin, src); phi has as many columns as src."""
+    returns (lin, src); phi has as many columns as src.  The martingale
+    integrand is identically zero under deterministic inputs."""
     coef = _per_stage(coef)
 
     def rhs(t, phi):
@@ -273,34 +248,27 @@ def _linear_backward(grid, coef) -> OffsetSolution:
         return -(lin @ phi + src)
 
     terminal = np.zeros(coef(grid.rk4_stages[0][0])[1].shape)
-    return OffsetSolution(phi=integrate_backward(rhs, terminal, grid))
+    return integrate_backward(rhs, terminal, grid)
 
 
-def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath | None = None,
-                    u2: MatrixPath | None = None, include_sigma: bool = True) -> OffsetSolution:
-    """Offset of the disturbance-side value expansion for given deterministic
-    controls: phi1' = -[(A^T - (2/alpha) P1 R0^{-1}) phi1 + P1 (B1 u1 + B2 u2)
-    + C^T P1 (D1 u1 + D2 u2) + C^T P1 sigma], phi1(T) = 0.  Control paths
-    with D columns give D offset columns in one solve."""
+def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
+    """Offset of the disturbance-side value expansion driven by a
+    deterministic follower control path u1: phi1' = -[(A^T - (2/alpha) P1
+    R0^{-1}) phi1 + P1 B1 u1 + C^T P1 D1 u1], phi1(T) = 0.  A u1 with D
+    columns gives D offset columns in one solve."""
     scale = 2.0 / spec.alpha
 
     def coef(t):
-        P1t, C = P1.at(t), spec.C.at(t)
-        out = np.zeros((spec.n, 1))
-        if u1 is not None:
-            out = out + P1t @ spec.B1.at(t) @ u1.at(t) + C.T @ P1t @ spec.D1.at(t) @ u1.at(t)
-        if u2 is not None:
-            out = out + P1t @ spec.B2.at(t) @ u2.at(t) + C.T @ P1t @ spec.D2.at(t) @ u2.at(t)
-        if include_sigma:
-            out = out + C.T @ P1t @ spec.sigma.at(t)
-        return spec.A.at(t).T - scale * P1t @ np.linalg.inv(spec.R0.at(t)), out
+        P1t, C, u1t = P1.at(t), spec.C.at(t), u1.at(t)
+        return (spec.A.at(t).T - scale * P1t @ np.linalg.inv(spec.R0.at(t)),
+                P1t @ spec.B1.at(t) @ u1t + C.T @ P1t @ spec.D1.at(t) @ u1t)
 
     return _linear_backward(spec.grid, coef)
 
 
-def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetSolution:
-    """Offset equation of a decoupled stage whose Riccati path P solves the
-    unified equation with these coefficients:
+def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources) -> MatrixPath:
+    """Offset equation of a decoupled stage whose Riccati path P solves
+    `prob`:
 
         phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
@@ -308,42 +276,33 @@ def _decoupled_offset(P: MatrixPath, A2, B1, C2, B2, D1, D2, sources) -> OffsetS
     where sources(t) returns the drift, diffusion and adjoint sources
     (s_drift, s_diff, s_adj) at t; phi has as many columns as they do.
     """
-    eye = np.eye(A2.rows)
+    eye = np.eye(prob.terminal.shape[0])
 
     def coef(t):
         Pt = P.at(t)
-        gap = eye - Pt @ D2.at(t)
-        FP = (C2.at(t).T + Pt @ B2.at(t)) @ _solve_guarded(
+        gap = eye - Pt @ prob.D2.at(t)
+        FP = (prob.C2.at(t).T + Pt @ prob.B2.at(t)) @ _solve_guarded(
             gap, eye, "decoupling matrix (I - P D2)", t) @ Pt
         drift, diff, adj = sources(t)
-        return A2.at(t).T + Pt @ B1.at(t) + FP @ D1.at(t), FP @ diff + Pt @ drift - adj
+        return (prob.A2.at(t).T + Pt @ prob.B1.at(t) + FP @ prob.D1.at(t),
+                FP @ diff + Pt @ drift - adj)
 
     return _linear_backward(P.grid, coef)
 
 
-def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath | None = None,
-                    include_sources: bool = True) -> OffsetSolution:
-    """Offset equation of the leader-stage decoupling (5n blocks), driven by
-    a deterministic leader control path u2 (one offset column per column of
-    u2) and, with include_sources, by the stage's own drift, diffusion and
-    adjoint offsets."""
-    zero = np.zeros((bb.A.rows, 1))
+def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
+    """Offset equation of the leader-stage decoupling (5n blocks) driven by
+    a deterministic leader control path u2 alone, one offset column per
+    column of u2."""
 
     def sources(t):
-        drift = diff = adj = zero
-        if u2 is not None:
-            u2t = u2.at(t)
-            drift, diff, adj = bb.B2.at(t) @ u2t, bb.D2.at(t) @ u2t, bb.F2.at(t) @ u2t
-        if include_sources:
-            drift = drift + bb.F1.at(t)
-            diff = diff + bb.Sigma.at(t)
-            adj = adj + bb.Upsilon.at(t)
-        return drift, diff, adj
+        u2t = u2.at(t)
+        return bb.B2.at(t) @ u2t, bb.D2.at(t) @ u2t, bb.F2.at(t) @ u2t
 
-    return _decoupled_offset(P3, bb.A, bb.B1, bb.C, bb.B3, bb.D1, bb.D3, sources)
+    return _decoupled_offset(bb.problem(), P3, sources)
 
 
-def solve_offset_b4(dh, Phat: MatrixPath) -> OffsetSolution:
+def solve_offset_b4(dh, Phat: MatrixPath) -> MatrixPath:
     """Offset equation of the Hamiltonian-stage decoupling (10n blocks).
 
     All control inputs have been absorbed by the stage construction; only
@@ -353,7 +312,7 @@ def solve_offset_b4(dh, Phat: MatrixPath) -> OffsetSolution:
     def sources(t):
         return dh.F.at(t), dh.Sigma.at(t), dh.Upsilon.at(t)
 
-    return _decoupled_offset(Phat, dh.A2, dh.B1, dh.C2, dh.B2, dh.D1, dh.D2, sources)
+    return _decoupled_offset(dh.problem(), Phat, sources)
 
 
 def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
@@ -374,12 +333,12 @@ def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
 
 def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
                        Dtil: MatrixPath, L: MatrixPath, extra_source: MatrixPath,
-                       grid: TimeGrid) -> OffsetSolution:
+                       grid: TimeGrid) -> MatrixPath:
     """Solve the value-offset equation
 
         psi' = -[Atil^T psi + L Btil + Ctil^T L Dtil + extra_source],
 
-    with psi(T) = 0 and the martingale integrand identically zero.
+    with psi(T) = 0.
     """
 
     def coef(t):
@@ -405,13 +364,12 @@ def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> 
     sweep of Theta' = -Theta M(t), Theta(T) = I),
     P(t) = Pterm - Theta22(t)^{-1} Theta21(t).
     """
-    if prob.has_fraction:
-        for name in ("C1", "C2", "B2", "D1", "D2"):
-            part = getattr(prob, name)
-            if np.any(part.samples != 0.0):
-                raise RegularityError(
-                    "closed-form solution requires the fraction coefficients to vanish"
-                )
+    for name in ("C1", "C2", "B2", "D1", "D2"):
+        part = getattr(prob, name)
+        if np.any(part.samples != 0.0):
+            raise RegularityError(
+                "closed-form solution requires the fraction coefficients to vanish"
+            )
     d = prob.terminal.shape[0]
     Pterm = prob.terminal
     A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))

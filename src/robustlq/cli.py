@@ -246,7 +246,7 @@ def cmd_dump_blocks(args) -> int:
         stage = augment.build_cost_weights(spec, terms)
     elif args.stage in ("blackboard", "doublehat"):
         check = augment.build_check(spec, terms)
-        bb = augment.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+        bb = augment.build_blackboard(check, hat, terms)
         if args.stage == "blackboard":
             stage = bb
         else:

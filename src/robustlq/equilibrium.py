@@ -24,47 +24,6 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
                     SpecError, make_grid, validate_spec)
 
 
-def riccati_problem_hat(hat: augment.HatStage) -> backward.RiccatiProblem:
-    """Unified-form coefficients of the follower-stage (2n) Riccati equation."""
-    return backward.RiccatiProblem(
-        grid=hat.A1.grid, A1=hat.A1, A2=hat.A2, B1=hat.B1, Q=hat.Q,
-        terminal=hat.G, C1=hat.C, C2=hat.C, B2=hat.B3, D1=hat.D1, D2=hat.D3,
-    )
-
-
-def riccati_problem_blackboard(bb: augment.BlackboardStage) -> backward.RiccatiProblem:
-    """Unified-form coefficients of the leader-stage (5n) Riccati equation."""
-    return backward.RiccatiProblem(
-        grid=bb.A.grid, A1=bb.A, A2=bb.A, B1=bb.B1, Q=bb.Q,
-        terminal=bb.G, C1=bb.C, C2=bb.C, B2=bb.B3, D1=bb.D1, D2=bb.D3,
-    )
-
-
-def riccati_problem_hamiltonian(dh: augment.DoubleHatStage) -> backward.RiccatiProblem:
-    """Unified-form coefficients of the Hamiltonian-stage (10n) Riccati
-    equation, with the two-sided C1/C2 split."""
-    return backward.RiccatiProblem(
-        grid=dh.A1.grid, A1=dh.A1, A2=dh.A2, B1=dh.B1, Q=dh.Q,
-        terminal=dh.G, C1=dh.C1, C2=dh.C2, B2=dh.B2, D1=dh.D1, D2=dh.D2,
-    )
-
-
-def build_closed_loop(dh: augment.DoubleHatStage, Phat: MatrixPath,
-                      phihat: MatrixPath, E: np.ndarray, e: np.ndarray):
-    """Closed-loop drift/diffusion coefficients of the equilibrium state,
-
-        dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW,
-
-    from the decoupling gains (E, e) of `augment.decoupling_terms`.
-    """
-    P, ph = Phat.samples, phihat.samples
-    mp = lambda s: MatrixPath(dh.A1.grid, s)
-    return (mp(dh.A1.samples + dh.B1.samples @ P + dh.B2.samples @ E),
-            mp(dh.B1.samples @ ph + dh.B2.samples @ e + dh.F.samples),
-            mp(dh.C1.samples + dh.D1.samples @ P + dh.D2.samples @ E),
-            mp(dh.D1.samples @ ph + dh.D2.samples @ e + dh.Sigma.samples))
-
-
 @dataclass
 class EquilibriumSolution:
     """All ingredients of the state-feedback equilibrium on one grid."""
@@ -137,23 +96,27 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
     terms = _stage("leader cost weights", augment.follower_terms, spec, P, delta)
     hat = augment.build_hat(spec, terms)
     check = augment.build_check(spec, terms)
-    bb = augment.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+    bb = augment.build_blackboard(check, hat, terms)
     weights = augment.build_cost_weights(spec, terms)
     dh = augment.build_doublehat(bb, weights, terms.Rbbinv)
 
-    Phsol = _stage("hamiltonian riccati", backward.solve_riccati_generalized,
-                   riccati_problem_hamiltonian(dh))
+    prob = dh.problem()
+    Phsol = _stage("hamiltonian riccati", backward.solve_riccati_generalized, prob)
     Phat = Phsol.P
-    phihat = _stage("hamiltonian offset", backward.solve_offset_b4, dh, Phat).phi
+    phihat = _stage("hamiltonian offset", backward.solve_offset_b4, dh, Phat)
 
-    sel = augment.selectors(spec.n)
-    E, e = _stage("gain maps", augment.decoupling_terms, dh, Phat, phihat)
-    gains = augment.build_gain_maps(spec, terms, sel, Phat, phihat, E, e)
-    Atil, Btil, Ctil, Dtil = build_closed_loop(dh, Phat, phihat, E, e)
-
+    # the closed loop dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW of the
+    # equilibrium state comes with the decoupling gains (E, e)
     grid = spec.grid
+    sel = augment.selectors(spec.n)
+    E, e, *closed = _stage("gain maps", augment.decoupling, prob, Phat.samples,
+                           phihat.samples, dh.F.samples, dh.Sigma.samples,
+                           lambda path: path.samples)
+    Atil, Btil, Ctil, Dtil = (MatrixPath(grid, c) for c in closed)
+    gains = augment.build_gain_maps(spec, terms, sel, Phat, phihat, E, e)
+
     PM1, PM2 = gains.PM1.samples, gains.PM2.samples
-    PM1T, PM2T = PM1.transpose(0, 2, 1), PM2.transpose(0, 2, 1)
+    PM1T, PM2T = PM1.mT, PM2.mT
     lyap_src = (sel.M1.T @ spec.Q.samples @ sel.M1
                 + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2)
     psi_src = (PM1T @ terms.R @ gains.phiM1.samples
@@ -163,7 +126,7 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
     L = _stage("lyapunov", backward.solve_lyapunov, Atil, Ctil,
                MatrixPath(grid, lyap_src), Lterm, grid)
     psi = _stage("value offset", backward.solve_value_offset, Atil, Ctil, Btil,
-                 Dtil, L, MatrixPath(grid, psi_src), grid).phi
+                 Dtil, L, MatrixPath(grid, psi_src), grid)
 
     regularity = dict(Psol.regularity)
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
@@ -175,19 +138,18 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
         terms=terms, regularity=regularity,
     )
     if diagnostics:
+        sol.P2 = _stage("intermediate riccati P2", backward.solve_riccati_generalized,
+                        hat.problem()).P
         ensure_diagnostics(sol)
     return sol
 
 
 def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
-    """Solve the intermediate-stage Riccati paths P2 (2n) and P3 (5n) on
-    demand; P3 also drives the leader-deviation responses in verification."""
-    if sol.P2 is None:
-        sol.P2 = _stage("intermediate riccati P2", backward.solve_riccati_generalized,
-                        riccati_problem_hat(sol.hat)).P
+    """Solve the leader-stage (5n) Riccati path P3 on demand; it drives the
+    leader-deviation responses in verification."""
     if sol.P3 is None:
         sol.P3 = _stage("intermediate riccati P3", backward.solve_riccati_generalized,
-                        riccati_problem_blackboard(sol.bb)).P
+                        sol.bb.problem()).P
     return sol
 
 
@@ -260,12 +222,11 @@ def value(sol: EquilibriumSolution) -> float:
 
         Xi' L(0) Xi + 2 Xi' psi(0).
     """
-    tr = lambda a: a.transpose(0, 2, 1)
     phi1, phi2 = sol.gains.phiM1.samples, sol.gains.phiM2.samples
     Dt, Bt = sol.Dtil.samples, sol.Btil.samples
     integrand = (
-        tr(phi1) @ sol.terms.R @ phi1 + tr(phi2) @ sol.terms.W2 @ phi2
-        + tr(Dt) @ sol.L.samples @ Dt + 2.0 * tr(Bt) @ sol.psi.samples
+        phi1.mT @ sol.terms.R @ phi1 + phi2.mT @ sol.terms.W2 @ phi2
+        + Dt.mT @ sol.L.samples @ Dt + 2.0 * Bt.mT @ sol.psi.samples
     )[:, 0, 0]
     quad = np.trapezoid(integrand, sol.spec.grid.nodes)
     Xi = sol.dh.Xi

@@ -42,7 +42,7 @@ class TimeGrid:
 
     horizon: float
     steps: int
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dt(self) -> float:
@@ -229,7 +229,7 @@ class GameSpec:
             want = _MATRIX_SHAPES[name](self.n, self.m1, self.m2)
             if path.shape != want:
                 raise SpecError(f"{name} has shape {path.shape}, expected {want}")
-            if path.grid is not self.grid and not np.array_equal(path.grid.nodes, self.grid.nodes):
+            if path.grid != self.grid:
                 raise SpecError(f"{name} does not live on the spec grid")
         if self.G.shape != (self.n, self.n):
             raise SpecError(f"G has shape {self.G.shape}, expected {(self.n, self.n)}")

@@ -160,7 +160,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     at = lambda path: path.at(left)
 
     R1, R0, R0h, D1 = at(spec.R1), at(spec.R0), at(spec.R0hat), at(spec.D1)
-    rt1inv = np.linalg.inv(R1 + D1.transpose(0, 2, 1) @ at(sol.P) @ D1)
+    rt1inv = np.linalg.inv(R1 + D1.mT @ at(sol.P) @ D1)
     r0inv, r0hinv = np.linalg.inv(R0), np.linalg.inv(R0h)
     Ph, ph = at(sol.Phat), at(sol.phihat)
     f_map = (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar
@@ -276,7 +276,7 @@ def _follower_control(sol, pre, dirs) -> _Response:
     re-optimizes through its linear response; leader replays."""
     spec = sol.spec
     at = lambda path: path.at(pre["left"])
-    phi = backward.solve_offset_b1(spec, sol.P1, u1=dirs, include_sigma=False).phi
+    phi = backward.solve_offset_b1(spec, sol.P1, dirs)
     v = at(dirs)
     a_r0inv = (2.0 / spec.alpha) * pre["r0inv"]
     df_gain, df_off = -a_r0inv @ at(sol.P1), -a_r0inv @ at(phi)
@@ -294,26 +294,20 @@ def _leader_control(sol, pre, dirs) -> _Response:
     ensure_diagnostics(sol)
     bb = sol.bb
     at = lambda path: path.at(pre["left"])
-    tr = lambda a: a.transpose(0, 2, 1)
-    q = at(backward.solve_offset_b3(bb, sol.P3, u2=dirs, include_sources=False).phi)
+    q = at(backward.solve_offset_b3(bb, sol.P3, dirs))
     v, P3 = at(dirs), at(sol.P3)
-    Ab, Cb, B1b, B2b, B3b, D1b, D2b, D3b = map(
-        at, (bb.A, bb.C, bb.B1, bb.B2, bb.B3, bb.D1, bb.D2, bb.D3))
-    gap = np.eye(5 * n) - P3 @ D3b
-    Zx = np.linalg.solve(gap, P3 @ Cb + P3 @ D1b @ P3)
-    zoff = np.linalg.solve(gap, P3 @ D1b @ q + P3 @ D2b @ v)
+    Zx, zoff, A, b, C, d = augment.decoupling(bb.problem(), P3, q, at(bb.B2) @ v,
+                                              at(bb.D2) @ v, at)
 
     B1, D1, D2, P = at(spec.B1), at(spec.D1), at(spec.D2), at(sol.P)
     r_xtil, r_xbar, r_ybar = (augment.block_row(slot, n, 5) for slot in (0, 1, 3))
-    K = tr(B1) @ P + tr(D1) @ P @ at(spec.C)
-    du1_gain = pre["rt1inv"] @ (tr(B1) @ r_ybar @ P3 + tr(D1) @ r_ybar @ Zx - K @ r_xbar)
-    du1_off = pre["rt1inv"] @ (tr(B1) @ r_ybar @ q + tr(D1) @ r_ybar @ zoff
-                               - tr(D1) @ P @ D2 @ v)
+    K = B1.mT @ P + D1.mT @ P @ at(spec.C)
+    du1_gain = pre["rt1inv"] @ (B1.mT @ r_ybar @ P3 + D1.mT @ r_ybar @ Zx - K @ r_xbar)
+    du1_off = pre["rt1inv"] @ (B1.mT @ r_ybar @ q + D1.mT @ r_ybar @ zoff
+                               - D1.mT @ P @ D2 @ v)
     g_r0hinv = (2.0 / spec.gamma) * pre["r0hinv"]
     return _Response(
-        "leader_control", -1.0, "leader",
-        A=Ab + B1b @ P3 + B3b @ Zx, b=B1b @ q + B3b @ zoff + B2b @ v,
-        C=Cb + D1b @ P3 + D3b @ Zx, d=D1b @ q + D3b @ zoff + D2b @ v,
+        "leader_control", -1.0, "leader", A=A, b=b, C=C, d=d,
         moves={"x": (r_xtil, None), "u1": (du1_gain, du1_off), "u2": (None, v),
                "f2": (g_r0hinv @ r_xtil @ P3, g_r0hinv @ r_xtil @ q)})
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import robustlq as rl
-from robustlq import backward, equilibrium
+from robustlq import backward
 
 from conftest import homogeneous_spec, random_spec
 
@@ -56,10 +56,10 @@ def test_criterion_2_riccati_residuals():
             terms = rl.follower_terms(spec, P)
             hat = rl.build_hat(spec, terms)
             check = rl.build_check(spec, terms)
-            bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+            bb = rl.build_blackboard(check, hat, terms)
             w = rl.build_cost_weights(spec, terms)
             dh = rl.build_doublehat(bb, w, terms.Rbbinv)
-            prob = equilibrium.riccati_problem_hamiltonian(dh)
+            prob = dh.problem()
             Ph = backward.solve_riccati_generalized(prob).P
             for rhs, path, tag in (
                 (backward.follower_riccati_rhs(spec), P, "P"),
@@ -82,12 +82,10 @@ def test_criterion_3_special_case_equivalence():
             terms = rl.follower_terms(spec, P)
             hat = rl.build_hat(spec, terms)
             check = rl.build_check(spec, terms)
-            bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+            bb = rl.build_blackboard(check, hat, terms)
             w = rl.build_cost_weights(spec, terms)
             dh = rl.build_doublehat(bb, w, terms.Rbbinv)
-            for prob in (equilibrium.riccati_problem_hat(hat),
-                         equilibrium.riccati_problem_blackboard(bb),
-                         equilibrium.riccati_problem_hamiltonian(dh)):
+            for prob in (hat.problem(), bb.problem(), dh.problem()):
                 num = rl.solve_riccati_generalized(prob).P
                 cf = rl.closed_form_special_case(prob).P
                 gap = np.linalg.norm(num.samples - cf.samples, axis=(1, 2))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,9 @@ def test_blackboard_disturbance_corner(sol_a):
     terms = rl.follower_terms(spec, sol_a.P)
     hat = rl.build_hat(spec, terms)
     check = rl.build_check(spec, terms)
-    bb = rl.build_blackboard(check, hat, 2.0, const_path(spec, np.eye(spec.n)))
+    # gamma = 2 and R0hat = I put the identity in the disturbance corner
+    unit = replace(terms, gR=np.broadcast_to(np.eye(spec.n), terms.gR.shape))
+    bb = rl.build_blackboard(check, hat, unit)
     n = spec.n
     assert np.allclose(bb.B1.samples[0][:n, :n], np.eye(n))
     assert np.all(bb.B1.samples[0][:3 * n, n:3 * n] == 0.0)
@@ -250,7 +254,7 @@ def test_stage_dimension_audit():
     terms = rl.follower_terms(spec, P)
     hat = rl.build_hat(spec, terms)
     check = rl.build_check(spec, terms)
-    bb = rl.build_blackboard(check, hat, spec.gamma, spec.R0hat)
+    bb = rl.build_blackboard(check, hat, terms)
     w = rl.build_cost_weights(spec, terms)
     dh = rl.build_doublehat(bb, w, terms.Rbbinv)
     n = 2
@@ -280,7 +284,9 @@ def test_gain_map_matches_componentwise_formula(sol_a):
     n = spec.n
     rng = np.random.default_rng(8)
     worst = 0.0
-    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
+    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
+                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
+                                 lambda path: path.samples)[:2]
     for _ in range(25):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]

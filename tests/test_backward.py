@@ -114,7 +114,8 @@ def _plain_problem(grid, A, Pterm, d):
     Ap = MatrixPath.constant(grid, A)
     z = MatrixPath.zeros(grid, d, d)
     return backward.RiccatiProblem(grid=grid, A1=Ap, A2=Ap, B1=z, Q=z,
-                                   terminal=np.asarray(Pterm, dtype=float))
+                                   terminal=np.asarray(Pterm, dtype=float),
+                                   C1=z, C2=z, B2=z, D1=z, D2=z)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -177,7 +178,9 @@ def test_singular_offset_gap_names_terminal_node():
     # I - P D2 = 0 at every node: the first stage, at T, fails with node N
     grid = rl.make_grid(1.0, 10)
     one, z = MatrixPath.constant(grid, [[1.0]]), MatrixPath.zeros(grid, 1, 1)
-    dh = SimpleNamespace(F=z, Sigma=z, Upsilon=z, A2=z, B1=z, C2=z, B2=z, D1=z, D2=one)
+    prob = backward.RiccatiProblem(grid=grid, A1=z, A2=z, B1=z, Q=z, terminal=np.zeros((1, 1)),
+                                   C1=z, C2=z, B2=z, D1=z, D2=one)
+    dh = SimpleNamespace(F=z, Sigma=z, Upsilon=z, problem=lambda: prob)
     with pytest.raises(RegularityError, match=r"singular at t=1 \(node 10\)") as err:
         backward.solve_offset_b4(dh, one)
     assert err.value.node == 10
@@ -190,8 +193,8 @@ def test_singular_offset_gap_names_terminal_node():
 def test_offset_b1_homogeneous_is_zero():
     spec = scalar_spec(Q=0.5, G=[[0.2]], A=0.3, alpha=8.0)
     P1 = rl.solve_riccati_disturbance(spec).P
-    phi = rl.solve_offset_b1(spec, P1)
-    assert np.all(phi.phi.samples == 0.0)
+    phi = rl.solve_offset_b1(spec, P1, MatrixPath.zeros(spec.grid, spec.m1, 1))
+    assert np.all(phi.samples == 0.0)
 
 
 def test_offset_b1_with_control_source():
@@ -200,7 +203,7 @@ def test_offset_b1_with_control_source():
     spec = scalar_spec(Q=1.0)
     P1 = rl.solve_riccati_disturbance(spec).P
     u1 = MatrixPath.constant(spec.grid, [[1.0]])
-    phi = rl.solve_offset_b1(spec, P1, u1=u1).phi
+    phi = rl.solve_offset_b1(spec, P1, u1)
 
     def rhs(t, p):
         return -(-P1.at(t) @ p + P1.at(t))
@@ -213,7 +216,7 @@ def test_value_offset_constant_source():
     grid = rl.make_grid(2.0, 50)
     z = MatrixPath.zeros(grid, 1, 1)
     src = MatrixPath.constant(grid, [[3.0]])
-    psi = rl.solve_value_offset(z, z, z, z, z, src, grid).phi
+    psi = rl.solve_value_offset(z, z, z, z, z, src, grid)
     expect = 3.0 * (grid.horizon - grid.nodes)
     assert np.allclose(psi.samples[:, 0, 0], expect, atol=1e-12)
 
@@ -265,6 +268,7 @@ def test_closed_form_trivial_shift():
 
 def test_closed_form_matches_rk4_scalar():
     grid = rl.make_grid(1.0, 300)
+    z = MatrixPath.zeros(grid, 1, 1)
     prob = backward.RiccatiProblem(
         grid=grid,
         A1=MatrixPath.constant(grid, [[0.3]]),
@@ -272,6 +276,7 @@ def test_closed_form_matches_rk4_scalar():
         B1=MatrixPath.constant(grid, [[-0.4]]),
         Q=MatrixPath.constant(grid, [[0.8]]),
         terminal=np.array([[0.6]]),
+        C1=z, C2=z, B2=z, D1=z, D2=z,
     )
     num = rl.solve_riccati_generalized(prob)
     cf = rl.closed_form_special_case(prob)

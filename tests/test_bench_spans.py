@@ -4,7 +4,10 @@ fail here rather than leave a traced benchmark run silently reading 0."""
 import importlib.util
 from pathlib import Path
 
-from robustlq import backward, model
+import robustlq as rl
+from robustlq import backward, cli, equilibrium, model, montecarlo
+
+from conftest import instance_b
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -23,3 +26,30 @@ def test_traced_names_resolve():
     assert not missing
     assert callable(getattr(backward, "integrate_backward", None))
     assert callable(getattr(model.MatrixPath, "at", None))
+
+
+def test_traced_layers_record(tmp_path):
+    """Every traced solver and harness function is still on the call path
+    of a small solve, simulate and verify run: a refactor that routes
+    around one fails here, not only in a traced benchmark run."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spec_file = tmp_path / "instance_b.json"
+    model.dump_spec(instance_b(N=48), spec_file)
+    tracer.install()
+    try:
+        sol = equilibrium.solve_game(instance_b(N=48))
+        equilibrium.value(sol)
+        montecarlo.simulate(sol, rl.SimConfig(paths=8, seed=1))
+        code = cli.run(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
+                        "--paths", "40", "--directions", "1"])
+    finally:
+        tracer.remove()
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
+    assert not tracer.missing
+    wanted = {name for _, _, name in spans._SPANS
+              if name.split(".")[0] in ("augment", "backward", "montecarlo")}
+    wanted.add("equilibrium.diagnostics")
+    recorded = {name for name, *_ in tracer.spans}
+    assert not wanted - recorded, sorted(wanted - recorded)
+    assert not tracer.nesting_problems()

@@ -57,7 +57,9 @@ def test_feedback_leader_control_consistency(sol_a):
     stacked processes under the decoupled representation."""
     spec = sol_a.spec
     rng = np.random.default_rng(12)
-    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
+    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
+                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
+                                 lambda path: path.samples)[:2]
     for _ in range(10):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
@@ -161,7 +163,9 @@ def test_decoupled_representation_residual(sol_a):
         Y[k] = sol_a.Phat.samples[k] @ X[k] + sol_a.phihat.samples[k][:, 0]
     dY = backward._derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
     worst = 0.0
-    Es, es = augment.decoupling_terms(sol_a.dh, sol_a.Phat, sol_a.phihat)
+    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
+                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
+                                 lambda path: path.samples)[:2]
     for k in range(len(grid)):
         Z = Es[k] @ X[k] + es[k][:, 0]
         drift = (-sol_a.dh.A2.samples[k].T @ Y[k] - sol_a.dh.C2.samples[k].T @ Z
@@ -185,8 +189,8 @@ def test_intermediate_stage_residuals():
     spec = instance_a(N=400)
     sol = rl.solve_game(spec, diagnostics=True)
     for prob, path in (
-        (equilibrium.riccati_problem_hat(sol.hat), sol.P2),
-        (equilibrium.riccati_problem_blackboard(sol.bb), sol.P3),
+        (sol.hat.problem(), sol.P2),
+        (sol.bb.problem(), sol.P3),
     ):
         res = backward.riccati_residuals(backward.generalized_riccati_rhs(prob), path)
         rel = res / (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))

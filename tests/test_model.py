@@ -20,6 +20,13 @@ def test_make_grid_spacing():
     assert rl.make_grid(2.0, 4).dt == 0.5
 
 
+def test_equal_grids_compare_and_hash_equal():
+    # the nodes follow from horizon and steps, so they take no part
+    a, b = rl.make_grid(1.0, 4), rl.make_grid(1.0, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != rl.make_grid(1.0, 5) and a != rl.make_grid(2.0, 4)
+
+
 def test_make_grid_rejects_bad_horizon():
     with pytest.raises(SpecError, match="horizon must be positive"):
         rl.make_grid(0.0, 5)

@@ -106,6 +106,14 @@ def test_null_perturbation_exact_zero(sol_a):
         assert r.delta_j == 0.0 and r.stderr == 0.0 and r.verdict == "pass"
 
 
+def test_verification_solves_only_the_leader_stage_riccati():
+    # the leader-deviation response reads P3; the 2n path P2 is left unsolved
+    sol = rl.solve_game(homogeneous_spec(N=40, xi=1.0))
+    assert sol.P2 is None and sol.P3 is None
+    rl.perturb_best_response(sol, rl.SimConfig(paths=10, seed=1), directions=1, eps=(0.1,))
+    assert sol.P2 is None and sol.P3 is not None
+
+
 def test_homogeneous_follower_test_deterministic():
     spec = rl.build_spec(
         n=1, m1=1, m2=1, T=1.0, N=100, alpha=4.0, gamma=4.0, xi=[1.0], G=[[0.0]],
