@@ -20,8 +20,15 @@ the sampled convexity probes report.
 
 Each test is one `_Response` record: the criterion it perturbs, the sign
 of the deviating side, the linear response system and the deviation of
-every signal that moves.  One function turns a record into its cross and
-quad integrands, so the four tests share all of the cost bookkeeping.
+every signal that moves.  One function turns the criteria and the records
+into per-step matrices, so the four tests share all of the cost
+bookkeeping with the base costs.
+
+The loop is state-major: a block of paths is held as the columns of the
+augmented state X1 = [X; 1], and every signal is a row map E_s = [gain |
+off] of X1.  Each criterion then collapses to one quadratic form
+X1' M X1 per step, and a step of a block is one matrix product for the
+closed loop and one more per test.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ from .equilibrium import EquilibriumSolution, ensure_diagnostics, skeleton
 from .model import BlowUpError, MatrixPath, SpecError, make_grid
 
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
+# Paths [b, b + PATH_BLOCK) are advanced together as the columns of one
+# block.  Blocks start at fixed multiples, so the shape of every product a
+# path takes part in, and hence its rounding, does not depend on the chunk.
+PATH_BLOCK = 1024
+STEP_BLOCK = 32  # steps whose matrices are formed together
 
 
 @dataclass(frozen=True)
@@ -152,9 +164,12 @@ def _criteria(spec) -> dict:
 
 
 def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
-    """Sample everything the fused Euler loop needs at the left ends of the
-    sub-grid steps."""
+    """Sample everything the Euler loop needs at the left ends of the
+    sub-grid steps.  Each signal is a row map E_s of the augmented state
+    X1 = [X; 1]: (steps, k, 10n+1) for the controls and disturbances,
+    a constant (n, 10n+1) selector for x and xbar."""
     spec = sol.spec
+    n = spec.n
     times = _subtimes(spec.grid, substeps)
     left = times[:-1]
     at = lambda path: path.at(left)
@@ -162,23 +177,23 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     R1, R0, R0h, D1 = at(spec.R1), at(spec.R0), at(spec.R0hat), at(spec.D1)
     rt1inv = np.linalg.inv(R1 + D1.mT @ at(sol.P) @ D1)
     r0inv, r0hinv = np.linalg.inv(R0), np.linalg.inv(R0h)
-    Ph, ph = at(sol.Phat), at(sol.phihat)
+    Ph = np.concatenate([at(sol.Phat), at(sol.phihat)], axis=2)
     f_map = (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar
     f2_map = ((2.0 / spec.gamma) * r0hinv) @ sol.sel.row_xtil
+    select = np.eye(10 * n, 10 * n + 1)
 
-    def signal(left_map, gain, off):
-        # (gain, offset) of a signal that is left_map @ (gain X + off)
-        return left_map @ gain, (left_map @ off)[:, :, 0]
+    def gains(gain, off):
+        return np.concatenate([at(gain), at(off)], axis=2)
 
     return {
         "left": left,
         "dt": times[1] - times[0],
         "steps": len(left),
-        "n": spec.n,
+        "n": n,
         "A": at(sol.Atil),
-        "b": at(sol.Btil)[:, :, 0],
+        "b": at(sol.Btil),
         "C": at(sol.Ctil),
-        "d": at(sol.Dtil)[:, :, 0],
+        "d": at(sol.Dtil),
         "Q": at(spec.Q),
         "R1": R1,
         "R2": at(spec.R2),
@@ -190,26 +205,15 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
         "r0inv": r0inv,
         "r0hinv": r0hinv,
         "signals": {
-            "u1": signal(rt1inv, at(sol.gains.PM1), at(sol.gains.phiM1)),
-            "u2": signal(np.linalg.inv(at(sol.weights.Rbb)), at(sol.gains.PM2),
-                         at(sol.gains.phiM2)),
-            "f": signal(f_map, Ph, ph),
-            "f2": signal(f2_map, Ph, ph),
+            "x": select[:n],
+            "xbar": select[n:2 * n],
+            "u1": rt1inv @ gains(sol.gains.PM1, sol.gains.phiM1),
+            "u2": np.linalg.inv(at(sol.weights.Rbb)) @ gains(sol.gains.PM2, sol.gains.phiM2),
+            "f": f_map @ Ph,
+            "f2": f2_map @ Ph,
         },
         "criteria": _criteria(spec),
     }
-
-
-def _base_at(pre, k, X):
-    n = pre["n"]
-    base = {name: X @ gain[k].T + off[k] for name, (gain, off) in pre["signals"].items()}
-    base.update(x=X[:, :n], xbar=X[:, n:2 * n])
-    return base
-
-
-def _qform(M, a):
-    """Row-wise a' M a of a (paths, i) against M (i, i)."""
-    return np.einsum("pi,pi->p", a @ M, a)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +241,6 @@ class _Response:
     C: np.ndarray  # (S, dim, dim)
     d: np.ndarray  # (S, dim, D)
     moves: dict    # signal -> (gain, off)
-
-
-def _deviation(move, k, Z):
-    gain, off = move
-    if gain is None:
-        return np.broadcast_to(off[k], (len(Z),) + off.shape[1:])
-    dev = np.einsum("ij,pjd->pid", gain if gain.ndim == 2 else gain[k], Z)
-    return dev if off is None else dev + off[k]
-
-
-def _cross_quad(terms, moves, base, Z, k=None):
-    """Per-path, per-direction (cross, quad) of sum coef * s' W s when each
-    moving signal s becomes s + eps * dev; terms are (signal, W, coef)."""
-    cross = quad = 0.0
-    for signal, W, coef in terms:
-        if signal in moves:
-            dev = _deviation(moves[signal], k, Z)
-            cross = cross + 2.0 * coef * np.einsum("pi,pid->pd", base[signal] @ W, dev)
-            quad = quad + coef * np.einsum("pid,ij,pjd->pd", dev, W, dev)
-    return cross, quad
 
 
 def _unit_directions(rng, grid, dim: int, count: int, pieces: int = 8) -> MatrixPath:
@@ -326,7 +310,137 @@ def _disturbance(sol, pre, dirs, side) -> _Response:
 
 
 # ---------------------------------------------------------------------------
-# fused Euler loop
+# state-major Euler loop
+
+
+def _forms(pre: dict, tests, ks):
+    """Step matrices (K, resp) of the sub-grid steps ks, j indexing the
+    steps; for ks None, of the terminal costs as one step of weight 1 that
+    does not move.
+
+    K[j] maps the block's augmented state X1 = [X; 1] to, in this order:
+    the drift part [dt A | dt b] and the diffusion part [C | d] of the
+    step, one form M_c = dt sum coef E_s' W E_s per criterion (the step's
+    cost is X1' M_c X1), and per test the rows H' and h' of its cross term
+    X1' (H Z_d + h_d).  Per test, resp[i] = (Kz, zoff, czz): Kz[j] stacks
+    dt A, C and Mzz over the response state Z, zoff[j] the matching
+    columns dt b_d, d_d and 2 mzo_d of each direction, and czz[j] the
+    constants of the quad term Z_d' (Mzz Z_d + 2 mzo_d) + czz_d.
+    """
+    m = 10 * pre["n"]
+    criteria = pre["criteria"]
+    if ks is None:
+        dt, steps = 1.0, 1
+        terms_of = {c: ((s, "G", 1.0),) for c, (_, s) in criteria.items()}
+    else:
+        dt, steps = pre["dt"], ks.stop - ks.start
+        terms_of = {c: terms for c, (terms, _) in criteria.items()}
+    take = lambda a: a if a.ndim == 2 else a[ks]
+    E = {s: take(pre["signals"][s]) for terms in terms_of.values() for s, _, _ in terms}
+
+    def wsum(terms, left, right):
+        # dt * sum of coef * left_s' W right_s over the signals in `left`
+        return sum(dt * c * (left[s].mT @ take(pre[w]) @ right[s])
+                   for s, w, c in terms if s in left)
+
+    def stack(parts, cols):
+        return np.concatenate([np.broadcast_to(p, (steps, p.shape[-2], cols)) for p in parts],
+                              axis=1)
+
+    if ks is None:
+        drift = diff = np.zeros((m, m + 1))
+    else:
+        drift = dt * np.concatenate([pre["A"][ks], pre["b"][ks]], axis=2)
+        diff = np.concatenate([pre["C"][ks], pre["d"][ks]], axis=2)
+    parts = [drift, diff] + [wsum(terms, E, E) for terms in terms_of.values()]
+    resp = []
+    for t in tests:
+        terms = terms_of[t.criterion]
+        dim, dirs = t.b.shape[1:]
+        moved = {s for s, _, _ in terms} & t.moves.keys()
+        g = {s: np.zeros((E[s].shape[-2], dim)) if t.moves[s][0] is None
+             else take(t.moves[s][0]) for s in moved}
+        o = {s: np.zeros((E[s].shape[-2], dirs)) if t.moves[s][1] is None
+             else take(t.moves[s][1]) for s in moved}
+        parts += [2.0 * wsum(terms, g, E), 2.0 * wsum(terms, o, E)]
+        Mzz, mzo = wsum(terms, g, g), wsum(terms, g, o)
+        czz = np.diagonal(wsum(terms, o, o), axis1=-2, axis2=-1)
+        if ks is None:
+            move = np.zeros((2 * dim, dim)), np.zeros((2 * dim, dirs))
+        else:
+            move = (np.concatenate([dt * t.A[ks], t.C[ks]], axis=1),
+                    np.concatenate([dt * t.b[ks], t.d[ks]], axis=1))
+        resp.append((np.ascontiguousarray(stack([move[0], Mzz], dim)),
+                     stack([move[1], 2.0 * mzo], dirs),
+                     np.broadcast_to(czz, (steps, dirs))))
+    return np.ascontiguousarray(stack(parts, m + 1)), resp
+
+
+class _Block:
+    """Paths [first, first + width) of one run: the augmented state X1 and
+    response states Z as columns, with their cost accumulators."""
+
+    def __init__(self, pre, tests, first, dW):
+        width = len(dW)
+        m = 10 * pre["n"]
+        self.first, self.dW = first, dW
+        self.X1 = np.empty((m + 1, width))
+        self.X1[:m] = pre["x0"][:, None]
+        self.X1[m] = 1.0
+        self.costs = np.zeros((len(pre["criteria"]), width))
+        # per test: Z (dim, directions, width), cross and quad (directions, width)
+        self.resp = [(np.zeros(t.b.shape[1:] + (width,)),
+                      np.zeros((t.b.shape[2], width)), np.zeros((t.b.shape[2], width)))
+                     for t in tests]
+
+    def step(self, forms, j, dw=None):
+        """Accumulate the costs of step j of `_forms` output at the current
+        state and, unless dw is None, make the step's Euler-Maruyama move."""
+        (K, resp), X1 = forms, self.X1
+        m, ncrit = len(X1) - 1, len(self.costs)
+        Y = K[j] @ X1
+        self.costs += np.einsum("cip,ip->cp", Y[2 * m:2 * m + ncrit * (m + 1)]
+                                .reshape(ncrit, m + 1, -1), X1)
+        row = 2 * m + ncrit * (m + 1)
+        for (Z, cross, quad), (Kz, zoff, czz) in zip(self.resp, resp):
+            dim, dirs = Z.shape[:2]
+            Yz = (Kz[j] @ Z.reshape(dim, -1)).reshape(3 * dim, dirs, -1)
+            Yz += zoff[j][:, :, None]
+            cross += np.einsum("ip,idp->dp", Y[row:row + dim], Z)
+            cross += Y[row + dim:row + dim + dirs]
+            quad += np.einsum("idp,idp->dp", Yz[2 * dim:], Z)
+            quad += czz[j][:, None]
+            row += dim + dirs
+            if dw is not None:
+                Z += Yz[:dim]
+                Yz[dim:2 * dim] *= dw
+                Z += Yz[dim:2 * dim]
+        if dw is not None:
+            X1[:m] += Y[:m]
+            Y[m:2 * m] *= dw
+            X1[:m] += Y[m:2 * m]
+
+
+def _groups(cfg: SimConfig, steps: int, dt: float):
+    """Brownian increments of the path blocks, drawn by one
+    `path_increments` call per chunk: after each chunk, the list of
+    (first path, (width, steps) increments) of the blocks it completes."""
+    pending, start = [], 0  # drawn rows of the unfinished block at `start`
+    for first in range(0, cfg.paths, cfg.chunk):
+        count = min(cfg.chunk, cfg.paths - first)
+        dW = path_increments(cfg.seed, first, count, steps, dt)
+        have = first + count
+        group = []
+        while start < have and (start + PATH_BLOCK <= have or have == cfg.paths):
+            end = min(start + PATH_BLOCK, have)
+            pending.append(dW[max(start - first, 0):end - first])
+            group.append((start, pending[0] if len(pending) == 1 else np.concatenate(pending)))
+            pending, start = [], end
+        if start < have:  # fewer than PATH_BLOCK rows; the copy frees the chunk
+            pending.append(dW[max(start - first, 0):].copy())
+        if group:
+            yield group
+        del dW, group  # with the caller's own `del`, one chunk is held at a time
 
 
 def _run(pre: dict, cfg: SimConfig, tests=()):
@@ -334,65 +448,45 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
     common increments.  Returns the SimOutput and the per-path outputs:
     the cost of each criterion by name, and each test's per-direction
     cross and quad under ("cross", name) and ("quad", name)."""
-    S, dt, n = pre["steps"], pre["dt"], pre["n"]
-    criteria = pre["criteria"]
-    forms = {(s, w) for terms, _ in criteria.values() for s, w, _ in terms}
-    # per-path outputs: one cost per criterion, (cross, quad) per test
-    shapes = {name: () for name in criteria}
+    S = pre["steps"]
+    out = {name: np.empty(cfg.paths) for name in pre["criteria"]}
     for t in tests:
-        shapes["cross", t.name] = shapes["quad", t.name] = t.b.shape[2:]
-    out = {key: np.empty((cfg.paths,) + shape) for key, shape in shapes.items()}
+        out["cross", t.name] = np.empty((cfg.paths, t.b.shape[2]))
+        out["quad", t.name] = np.empty((cfg.paths, t.b.shape[2]))
     terminal = np.empty((cfg.paths, len(pre["x0"])))
+    final = _forms(pre, tests, None)
 
-    done = 0
     blown = 0
-    while done < cfg.paths:
-        count = min(cfg.chunk, cfg.paths - done)
-        dW = path_increments(cfg.seed, done, count, S, dt)
-        X = np.tile(pre["x0"], (count, 1))
-        Z = {t.name: np.zeros((count,) + t.b.shape[1:]) for t in tests}
-        acc = {key: np.zeros((count,) + shape) for key, shape in shapes.items()}
-
+    for group in _groups(cfg, S, pre["dt"]):
+        blocks = [_Block(pre, tests, first, dW) for first, dW in group]
+        del group
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
-            for k in range(S):
-                base = _base_at(pre, k, X)
-                q = {(s, w): _qform(pre[w][k], base[s]) for s, w in forms}
-                for name, (terms, _) in criteria.items():
-                    acc[name] += dt * sum(c * q[s, w] for s, w, c in terms)
-                for t in tests:
-                    zk = Z[t.name]
-                    terms = [(s, pre[w][k], c) for s, w, c in criteria[t.criterion][0]]
-                    cross, quad = _cross_quad(terms, t.moves, base, zk, k)
-                    acc["cross", t.name] += dt * cross
-                    acc["quad", t.name] += dt * quad
-                    drift = np.einsum("ij,pjd->pid", t.A[k], zk) + t.b[k]
-                    diff = np.einsum("ij,pjd->pid", t.C[k], zk) + t.d[k]
-                    Z[t.name] = zk + dt * drift + diff * dW[:, k, None, None]
-                incr = dW[:, k][:, None]
-                X = X + dt * (X @ pre["A"][k].T + pre["b"][k]) \
-                    + (X @ pre["C"][k].T + pre["d"][k]) * incr
+            for k0 in range(0, S, STEP_BLOCK):
+                ks = slice(k0, min(k0 + STEP_BLOCK, S))
+                forms = _forms(pre, tests, ks)
+                for blk in blocks:
+                    tile = np.ascontiguousarray(blk.dW[:, ks].T)
+                    for j, dw in enumerate(tile):
+                        blk.step(forms, j, dw)
+            for blk in blocks:
+                blk.step(final, 0)
 
-            base_T = {"x": X[:, :n], "xbar": X[:, n:2 * n]}
-            for name, (_, s) in criteria.items():
-                acc[name] += _qform(pre["G"], base_T[s])
-            for t in tests:
-                s = criteria[t.criterion][1]
-                cross, quad = _cross_quad([(s, pre["G"], 1.0)], t.moves, base_T, Z[t.name])
-                acc["cross", t.name] += cross
-                acc["quad", t.name] += quad
-
-        bad = ~np.isfinite(X).all(axis=1)
-        for t in tests:
-            bad |= ~np.isfinite(Z[t.name]).all(axis=(1, 2))
-        blown += int(bad.sum())
-
-        sl = slice(done, done + count)
-        terminal[sl] = X
-        for key, arr in acc.items():
-            arr[bad] = np.nan
-            out[key][sl] = arr
-        done += count
+        for blk in blocks:
+            X = blk.X1[:-1].T
+            bad = ~np.isfinite(X).all(axis=1)
+            for Z, _, _ in blk.resp:
+                bad |= ~np.isfinite(Z).all(axis=(0, 1))
+            blown += int(bad.sum())
+            sl = slice(blk.first, blk.first + len(X))
+            terminal[sl] = X
+            per_path = list(zip(pre["criteria"], blk.costs))
+            for t, (_, cross, quad) in zip(tests, blk.resp):
+                per_path += [(("cross", t.name), cross.T), (("quad", t.name), quad.T)]
+            for key, arr in per_path:
+                arr[bad] = np.nan
+                out[key][sl] = arr
+        del blocks, blk  # the chunk's increments go before the next chunk is drawn
 
     if blown > BLOWUP_PATH_BUDGET * cfg.paths:
         raise BlowUpError(
@@ -532,9 +626,51 @@ class OracleResult:
         return float(max(gx, gy))
 
 
+def _implicit_euler_bvp(dh, grid) -> np.ndarray:
+    """z_k = (x_k, y_k) of the oracle at the c+1 nodes of grid, (c+1, 2 ten).
+
+    The step from t_k to t_(k+1) couples z_k and z_(k+1) only:
+
+        -x_k + (I - dt A1) x_(k+1) - dt B1 y_(k+1) = dt F        at t_(k+1)
+        -dt Q x_k + (dt A2' - I) y_k + y_(k+1)      = dt Upsilon  at t_k
+
+    between x_0 = Xi and y_c = G x_c.  The staircase is eliminated from
+    the initial node on: the rows carried into a step and the step's own
+    rows are reduced by an orthogonal factorization of their z_k columns,
+    which gives z_k in terms of z_(k+1) and carries `ten` rows in z_(k+1)
+    alone to the next step.  Memory is O(c ten^2), not the dense (c ten)^2.
+    """
+    ten = dh.A1.rows
+    coarse_n, dtc = grid.steps, grid.dt
+    eye, zero = np.eye(ten), np.zeros((ten, ten))
+    nxt, here = grid.nodes[1:], grid.nodes[:-1]
+    A1, B1, F = dh.A1.at(nxt), dh.B1.at(nxt), dh.F.at(nxt)[:, :, 0]
+    A2, Q, Ups = dh.A2.at(here), dh.Q.at(here), dh.Upsilon.at(here)[:, :, 0]
+
+    carry, rhs = np.hstack([eye, zero]), dh.Xi[:, 0]
+    back = np.empty((coarse_n, 2 * ten, 2 * ten + 1))  # z_k = back[k] @ [1; -z_(k+1)]
+    try:
+        for k in range(coarse_n):
+            left = np.block([[carry], [-eye, zero], [-dtc * Q[k], dtc * A2[k].T - eye]])
+            right = np.block([[zero, zero], [eye - dtc * A1[k], -dtc * B1[k]], [zero, eye]])
+            q, r = np.linalg.qr(left, mode="complete")
+            reduced = q.T @ np.column_stack([np.concatenate([rhs, dtc * F[k], dtc * Ups[k]]),
+                                             right])
+            back[k] = np.linalg.solve(r[:2 * ten], reduced[:2 * ten])
+            rhs, carry = reduced[2 * ten:, 0], reduced[2 * ten:, 1:]
+        Z = np.empty((coarse_n + 1, 2 * ten))
+        Z[-1] = np.linalg.solve(np.vstack([carry, np.hstack([-dh.G, eye])]),
+                                np.concatenate([rhs, np.zeros(ten)]))
+    except np.linalg.LinAlgError as exc:
+        raise BlowUpError(f"oracle system is singular: {exc}") from exc
+    for k in reversed(range(coarse_n)):
+        Z[k] = back[k, :, 0] - back[k, :, 1:] @ Z[k + 1]
+    return Z
+
+
 def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     """Direct implicit-Euler discretization of the forward-backward
-    optimality system as one dense linear solve, compared against the
+    optimality system as one block-banded solve, compared against the
     Riccati pipeline on the noise-free skeleton.
 
     The skeleton drops the Brownian terms, under which the martingale
@@ -542,41 +678,10 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     to discretization) when the diffusion couplings C, D1, D2 of the game
     are zero, which is the regime this oracle is meant for.
     """
-    dh = sol.dh
-    ten = dh.A1.rows
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
-    dtc = grid.dt
-    c = coarse_n
-    eye = np.eye(ten)
-    # block rows: initial state, c forward steps, c backward steps, terminal;
-    # block columns: x_0..x_c, then y_0..y_c
-    M = np.zeros((2 * (c + 1), ten, 2 * (c + 1), ten))
-    rhs = np.zeros((2 * (c + 1), ten))
-    nxt = grid.nodes[1:]
-    here = grid.nodes[:-1]
-    k = np.arange(c)
-    M[0, :, 0] = eye
-    rhs[0] = dh.Xi[:, 0]
-    M[1 + k, :, 1 + k] = eye - dtc * dh.A1.at(nxt)
-    M[1 + k, :, k] = -eye
-    M[1 + k, :, c + 2 + k] = -dtc * dh.B1.at(nxt)
-    rhs[1 + k] = dtc * dh.F.at(nxt)[:, :, 0]
-    M[c + 1 + k, :, c + 2 + k] = eye
-    M[c + 1 + k, :, c + 1 + k] = -eye + dtc * dh.A2.at(here).mT
-    M[c + 1 + k, :, k] = -dtc * dh.Q.at(here)
-    rhs[c + 1 + k] = dtc * dh.Upsilon.at(here)[:, :, 0]
-    M[-1, :, -1] = eye
-    M[-1, :, c] = -dh.G
-    M = M.reshape(rhs.size, rhs.size)
-    rhs = rhs.ravel()
-
-    try:
-        solvec = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise BlowUpError(f"oracle system is singular: {exc}") from exc
-
-    Xo = solvec[: (coarse_n + 1) * ten].reshape(coarse_n + 1, ten)
-    Yo = solvec[(coarse_n + 1) * ten:].reshape(coarse_n + 1, ten)
+    Z = _implicit_euler_bvp(sol.dh, grid)
+    ten = sol.dh.A1.rows
+    Xo, Yo = Z[:, :ten], Z[:, ten:]
 
     # pipeline skeleton on the fine grid, sampled at the coarse nodes
     Xp = MatrixPath(sol.spec.grid, skeleton(sol)[:, :, None]).at(grid.nodes)[:, :, 0]

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import robustlq as rl
 from robustlq import montecarlo
 from robustlq.model import BlowUpError, SpecError
 
-from conftest import homogeneous_spec
+from conftest import homogeneous_spec, instance_b, random_spec
 
 
 def no_noise_spec(N=100):
@@ -36,6 +37,93 @@ def test_seed_determinism_and_chunk_invariance(sol_a):
     assert np.array_equal(out1.terminal, out2.terminal)
     out3 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=10, substeps=1))
     assert not np.array_equal(out1.j, out3.j)
+    # chunks of one path, of 97 paths, and one chunk holding more than one
+    # of the loop's internal path blocks
+    paths = montecarlo.PATH_BLOCK + 300
+    runs = [rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=2, chunk=chunk))
+            for chunk in (1, 97, montecarlo.PATH_BLOCK + 100)]
+    for out in runs[1:]:
+        for name in ("j", "j_follower", "j_leader", "terminal"):
+            assert np.array_equal(getattr(out, name), getattr(runs[0], name)), name
+
+
+def reference_run(pre, tests, dW):
+    """Path-major Euler loop that evaluates every signal and every cost
+    term one at a time: the per-path criteria and each test's cross and
+    quad, as `montecarlo._run` reports them."""
+    dt, criteria = pre["dt"], pre["criteria"]
+    paths = len(dW)
+    X = np.tile(pre["x0"], (paths, 1))
+    Z = {t.name: np.zeros((paths,) + t.b.shape[1:]) for t in tests}
+    out = {name: np.zeros(paths) for name in criteria}
+    for t in tests:
+        out["cross", t.name] = out["quad", t.name] = 0.0
+
+    def signal(s, k, X):
+        E = pre["signals"][s]
+        E = E if E.ndim == 2 else E[k]
+        return X @ E[:, :-1].T + E[:, -1]
+
+    def deviation(s, k, Z, moves):
+        gain, off = moves[s]
+        if gain is None:
+            return np.broadcast_to(off[k], (len(Z),) + off.shape[1:])
+        dev = np.einsum("ij,pjd->pid", gain if gain.ndim == 2 else gain[k], Z)
+        return dev if off is None else dev + off[k]
+
+    def weighted(terms, k):
+        # (signal, weight at step k, dt * coefficient) of each term
+        return [(s, pre[w] if pre[w].ndim == 2 else pre[w][k], dt * c) for s, w, c in terms]
+
+    for k in range(pre["steps"]):
+        for name, (terms, _) in criteria.items():
+            for s, W, c in weighted(terms, k):
+                base = signal(s, k, X)
+                out[name] += c * np.einsum("pi,ij,pj->p", base, W, base)
+        for t in tests:
+            zk = Z[t.name]
+            for s, W, c in weighted(criteria[t.criterion][0], k):
+                if s in t.moves:
+                    dev = deviation(s, k, zk, t.moves)
+                    base = signal(s, k, X)
+                    out["cross", t.name] = out["cross", t.name] \
+                        + 2.0 * c * np.einsum("pi,ij,pjd->pd", base, W, dev)
+                    out["quad", t.name] = out["quad", t.name] \
+                        + c * np.einsum("pid,ij,pjd->pd", dev, W, dev)
+            drift = np.einsum("ij,pjd->pid", t.A[k], zk) + t.b[k]
+            diff = np.einsum("ij,pjd->pid", t.C[k], zk) + t.d[k]
+            Z[t.name] = zk + dt * drift + diff * dW[:, k, None, None]
+        X = X + dt * (X @ pre["A"][k].T + pre["b"][k][:, 0]) \
+            + (X @ pre["C"][k].T + pre["d"][k][:, 0]) * dW[:, k, None]
+
+    for name, (_, s) in criteria.items():
+        base = signal(s, None, X)
+        out[name] += np.einsum("pi,ij,pj->p", base, pre["G"], base)
+    for t in tests:
+        s = criteria[t.criterion][1]
+        dev = deviation(s, None, Z[t.name], t.moves)
+        base = signal(s, None, X)
+        out["cross", t.name] = out["cross", t.name] \
+            + 2.0 * np.einsum("pi,ij,pjd->pd", base, pre["G"], dev)
+        out["quad", t.name] = out["quad", t.name] \
+            + np.einsum("pid,ij,pjd->pd", dev, pre["G"], dev)
+    return out
+
+
+def test_collapsed_forms_match_reference_loop(sol_a):
+    cfg = rl.SimConfig(paths=50, seed=4, substeps=2)
+    tests, out = montecarlo._deviation_tests(sol_a, cfg, 2, 0xD1, None)
+    pre = montecarlo._precompute_base(sol_a, cfg.substeps)
+    dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
+    ref = reference_run(pre, tests, dW)
+    assert len(tests) == 4 and set(ref) == set(out)
+    for name in ("game", "follower", "leader"):
+        assert np.all(np.abs(out[name] - ref[name]) <= 1e-12 * np.abs(ref[name])), name
+    for key in ref.keys() - {"game", "follower", "leader"}:
+        # a single path's cross can cancel to near zero: each direction's
+        # entries are compared relative to that direction's largest one
+        scale = np.abs(ref[key]).max(axis=0)
+        assert np.all(np.abs(out[key] - ref[key]) <= 1e-12 * scale), key
 
 
 def test_no_noise_paths_identical():
@@ -206,10 +294,61 @@ def test_bvp_oracle_gap_and_refinement(sol_b):
     assert g128 <= 0.6 * g64
 
 
+def dense_oracle_solution(sol, coarse_n):
+    """(x_k, y_k) of the oracle's implicit-Euler system, assembled as one
+    dense matrix (block rows: initial state, forward steps, backward steps,
+    terminal; block columns x_0..x_c, then y_0..y_c) and solved directly."""
+    dh = sol.dh
+    ten = dh.A1.rows
+    grid = rl.make_grid(sol.spec.grid.horizon, coarse_n)
+    dtc, c = grid.dt, coarse_n
+    eye = np.eye(ten)
+    M = np.zeros((2 * (c + 1), ten, 2 * (c + 1), ten))
+    rhs = np.zeros((2 * (c + 1), ten))
+    nxt, here, k = grid.nodes[1:], grid.nodes[:-1], np.arange(c)
+    M[0, :, 0] = eye
+    rhs[0] = dh.Xi[:, 0]
+    M[1 + k, :, 1 + k] = eye - dtc * dh.A1.at(nxt)
+    M[1 + k, :, k] = -eye
+    M[1 + k, :, c + 2 + k] = -dtc * dh.B1.at(nxt)
+    rhs[1 + k] = dtc * dh.F.at(nxt)[:, :, 0]
+    M[c + 1 + k, :, c + 2 + k] = eye
+    M[c + 1 + k, :, c + 1 + k] = -eye + dtc * dh.A2.at(here).mT
+    M[c + 1 + k, :, k] = -dtc * dh.Q.at(here)
+    rhs[c + 1 + k] = dtc * dh.Upsilon.at(here)[:, :, 0]
+    M[-1, :, -1] = eye
+    M[-1, :, c] = -dh.G
+    z = np.linalg.solve(M.reshape(rhs.size, rhs.size), rhs.ravel())
+    return z[:(c + 1) * ten].reshape(c + 1, ten), z[(c + 1) * ten:].reshape(c + 1, ten)
+
+
+@pytest.mark.parametrize("make", [lambda: instance_b(), lambda: random_spec(3, 2, special=True),
+                                  lambda: random_spec(5, 1)],
+                         ids=["instance_b", "random_n2_diffusion_free", "random_n1"])
+def test_bvp_oracle_banded_matches_dense_solve(make):
+    sol = rl.solve_game(make())
+    res = rl.bvp_oracle(sol, 16)
+    X, Y = dense_oracle_solution(sol, 16)
+    scale = max(np.abs(X).max(), np.abs(Y).max())
+    assert np.abs(res.X_oracle - X).max() <= 1e-12 * scale
+    assert np.abs(res.Y_oracle - Y).max() <= 1e-12 * scale
+
+
+def test_bvp_oracle_memory_is_banded():
+    # the dense system of this call would hold (2 * 40 * 129)^2 doubles
+    sol = rl.solve_game(random_spec(1, 4, N=800))
+    tracemalloc.start()
+    try:
+        rl.bvp_oracle(sol, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"{peak / 1e6:.1f} MB"
+
+
 def test_equilibrium_verification_n2():
     """Dimension-generic end to end: a 2-state game's value matches Monte
     Carlo and all four deviation tests keep their signs."""
-    from conftest import random_spec
     spec = random_spec(42, 2, N=150)
     sol = rl.solve_game(spec)
     out = rl.simulate(sol, rl.SimConfig(paths=20_000, seed=13, substeps=2))
@@ -277,10 +416,10 @@ def test_deviation_suites_reject_no_directions(sol_a, suite, count):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2, chunk=17): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "c9a96f6e1ee6bac3c783e3d74cf63502fec2e090bb99d15eb27712697bab874c",
-    "j_follower": "a55e42bb5e569fa2a226f9152fcbd39fd16108326748533a8629de3427bf5773",
-    "j_leader": "3e83e4229cfecb9a5fc7230de14239bc49db2fbfd96bd7ca0cde016a604a7734",
-    "terminal": "b20833a0ca733efb2e7d6bf2973af10e80a28c6a81bfe07b776522f9c33c22af",
+    "j": "627cfa4c3bf5a71fbd93018c5073e03824b6b910ce329aca1f50b2d1323ce3b0",
+    "j_follower": "e94cd7518510d1d35712b311bcc361ac8d249594cab7a848b29dec03b7f180ee",
+    "j_leader": "4700b8b84d23f0f2a0a16bb7e6e10e56889c8c06313588f08aafb2683a816b16",
+    "terminal": "e8f724ef2ca20173722ca6d489773953aea1118f86d0d9f903903a1a71abcaff",
 }
 
 # rows of perturb_best_response(directions=2) and sampled_convexity(samples=2)
