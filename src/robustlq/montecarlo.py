@@ -2,9 +2,13 @@
 verification harness.
 
 The closed-loop state is simulated with Euler-Maruyama on the spec grid
-refined by a fixed number of substeps, with per-path Brownian substreams
-keyed by (master seed, path index) so results are independent of chunking.
-Costs are accumulated with left-endpoint quadrature.
+refined by a fixed number of substeps.  Brownian increments come in path
+blocks of PATH_BLOCK paths, each one counter-based Philox stream keyed by
+(master seed, spawn key (0, block index)) and drawn path after path, so
+a path's increments depend only on the seed and its index, never on the
+chunking.  The (0, .) keys are disjoint from the one-element keys of the
+perturbation and convexity direction streams.  Costs are accumulated
+with left-endpoint quadrature.
 
 Every perturbation test compares two arms under common random numbers.
 Because the game is linear-quadratic, the perturbed arm equals the base
@@ -42,15 +46,24 @@ from .equilibrium import EquilibriumSolution, ensure_diagnostics, skeleton
 from .model import BlowUpError, MatrixPath, SpecError, make_grid
 
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
-# Paths [b, b + PATH_BLOCK) are advanced together as the columns of one
-# block.  Blocks start at fixed multiples, so the shape of every product a
-# path takes part in, and hence its rounding, does not depend on the chunk.
+# Paths [b, b + PATH_BLOCK) share one Brownian stream and are advanced
+# together as the columns of one block.  Blocks start at fixed multiples,
+# so a path's increments and the shape of every product it takes part in,
+# hence its rounding, do not depend on the chunk.
 PATH_BLOCK = 1024
 STEP_BLOCK = 32  # steps whose matrices are formed together
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo run settings.
+
+    chunk is the number of paths drawn and simulated together, in whole
+    path blocks: chunk // PATH_BLOCK blocks and at least one, so at most
+    max(chunk, PATH_BLOCK) paths of increments are held at once.  Results
+    do not depend on it.
+    """
+
     paths: int = 10_000
     seed: int = 0
     substeps: int = 1
@@ -131,14 +144,21 @@ class PerturbationReport:
 
 
 def path_increments(seed: int, first: int, count: int, steps: int, dt: float) -> np.ndarray:
-    """Brownian increments for paths [first, first+count), one substream per
-    path keyed by (seed, path index); independent of chunk layout."""
+    """Brownian increments for paths [first, first+count), (count, steps).
+
+    Each path block [b, b + PATH_BLOCK) is one Philox stream keyed by
+    (seed, (0, b // PATH_BLOCK)), drawn path after path, so a path's
+    increments depend only on (seed, path index).  A range that starts
+    inside a block draws and discards the block's rows before it."""
     out = np.empty((count, steps))
-    root = np.asarray(np.uint64(seed))
-    for i in range(count):
-        ss = np.random.SeedSequence(entropy=int(root), spawn_key=(first + i,))
-        gen = np.random.Generator(np.random.Philox(ss))
-        out[i] = gen.normal(0.0, np.sqrt(dt), size=steps)
+    end = first + count
+    for b in range(first - first % PATH_BLOCK, end, PATH_BLOCK):
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(0, b // PATH_BLOCK))))
+        if b < first:
+            gen.standard_normal((first - b, steps))
+        gen.standard_normal(out=out[max(b - first, 0):min(b + PATH_BLOCK, end) - first])
+    out *= np.sqrt(dt)
     return out
 
 
@@ -422,25 +442,13 @@ class _Block:
 
 
 def _groups(cfg: SimConfig, steps: int, dt: float):
-    """Brownian increments of the path blocks, drawn by one
-    `path_increments` call per chunk: after each chunk, the list of
-    (first path, (width, steps) increments) of the blocks it completes."""
-    pending, start = [], 0  # drawn rows of the unfinished block at `start`
-    for first in range(0, cfg.paths, cfg.chunk):
-        count = min(cfg.chunk, cfg.paths - first)
-        dW = path_increments(cfg.seed, first, count, steps, dt)
-        have = first + count
-        group = []
-        while start < have and (start + PATH_BLOCK <= have or have == cfg.paths):
-            end = min(start + PATH_BLOCK, have)
-            pending.append(dW[max(start - first, 0):end - first])
-            group.append((start, pending[0] if len(pending) == 1 else np.concatenate(pending)))
-            pending, start = [], end
-        if start < have:  # fewer than PATH_BLOCK rows; the copy frees the chunk
-            pending.append(dW[max(start - first, 0):].copy())
-        if group:
-            yield group
-        del dW, group  # with the caller's own `del`, one chunk is held at a time
+    """Brownian increments of the path blocks, max(1, chunk // PATH_BLOCK)
+    whole blocks at a time: lists of (first path, (width, steps)
+    increments), one aligned `path_increments` call per block."""
+    size = max(1, cfg.chunk // PATH_BLOCK) * PATH_BLOCK
+    for start in range(0, cfg.paths, size):
+        yield [(b, path_increments(cfg.seed, b, min(PATH_BLOCK, cfg.paths - b), steps, dt))
+               for b in range(start, min(start + size, cfg.paths), PATH_BLOCK)]
 
 
 def _run(pre: dict, cfg: SimConfig, tests=()):
@@ -486,7 +494,7 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
             for key, arr in per_path:
                 arr[bad] = np.nan
                 out[key][sl] = arr
-        del blocks, blk  # the chunk's increments go before the next chunk is drawn
+        del blocks, blk  # one group's increments are held at a time
 
     if blown > BLOWUP_PATH_BUDGET * cfg.paths:
         raise BlowUpError(

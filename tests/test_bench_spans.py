@@ -40,7 +40,11 @@ def test_traced_layers_record(tmp_path):
     try:
         sol = equilibrium.solve_game(instance_b(N=48))
         equilibrium.value(sol)
-        montecarlo.simulate(sol, rl.SimConfig(paths=8, seed=1))
+        paths = montecarlo.PATH_BLOCK + 8
+        montecarlo.simulate(sol, rl.SimConfig(paths=paths, seed=1, chunk=1))
+        # the stream counters count every simulated path step exactly once
+        assert tracer.counts["montecarlo.stream_paths"] == paths
+        assert tracer.counts["montecarlo.path_steps"] == paths * sol.spec.grid.steps
         code = cli.run(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
                         "--paths", "40", "--directions", "1"])
     finally:

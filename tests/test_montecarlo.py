@@ -47,6 +47,50 @@ def test_seed_determinism_and_chunk_invariance(sol_a):
             assert np.array_equal(getattr(out, name), getattr(runs[0], name)), name
 
 
+def test_path_increments_slices_of_aligned_blocks():
+    B, steps, dt = montecarlo.PATH_BLOCK, 5, 0.01
+    blocks = [montecarlo.path_increments(4, b * B, B, steps, dt) for b in range(3)]
+    full = np.concatenate(blocks)
+    # a range across a block boundary is the matching rows of the two blocks
+    assert np.array_equal(montecarlo.path_increments(4, B - 3, 10, steps, dt),
+                          np.concatenate([blocks[0][-3:], blocks[1][:7]]))
+    # a path's row depends on (seed, path index) only
+    for first, count in ((0, 1), (1, 1), (B - 1, 2), (B, 10), (B + 517, 2 * B - 600),
+                         (2 * B + 5, 1)):
+        rows = montecarlo.path_increments(4, first, count, steps, dt)
+        assert np.array_equal(rows, full[first:first + count]), (first, count)
+    assert not np.array_equal(montecarlo.path_increments(5, 0, B, steps, dt), blocks[0])
+
+
+def test_streams_drawn_once_per_path(monkeypatch, sol_a):
+    drawn = []
+    inner = montecarlo.path_increments
+
+    def counting(seed, first, count, steps, dt):
+        drawn.append(count)
+        return inner(seed, first, count, steps, dt)
+
+    monkeypatch.setattr(montecarlo, "path_increments", counting)
+    paths = montecarlo.PATH_BLOCK + 300
+    rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=1, chunk=1))
+    assert sum(drawn) == paths
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_brownian_streams_disjoint_from_direction_streams(seed):
+    # the streams `_deviation_tests` draws directions from when
+    # directions_seed == seed: perturbations (0xD1), convexity (0xC0)
+    heads = 16
+    directions = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=(key,)))).standard_normal(heads) for key in (0xD1, 0xC0)]
+    B = montecarlo.PATH_BLOCK
+    starts = [montecarlo.path_increments(seed, b * B, 1, heads, 1.0)[0] for b in range(256)]
+    rows = montecarlo.path_increments(seed, 0, 256, heads, 1.0)
+    for d in directions:
+        for i, draws in enumerate(starts + list(rows)):
+            assert not np.array_equal(draws, d), i
+
+
 def reference_run(pre, tests, dW):
     """Path-major Euler loop that evaluates every signal and every cost
     term one at a time: the per-path criteria and each test's cross and
@@ -416,39 +460,39 @@ def test_deviation_suites_reject_no_directions(sol_a, suite, count):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2, chunk=17): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "627cfa4c3bf5a71fbd93018c5073e03824b6b910ce329aca1f50b2d1323ce3b0",
-    "j_follower": "e94cd7518510d1d35712b311bcc361ac8d249594cab7a848b29dec03b7f180ee",
-    "j_leader": "4700b8b84d23f0f2a0a16bb7e6e10e56889c8c06313588f08aafb2683a816b16",
-    "terminal": "e8f724ef2ca20173722ca6d489773953aea1118f86d0d9f903903a1a71abcaff",
+    "j": "dab5d6f11731d8276abb8a0463295c230dcb1063c5c42f65a80f907cdfd5ab49",
+    "j_follower": "d48a384711a1bb108c2500f15ad0fc90b4be96e1eede3688a7d96f1accc56863",
+    "j_leader": "465172082b5feba4fa6db8b3f09fb610b73319d0e96b799714947a5104bf16b7",
+    "terminal": "2813fe8ae316920e41bfb95027b804a6a1349f25fd93732e04d6c0104ca8ad94",
 }
 
 # rows of perturb_best_response(directions=2) and sampled_convexity(samples=2)
 # on instance_a with 200 paths, seed 0, one substep
 ROWS_GOLDEN = [
-    ("follower_control", 0, 0.05, -9.36016529936165e-05, 0.0037231261454024516, "inconclusive"),
-    ("follower_control", 0, 0.1, 0.005640031815727988, 0.007342480783614789, "inconclusive"),
-    ("follower_control", 1, 0.05, 0.001512778753415847, 0.003100488926872929, "inconclusive"),
-    ("follower_control", 1, 0.1, 0.008098882836222341, 0.006140041580547353, "inconclusive"),
-    ("leader_control", 0, 0.05, -0.005342972328833411, 0.0013552683796688584, "pass"),
-    ("leader_control", 0, 0.1, -0.015681088974267225, 0.002738605744957075, "pass"),
-    ("leader_control", 1, 0.05, -0.002648507292344931, 0.0014445852846171013, "inconclusive"),
-    ("leader_control", 1, 0.1, -0.0102731573660438, 0.0028570870065310725, "pass"),
-    ("follower_disturbance", 0, 0.05, -0.009361433545994818, 0.000550239861405054, "pass"),
-    ("follower_disturbance", 0, 0.1, -0.03786697793459627, 0.0010912763682280056, "pass"),
-    ("follower_disturbance", 1, 0.05, -0.00963454948407181, 0.0006898886775098459, "pass"),
-    ("follower_disturbance", 1, 0.1, -0.03800950451578839, 0.0013931382395756034, "pass"),
-    ("leader_disturbance", 0, 0.05, 0.00999876642157361, 0.0002773581666937653, "pass"),
-    ("leader_disturbance", 0, 0.1, 0.04012766337644726, 0.0005548167546751253, "pass"),
-    ("leader_disturbance", 1, 0.05, 0.010167712543683372, 0.00023169578949256437, "pass"),
-    ("leader_disturbance", 1, 0.1, 0.04041681169735236, 0.0004632167745885995, "pass"),
-    ("follower_disturbance_concavity", 0, 1.0, 3.367423442399895, 0.008622520513457212, "pass"),
-    ("follower_disturbance_concavity", 1, 1.0, 3.810701314765108, 0.003542388616992521, "pass"),
-    ("follower_control_convexity", 0, 1.0, 1.0802603613254576, 0.02693611331944197, "pass"),
-    ("follower_control_convexity", 1, 1.0, 1.448389131892797, 0.05451433028915402, "pass"),
-    ("leader_disturbance_convexity", 0, 1.0, 4.024908951216922, 0.0002116473095363951, "pass"),
-    ("leader_disturbance_convexity", 1, 1.0, 4.082170603725057, 0.0009060090620968629, "pass"),
-    ("leader_control_concavity", 0, 1.0, 1.0856049033937663, 0.005167596684185323, "pass"),
-    ("leader_control_concavity", 1, 1.0, 1.1276729093366904, 0.0038207084867060205, "pass"),
+    ("follower_control", 0, 0.05, 0.004935918140352966, 0.004357548635950177, "inconclusive"),
+    ("follower_control", 0, 0.1, 0.016006592310352584, 0.008583215285105767, "inconclusive"),
+    ("follower_control", 1, 0.05, 0.004091233810958604, 0.0034524739466890654, "inconclusive"),
+    ("follower_control", 1, 0.1, 0.01346837001506781, 0.006882105560193203, "inconclusive"),
+    ("leader_control", 0, 0.05, -0.002301015023223553, 0.001371995167655752, "inconclusive"),
+    ("leader_control", 0, 0.1, -0.009525233514403555, 0.0027745508804344473, "pass"),
+    ("leader_control", 1, 0.05, -0.002254462735309829, 0.001326939508841187, "inconclusive"),
+    ("leader_control", 1, 0.1, -0.009501741507484457, 0.0026268430523591524, "pass"),
+    ("follower_disturbance", 0, 0.05, -0.009624223791533031, 0.0005409736273648431, "pass"),
+    ("follower_disturbance", 0, 0.1, -0.03838835348720627, 0.00107297088663187, "pass"),
+    ("follower_disturbance", 1, 0.05, -0.009508038765027456, 0.0006726987327479846, "pass"),
+    ("follower_disturbance", 1, 0.1, -0.03775359748534997, 0.0013581805763295384, "pass"),
+    ("leader_disturbance", 0, 0.05, 0.010144720460081495, 0.00026608725330467143, "pass"),
+    ("leader_disturbance", 0, 0.1, 0.04041973388699919, 0.0005322349953469721, "pass"),
+    ("leader_disturbance", 1, 0.05, 0.01018776642412957, 0.0002426376661817259, "pass"),
+    ("leader_disturbance", 1, 0.1, 0.04045708963650158, 0.00048512529565987764, "pass"),
+    ("follower_disturbance_concavity", 0, 1.0, 3.3661815262361143, 0.009052447334780613, "pass"),
+    ("follower_disturbance_concavity", 1, 1.0, 3.80830108157837, 0.0038875042435546595, "pass"),
+    ("follower_control_convexity", 0, 1.0, 1.1247801052445618, 0.032059197916824836, "pass"),
+    ("follower_control_convexity", 1, 1.0, 1.431666336925936, 0.05973742668291184, "pass"),
+    ("leader_disturbance_convexity", 0, 1.0, 4.02515593895672, 0.00023899445309982835, "pass"),
+    ("leader_disturbance_convexity", 1, 1.0, 4.0815006689117554, 0.0009796740754426537, "pass"),
+    ("leader_control_concavity", 0, 1.0, 1.0809547241978859, 0.005435679882077832, "pass"),
+    ("leader_control_concavity", 1, 1.0, 1.1178317922459737, 0.004552710010199607, "pass"),
 ]
 
 
