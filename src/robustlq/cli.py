@@ -218,13 +218,12 @@ def cmd_example(args) -> int:
     sol = equilibrium.solve_game(spec)
     # clamped strategies along the deterministic skeleton (outputs are
     # productions, so negative prescriptions are cut at zero)
-    X = equilibrium.skeleton(sol)
+    t = spec.grid.nodes
+    s = equilibrium.feedback(sol, equilibrium.skeleton(sol), t)
+    cl = equilibrium.clamp_nonnegative(s)
     lines = ["t,u1,u2,u1_clamped,u2_clamped,f,f1_implied,f2"]
-    for k, t in enumerate(spec.grid.nodes):
-        s = equilibrium.feedback(sol, X[k], t)
-        cl = equilibrium.clamp_nonnegative(s)
-        lines.append(",".join(_fmt(v) for v in (
-            t, s.u1[0], s.u2[0], cl.u1[0], cl.u2[0], s.f[0], s.f[0] - s.f2[0], s.f2[0])))
+    lines += [",".join(_fmt(v) for v in row) for row in np.column_stack(
+        (t, s.u1, s.u2, cl.u1, cl.u2, s.f, s.f - s.f2, s.f2))]
     (out / "strategies.csv").write_text("\n".join(lines) + "\n")
     print(f"value: {equilibrium.value(sol):.9f}")
     return EXIT_OK
@@ -236,22 +235,12 @@ def cmd_dump_blocks(args) -> int:
     from .backward import solve_riccati_follower
     P = solve_riccati_follower(spec, args.delta).P
     terms = augment.follower_terms(spec, P, args.delta)
-    hat = augment.build_hat(spec, terms)
-    stage = None
-    if args.stage == "hat":
-        stage = hat
-    elif args.stage == "check":
-        stage = augment.build_check(spec, terms)
-    elif args.stage == "weights":
-        stage = augment.build_cost_weights(spec, terms)
-    elif args.stage in ("blackboard", "doublehat"):
-        check = augment.build_check(spec, terms)
-        bb = augment.build_blackboard(check, hat, terms)
-        if args.stage == "blackboard":
-            stage = bb
-        else:
-            w = augment.build_cost_weights(spec, terms)
-            stage = augment.build_doublehat(bb, w, terms.Rbbinv)
+    stages = {"hat": augment.build_hat(spec, terms), "check": augment.build_check(spec, terms),
+              "weights": augment.build_cost_weights(spec, terms)}
+    stages["blackboard"] = augment.build_blackboard(stages["check"], stages["hat"], terms)
+    stages["doublehat"] = augment.build_doublehat(stages["blackboard"], stages["weights"],
+                                                  terms.Rbbinv)
+    stage = stages[args.stage]
     doc = {"stage": args.stage, "t": args.t, "blocks": {}}
     for name in stage.__dataclass_fields__:
         val = getattr(stage, name)
@@ -341,13 +330,6 @@ def run(argv=None) -> int:
     except (RegularityError, BlowUpError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileNotFoundError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"spec error: malformed JSON at line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 def main():

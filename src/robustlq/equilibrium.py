@@ -9,6 +9,10 @@ solve_game runs the full cascade:
   4. feedback gain maps, closed-loop coefficients,
   5. Lyapunov path L and value offset psi.
 
+row_maps gives the four equilibrium maps u1, u2, f and f2 as row maps
+of X1 = [X; 1] at one time or at an array of times; feedback applies
+them to states, and the Monte Carlo harness simulates with them.
+
 Everything is deterministic: identical specs produce bit-identical
 solutions.
 """
@@ -49,19 +53,11 @@ class EquilibriumSolution:
     dh: augment.DoubleHatStage
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
-    P2: MatrixPath | None = None
     P3: MatrixPath | None = None
 
     @property
     def grid(self):
         return self.spec.grid
-
-    def rtilde1_at(self, t: float) -> np.ndarray:
-        D1 = self.spec.D1.at(t)
-        return self.spec.R1.at(t) + D1.T @ self.P.at(t) @ D1
-
-    def rbb_at(self, t: float) -> np.ndarray:
-        return self.weights.Rbb.at(t)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -72,15 +68,12 @@ def _stage(name, fn, *args, **kwargs):
         raise
 
 
-def solve_game(spec: GameSpec, delta: float = 1e-8,
-               diagnostics: bool = False) -> EquilibriumSolution:
+def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     """Run the full solver cascade on a validated spec.
 
     Raises SpecError when validation fails, RegularityError or BlowUpError
     (tagged with the failing stage) when a solvability condition breaks
-    down.  With diagnostics=True the intermediate-stage Riccati paths P2
-    and P3 are solved as well; they are not needed for the equilibrium
-    itself.
+    down.
     """
     report = validate_spec(spec, delta)
     if not report.ok:
@@ -131,17 +124,12 @@ def solve_game(spec: GameSpec, delta: float = 1e-8,
     regularity = dict(Psol.regularity)
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
 
-    sol = EquilibriumSolution(
+    return EquilibriumSolution(
         spec=spec, delta=delta, P=P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, sel=sel, Atil=Atil, Btil=Btil, Ctil=Ctil,
         Dtil=Dtil, hat=hat, check=check, bb=bb, weights=weights, dh=dh,
         terms=terms, regularity=regularity,
     )
-    if diagnostics:
-        sol.P2 = _stage("intermediate riccati P2", backward.solve_riccati_generalized,
-                        hat.problem()).P
-        ensure_diagnostics(sol)
-    return sol
 
 
 def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
@@ -179,9 +167,41 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     return out
 
 
+def row_maps(sol: EquilibriumSolution, t) -> dict:
+    """The four equilibrium maps at time t, or stacked along the leading
+    axes of an array of times, each as a row map (k, 10n+1) of the
+    augmented state X1 = [X; 1]:
+
+        u1 = Rt1^{-1} [PM1 | phiM1],  u2 = Rbb^{-1} [PM2 | phiM2],
+        f  = -(2/alpha) R0^{-1} row_pbar [Phat | phihat],
+        f2 =  (2/gamma) R0hat^{-1} row_xtil [Phat | phihat],
+
+    with Rt1 = R1 + D1'P D1.  Also returns the weight inverses "rt1inv",
+    "r0inv" and "r0hinv" the maps are built from.
+    """
+    spec, g = sol.spec, sol.gains
+    at = lambda path: path.at(t)
+
+    def rows(gain, off):
+        return np.concatenate([at(gain), at(off)], axis=-1)
+
+    D1 = at(spec.D1)
+    rt1inv = np.linalg.inv(at(spec.R1) + D1.mT @ at(sol.P) @ D1)
+    r0inv, r0hinv = np.linalg.inv(at(spec.R0)), np.linalg.inv(at(spec.R0hat))
+    Ph = rows(sol.Phat, sol.phihat)
+    return {
+        "u1": rt1inv @ rows(g.PM1, g.phiM1),
+        "u2": np.linalg.inv(at(sol.weights.Rbb)) @ rows(g.PM2, g.phiM2),
+        "f": (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar @ Ph,
+        "f2": ((2.0 / spec.gamma) * r0hinv) @ sol.sel.row_xtil @ Ph,
+        "rt1inv": rt1inv, "r0inv": r0inv, "r0hinv": r0hinv,
+    }
+
+
 @dataclass(frozen=True)
 class StrategyOutput:
-    """Controls and worst-case disturbances at one (t, state) pair.
+    """Controls and worst-case disturbances at one (t, state) pair, or
+    stacked along a leading axis for arrays of pairs.
 
     f is the combined disturbance the follower hedges against; f2 is the
     leader-side worst case; the implied follower-side remainder is f - f2.
@@ -193,19 +213,14 @@ class StrategyOutput:
     f2: np.ndarray
 
 
-def feedback(sol: EquilibriumSolution, Xhat, t: float) -> StrategyOutput:
-    """Evaluate the four equilibrium maps at time t and stacked state Xhat."""
-    spec = sol.spec
-    X = np.asarray(Xhat, dtype=float).reshape(10 * spec.n, 1)
-    g = sol.gains
-    u1 = np.linalg.solve(sol.rtilde1_at(t), g.PM1.at(t) @ X + g.phiM1.at(t))
-    u2 = np.linalg.solve(sol.rbb_at(t), g.PM2.at(t) @ X + g.phiM2.at(t))
-    Yhat = sol.Phat.at(t) @ X + sol.phihat.at(t)
-    pbar = sol.sel.row_pbar @ Yhat
-    xtil = sol.sel.row_xtil @ Yhat
-    f = -(2.0 / spec.alpha) * np.linalg.solve(spec.R0.at(t), pbar)
-    f2 = (2.0 / spec.gamma) * np.linalg.solve(spec.R0hat.at(t), xtil)
-    return StrategyOutput(u1=u1[:, 0], u2=u2[:, 0], f=f[:, 0], f2=f2[:, 0])
+def feedback(sol: EquilibriumSolution, Xhat, t) -> StrategyOutput:
+    """Evaluate the four equilibrium maps at time t and stacked state Xhat
+    (10n,), or at an array of K times and a (K, 10n) stack of states."""
+    maps = row_maps(sol, t)
+    lead = np.shape(t)
+    X = np.asarray(Xhat, dtype=float).reshape(lead + (10 * sol.spec.n,))
+    X1 = np.concatenate([X, np.ones(lead + (1,))], axis=-1)[..., None]
+    return StrategyOutput(*((maps[s] @ X1)[..., 0] for s in ("u1", "u2", "f", "f2")))
 
 
 def clamp_nonnegative(s: StrategyOutput) -> StrategyOutput:

@@ -399,7 +399,15 @@ def _floats(value, what, shape=None) -> np.ndarray:
         raise SpecError(f"{what} must be numeric{fit}, got {value!r}") from exc
 
 
+def _object(value, what) -> dict:
+    """value when it is a JSON object, else a SpecError naming `what`."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object, got {value!r:.40}")
+    return value
+
+
 def _path_from_json(grid: TimeGrid, obj, shape, name):
+    obj = _object(obj, f"matrix {name!r}")
     if "constant" in obj:
         return MatrixPath.constant(grid, _floats(obj["constant"], f"matrix {name!r}", shape))
     if "nodes" not in obj:
@@ -428,12 +436,21 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
 
 
 def load_spec(path_or_file) -> GameSpec:
-    """Parse a game specification from a JSON file path or file object."""
-    if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            doc = json.load(fh)
+    """Parse a game specification from a JSON file path or file object; a
+    file that cannot be read as UTF-8 JSON is a SpecError naming it."""
+    stream = hasattr(path_or_file, "read")
+    name = getattr(path_or_file, "name", "<stream>") if stream else path_or_file
+    try:
+        if stream:
+            doc = json.load(path_or_file)
+        else:
+            with open(path_or_file, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"spec file {name}: malformed JSON at line {exc.lineno}, "
+                        f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read spec file {name}: {exc}") from exc
     return spec_from_dict(doc)
 
 
@@ -447,19 +464,20 @@ def _integer(doc: dict, key: str) -> int:
 
 
 def spec_from_dict(doc: dict) -> GameSpec:
+    doc = _object(doc, "spec document")
     try:
         n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
         T, N = float(_floats(doc["T"], "spec field 'T'", ())), _integer(doc, "N")
         alpha = float(_floats(doc["alpha"], "spec field 'alpha'", ()))
         gamma = float(_floats(doc["gamma"], "spec field 'gamma'", ()))
         xi = _floats(doc["xi"], "spec field 'xi'")
-        matrices = doc["matrices"]
+        matrices = _object(doc["matrices"], "spec field 'matrices'")
     except KeyError as exc:
         raise SpecError(f"spec file missing required field {exc}") from exc
     grid = make_grid(T, N)
     if "G" not in matrices:
         raise SpecError("spec file missing matrix 'G'")
-    gobj = matrices["G"]
+    gobj = _object(matrices["G"], "matrix 'G'")
     if "constant" not in gobj:
         raise SpecError("terminal weight G must be given as a constant matrix")
     G = _floats(gobj["constant"], "matrix 'G'", (n, n))

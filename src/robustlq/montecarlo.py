@@ -30,9 +30,10 @@ bookkeeping with the base costs.
 
 The loop is state-major: a block of paths is held as the columns of the
 augmented state X1 = [X; 1], and every signal is a row map E_s = [gain |
-off] of X1.  Each criterion then collapses to one quadratic form
-X1' M X1 per step, and a step of a block is one matrix product for the
-closed loop and one more per test.
+off] of X1; the controls and disturbances are `equilibrium.row_maps`,
+the maps `feedback` evaluates.  Each criterion then collapses to one
+quadratic form X1' M X1 per step, and a step of a block is one matrix
+product for the closed loop and one more per test.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augment, backward
-from .equilibrium import EquilibriumSolution, ensure_diagnostics, skeleton
+from .equilibrium import EquilibriumSolution, ensure_diagnostics, row_maps, skeleton
 from .model import BlowUpError, MatrixPath, SpecError, make_grid
 
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
@@ -186,25 +187,17 @@ def _criteria(spec) -> dict:
 def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     """Sample everything the Euler loop needs at the left ends of the
     sub-grid steps.  Each signal is a row map E_s of the augmented state
-    X1 = [X; 1]: (steps, k, 10n+1) for the controls and disturbances,
-    a constant (n, 10n+1) selector for x and xbar."""
+    X1 = [X; 1]: the equilibrium maps of `row_maps`, (steps, k, 10n+1),
+    for the controls and disturbances, a constant (n, 10n+1) selector for
+    x and xbar."""
     spec = sol.spec
     n = spec.n
     times = _subtimes(spec.grid, substeps)
     left = times[:-1]
     at = lambda path: path.at(left)
-
-    R1, R0, R0h, D1 = at(spec.R1), at(spec.R0), at(spec.R0hat), at(spec.D1)
-    rt1inv = np.linalg.inv(R1 + D1.mT @ at(sol.P) @ D1)
-    r0inv, r0hinv = np.linalg.inv(R0), np.linalg.inv(R0h)
-    Ph = np.concatenate([at(sol.Phat), at(sol.phihat)], axis=2)
-    f_map = (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar
-    f2_map = ((2.0 / spec.gamma) * r0hinv) @ sol.sel.row_xtil
+    maps = row_maps(sol, left)
+    signals = {s: maps.pop(s) for s in ("u1", "u2", "f", "f2")}
     select = np.eye(10 * n, 10 * n + 1)
-
-    def gains(gain, off):
-        return np.concatenate([at(gain), at(off)], axis=2)
-
     return {
         "left": left,
         "dt": times[1] - times[0],
@@ -215,23 +208,14 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
         "C": at(sol.Ctil),
         "d": at(sol.Dtil),
         "Q": at(spec.Q),
-        "R1": R1,
+        "R1": at(spec.R1),
         "R2": at(spec.R2),
-        "R0": R0,
-        "R0h": R0h,
+        "R0": at(spec.R0),
+        "R0h": at(spec.R0hat),
         "G": spec.G,
         "x0": sol.dh.Xi[:, 0],
-        "rt1inv": rt1inv,
-        "r0inv": r0inv,
-        "r0hinv": r0hinv,
-        "signals": {
-            "x": select[:n],
-            "xbar": select[n:2 * n],
-            "u1": rt1inv @ gains(sol.gains.PM1, sol.gains.phiM1),
-            "u2": np.linalg.inv(at(sol.weights.Rbb)) @ gains(sol.gains.PM2, sol.gains.phiM2),
-            "f": f_map @ Ph,
-            "f2": f2_map @ Ph,
-        },
+        "signals": {"x": select[:n], "xbar": select[n:2 * n], **signals},
+        **maps,  # the weight inverses rt1inv, r0inv and r0hinv
         "criteria": _criteria(spec),
     }
 

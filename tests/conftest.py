@@ -110,6 +110,11 @@ def malformed_spec_docs():
                 doc[key] = val
         return doc
 
+    def with_matrix(name, value):
+        doc = doc_with()
+        doc["matrices"][name] = value
+        return doc
+
     return {
         "xi_length": (doc_with(xi=[1.0, 2.0]), "xi has 2 entries"),
         "fractional_N": (doc_with(N=3.7), "'N' must be an integer"),
@@ -122,4 +127,9 @@ def malformed_spec_docs():
         "non_numeric_node_time": (doc_with(Q=["a", 1.0]), "node times of matrix 'Q'"),
         "infinite_alpha": (doc_with(alpha=float("inf")), "'alpha' must be finite"),
         "infinite_gamma": (doc_with(gamma=-float("inf")), "'gamma' must be finite"),
+        "top_level_list": ([1, 2], "spec document must be a JSON object"),
+        "matrices_string": (doc_with(matrices="GA"), "'matrices' must be a JSON object"),
+        "matrix_number": (with_matrix("A", 5), "matrix 'A' must be a JSON object"),
+        "terminal_number": (with_matrix("G", 5), "matrix 'G' must be a JSON object"),
+        "matrix_null": (with_matrix("A", None), "matrix 'A' must be a JSON object"),
     }

@@ -289,7 +289,6 @@ def test_gain_map_matches_componentwise_formula(sol_a):
                                  lambda path: path.samples)[:2]
     for _ in range(25):
         k = int(rng.integers(0, len(spec.grid)))
-        t = spec.grid.nodes[k]
         X = rng.standard_normal((10 * n, 1))
         Y = sol_a.Phat.samples[k] @ X + sol_a.phihat.samples[k]
         Z = Es[k] @ X + es[k]
@@ -298,7 +297,7 @@ def test_gain_map_matches_componentwise_formula(sol_a):
         B1, D1 = spec.B1.samples[k], spec.D1.samples[k]
         B2, D2 = spec.B2.samples[k], spec.D2.samples[k]
         C, sig = spec.C.samples[k], spec.sigma.samples[k]
-        Rt1inv = np.linalg.inv(sol_a.rtilde1_at(t))
+        Rt1inv = np.linalg.inv(spec.R1.samples[k] + D1.T @ P @ D1)
         R = Rt1inv @ spec.R1.samples[k] @ Rt1inv
         K = B1.T @ P + D1.T @ P @ C
         DPD1 = D2.T @ P @ D1

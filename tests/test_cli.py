@@ -125,6 +125,20 @@ def test_missing_file_exit_code(tmp_path):
                     "--out", str(tmp_path / "o")]) == 1
 
 
+def test_directory_spec_exit_code(tmp_path, capsys):
+    spec_dir = tmp_path / "spec_dir"
+    spec_dir.mkdir()
+    assert cli.run(["solve", "--spec", str(spec_dir), "--out", str(tmp_path / "o")]) == 1
+    assert f"cannot read spec file {spec_dir}" in capsys.readouterr().err
+
+
+def test_non_utf8_spec_exit_code(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"n": 1, "note": "caf\xe9"}')
+    assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 1
+    assert f"cannot read spec file {f}" in capsys.readouterr().err
+
+
 def test_unknown_flag_exit_code(homog_file, tmp_path, capsys):
     code = cli.run(["solve", "--spec", homog_file, "--out", str(tmp_path / "o"),
                     "--bogus-flag", "1"])

@@ -94,6 +94,21 @@ def test_feedback_affine_in_state(sol_a):
     assert np.any(d.u2 != 0.0)
 
 
+def test_feedback_on_arrays_matches_scalar_calls(sol_a):
+    """One call on the node times and a (K, 10n) stack of states gives the
+    scalar calls' outputs row by row."""
+    rng = np.random.default_rng(12)
+    nodes = sol_a.spec.grid.nodes
+    X = rng.standard_normal((len(nodes), 10 * sol_a.spec.n))
+    stacked = rl.feedback(sol_a, X, nodes)
+    rows = [rl.feedback(sol_a, x, t) for x, t in zip(X, nodes)]
+    for name in ("u1", "u2", "f", "f2"):
+        got = getattr(stacked, name)
+        want = np.array([getattr(r, name) for r in rows])
+        assert got.shape == want.shape == (len(nodes), len(want[0]))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
 def test_value_zero_initial_state():
     spec = homogeneous_spec(xi=0.0)
     assert rl.value(rl.solve_game(spec)) == 0.0
@@ -177,19 +192,23 @@ def test_decoupled_representation_residual(sol_a):
 
 def test_diagnostic_stages_on_request():
     spec = instance_a(N=80)
-    sol = rl.solve_game(spec, diagnostics=True)
-    assert sol.P2 is not None and sol.P3 is not None
-    assert sol.P2.shape == (2, 2) and sol.P3.shape == (5, 5)
+    sol = rl.solve_game(spec)
+    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
+    rl.ensure_diagnostics(sol)
+    assert P2 is not None and sol.P3 is not None
+    assert P2.shape == (2, 2) and sol.P3.shape == (5, 5)
     # terminal data match the stage definitions exactly
-    assert np.array_equal(sol.P2.samples[-1], sol.hat.G)
+    assert np.array_equal(P2.samples[-1], sol.hat.G)
     assert np.array_equal(sol.P3.samples[-1], sol.bb.G)
 
 
 def test_intermediate_stage_residuals():
     spec = instance_a(N=400)
-    sol = rl.solve_game(spec, diagnostics=True)
+    sol = rl.solve_game(spec)
+    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
+    rl.ensure_diagnostics(sol)
     for prob, path in (
-        (sol.hat.problem(), sol.P2),
+        (sol.hat.problem(), P2),
         (sol.bb.problem(), sol.P3),
     ):
         res = backward.riccati_residuals(backward.generalized_riccati_rhs(prob), path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import montecarlo
+from robustlq import equilibrium, montecarlo
 from robustlq.model import BlowUpError, SpecError
 
 from conftest import homogeneous_spec, instance_b, random_spec
@@ -169,6 +169,16 @@ def test_collapsed_forms_match_reference_loop(sol_a):
         assert np.all(np.abs(out[key] - ref[key]) <= 1e-12 * scale), key
 
 
+def test_simulated_signals_are_the_feedback_maps(sol_a):
+    """The Monte Carlo controls and disturbances are the equilibrium maps
+    `feedback` evaluates, at the left ends of the sub-grid steps."""
+    grid = sol_a.spec.grid
+    pre = montecarlo._precompute_base(sol_a, 2)
+    maps = equilibrium.row_maps(sol_a, rl.make_grid(grid.horizon, 2 * grid.steps).nodes[:-1])
+    for name in ("u1", "u2", "f", "f2"):
+        assert np.array_equal(pre["signals"][name], maps[name]), name
+
+
 def test_no_noise_paths_identical():
     sol = rl.solve_game(no_noise_spec())
     assert np.all(sol.Ctil.samples == 0.0) and np.all(sol.Dtil.samples == 0.0)
@@ -238,11 +248,11 @@ def test_null_perturbation_exact_zero(sol_a):
 
 
 def test_verification_solves_only_the_leader_stage_riccati():
-    # the leader-deviation response reads P3; the 2n path P2 is left unsolved
+    # the leader-deviation response reads P3, solved on demand
     sol = rl.solve_game(homogeneous_spec(N=40, xi=1.0))
-    assert sol.P2 is None and sol.P3 is None
+    assert sol.P3 is None
     rl.perturb_best_response(sol, rl.SimConfig(paths=10, seed=1), directions=1, eps=(0.1,))
-    assert sol.P2 is None and sol.P3 is not None
+    assert sol.P3 is not None
 
 
 def test_homogeneous_follower_test_deterministic():
