@@ -1,9 +1,9 @@
 """Robust Stackelberg equilibria for zero-sum stochastic linear-quadratic
 leader-follower games with asymmetric drift uncertainty."""
 
-from .augment import (FollowerTerms, GainMaps, SelectorSet, build_blackboard,
-                      build_check, build_cost_weights, build_doublehat,
-                      build_gain_maps, build_hat, follower_terms, selectors)
+from .augment import (FollowerTerms, GainMaps, build_blackboard, build_check,
+                      build_cost_weights, build_doublehat, build_gain_maps,
+                      build_hat, follower_terms)
 from .backward import (RiccatiProblem, RiccatiSolution,
                        closed_form_special_case, integrate_backward,
                        solve_lyapunov, solve_offset_b1, solve_offset_b3,
@@ -27,14 +27,14 @@ __all__ = [
     "BlowUpError", "EquilibriumSolution", "FollowerTerms", "GainMaps",
     "GameSpec", "MatrixPath",
     "OracleResult", "PerturbationReport", "RegularityError",
-    "RiccatiProblem", "RiccatiSolution", "SelectorSet", "SimConfig", "SimOutput",
+    "RiccatiProblem", "RiccatiSolution", "SimConfig", "SimOutput",
     "SpecError", "StrategyOutput", "TimeGrid", "ValidationReport",
     "build_blackboard", "build_check", "build_cost_weights", "build_doublehat",
     "build_gain_maps", "build_hat", "build_spec", "bvp_oracle",
     "clamp_nonnegative", "closed_form_special_case", "dump_spec",
     "ensure_diagnostics", "feedback", "follower_terms", "integrate_backward",
     "load_spec", "make_grid", "perturb_best_response", "sampled_convexity",
-    "scalar_bode", "selectors", "simulate", "solve_game", "solve_lyapunov",
+    "scalar_bode", "simulate", "solve_game", "solve_lyapunov",
     "solve_offset_b1", "solve_offset_b3", "solve_offset_b4",
     "solve_riccati_disturbance", "solve_riccati_follower",
     "solve_riccati_generalized", "solve_value_offset", "spec_from_dict",

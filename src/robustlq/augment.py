@@ -29,8 +29,9 @@ of the 5n forward stack, a the forward adjoint of the 5n backward stack,
 and (xtil, xtilbar, qtilbar, ybar, pbar) the blackboard backward stack.
 The layout follows from stacking each adjoint pair in the order the
 underlying processes were stacked; the feedback formulas read off
-component slots accordingly (ybar at slot 8, pbar at slot 9, xtil at
-slot 5 of the backward stack).
+component slots accordingly with `block_row`: x at slot 0 and xbar at
+slot 1 of the forward stack, and xtil at slot 5, ybar at slot 8 and pbar
+at slot 9 of the backward stack.
 """
 
 from __future__ import annotations
@@ -44,52 +45,10 @@ from .model import GameSpec, MatrixPath, RegularityError
 
 
 def block_row(slot: int, n: int, blocks: int = 10) -> np.ndarray:
-    """The n x (blocks*n) selector picking the given n-block."""
+    """The n x (blocks*n) selector picking the given n-block (0-based slot)."""
     row = np.zeros((n, blocks * n))
     row[:, slot * n:(slot + 1) * n] = np.eye(n)
     return row
-
-
-@dataclass(frozen=True)
-class SelectorSet:
-    """Constant block-row selectors on the 10n stacked vectors."""
-
-    n: int
-    M1: np.ndarray
-    M2: np.ndarray
-    M3: np.ndarray
-    M4: np.ndarray
-    M5: np.ndarray
-    M6: np.ndarray
-    M7: np.ndarray
-    row_pbar: np.ndarray
-
-    @property
-    def row_xtil(self) -> np.ndarray:
-        return self.M4
-
-
-def selectors(n: int) -> SelectorSet:
-    """M1 picks block 1, M2 block 2, M3 = M1 + M2, M4..M7 blocks 6..9.
-
-    row_pbar additionally picks block 10, where the follower's worst-case
-    adjoint sits in this stacking.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    M1 = block_row(0, n)
-    M2 = block_row(1, n)
-    return SelectorSet(
-        n=n,
-        M1=M1,
-        M2=M2,
-        M3=M1 + M2,
-        M4=block_row(5, n),
-        M5=block_row(6, n),
-        M6=block_row(7, n),
-        M7=block_row(8, n),
-        row_pbar=block_row(9, n),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +107,17 @@ class FollowerTerms:
 def follower_terms(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> FollowerTerms:
     """Form the follower terms from the follower Riccati path.
 
-    Raises RegularityError naming the first node where R1 + D1'PD1 is not
-    strongly positive, or the node where the leader control weight Rbb is
-    farthest from being strongly negative.
+    P is the path `backward.solve_riccati_follower` returns, which has
+    already checked R1 + D1'PD1 for strong positivity at every node.
+    Raises RegularityError naming the node where the leader control
+    weight Rbb is farthest from being strongly negative.
     """
     Ps = P.samples
     C, B1, D1 = spec.C.samples, spec.B1.samples, spec.D1.samples
     D2, sigma = spec.D2.samples, spec.sigma.samples
     R1, R2 = spec.R1.samples, spec.R2.samples
 
-    Rt1 = R1 + D1.mT @ Ps @ D1
-    bad = np.flatnonzero(np.linalg.eigvalsh(0.5 * (Rt1 + Rt1.mT)).min(axis=1) < delta)
-    if bad.size:
-        k = int(bad[0])
-        raise RegularityError(f"R1 + D1'PD1 is not strongly positive at node {k}", node=k)
-    Rt1inv = np.linalg.inv(Rt1)
+    Rt1inv = np.linalg.inv(R1 + D1.mT @ Ps @ D1)
     K = B1.mT @ Ps + D1.mT @ Ps @ C
 
     R = Rt1inv @ R1 @ Rt1inv
@@ -671,22 +626,23 @@ def decoupling(prob: RiccatiProblem, P: np.ndarray, phi: np.ndarray, drift: np.n
             C1 + D1 @ P + D2 @ E, D1 @ phi + D2 @ e + diff)
 
 
-def build_gain_maps(spec: GameSpec, ft: FollowerTerms, sel: SelectorSet,
-                    Phat: MatrixPath, phihat: MatrixPath, E: np.ndarray,
-                    e: np.ndarray) -> GainMaps:
+def build_gain_maps(spec: GameSpec, ft: FollowerTerms, Phat: MatrixPath,
+                    phihat: MatrixPath, E: np.ndarray, e: np.ndarray) -> GainMaps:
     """Assemble the control feedback maps from the solved decoupling, whose
     integrand gains (E, e) come from `decoupling`.
 
     The leader map is built first; the follower map references it through
-    the direct-control coupling D1'P D2.  Row selectors follow the
-    component layout documented in the module docstring: the follower's
-    backward pair sits at slots 8 and 9, so its feedback reads M7 rows.
+    the direct-control coupling D1'P D2.  Rows are picked by `block_row`
+    slot (slots 0 + 1, slot 1 and slot 8), following the component layout
+    documented in the module docstring: the follower's backward pair sits
+    at slots 8 and 9, so its feedback reads slot 8.
     """
     B1T, D1T = spec.B1.samples.mT, spec.D1.samples.mT
     B2T, D2T = spec.B2.samples.mT, spec.D2.samples.mT
     C, D2, sig = spec.C.samples, spec.D2.samples, spec.sigma.samples
     P, K, Ph, ph = ft.P, ft.K, Phat.samples, phihat.samples
-    M2r, M3r, M7r = sel.M2, sel.M3, sel.M7
+    slot1, slot8 = block_row(1, spec.n), block_row(8, spec.n)
+    slots01 = block_row(0, spec.n) + slot1
 
     DR1 = ft.DPD1 @ ft.Rt1inv
     DR = ft.DPD1 @ ft.R
@@ -694,13 +650,13 @@ def build_gain_maps(spec: GameSpec, ft: FollowerTerms, sel: SelectorSet,
     T2 = B2T @ P + D2T @ P @ C - DR1 @ K
     T3 = DR @ K
     T4 = DR @ B1T
-    T5 = D2T @ M3r - DR1 @ D1T @ M3r + DR @ D1T @ M7r
+    T5 = D2T @ slots01 - DR1 @ D1T @ slots01 + DR @ D1T @ slot8
 
-    PM2 = T1 @ M3r @ Ph + T2 @ M7r - T3 @ M2r + T4 @ M7r @ Ph + T5 @ E
-    phiM2 = T1 @ M3r @ ph + T4 @ M7r @ ph - ft.cross + T5 @ e
+    PM2 = T1 @ slots01 @ Ph + T2 @ slot8 - T3 @ slot1 + T4 @ slot8 @ Ph + T5 @ E
+    phiM2 = T1 @ slots01 @ ph + T4 @ slot8 @ ph - ft.cross + T5 @ e
     coupling = D1T @ P @ D2 @ ft.Rbbinv
-    PM1 = B1T @ M7r @ Ph + D1T @ M7r @ E - K @ M2r - coupling @ PM2
-    phiM1 = B1T @ M7r @ ph + D1T @ M7r @ e - D1T @ P @ sig - coupling @ phiM2
+    PM1 = B1T @ slot8 @ Ph + D1T @ slot8 @ E - K @ slot1 - coupling @ PM2
+    phiM1 = B1T @ slot8 @ ph + D1T @ slot8 @ e - D1T @ P @ sig - coupling @ phiM2
 
     mp = lambda s: MatrixPath(spec.grid, s)
     return GainMaps(PM1=mp(PM1), PM2=mp(PM2), phiM1=mp(phiM1), phiM2=mp(phiM2))

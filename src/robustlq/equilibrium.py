@@ -11,7 +11,10 @@ solve_game runs the full cascade:
 
 row_maps gives the four equilibrium maps u1, u2, f and f2 as row maps
 of X1 = [X; 1] at one time or at an array of times; feedback applies
-them to states, and the Monte Carlo harness simulates with them.
+them to states, and the Monte Carlo harness simulates with them.  The
+10n stacks are read by `augment.block_row` slot: the physical state at
+slot 0, xtil at slot 5 and pbar at slot 9.  skeleton runs the backward
+RK4 march of the solver on the time-reversed noise-free closed loop.
 
 Everything is deterministic: identical specs produce bit-identical
 solutions.
@@ -33,7 +36,6 @@ class EquilibriumSolution:
     """All ingredients of the state-feedback equilibrium on one grid."""
 
     spec: GameSpec
-    delta: float
     P: MatrixPath
     P1: MatrixPath
     Phat: MatrixPath
@@ -41,7 +43,6 @@ class EquilibriumSolution:
     L: MatrixPath
     psi: MatrixPath
     gains: augment.GainMaps
-    sel: augment.SelectorSet
     Atil: MatrixPath
     Btil: MatrixPath
     Ctil: MatrixPath
@@ -54,10 +55,6 @@ class EquilibriumSolution:
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
     P3: MatrixPath | None = None
-
-    @property
-    def grid(self):
-        return self.spec.grid
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -101,23 +98,22 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     # the closed loop dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW of the
     # equilibrium state comes with the decoupling gains (E, e)
     grid = spec.grid
-    sel = augment.selectors(spec.n)
     E, e, *closed = _stage("gain maps", augment.decoupling, prob, Phat.samples,
                            phihat.samples, dh.F.samples, dh.Sigma.samples,
                            lambda path: path.samples)
     Atil, Btil, Ctil, Dtil = (MatrixPath(grid, c) for c in closed)
-    gains = augment.build_gain_maps(spec, terms, sel, Phat, phihat, E, e)
+    gains = augment.build_gain_maps(spec, terms, Phat, phihat, E, e)
 
     PM1, PM2 = gains.PM1.samples, gains.PM2.samples
     PM1T, PM2T = PM1.mT, PM2.mT
-    lyap_src = (sel.M1.T @ spec.Q.samples @ sel.M1
+    x = augment.block_row(0, spec.n)  # the physical state's slot
+    lyap_src = (x.T @ spec.Q.samples @ x
                 + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2)
     psi_src = (PM1T @ terms.R @ gains.phiM1.samples
                + PM2T @ terms.W2 @ gains.phiM2.samples)
 
-    Lterm = sel.M1.T @ spec.G @ sel.M1
     L = _stage("lyapunov", backward.solve_lyapunov, Atil, Ctil,
-               MatrixPath(grid, lyap_src), Lterm, grid)
+               MatrixPath(grid, lyap_src), x.T @ spec.G @ x, grid)
     psi = _stage("value offset", backward.solve_value_offset, Atil, Ctil, Btil,
                  Dtil, L, MatrixPath(grid, psi_src), grid)
 
@@ -125,8 +121,8 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
 
     return EquilibriumSolution(
-        spec=spec, delta=delta, P=P, P1=P1sol.P, Phat=Phat, phihat=phihat,
-        L=L, psi=psi, gains=gains, sel=sel, Atil=Atil, Btil=Btil, Ctil=Ctil,
+        spec=spec, P=P, P1=P1sol.P, Phat=Phat, phihat=phihat,
+        L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
         Dtil=Dtil, hat=hat, check=check, bb=bb, weights=weights, dh=dh,
         terms=terms, regularity=regularity,
     )
@@ -141,30 +137,19 @@ def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
     return sol
 
 
-_SKELETON_BLOCK = 64  # RK4 steps whose stage coefficients are sampled at once
-
-
 def skeleton(sol: EquilibriumSolution) -> np.ndarray:
-    """Noise-free closed-loop state on the spec grid, (N+1, 10n): RK4 on
-    dX = (Atil X + Btil) dt from the stacked initial state."""
-    grid = sol.spec.grid
-    out = np.empty((len(grid), sol.dh.Xi.shape[0]))
-    out[0] = sol.dh.Xi[:, 0]
-    h = grid.dt
-    offsets = np.array([0.0, 0.5, 1.0]) * h
+    """Noise-free closed-loop state on the spec grid, (N+1, 10n): the
+    solution of dX = (Atil X + Btil) dt from the stacked initial state.
 
-    for k in range(grid.steps):
-        j = k % _SKELETON_BLOCK
-        if j == 0:  # sample a block of steps at a time, so memory stays bounded
-            stages = grid.nodes[:-1][k:k + _SKELETON_BLOCK, None] + offsets
-            A, b = sol.Atil.at(stages), sol.Btil.at(stages)[..., 0]
-        x = out[k]
-        k1 = A[j, 0] @ x + b[j, 0]
-        k2 = A[j, 1] @ (x + 0.5 * h * k1) + b[j, 1]
-        k3 = A[j, 1] @ (x + 0.5 * h * k2) + b[j, 1]
-        k4 = A[j, 2] @ (x + h * k3) + b[j, 2]
-        out[k + 1] = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
+    The backward RK4 march integrates the time-reversed loop y(t) = X(T - t)
+    from y(T) = Xi, reading the reversed coefficient paths at its own stage
+    times.  A non-finite state raises BlowUpError, whose node is on the
+    reversed grid.
+    """
+    grid = sol.spec.grid
+    A, b = (MatrixPath(grid, p.samples[::-1]) for p in (sol.Atil, sol.Btil))
+    rev = backward.integrate_backward(lambda t, y: -(A.at(t) @ y + b.at(t)), sol.dh.Xi, grid)
+    return rev.samples[::-1, :, 0]
 
 
 def row_maps(sol: EquilibriumSolution, t) -> dict:
@@ -173,10 +158,11 @@ def row_maps(sol: EquilibriumSolution, t) -> dict:
     augmented state X1 = [X; 1]:
 
         u1 = Rt1^{-1} [PM1 | phiM1],  u2 = Rbb^{-1} [PM2 | phiM2],
-        f  = -(2/alpha) R0^{-1} row_pbar [Phat | phihat],
-        f2 =  (2/gamma) R0hat^{-1} row_xtil [Phat | phihat],
+        f  = -(2/alpha) R0^{-1} block_row(9) [Phat | phihat],
+        f2 =  (2/gamma) R0hat^{-1} block_row(5) [Phat | phihat],
 
-    with Rt1 = R1 + D1'P D1.  Also returns the weight inverses "rt1inv",
+    with Rt1 = R1 + D1'P D1; slot 9 of the backward stack is pbar and
+    slot 5 is xtil.  Also returns the weight inverses "rt1inv",
     "r0inv" and "r0hinv" the maps are built from.
     """
     spec, g = sol.spec, sol.gains
@@ -192,8 +178,8 @@ def row_maps(sol: EquilibriumSolution, t) -> dict:
     return {
         "u1": rt1inv @ rows(g.PM1, g.phiM1),
         "u2": np.linalg.inv(at(sol.weights.Rbb)) @ rows(g.PM2, g.phiM2),
-        "f": (-(2.0 / spec.alpha) * r0inv) @ sol.sel.row_pbar @ Ph,
-        "f2": ((2.0 / spec.gamma) * r0hinv) @ sol.sel.row_xtil @ Ph,
+        "f": (-(2.0 / spec.alpha) * r0inv) @ augment.block_row(9, spec.n) @ Ph,
+        "f2": ((2.0 / spec.gamma) * r0hinv) @ augment.block_row(5, spec.n) @ Ph,
         "rt1inv": rt1inv, "r0inv": r0inv, "r0hinv": r0hinv,
     }
 

@@ -100,7 +100,10 @@ def make_grid(T: float, N: int) -> TimeGrid:
     if int(N) != N or N < 1:
         raise SpecError("step count must be a positive integer")
     N = int(N)
-    nodes = np.linspace(0.0, float(T), N + 1)
+    try:
+        nodes = np.linspace(0.0, float(T), N + 1)
+    except (ValueError, MemoryError) as exc:
+        raise SpecError(f"step count {N} is too large to allocate the time grid") from exc
     return TimeGrid(horizon=float(T), steps=N, nodes=nodes)
 
 
@@ -216,6 +219,10 @@ class GameSpec:
     xi: np.ndarray
 
     def __post_init__(self):
+        for name in ("n", "m1", "m2"):
+            dim = getattr(self, name)
+            if dim < 1:
+                raise SpecError(f"dimension {name!r} must be at least 1, got {dim}")
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         xi = np.asarray(self.xi, dtype=float)
         for name in ("alpha", "gamma"):
@@ -350,14 +357,17 @@ def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     add("G_finite", np.isfinite(spec.G).all())
     add("xi_finite", np.isfinite(spec.xi).all())
 
-    for name in _SYMMETRIC_FIELDS:
-        bad = _first_asymmetric_node(getattr(spec, name))
-        if bad is None:
-            add(f"{name}_symmetric", True)
-        else:
-            k, gap, denom = bad
-            add(f"{name}_symmetric", False, f"|M-M^T|={gap:.3e} vs |M|={denom:.3e}", k)
-    g_gap = np.linalg.norm(spec.G - spec.G.T)
+    # a non-finite matrix already fails its _finite check; the nan its
+    # symmetry gap then holds is judged quietly
+    with np.errstate(invalid="ignore"):
+        for name in _SYMMETRIC_FIELDS:
+            bad = _first_asymmetric_node(getattr(spec, name))
+            if bad is None:
+                add(f"{name}_symmetric", True)
+            else:
+                k, gap, denom = bad
+                add(f"{name}_symmetric", False, f"|M-M^T|={gap:.3e} vs |M|={denom:.3e}", k)
+        g_gap = np.linalg.norm(spec.G - spec.G.T)
     add("G_symmetric", g_gap <= _SYMMETRY_RTOL * max(np.linalg.norm(spec.G), 1e-300) or g_gap == 0.0)
 
     for name in ("R0", "R0hat"):

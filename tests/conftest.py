@@ -115,6 +115,16 @@ def malformed_spec_docs():
         doc["matrices"][name] = value
         return doc
 
+    def zero_dim(field, matrices, **edits):
+        # every matrix with a dimension of that size is empty, so the
+        # shapes stay consistent and only the zero dimension is at fault
+        doc = doc_with(**{field: 0}, **edits)
+        for name in matrices:
+            doc["matrices"][name] = {"constant": []}
+        return doc
+
+    state_matrices = [m for m in doc_with()["matrices"] if m not in ("R1", "R2")]
+
     return {
         "xi_length": (doc_with(xi=[1.0, 2.0]), "xi has 2 entries"),
         "fractional_N": (doc_with(N=3.7), "'N' must be an integer"),
@@ -132,4 +142,11 @@ def malformed_spec_docs():
         "matrix_number": (with_matrix("A", 5), "matrix 'A' must be a JSON object"),
         "terminal_number": (with_matrix("G", 5), "matrix 'G' must be a JSON object"),
         "matrix_null": (with_matrix("A", None), "matrix 'A' must be a JSON object"),
+        "zero_state_dimension": (zero_dim("n", state_matrices, xi=[]),
+                                 "dimension 'n' must be at least 1"),
+        "zero_follower_control": (zero_dim("m1", ["B1", "D1", "R1"]),
+                                  "dimension 'm1' must be at least 1"),
+        "zero_leader_control": (zero_dim("m2", ["B2", "D2", "R2"]),
+                                "dimension 'm2' must be at least 1"),
+        "huge_N": (doc_with(N=1e30), "too large to allocate"),
     }

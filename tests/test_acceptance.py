@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import robustlq as rl
-from robustlq import backward
+from robustlq import augment, backward
 
 from conftest import homogeneous_spec, random_spec
 
@@ -138,8 +138,8 @@ def test_criterion_7_invariant_suite(sol_a):
         assert np.array_equal(sol_a.P1.samples[-1], -spec.G)
         assert np.array_equal(sol_a.Phat.samples[-1], sol_a.dh.G)
         assert np.all(sol_a.phihat.samples[-1] == 0.0)
-        assert np.array_equal(sol_a.L.samples[-1],
-                              sol_a.sel.M1.T @ spec.G @ sol_a.sel.M1)
+        M1 = augment.block_row(0, spec.n)
+        assert np.array_equal(sol_a.L.samples[-1], M1.T @ spec.G @ M1)
         assert np.all(sol_a.psi.samples[-1] == 0.0)
 
         # symmetry of the symmetric Riccati flows

@@ -19,25 +19,23 @@ def const_path(spec, value):
 
 
 def test_selector_rows_scalar():
-    sel = rl.selectors(1)
-    assert np.array_equal(sel.M1, [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
-    assert np.array_equal(sel.M3, [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0]])
-    assert np.array_equal(sel.M5, [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0]])
-    assert np.array_equal(sel.row_pbar, [[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]])
+    row = lambda slot: augment.block_row(slot, 1)
+    assert np.array_equal(row(0), [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
+    assert np.array_equal(row(0) + row(1), [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0]])
+    assert np.array_equal(row(6), [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0]])
+    assert np.array_equal(row(9), [[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]])
 
 
 def test_selector_block_placement_n2():
-    sel = rl.selectors(2)
-    # M6 picks the eighth n-block: columns 15-16 (one-based)
+    row = lambda slot: augment.block_row(slot, 2)
+    # slot 7 picks the eighth n-block: columns 15-16 (one-based)
     expect = np.zeros((2, 20))
     expect[:, 14:16] = np.eye(2)
-    assert np.array_equal(sel.M6, expect)
-    assert np.array_equal(sel.M3, sel.M1 + sel.M2)
-
-
-def test_selector_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        rl.selectors(0)
+    assert np.array_equal(row(7), expect)
+    # slots 0 + 1 (x + xbar) pick columns 1-4 as two identity blocks
+    both = np.zeros((2, 20))
+    both[:, 0:2] = both[:, 2:4] = np.eye(2)
+    assert np.array_equal(row(0) + row(1), both)
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +72,6 @@ def test_hat_sign_pairing(sol_a):
     assert np.array_equal(A1[:, :n, :], A2[:, :n, :])
     assert np.array_equal(A1[:, n:, n:], A2[:, n:, n:])
     assert np.array_equal(A1[:, n:, :n], -A2[:, n:, :n])
-
-
-def test_hat_regularity_failure():
-    spec = hat_example_spec()
-    bad = rl.build_spec(
-        n=1, m1=1, m2=1, T=1.0, N=4, alpha=2.0, gamma=2.0, xi=[1.0], G=[[0.0]],
-        A=1.0, C=0.0, B1=1.0, D1=0.0, B2=1.0, D2=0.0, Q=0.0, R1=-1.0, R2=-1.0,
-        R0=1.0, R0hat=1.0,
-    )
-    with pytest.raises(RegularityError):
-        rl.follower_terms(bad, const_path(spec, [[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +312,10 @@ def test_gain_map_no_diffusion_reduction():
     from conftest import instance_b
     spec = instance_b(N=64)
     sol = rl.solve_game(spec)
-    sel = sol.sel
+    M3 = augment.block_row(0, 1) + augment.block_row(1, 1)
+    M7 = augment.block_row(8, 1)
     for k in (0, 32, 64):
         B2 = spec.B2.samples[k]
         P = sol.P.samples[k]
-        expect = B2.T @ sel.M3 @ sol.Phat.samples[k] + B2.T @ P @ sel.M7
+        expect = B2.T @ M3 @ sol.Phat.samples[k] + B2.T @ P @ M7
         assert np.allclose(sol.gains.PM2.samples[k], expect, atol=1e-12)

@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import robustlq as rl
 from robustlq import augment, backward, equilibrium
-from robustlq.model import RegularityError
+from robustlq.model import BlowUpError, RegularityError
 
 from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
                       random_spec)
@@ -188,6 +189,16 @@ def test_decoupled_representation_residual(sol_a):
         res = np.linalg.norm(dY[k] - drift) / (1.0 + np.linalg.norm(Y[k]))
         worst = max(worst, res)
     assert worst <= 1e-5
+
+
+def test_skeleton_blow_up_raises(sol_b):
+    # a non-finite drift offset at t = 0 is the first step of the reversed march
+    Bt = sol_b.Btil.samples.copy()
+    Bt[0] = np.inf
+    bad = replace(sol_b, Btil=rl.MatrixPath(sol_b.spec.grid, Bt))
+    with pytest.raises(BlowUpError) as exc:
+        equilibrium.skeleton(bad)
+    assert exc.value.node == sol_b.spec.grid.steps - 1
 
 
 def test_diagnostic_stages_on_request():

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +150,16 @@ def test_validate_flags_asymmetric_q():
     )
     report = rl.validate_spec(spec)
     assert any(c.name == "Q_symmetric" for c in report.failures())
+
+
+def test_validate_non_finite_weights_fail_without_warnings():
+    spec = instance_a(N=4)
+    spec = replace(spec, G=np.array([[np.inf]]), Q=MatrixPath.constant(spec.grid, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = rl.validate_spec(spec)
+    failed = {c.name for c in report.failures()}
+    assert {"G_finite", "G_symmetric", "Q_finite"} <= failed
 
 
 def test_validate_is_pure():
