@@ -18,8 +18,8 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
                     dump_spec, load_spec, make_grid, spec_from_dict,
                     spec_to_dict, validate_spec)
 from .montecarlo import (OracleResult, PerturbationReport, SimConfig,
-                         SimOutput, bvp_oracle, perturb_best_response,
-                         sampled_convexity, simulate)
+                         SimOutput, bvp_oracle, deviation_tests,
+                         perturb_best_response, sampled_convexity, simulate)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "SpecError", "StrategyOutput", "TimeGrid", "ValidationReport",
     "build_blackboard", "build_check", "build_cost_weights", "build_doublehat",
     "build_gain_maps", "build_hat", "build_spec", "bvp_oracle",
-    "clamp_nonnegative", "closed_form_special_case", "dump_spec",
+    "clamp_nonnegative", "closed_form_special_case", "deviation_tests", "dump_spec",
     "ensure_diagnostics", "feedback", "follower_terms", "integrate_backward",
     "load_spec", "make_grid", "perturb_best_response", "sampled_convexity",
     "scalar_bode", "simulate", "solve_game", "solve_lyapunov",

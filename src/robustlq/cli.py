@@ -138,8 +138,8 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     _echo(args, ("spec", "out", "grid_n", "delta", "paths", "seed", "substeps"))
     spec = _load(args)
-    sol = equilibrium.solve_game(spec, delta=args.delta)
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
+    sol = equilibrium.solve_game(spec, delta=args.delta)
     sim = montecarlo.simulate(sol, cfg)
     out = _outdir(args)
     summary = sim.summary()
@@ -160,6 +160,7 @@ def cmd_verify(args) -> int:
     _echo(args, ("spec", "out", "grid_n", "delta", "paths", "seed", "substeps",
                  "eps", "directions"))
     spec = _load(args)
+    cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
     out = _outdir(args)
     report = validate_spec(spec, delta=args.delta)
     (out / "validation.txt").write_text("\n".join(report.lines()) + "\n")
@@ -170,13 +171,12 @@ def cmd_verify(args) -> int:
         return EXIT_VALIDATION
 
     sol = equilibrium.solve_game(spec, delta=args.delta)
-    cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
     eps = tuple(args.eps) if args.eps else (0.05,)
-    perturb = montecarlo.perturb_best_response(sol, cfg, directions=args.directions,
-                                               eps=eps)
+    dev = montecarlo.deviation_tests(sol, cfg, directions=args.directions,
+                                     samples=min(args.directions, 10))
+    perturb = montecarlo.perturb_best_response(dev, eps=eps)
     (out / "perturbation.csv").write_text("\n".join(perturb.csv_lines()) + "\n")
-    convexity = montecarlo.sampled_convexity(
-        sol, cfg, samples=min(args.directions, 10))
+    convexity = montecarlo.sampled_convexity(dev)
     (out / "convexity.csv").write_text("\n".join(convexity.csv_lines()) + "\n")
 
     diffusion_free = (np.all(spec.C.samples == 0.0) and np.all(spec.D1.samples == 0.0)

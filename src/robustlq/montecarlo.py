@@ -22,6 +22,12 @@ simulation.  The eps = 0 null difference is therefore exactly zero.  The
 quad samples double as estimates of the second-variation functionals that
 the sampled convexity probes report.
 
+Both suites read one shared run.  `deviation_tests` stacks the
+perturbation directions and the convexity directions as the columns of
+the same four tests, so the base closed loop, each test's offset solve
+and the Brownian increments are simulated once; `perturb_best_response`
+and `sampled_convexity` only turn their columns into rows.
+
 Each test is one `_Response` record: the criterion it perturbs, the sign
 of the deviating side, the linear response system and the deviation of
 every signal that moves.  One function turns the criteria and the records
@@ -74,6 +80,8 @@ class SimConfig:
         for name in ("paths", "substeps", "chunk"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
 
 
 def _mean_se(arr):
@@ -247,16 +255,16 @@ class _Response:
     moves: dict    # signal -> (gain, off)
 
 
-def _unit_directions(rng, grid, dim: int, count: int, pieces: int = 8) -> MatrixPath:
+def _unit_directions(rng, grid, dim: int, count: int, pieces: int = 8) -> np.ndarray:
     """Random piecewise-constant deterministic direction paths with unit
-    L2 norm, one per column of a (N+1, dim, count) path on the grid."""
+    L2 norm, one per column of the (N+1, dim, count) samples on the grid."""
     vals = rng.standard_normal((count, pieces, dim))
     piece = np.minimum((pieces * grid.nodes / grid.horizon).astype(int), pieces - 1)
     # squared norm of each piece, integrated per direction over the nodes
     sq = [np.array([v @ v for v in per_dir]) for per_dir in vals]
     norm2 = np.array([np.trapezoid(s[piece], grid.nodes) for s in sq])
     samples = vals[:, piece].transpose(1, 2, 0)
-    return MatrixPath(grid, samples / np.sqrt(np.maximum(norm2, 1e-300)))
+    return samples / np.sqrt(np.maximum(norm2, 1e-300))
 
 
 def _follower_control(sol, pre, dirs) -> _Response:
@@ -496,18 +504,46 @@ def simulate(sol: EquilibriumSolution, cfg: SimConfig) -> SimOutput:
     return sim
 
 
-def _deviation_tests(sol, cfg, count, spawn_key, directions_seed):
-    """Simulate the four deviation tests, each along `count` random unit
-    directions drawn from the stream keyed by spawn_key; returns the tests
-    and the per-path outputs of `_run`."""
-    if count < 1:
-        raise SpecError(f"directions per test must be at least 1, got {count}")
+@dataclass(frozen=True)
+class Deviations:
+    """The four deviation tests and the per-path outputs of `_run` of one
+    shared simulation.  Columns [0, directions) of every test carry the
+    best-response perturbation directions, columns [directions, directions
+    + samples) the convexity sample directions."""
+
+    tests: list
+    out: dict
+    directions: int
+    samples: int
+
+
+def deviation_tests(sol: EquilibriumSolution, cfg: SimConfig, directions: int = 20,
+                    samples: int = 10, directions_seed: int | None = None) -> Deviations:
+    """Simulate the four deviation tests once for both suites.
+
+    Each test runs along `directions` random unit directions from the
+    perturbation stream (spawn key 0xD1) and `samples` more from the
+    convexity stream (0xC0), both keyed by directions_seed (default: the
+    simulation seed).  Every response treats its columns independently, so
+    the directions of one suite give the same outputs whatever the other
+    suite's count; the base closed loop, the offset solves and the
+    Brownian increments are shared.
+    """
+    for name, count in (("directions", directions), ("samples", samples)):
+        if count < 1:
+            raise SpecError(f"{name} per test must be at least 1, got {count}")
+    if directions_seed is not None and directions_seed < 0:
+        raise SpecError(f"directions_seed must be non-negative, got {directions_seed}")
     spec = sol.spec
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=cfg.seed if directions_seed is None
-                               else directions_seed, spawn_key=(spawn_key,))))
-    dirs_u1, dirs_u2, dirs_f, dirs_f2 = [_unit_directions(rng, spec.grid, dim, count)
-                                         for dim in (spec.m1, spec.m2, spec.n, spec.n)]
+    entropy = cfg.seed if directions_seed is None else directions_seed
+    drawn = []
+    for key, count in ((0xD1, directions), (0xC0, samples)):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=entropy, spawn_key=(key,))))
+        drawn.append([_unit_directions(rng, spec.grid, dim, count)
+                      for dim in (spec.m1, spec.m2, spec.n, spec.n)])
+    dirs_u1, dirs_u2, dirs_f, dirs_f2 = [MatrixPath(spec.grid, np.concatenate(pair, axis=2))
+                                         for pair in zip(*drawn)]
     pre = _precompute_base(sol, cfg.substeps)
     tests = [
         _follower_control(sol, pre, dirs_u1),
@@ -516,7 +552,7 @@ def _deviation_tests(sol, cfg, count, spawn_key, directions_seed):
         _disturbance(sol, pre, dirs_f2, "leader"),
     ]
     _, out = _run(pre, cfg, tests)
-    return tests, out
+    return Deviations(tests, out, directions, samples)
 
 
 def _verdict(mean, se, sign: float, scale: float) -> str:
@@ -536,23 +572,23 @@ def _verdict(mean, se, sign: float, scale: float) -> str:
     return "inconclusive"
 
 
-def perturb_best_response(sol: EquilibriumSolution, cfg: SimConfig,
-                          directions: int = 20, eps=(0.05, 0.1),
-                          directions_seed: int | None = None) -> PerturbationReport:
+def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationReport:
     """Best-response perturbation suite under common random numbers.
 
     Follower-control and leader-disturbance deviations must not lower the
     respective costs; leader-control and follower-disturbance deviations
     must not raise them.  Each deviation direction is a random unit-norm
     deterministic path; the replayed players' strategies and the linear
-    worst-case responses ride on the same Brownian increments.
+    worst-case responses ride on the same Brownian increments.  Reads the
+    perturbation columns of `dev`; every size in eps must be finite.
     """
-    tests, out = _deviation_tests(sol, cfg, directions, 0xD1, directions_seed)
+    if not np.all(np.isfinite(eps)):
+        raise SpecError(f"perturbation sizes eps must be finite, got {list(eps)}")
     report = PerturbationReport()
-    for t in tests:
-        for d in range(directions):
-            c = out["cross", t.name][:, d]
-            q = out["quad", t.name][:, d]
+    for t in dev.tests:
+        for d in range(dev.directions):
+            c = dev.out["cross", t.name][:, d]
+            q = dev.out["quad", t.name][:, d]
             for e in eps:
                 if e == 0.0:
                     report.rows.append(PerturbationRow(t.name, d, 0.0, 0.0, 0.0, "pass"))
@@ -570,23 +606,22 @@ _NESTED_ORDER = ("follower_disturbance", "follower_control",
                  "leader_disturbance", "leader_control")
 
 
-def sampled_convexity(sol: EquilibriumSolution, cfg: SimConfig,
-                      samples: int = 10, directions_seed: int | None = None) -> PerturbationReport:
+def sampled_convexity(dev: Deviations) -> PerturbationReport:
     """Sampled second-variation functionals of the four nested problems.
 
     For random unit perturbation paths the quadratic response of each
     problem's objective is estimated by simulating the auxiliary linear
     systems; a uniformly positive sample is evidence for the corresponding
-    definiteness assumption (sampling cannot prove it).
+    definiteness assumption (sampling cannot prove it).  Reads the
+    convexity columns of `dev`.
     """
-    tests, out = _deviation_tests(sol, cfg, samples, 0xC0, directions_seed)
-    by_name = {t.name: t for t in tests}
+    by_name = {t.name: t for t in dev.tests}
     report = PerturbationReport()
     for name in _NESTED_ORDER:
         t = by_name[name]
         functional = f"{name}_{'convexity' if t.sign > 0 else 'concavity'}"
-        for d in range(samples):
-            mean, se = _mean_se(t.sign * out["quad", name][:, d])
+        for d in range(dev.samples):
+            mean, se = _mean_se(t.sign * dev.out["quad", name][:, dev.directions + d])
             if mean - 3.0 * se > 0.0:
                 verdict = "pass"
             elif mean + 3.0 * se < 0.0:

@@ -107,8 +107,8 @@ def test_criterion_4_value_oracle(sol_a):
 def test_criterion_5_best_response_suite(sol_a):
     with _Timer("5 (best-response perturbations)", 300.0) as tm:
         cfg = rl.SimConfig(paths=10_000, seed=2024, substeps=2)
-        rep = rl.perturb_best_response(sol_a, cfg, directions=20,
-                                       eps=(0.0, 0.05, 0.1))
+        dev = rl.deviation_tests(sol_a, cfg, directions=20, samples=1)
+        rep = rl.perturb_best_response(dev, eps=(0.0, 0.05, 0.1))
         null_rows = [r for r in rep.rows if r.eps == 0.0]
         assert len(null_rows) == 80
         assert all(r.delta_j == 0.0 and r.stderr == 0.0 for r in null_rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import cli
+from robustlq import cli, montecarlo
 
 from conftest import homogeneous_spec, instance_b, malformed_spec_docs
 
@@ -103,6 +103,35 @@ def test_counts_below_one_exit_code(argv, homog_file, tmp_path, capsys):
     code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--seed", "-1"], "seed"),
+    (["verify", "--seed", "-1", "--directions", "1"], "seed"),
+    (["verify", "--eps", "0.05", "nan", "--directions", "1"], "eps"),
+    (["verify", "--eps", "inf", "--directions", "1"], "eps")])
+def test_bad_run_settings_exit_code(argv, field, homog_file, tmp_path, capsys):
+    code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o"),
+                           "--paths", "10"])
+    assert code == 1
+    assert field in capsys.readouterr().err
+
+
+def test_verify_draws_each_path_once(monkeypatch, homog_file, tmp_path):
+    # both suites read one shared run: one draw of increments per path
+    drawn = []
+    inner = montecarlo.path_increments
+
+    def counting(seed, first, count, steps, dt):
+        drawn.append(count)
+        return inner(seed, first, count, steps, dt)
+
+    monkeypatch.setattr(montecarlo, "path_increments", counting)
+    paths = montecarlo.PATH_BLOCK + 8
+    code = cli.run(["verify", "--spec", homog_file, "--out", str(tmp_path / "o"),
+                    "--paths", str(paths), "--directions", "2", "--eps", "0.1"])
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
+    assert sum(drawn) == paths
 
 
 def test_malformed_json_exit_code(tmp_path):

@@ -77,7 +77,7 @@ def test_streams_drawn_once_per_path(monkeypatch, sol_a):
 
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_brownian_streams_disjoint_from_direction_streams(seed):
-    # the streams `_deviation_tests` draws directions from when
+    # the streams `deviation_tests` draws directions from when
     # directions_seed == seed: perturbations (0xD1), convexity (0xC0)
     heads = 16
     directions = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
@@ -155,7 +155,8 @@ def reference_run(pre, tests, dW):
 
 def test_collapsed_forms_match_reference_loop(sol_a):
     cfg = rl.SimConfig(paths=50, seed=4, substeps=2)
-    tests, out = montecarlo._deviation_tests(sol_a, cfg, 2, 0xD1, None)
+    dev = rl.deviation_tests(sol_a, cfg, directions=2, samples=1)
+    tests, out = dev.tests, dev.out
     pre = montecarlo._precompute_base(sol_a, cfg.substeps)
     dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
     ref = reference_run(pre, tests, dW)
@@ -240,8 +241,9 @@ def test_value_oracle_quick(sol_a):
 
 
 def test_null_perturbation_exact_zero(sol_a):
-    rep = rl.perturb_best_response(sol_a, rl.SimConfig(paths=50, seed=5, substeps=1),
-                                   directions=2, eps=(0.0,))
+    rep = rl.perturb_best_response(rl.deviation_tests(
+        sol_a, rl.SimConfig(paths=50, seed=5, substeps=1), directions=2, samples=1),
+        eps=(0.0,))
     assert len(rep.rows) == 8
     for r in rep.rows:
         assert r.delta_j == 0.0 and r.stderr == 0.0 and r.verdict == "pass"
@@ -251,7 +253,8 @@ def test_verification_solves_only_the_leader_stage_riccati():
     # the leader-deviation response reads P3, solved on demand
     sol = rl.solve_game(homogeneous_spec(N=40, xi=1.0))
     assert sol.P3 is None
-    rl.perturb_best_response(sol, rl.SimConfig(paths=10, seed=1), directions=1, eps=(0.1,))
+    rl.perturb_best_response(rl.deviation_tests(sol, rl.SimConfig(paths=10, seed=1),
+                                                directions=1, samples=1), eps=(0.1,))
     assert sol.P3 is not None
 
 
@@ -262,8 +265,9 @@ def test_homogeneous_follower_test_deterministic():
         Q=0.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
     )
     sol = rl.solve_game(spec)
-    rep = rl.perturb_best_response(sol, rl.SimConfig(paths=40, seed=2, substeps=1),
-                                   directions=3, eps=(0.1,))
+    rep = rl.perturb_best_response(rl.deviation_tests(
+        sol, rl.SimConfig(paths=40, seed=2, substeps=1), directions=3, samples=1),
+        eps=(0.1,))
     rows = [r for r in rep.rows if r.test == "follower_control"]
     assert len(rows) == 3
     for r in rows:
@@ -274,8 +278,9 @@ def test_homogeneous_follower_test_deterministic():
 
 
 def test_perturbation_suite_small(sol_a):
-    rep = rl.perturb_best_response(sol_a, rl.SimConfig(paths=3000, seed=7, substeps=2),
-                                   directions=3, eps=(0.1,))
+    rep = rl.perturb_best_response(rl.deviation_tests(
+        sol_a, rl.SimConfig(paths=3000, seed=7, substeps=2), directions=3, samples=1),
+        eps=(0.1,))
     assert len(rep.rows) == 12
     assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
 
@@ -287,8 +292,8 @@ def test_sampled_convexity_homogeneous_penalty_only():
         Q=0.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
     )
     sol = rl.solve_game(spec)
-    rep = rl.sampled_convexity(sol, rl.SimConfig(paths=40, seed=2, substeps=1),
-                               samples=3)
+    rep = rl.sampled_convexity(rl.deviation_tests(
+        sol, rl.SimConfig(paths=40, seed=2, substeps=1), directions=1, samples=3))
     rows = [r for r in rep.rows if r.test == "follower_disturbance_concavity"]
     for r in rows:
         # with Q = 0, G = 0 the functional collapses to (alpha/2)|h|^2 = 1
@@ -304,8 +309,9 @@ def test_sampled_convexity_monotone_in_alpha():
             sigma=0.0, f1=0.0, Q=1.0, R1=0.8, R2=-1.2, R0=1.0, R0hat=1.0,
         )
         sol = rl.solve_game(spec)
-        rep = rl.sampled_convexity(sol, rl.SimConfig(paths=800, seed=4, substeps=1),
-                                   samples=4, directions_seed=77)
+        rep = rl.sampled_convexity(rl.deviation_tests(
+            sol, rl.SimConfig(paths=800, seed=4, substeps=1), directions=1, samples=4,
+            directions_seed=77))
         vals = [r.delta_j for r in rep.rows
                 if r.test == "follower_disturbance_concavity"]
         return min(vals)
@@ -314,8 +320,8 @@ def test_sampled_convexity_monotone_in_alpha():
 
 
 def test_convexity_report_all_positive(sol_a):
-    rep = rl.sampled_convexity(sol_a, rl.SimConfig(paths=1500, seed=3, substeps=2),
-                               samples=3)
+    rep = rl.sampled_convexity(rl.deviation_tests(
+        sol_a, rl.SimConfig(paths=1500, seed=3, substeps=2), directions=1, samples=3))
     assert rep.ok
     assert all(r.delta_j > 0.0 for r in rep.rows)
 
@@ -407,8 +413,9 @@ def test_equilibrium_verification_n2():
     out = rl.simulate(sol, rl.SimConfig(paths=20_000, seed=13, substeps=2))
     v = rl.value(sol)
     assert abs(out.j_mean - v) <= 4.0 * out.j_stderr
-    rep = rl.perturb_best_response(sol, rl.SimConfig(paths=2500, seed=5, substeps=2),
-                                   directions=2, eps=(0.1,))
+    rep = rl.perturb_best_response(rl.deviation_tests(
+        sol, rl.SimConfig(paths=2500, seed=5, substeps=2), directions=2, samples=1),
+        eps=(0.1,))
     assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
 
 
@@ -447,8 +454,8 @@ def test_blown_path_leaves_rows_finite(monkeypatch, sol_a):
     # statistics instead of turning the row into nan
     poison_paths(monkeypatch, lambda pid: pid == 7)
     cfg = rl.SimConfig(paths=3000, seed=1, substeps=1)
-    for rep in (rl.perturb_best_response(sol_a, cfg, directions=2),
-                rl.sampled_convexity(sol_a, cfg, samples=2)):
+    dev = rl.deviation_tests(sol_a, cfg, directions=2, samples=2)
+    for rep in (rl.perturb_best_response(dev), rl.sampled_convexity(dev)):
         assert all(np.isfinite([r.delta_j, r.stderr]).all() for r in rep.rows)
         assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
 
@@ -459,11 +466,28 @@ def test_sim_config_rejects_counts_below_one(field):
         rl.SimConfig(**{field: 0})
 
 
+def test_negative_seeds_rejected(sol_a):
+    with pytest.raises(SpecError, match="seed must be non-negative"):
+        rl.SimConfig(seed=-1)
+    with pytest.raises(SpecError, match="directions_seed must be non-negative"):
+        rl.deviation_tests(sol_a, rl.SimConfig(paths=10), directions_seed=-1)
+
+
+def test_suites_read_independent_columns(sol_a):
+    """Each suite's rows are bit-identical whatever the other suite's
+    count: the shared run keeps every direction column independent."""
+    cfg = rl.SimConfig(paths=60, seed=6, substeps=1)
+    few, many = (rl.deviation_tests(sol_a, cfg, directions=3, samples=s) for s in (1, 10))
+    assert rl.perturb_best_response(few).rows == rl.perturb_best_response(many).rows
+    few, many = (rl.deviation_tests(sol_a, cfg, directions=d, samples=3) for d in (1, 7))
+    assert rl.sampled_convexity(few).rows == rl.sampled_convexity(many).rows
+
+
 @pytest.mark.parametrize("suite, count", [(rl.perturb_best_response, "directions"),
                                           (rl.sampled_convexity, "samples")])
 def test_deviation_suites_reject_no_directions(sol_a, suite, count):
     with pytest.raises(SpecError, match="must be at least 1"):
-        suite(sol_a, rl.SimConfig(paths=10), **{count: 0})
+        suite(rl.deviation_tests(sol_a, rl.SimConfig(paths=10), **{count: 0}))
 
 
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
@@ -475,8 +499,9 @@ SIM_GOLDEN = {
     "terminal": "2813fe8ae316920e41bfb95027b804a6a1349f25fd93732e04d6c0104ca8ad94",
 }
 
-# rows of perturb_best_response(directions=2) and sampled_convexity(samples=2)
-# on instance_a with 200 paths, seed 0, one substep
+# rows of perturb_best_response and sampled_convexity on one
+# deviation_tests(directions=2, samples=2) run on instance_a with 200
+# paths, seed 0, one substep
 ROWS_GOLDEN = [
     ("follower_control", 0, 0.05, 0.004935918140352966, 0.004357548635950177, "inconclusive"),
     ("follower_control", 0, 0.1, 0.016006592310352584, 0.008583215285105767, "inconclusive"),
@@ -510,8 +535,8 @@ def test_harness_golden_values(sol_a):
     for name, digest in SIM_GOLDEN.items():
         assert hashlib.sha256(getattr(out, name).tobytes()).hexdigest() == digest, name
     cfg = rl.SimConfig(paths=200)
-    rows = (rl.perturb_best_response(sol_a, cfg, directions=2).rows
-            + rl.sampled_convexity(sol_a, cfg, samples=2).rows)
+    dev = rl.deviation_tests(sol_a, cfg, directions=2, samples=2)
+    rows = rl.perturb_best_response(dev).rows + rl.sampled_convexity(dev).rows
     assert [(r.test, r.direction, r.eps, r.verdict) for r in rows] == \
         [(g[0], g[1], g[2], g[5]) for g in ROWS_GOLDEN]
     for r, (*_, delta_j, stderr, _) in zip(rows, ROWS_GOLDEN):
