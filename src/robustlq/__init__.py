@@ -4,11 +4,9 @@ leader-follower games with asymmetric drift uncertainty."""
 from .augment import (FollowerTerms, GainMaps, build_blackboard, build_check,
                       build_cost_weights, build_doublehat, build_gain_maps,
                       build_hat, follower_terms)
-from .backward import (RiccatiProblem, RiccatiSolution,
-                       closed_form_special_case, integrate_backward,
+from .backward import (RiccatiProblem, RiccatiSolution, integrate_backward,
                        solve_lyapunov, solve_offset_b1, solve_offset_b3,
-                       solve_offset_b4,
-                       solve_riccati_disturbance, solve_riccati_follower,
+                       solve_offset_b4, solve_riccati_disturbance, solve_riccati_follower,
                        solve_riccati_generalized, solve_value_offset)
 from .equilibrium import (EquilibriumSolution, StrategyOutput,
                           clamp_nonnegative, ensure_diagnostics, feedback,
@@ -31,7 +29,7 @@ __all__ = [
     "SpecError", "StrategyOutput", "TimeGrid", "ValidationReport",
     "build_blackboard", "build_check", "build_cost_weights", "build_doublehat",
     "build_gain_maps", "build_hat", "build_spec", "bvp_oracle",
-    "clamp_nonnegative", "closed_form_special_case", "deviation_tests", "dump_spec",
+    "clamp_nonnegative", "deviation_tests", "dump_spec",
     "ensure_diagnostics", "feedback", "follower_terms", "integrate_backward",
     "load_spec", "make_grid", "perturb_best_response", "sampled_convexity",
     "scalar_bode", "simulate", "solve_game", "solve_lyapunov",

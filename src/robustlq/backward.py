@@ -5,11 +5,15 @@ Every equation here is integrated with classical fixed-step RK4 on the spec
 grid, marching from the terminal node to 0 with coefficients interpolated at
 half-steps.  Because all inputs are deterministic paths, the offset
 equations have identically-zero martingale parts and reduce to linear ODEs.
-Stage times are located once per grid, so right-hand sides read their
-coefficients by index, once per distinct stage time.  Stage solves are
-plain LU (an exactly singular matrix is a RegularityError with its node);
-near singularity is judged per node after the march, from SVD reciprocal
-condition numbers recorded in `regularity`.
+Stage times are located once per grid and numbered by distinct located
+pair.  The Riccati and Lyapunov right-hand sides read their coefficients by
+index, once per distinct stage time; the linear marches (`linear_backward`)
+build theirs beforehand, in stacks over runs of the distinct reads, with
+bit for bit the arithmetic of one read at a time.  A generalized Riccati
+problem without a fraction integrates the plain quadratic equation.  Stage
+solves are plain LU (an exactly singular matrix is a RegularityError with
+its node); near singularity is judged per node after the march, from SVD
+reciprocal condition numbers recorded in `regularity`.
 """
 
 from __future__ import annotations
@@ -56,14 +60,15 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
 
 
 def _per_stage(coef):
-    """coef(t), reused while the StageTime repeats: RK4 reads its half step
-    twice and usually ends a step on the node where the next begins."""
+    """coef(t), reused while the StageTime's read repeats: RK4 reads its
+    half step twice and usually ends a step on the node where the next
+    begins."""
     last = []
 
     def cached(t):
         if not isinstance(t, StageTime):
             return coef(t)
-        if not (last and last[0].grid is t.grid and (last[0].k, last[0].w) == (t.k, t.w)):
+        if not (last and last[0].grid is t.grid and last[0].read == t.read):
             last[:] = t, coef(t)
         return last[1]
 
@@ -82,15 +87,21 @@ def _rcond(mats) -> np.ndarray:
 
 
 def _solve_guarded(mat, rhs_mat, what, t):
-    """Solve mat @ X = rhs_mat by LU; an exactly singular mat fails loudly,
-    naming the node of a StageTime t.  Near singularity is checked per node
+    """Solve mat @ X = rhs_mat by LU, for one matrix at time t or a stack
+    at the times t; an exactly singular matrix fails loudly, naming the
+    time and the node of the first singular one (the node of a StageTime,
+    else its place in the stack).  Near singularity is checked per node
     after the march, where the margins are recorded."""
     try:
         return np.linalg.solve(mat, rhs_mat)
     except np.linalg.LinAlgError:
-        node = getattr(t, "k", None)
-        when = f"t={t:.6g} (node {node})" if np.ndim(t) == 0 else "a node"
-        raise RegularityError(f"{what} is singular at {when}", node=node) from None
+        node = None
+        if np.ndim(t):
+            node = int(np.argmax(np.linalg.slogdet(mat)[0] == 0.0))
+            t = t[node]
+        node = getattr(t, "k", node)
+        raise RegularityError(f"{what} is singular at t={t:.6g} (node {node})",
+                              node=node) from None
 
 
 @dataclass
@@ -117,6 +128,12 @@ class RiccatiProblem:
     D1: MatrixPath
     D2: MatrixPath
 
+    @property
+    def has_fraction(self) -> bool:
+        """Whether any sample of C1, C2, B2, D1 or D2 is nonzero."""
+        return any(np.any(getattr(self, name).samples != 0.0)
+                   for name in ("C1", "C2", "B2", "D1", "D2"))
+
 
 @dataclass
 class RiccatiSolution:
@@ -127,7 +144,10 @@ class RiccatiSolution:
 def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
     integrates this callable and residual checks evaluate it on all nodes
-    at once (a time array and a stack of matrices)."""
+    at once (a time array and a stack of matrices).  A problem without a
+    fraction gets -(P A1 + A2^T P + P B1 P - Q), to which the fraction
+    would add only zeros."""
+    fraction = prob.has_fraction
     eye = np.eye(prob.terminal.shape[0])
 
     @_per_stage
@@ -138,11 +158,12 @@ def generalized_riccati_rhs(prob: RiccatiProblem):
     def rhs(t, P):
         A1, A2T, B1, Q, D2, C1, D1, C2T, B2 = coef(t)
         val = P @ A1 + A2T @ P + P @ B1 @ P - Q
-        gap = eye - P @ D2
-        inner = P @ C1 + P @ D1 @ P
-        val = val + (C2T + P @ B2) @ _solve_guarded(
-            gap, inner, "decoupling matrix (I - P D2)", t
-        )
+        if fraction:
+            gap = eye - P @ D2
+            inner = P @ C1 + P @ D1 @ P
+            val = val + (C2T + P @ B2) @ _solve_guarded(
+                gap, inner, "decoupling matrix (I - P D2)", t
+            )
         return -val
 
     return rhs
@@ -237,17 +258,35 @@ def solve_riccati_disturbance(spec) -> RiccatiSolution:
     return RiccatiSolution(P=P1)
 
 
-def _linear_backward(grid, coef) -> MatrixPath:
-    """Solve phi' = -(lin(t) phi + src(t)), phi(T) = 0, where coef(t)
-    returns (lin, src); phi has as many columns as src.  The martingale
-    integrand is identically zero under deterministic inputs."""
-    coef = _per_stage(coef)
+# Bytes of (lin, src) coefficients a linear march builds in one run: enough
+# reads to spread numpy's per-call cost, few enough to keep the stacks small.
+RUN_BYTES = 256 * 1024
+
+
+def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
+    """Solve phi' = -(lin(t) phi + src(t)) backward from phi(T) = terminal.
+
+    The coefficients are known before the march, so they are built in
+    stacks over runs of the grid's distinct RK4 reads (`TimeGrid.reads`),
+    about RUN_BYTES of them at a time: coef(at, stages) returns the (lin,
+    src) stacks of one run, where at(path) reads a path at the run's
+    stages, bit for bit as `MatrixPath.at` reads each.  An error coef
+    raises, such as a singular stage solve, ends the march when the run
+    holding that stage is built.
+    """
+    terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
+    rows, cols = terminal.shape
+    size = max(1, RUN_BYTES // (8 * rows * (rows + cols)))
+    lo = hi = 0  # the built run: reads lo..hi-1
+    lin = src = None
 
     def rhs(t, phi):
-        lin, src = coef(t)
-        return -(lin @ phi + src)
+        nonlocal lo, hi, lin, src
+        if not lo <= t.read < hi:
+            lo, hi = t.read, min(t.read + size, len(grid.reads))
+            lin, src = coef(lambda path: path.at_reads(grid, lo, hi), grid.reads[lo:hi])
+        return -(lin[t.read - lo] @ phi + src[t.read - lo])
 
-    terminal = np.zeros(coef(grid.rk4_stages[0][0])[1].shape)
     return integrate_backward(rhs, terminal, grid)
 
 
@@ -258,36 +297,36 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
     columns gives D offset columns in one solve."""
     scale = 2.0 / spec.alpha
 
-    def coef(t):
-        P1t, C, u1t = P1.at(t), spec.C.at(t), u1.at(t)
-        return (spec.A.at(t).T - scale * P1t @ np.linalg.inv(spec.R0.at(t)),
-                P1t @ spec.B1.at(t) @ u1t + C.T @ P1t @ spec.D1.at(t) @ u1t)
+    def coef(at, stages):
+        P1t, C, u1t = at(P1), at(spec.C), at(u1)
+        return (at(spec.A).mT - scale * P1t @ np.linalg.inv(at(spec.R0)),
+                P1t @ at(spec.B1) @ u1t + C.mT @ P1t @ at(spec.D1) @ u1t)
 
-    return _linear_backward(spec.grid, coef)
+    return linear_backward(spec.grid, coef, np.zeros((spec.n, u1.shape[1])))
 
 
-def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources) -> MatrixPath:
+def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources, cols: int) -> MatrixPath:
     """Offset equation of a decoupled stage whose Riccati path P solves
     `prob`:
 
         phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
-    where sources(t) returns the drift, diffusion and adjoint sources
-    (s_drift, s_diff, s_adj) at t; phi has as many columns as they do.
+    where sources(at) returns the drift, diffusion and adjoint sources
+    (s_drift, s_diff, s_adj) read by `at`, each with `cols` columns.
     """
     eye = np.eye(prob.terminal.shape[0])
 
-    def coef(t):
-        Pt = P.at(t)
-        gap = eye - Pt @ prob.D2.at(t)
-        FP = (prob.C2.at(t).T + Pt @ prob.B2.at(t)) @ _solve_guarded(
-            gap, eye, "decoupling matrix (I - P D2)", t) @ Pt
-        drift, diff, adj = sources(t)
-        return (prob.A2.at(t).T + Pt @ prob.B1.at(t) + FP @ prob.D1.at(t),
+    def coef(at, stages):
+        Pt = at(P)
+        gap = eye - Pt @ at(prob.D2)
+        FP = (at(prob.C2).mT + Pt @ at(prob.B2)) @ _solve_guarded(
+            gap, eye, "decoupling matrix (I - P D2)", stages) @ Pt
+        drift, diff, adj = sources(at)
+        return (at(prob.A2).mT + Pt @ at(prob.B1) + FP @ at(prob.D1),
                 FP @ diff + Pt @ drift - adj)
 
-    return _linear_backward(P.grid, coef)
+    return linear_backward(P.grid, coef, np.zeros((len(eye), cols)))
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
@@ -295,11 +334,11 @@ def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
     a deterministic leader control path u2 alone, one offset column per
     column of u2."""
 
-    def sources(t):
-        u2t = u2.at(t)
-        return bb.B2.at(t) @ u2t, bb.D2.at(t) @ u2t, bb.F2.at(t) @ u2t
+    def sources(at):
+        u2t = at(u2)
+        return at(bb.B2) @ u2t, at(bb.D2) @ u2t, at(bb.F2) @ u2t
 
-    return _decoupled_offset(bb.problem(), P3, sources)
+    return _decoupled_offset(bb.problem(), P3, sources, u2.shape[1])
 
 
 def solve_offset_b4(dh, Phat: MatrixPath) -> MatrixPath:
@@ -309,10 +348,10 @@ def solve_offset_b4(dh, Phat: MatrixPath) -> MatrixPath:
     the deterministic drift and diffusion offsets source the equation.
     """
 
-    def sources(t):
-        return dh.F.at(t), dh.Sigma.at(t), dh.Upsilon.at(t)
+    def sources(at):
+        return at(dh.F), at(dh.Sigma), at(dh.Upsilon)
 
-    return _decoupled_offset(dh.problem(), Phat, sources)
+    return _decoupled_offset(dh.problem(), Phat, sources, dh.F.shape[1])
 
 
 def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
@@ -341,12 +380,11 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
     with psi(T) = 0.
     """
 
-    def coef(t):
-        Lt = L.at(t)
-        return (Atil.at(t).T,
-                Lt @ Btil.at(t) + Ctil.at(t).T @ Lt @ Dtil.at(t) + extra_source.at(t))
+    def coef(at, stages):
+        Lt = at(L)
+        return at(Atil).mT, Lt @ at(Btil) + at(Ctil).mT @ Lt @ at(Dtil) + at(extra_source)
 
-    return _linear_backward(grid, coef)
+    return linear_backward(grid, coef, np.zeros(Btil.shape))
 
 
 def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> RiccatiSolution:
@@ -364,12 +402,8 @@ def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> 
     sweep of Theta' = -Theta M(t), Theta(T) = I),
     P(t) = Pterm - Theta22(t)^{-1} Theta21(t).
     """
-    for name in ("C1", "C2", "B2", "D1", "D2"):
-        part = getattr(prob, name)
-        if np.any(part.samples != 0.0):
-            raise RegularityError(
-                "closed-form solution requires the fraction coefficients to vanish"
-            )
+    if prob.has_fraction:
+        raise RegularityError("closed-form solution requires the fraction coefficients to vanish")
     d = prob.terminal.shape[0]
     Pterm = prob.terminal
     A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))

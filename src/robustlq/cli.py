@@ -161,6 +161,8 @@ def cmd_verify(args) -> int:
                  "eps", "directions"))
     spec = _load(args)
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
+    eps = tuple(args.eps) if args.eps else (0.05,)
+    montecarlo.check_eps(eps)
     out = _outdir(args)
     report = validate_spec(spec, delta=args.delta)
     (out / "validation.txt").write_text("\n".join(report.lines()) + "\n")
@@ -171,7 +173,6 @@ def cmd_verify(args) -> int:
         return EXIT_VALIDATION
 
     sol = equilibrium.solve_game(spec, delta=args.delta)
-    eps = tuple(args.eps) if args.eps else (0.05,)
     dev = montecarlo.deviation_tests(sol, cfg, directions=args.directions,
                                      samples=min(args.directions, 10))
     perturb = montecarlo.perturb_best_response(dev, eps=eps)

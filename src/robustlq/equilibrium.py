@@ -13,8 +13,8 @@ row_maps gives the four equilibrium maps u1, u2, f and f2 as row maps
 of X1 = [X; 1] at one time or at an array of times; feedback applies
 them to states, and the Monte Carlo harness simulates with them.  The
 10n stacks are read by `augment.block_row` slot: the physical state at
-slot 0, xtil at slot 5 and pbar at slot 9.  skeleton runs the backward
-RK4 march of the solver on the time-reversed noise-free closed loop.
+slot 0, xtil at slot 5 and pbar at slot 9.  skeleton runs the solver's
+linear backward RK4 march on the time-reversed noise-free closed loop.
 
 Everything is deterministic: identical specs produce bit-identical
 solutions.
@@ -141,14 +141,14 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     """Noise-free closed-loop state on the spec grid, (N+1, 10n): the
     solution of dX = (Atil X + Btil) dt from the stacked initial state.
 
-    The backward RK4 march integrates the time-reversed loop y(t) = X(T - t)
-    from y(T) = Xi, reading the reversed coefficient paths at its own stage
-    times.  A non-finite state raises BlowUpError, whose node is on the
-    reversed grid.
+    The linear backward march integrates the time-reversed loop y(t) =
+    X(T - t) from y(T) = Xi, reading the reversed coefficient paths at its
+    own stage times.  A non-finite state raises BlowUpError, whose node is
+    on the reversed grid.
     """
     grid = sol.spec.grid
     A, b = (MatrixPath(grid, p.samples[::-1]) for p in (sol.Atil, sol.Btil))
-    rev = backward.integrate_backward(lambda t, y: -(A.at(t) @ y + b.at(t)), sol.dh.Xi, grid)
+    rev = backward.linear_backward(grid, lambda at, stages: (at(A), at(b)), sol.dh.Xi)
     return rev.samples[::-1, :, 0]
 
 

@@ -72,26 +72,46 @@ class TimeGrid:
     @cached_property
     def rk4_stages(self) -> list:
         """StageTimes (t_k, t_k - h/2, t_k - h) of the backward RK4 march,
-        k = N..1, located in one call per grid."""
+        k = N..1, located in one call per grid.  Each carries `read`, the
+        number of its located (k, w) pair among the distinct pairs in march
+        order (see `reads`)."""
         times = (self.nodes[:0:-1, None] - np.array([0.0, 0.5, 1.0]) * self.dt).ravel()
         ks, ws = self.locate(times)
-        flat = [StageTime(self, *a) for a in zip(times.tolist(), ks.tolist(), ws.tolist())]
+        number = {}
+        flat = [StageTime(self, t, k, w, number.setdefault((k, w), len(number)))
+                for t, k, w in zip(times.tolist(), ks.tolist(), ws.tolist())]
         return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+    @cached_property
+    def reads(self) -> list:
+        """One StageTime per distinct located pair of `rk4_stages`, in march
+        order: reads[t.read] is located as t is.  Pairs are told apart by
+        (k, w), not by half step: a step end need not snap to its node, nor
+        a midpoint locate at w = 0.5."""
+        first = {}
+        for stage in self.rk4_stages:
+            for t in stage:
+                first.setdefault(t.read, t)
+        return list(first.values())
+
+    @cached_property
+    def _read_kw(self):
+        return (np.array([t.k for t in self.reads]), np.array([t.w for t in self.reads]))
 
 
 class StageTime(float):
     """A time already located on a grid: a plain float to arithmetic, read
     by index by every path on that grid."""
 
-    __slots__ = ("grid", "k", "w")
+    __slots__ = ("grid", "k", "w", "read")
 
-    def __new__(cls, grid, t, k, w):
+    def __new__(cls, grid, t, k, w, read):
         self = super().__new__(cls, t)
-        self.grid, self.k, self.w = grid, k, w
+        self.grid, self.k, self.w, self.read = grid, k, w, read
         return self
 
     def __reduce__(self):
-        return StageTime, (self.grid, float(self), self.k, self.w)
+        return StageTime, (self.grid, float(self), self.k, self.w, self.read)
 
 
 def make_grid(T: float, N: int) -> TimeGrid:
@@ -156,12 +176,24 @@ class MatrixPath:
                 return self.samples[t.k]
             return (1.0 - t.w) * self.samples[t.k] + t.w * self.samples[t.k + 1]
         ts = np.asarray(t, dtype=float)
-        k, w = self.grid.locate(ts.reshape(-1))
+        return self._interpolate(*self.grid.locate(ts.reshape(-1))).reshape(ts.shape + self.shape)
+
+    def at_reads(self, grid: TimeGrid, lo: int, hi: int) -> np.ndarray:
+        """Values at the distinct RK4 reads lo..hi-1 of `grid` (its
+        `reads`), stacked; bit for bit what `at` gives their StageTimes."""
+        if grid is not self.grid:
+            return self.at(np.array(grid.reads[lo:hi], dtype=float))
+        k, w = grid._read_kw
+        return self._interpolate(k[lo:hi], w[lo:hi])
+
+    def _interpolate(self, k, w) -> np.ndarray:
+        """Samples at located (k, w) arrays, with a StageTime read's
+        arithmetic: node k where w is 0, else (1-w) m_k + w m_{k+1}."""
         out = self.samples[k]
         mid = w != 0.0
         wm, km = w[mid][:, None, None], k[mid]
         out[mid] = (1.0 - wm) * self.samples[km] + wm * self.samples[km + 1]
-        return out.reshape(ts.shape + self.shape)
+        return out
 
 
 # Matrix-valued fields of a game spec, with expected (rows, cols) as functions

@@ -526,12 +526,14 @@ def deviation_tests(sol: EquilibriumSolution, cfg: SimConfig, directions: int = 
     convexity stream (0xC0), both keyed by directions_seed (default: the
     simulation seed).  Every response treats its columns independently, so
     the directions of one suite give the same outputs whatever the other
-    suite's count; the base closed loop, the offset solves and the
-    Brownian increments are shared.
+    suite's count, 0 included; the base closed loop, the offset solves and
+    the Brownian increments are shared.
     """
     for name, count in (("directions", directions), ("samples", samples)):
-        if count < 1:
-            raise SpecError(f"{name} per test must be at least 1, got {count}")
+        if count < 0:
+            raise SpecError(f"{name} per test must be non-negative, got {count}")
+    if directions + samples < 1:
+        raise SpecError("directions and samples per test must add up to at least 1, got 0")
     if directions_seed is not None and directions_seed < 0:
         raise SpecError(f"directions_seed must be non-negative, got {directions_seed}")
     spec = sol.spec
@@ -572,6 +574,19 @@ def _verdict(mean, se, sign: float, scale: float) -> str:
     return "inconclusive"
 
 
+def check_eps(eps):
+    """A SpecError unless every perturbation size in eps is finite."""
+    if not np.all(np.isfinite(eps)):
+        raise SpecError(f"perturbation sizes eps must be finite, got {list(eps)}")
+
+
+def _has_columns(count: int, name: str, suite: str):
+    """A SpecError for a suite whose run has no columns: an empty report
+    would read as a vacuous pass."""
+    if count < 1:
+        raise SpecError(f"{name} per test must be at least 1 for the {suite} suite, got {count}")
+
+
 def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationReport:
     """Best-response perturbation suite under common random numbers.
 
@@ -580,10 +595,11 @@ def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationRepor
     must not raise them.  Each deviation direction is a random unit-norm
     deterministic path; the replayed players' strategies and the linear
     worst-case responses ride on the same Brownian increments.  Reads the
-    perturbation columns of `dev`; every size in eps must be finite.
+    perturbation columns of `dev`, of which there must be at least one;
+    every size in eps must be finite.
     """
-    if not np.all(np.isfinite(eps)):
-        raise SpecError(f"perturbation sizes eps must be finite, got {list(eps)}")
+    check_eps(eps)
+    _has_columns(dev.directions, "directions", "best-response")
     report = PerturbationReport()
     for t in dev.tests:
         for d in range(dev.directions):
@@ -613,8 +629,9 @@ def sampled_convexity(dev: Deviations) -> PerturbationReport:
     problem's objective is estimated by simulating the auxiliary linear
     systems; a uniformly positive sample is evidence for the corresponding
     definiteness assumption (sampling cannot prove it).  Reads the
-    convexity columns of `dev`.
+    convexity columns of `dev`, of which there must be at least one.
     """
+    _has_columns(dev.samples, "samples", "convexity")
     by_name = {t.name: t for t in dev.tests}
     report = PerturbationReport()
     for name in _NESTED_ORDER:

@@ -186,6 +186,38 @@ def test_singular_offset_gap_names_terminal_node():
     assert err.value.node == 10
 
 
+@pytest.mark.parametrize("run_bytes", [backward.RUN_BYTES, 2000])
+def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
+    # the batched coefficients reproduce a march that reads every stage
+    # time on its own, whatever the run length (2000 bytes: two reads)
+    monkeypatch.setattr(backward, "RUN_BYTES", run_bytes)
+    dh, P = sol_a.dh, sol_a.Phat
+    prob = dh.problem()
+    eye = np.eye(P.rows)
+
+    def rhs(t, phi):
+        Pt = P.at(t)
+        FP = ((prob.C2.at(t).T + Pt @ prob.B2.at(t))
+              @ np.linalg.solve(eye - Pt @ prob.D2.at(t), eye) @ Pt)
+        lin = prob.A2.at(t).T + Pt @ prob.B1.at(t) + FP @ prob.D1.at(t)
+        src = FP @ dh.Sigma.at(t) + Pt @ dh.F.at(t) - dh.Upsilon.at(t)
+        return -(lin @ phi + src)
+
+    ref = rl.integrate_backward(rhs, np.zeros((P.rows, 1)), P.grid)
+    assert np.array_equal(backward.solve_offset_b4(dh, P).samples, ref.samples)
+
+
+def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
+    probs = (sol_b.dh.problem(), sol_b.bb.problem())
+    assert not any(prob.has_fraction for prob in probs)
+    short = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
+    monkeypatch.setattr(backward.RiccatiProblem, "has_fraction", property(lambda self: True))
+    full = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
+    assert np.array_equal(short[0], sol_b.Phat.samples)
+    for a, b in zip(short, full):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # offsets, Lyapunov, value offset
 
@@ -262,7 +294,7 @@ def test_closed_form_trivial_shift():
     grid = rl.make_grid(1.0, 32)
     term = np.array([[0.3, 0.1], [0.1, -0.2]])
     prob = _plain_problem(grid, np.zeros((2, 2)), term, 2)
-    sol = rl.closed_form_special_case(prob)
+    sol = backward.closed_form_special_case(prob)
     assert np.allclose(sol.P.samples, term, atol=1e-12)
 
 
@@ -279,7 +311,7 @@ def test_closed_form_matches_rk4_scalar():
         C1=z, C2=z, B2=z, D1=z, D2=z,
     )
     num = rl.solve_riccati_generalized(prob)
-    cf = rl.closed_form_special_case(prob)
+    cf = backward.closed_form_special_case(prob)
     rel = np.abs(num.P.samples - cf.P.samples) / (1.0 + np.abs(cf.P.samples))
     assert rel.max() <= 1e-6
 
@@ -292,7 +324,7 @@ def test_closed_form_rejects_fraction():
                                    terminal=np.array([[0.0]]),
                                    C1=one, C2=one, B2=z, D1=z, D2=z)
     with pytest.raises(RegularityError, match="fraction"):
-        rl.closed_form_special_case(prob)
+        backward.closed_form_special_case(prob)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,18 @@ def test_bad_run_settings_exit_code(argv, field, homog_file, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", [["nan"], ["0.05", "inf"]])
+def test_verify_rejects_eps_before_solving(eps, monkeypatch, homog_file, tmp_path, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran after a bad --eps")
+
+    monkeypatch.setattr(montecarlo, "deviation_tests", unreachable)
+    monkeypatch.setattr(cli.equilibrium, "solve_game", unreachable)
+    code = cli.run(["verify", "--spec", homog_file, "--out", str(tmp_path / "o"), "--eps", *eps])
+    assert code == 1
+    assert "eps" in capsys.readouterr().err
+
+
 def test_verify_draws_each_path_once(monkeypatch, homog_file, tmp_path):
     # both suites read one shared run: one draw of increments per path
     drawn = []

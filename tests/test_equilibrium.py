@@ -191,6 +191,13 @@ def test_decoupled_representation_residual(sol_a):
     assert worst <= 1e-5
 
 
+def test_skeleton_matches_scalar_read_march(sol_a):
+    grid = sol_a.spec.grid
+    A, b = (rl.MatrixPath(grid, p.samples[::-1]) for p in (sol_a.Atil, sol_a.Btil))
+    ref = rl.integrate_backward(lambda t, y: -(A.at(t) @ y + b.at(t)), sol_a.dh.Xi, grid)
+    assert np.array_equal(equilibrium.skeleton(sol_a), ref.samples[::-1, :, 0])
+
+
 def test_skeleton_blow_up_raises(sol_b):
     # a non-finite drift offset at t = 0 is the first step of the reversed march
     Bt = sol_b.Btil.samples.copy()

@@ -101,6 +101,26 @@ def test_located_reads_match_scalar_at(N, T):
     assert list(zip(k.tolist(), w.tolist())) == [grid.locate(t) for t in times]
 
 
+def test_batched_reads_match_stage_reads():
+    # on T = 3, N = 100 step ends that miss their node and midpoints off
+    # w = 0.5 both occur, so reads must be told apart by located pair
+    grid = rl.make_grid(3.0, 100)
+    stages = [s for stage in grid.rk4_stages for s in stage]
+    assert any(t.w != 0.0 for _, _, t in grid.rk4_stages)
+    assert any(m.w != 0.5 for _, m, _ in grid.rk4_stages)
+    assert all((grid.reads[s.read].k, grid.reads[s.read].w) == (s.k, s.w) for s in stages)
+    assert len({(s.k, s.w) for s in stages}) == len(grid.reads)
+    assert [s.read for s in grid.reads] == list(range(len(grid.reads)))
+    path = MatrixPath(grid, np.random.default_rng(3).standard_normal((101, 2, 3)))
+    ref = np.stack([path.at(s) for s in grid.reads])
+    for cut in (1, 77, len(grid.reads) - 1):
+        runs = [path.at_reads(grid, 0, cut), path.at_reads(grid, cut, len(grid.reads))]
+        assert np.array_equal(np.concatenate(runs), ref)
+    # a path on another grid is read at the reads' times
+    other = MatrixPath(rl.make_grid(3.0, 100), path.samples)
+    assert np.array_equal(other.at_reads(grid, 5, 60), ref[5:60])
+
+
 def test_located_read_rejects_out_of_range():
     grid = rl.make_grid(1.0, 4)
     path = MatrixPath.constant(grid, [[1.0]])

@@ -490,6 +490,19 @@ def test_deviation_suites_reject_no_directions(sol_a, suite, count):
         suite(rl.deviation_tests(sol_a, rl.SimConfig(paths=10), **{count: 0}))
 
 
+def test_one_suite_run(sol_a):
+    # a run with no columns for one suite serves the other alone
+    cfg = rl.SimConfig(paths=40, seed=6, substeps=1)
+    only, both = (rl.deviation_tests(sol_a, cfg, directions=2, samples=s) for s in (0, 3))
+    assert rl.perturb_best_response(only).rows == rl.perturb_best_response(both).rows
+    only, both = (rl.deviation_tests(sol_a, cfg, directions=d, samples=2) for d in (0, 3))
+    assert rl.sampled_convexity(only).rows == rl.sampled_convexity(both).rows
+    with pytest.raises(SpecError, match="add up to at least 1"):
+        rl.deviation_tests(sol_a, cfg, directions=0, samples=0)
+    with pytest.raises(SpecError, match="non-negative"):
+        rl.deviation_tests(sol_a, cfg, directions=-1, samples=2)
+
+
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2, chunk=17): any change to the realized numbers shows here
 SIM_GOLDEN = {
