@@ -163,6 +163,8 @@ def cmd_verify(args) -> int:
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
     eps = tuple(args.eps) if args.eps else (0.05,)
     montecarlo.check_eps(eps)
+    if args.directions < 1:
+        raise SpecError(f"directions per test must be at least 1, got {args.directions}")
     out = _outdir(args)
     report = validate_spec(spec, delta=args.delta)
     (out / "validation.txt").write_text("\n".join(report.lines()) + "\n")

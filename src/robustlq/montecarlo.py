@@ -37,9 +37,10 @@ bookkeeping with the base costs.
 The loop is state-major: a block of paths is held as the columns of the
 augmented state X1 = [X; 1], and every signal is a row map E_s = [gain |
 off] of X1; the controls and disturbances are `equilibrium.row_maps`,
-the maps `feedback` evaluates.  Each criterion then collapses to one
-quadratic form X1' M X1 per step, and a step of a block is one matrix
-product for the closed loop and one more per test.
+the maps `feedback` evaluates.  A criterion is a sum of coef * s' W s
+terms, so a step's costs are weighted products of the rows E_s X1 and
+dt W E_s X1.  One matrix product per step gives those rows, the
+closed-loop move and the tests' cross rows, and each test takes one more.
 """
 
 from __future__ import annotations
@@ -332,9 +333,14 @@ def _forms(pre: dict, tests, ks):
 
     K[j] maps the block's augmented state X1 = [X; 1] to, in this order:
     the drift part [dt A | dt b] and the diffusion part [C | d] of the
-    step, one form M_c = dt sum coef E_s' W E_s per criterion (the step's
-    cost is X1' M_c X1), and per test the rows H' and h' of its cross term
-    X1' (H Z_d + h_d).  Per test, resp[i] = (Kz, zoff, czz): Kz[j] stacks
+    step, the rows E_s of each (signal s, weight W) pair the criteria use,
+    the rows dt W E_s of the same pairs, and per test the rows H' and h'
+    of its cross term X1' (H Z_d + h_d).  The step's cost of criterion c
+    is coefs[c] @ (E_s X1 * dt W E_s X1) over the pair rows, coefs holding
+    the criterion's coefficient on every row of each pair it uses.  A
+    criterion is a few signal terms, so these rows are far fewer than a
+    (10n+1)^2 form per criterion, and no weight need be definite.  Per
+    test, resp[i] = (Kz, zoff, czz): Kz[j] stacks
     dt A, C and Mzz over the response state Z, zoff[j] the matching
     columns dt b_d, d_d and 2 mzo_d of each direction, and czz[j] the
     constants of the quad term Z_d' (Mzz Z_d + 2 mzo_d) + czz_d.
@@ -364,7 +370,16 @@ def _forms(pre: dict, tests, ks):
     else:
         drift = dt * np.concatenate([pre["A"][ks], pre["b"][ks]], axis=2)
         diff = np.concatenate([pre["C"][ks], pre["d"][ks]], axis=2)
-    parts = [drift, diff] + [wsum(terms, E, E) for terms in terms_of.values()]
+    # each (signal, weight) pair once, rows first[p]:first[p + 1] of both stacks
+    pairs = list(dict.fromkeys((s, w) for terms in terms_of.values() for s, w, _ in terms))
+    first = np.cumsum([0] + [E[s].shape[-2] for s, _ in pairs])
+    coefs = np.zeros((len(terms_of), first[-1]))
+    for i, terms in enumerate(terms_of.values()):
+        for s, w, c in terms:
+            p = pairs.index((s, w))
+            coefs[i, first[p]:first[p + 1]] += c
+    parts = ([drift, diff] + [E[s] for s, _ in pairs]
+             + [dt * take(pre[w]) @ E[s] for s, w in pairs])
     resp = []
     for t in tests:
         terms = terms_of[t.criterion]
@@ -385,7 +400,7 @@ def _forms(pre: dict, tests, ks):
         resp.append((np.ascontiguousarray(stack([move[0], Mzz], dim)),
                      stack([move[1], 2.0 * mzo], dirs),
                      np.broadcast_to(czz, (steps, dirs))))
-    return np.ascontiguousarray(stack(parts, m + 1)), resp
+    return np.ascontiguousarray(stack(parts, m + 1)), coefs, resp
 
 
 class _Block:
@@ -408,12 +423,11 @@ class _Block:
     def step(self, forms, j, dw=None):
         """Accumulate the costs of step j of `_forms` output at the current
         state and, unless dw is None, make the step's Euler-Maruyama move."""
-        (K, resp), X1 = forms, self.X1
-        m, ncrit = len(X1) - 1, len(self.costs)
+        (K, coefs, resp), X1 = forms, self.X1
+        m, rows = len(X1) - 1, coefs.shape[1]
         Y = K[j] @ X1
-        self.costs += np.einsum("cip,ip->cp", Y[2 * m:2 * m + ncrit * (m + 1)]
-                                .reshape(ncrit, m + 1, -1), X1)
-        row = 2 * m + ncrit * (m + 1)
+        row = 2 * m + 2 * rows
+        self.costs += coefs @ (Y[2 * m:2 * m + rows] * Y[2 * m + rows:row])
         for (Z, cross, quad), (Kz, zoff, czz) in zip(self.resp, resp):
             dim, dirs = Z.shape[:2]
             Yz = (Kz[j] @ Z.reshape(dim, -1)).reshape(3 * dim, dirs, -1)
@@ -670,13 +684,20 @@ class OracleResult:
         return float(max(gx, gy))
 
 
-def _implicit_euler_bvp(dh, grid) -> np.ndarray:
+def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     """z_k = (x_k, y_k) of the oracle at the c+1 nodes of grid, (c+1, 2 ten).
 
-    The step from t_k to t_(k+1) couples z_k and z_(k+1) only:
+    The trapezoidal step from t_k to t_(k+1) of
 
-        -x_k + (I - dt A1) x_(k+1) - dt B1 y_(k+1) = dt F        at t_(k+1)
-        -dt Q x_k + (dt A2' - I) y_k + y_(k+1)      = dt Upsilon  at t_k
+        x' = A1 x + B1 y + F,   y' = Q x - A2' y + Upsilon
+
+    couples z_k and z_(k+1) only; with h = dt/2 and the coefficients read
+    at the node of the unknown they multiply,
+
+        -(I + h A1) x_k - h B1 y_k + (I - h A1) x_(k+1) - h B1 y_(k+1)
+            = h (F_k + F_(k+1))
+        -h Q x_k + (h A2' - I) y_k - h Q x_(k+1) + (I + h A2') y_(k+1)
+            = h (Upsilon_k + Upsilon_(k+1))
 
     between x_0 = Xi and y_c = G x_c.  The staircase is eliminated from
     the initial node on: the rows carried into a step and the step's own
@@ -685,21 +706,21 @@ def _implicit_euler_bvp(dh, grid) -> np.ndarray:
     alone to the next step.  Memory is O(c ten^2), not the dense (c ten)^2.
     """
     ten = dh.A1.rows
-    coarse_n, dtc = grid.steps, grid.dt
+    coarse_n, h = grid.steps, 0.5 * grid.dt
     eye, zero = np.eye(ten), np.zeros((ten, ten))
-    nxt, here = grid.nodes[1:], grid.nodes[:-1]
-    A1, B1, F = dh.A1.at(nxt), dh.B1.at(nxt), dh.F.at(nxt)[:, :, 0]
-    A2, Q, Ups = dh.A2.at(here), dh.Q.at(here), dh.Upsilon.at(here)[:, :, 0]
+    A1, B1, A2, Q = (h * path.at(grid.nodes) for path in (dh.A1, dh.B1, dh.A2, dh.Q))
+    F, Ups = (path.at(grid.nodes)[:, :, 0] for path in (dh.F, dh.Upsilon))
 
     carry, rhs = np.hstack([eye, zero]), dh.Xi[:, 0]
     back = np.empty((coarse_n, 2 * ten, 2 * ten + 1))  # z_k = back[k] @ [1; -z_(k+1)]
     try:
         for k in range(coarse_n):
-            left = np.block([[carry], [-eye, zero], [-dtc * Q[k], dtc * A2[k].T - eye]])
-            right = np.block([[zero, zero], [eye - dtc * A1[k], -dtc * B1[k]], [zero, eye]])
+            left = np.block([[carry], [-eye - A1[k], -B1[k]], [-Q[k], A2[k].T - eye]])
+            right = np.block([[zero, zero], [eye - A1[k + 1], -B1[k + 1]],
+                              [-Q[k + 1], eye + A2[k + 1].T]])
             q, r = np.linalg.qr(left, mode="complete")
-            reduced = q.T @ np.column_stack([np.concatenate([rhs, dtc * F[k], dtc * Ups[k]]),
-                                             right])
+            step_rhs = np.concatenate([rhs, h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])])
+            reduced = q.T @ np.column_stack([step_rhs, right])
             back[k] = np.linalg.solve(r[:2 * ten], reduced[:2 * ten])
             rhs, carry = reduced[2 * ten:, 0], reduced[2 * ten:, 1:]
         Z = np.empty((coarse_n + 1, 2 * ten))
@@ -713,9 +734,9 @@ def _implicit_euler_bvp(dh, grid) -> np.ndarray:
 
 
 def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
-    """Direct implicit-Euler discretization of the forward-backward
-    optimality system as one block-banded solve, compared against the
-    Riccati pipeline on the noise-free skeleton.
+    """Direct trapezoidal (second-order) discretization of the
+    forward-backward optimality system as one block-banded solve, compared
+    against the Riccati pipeline on the noise-free skeleton.
 
     The skeleton drops the Brownian terms, under which the martingale
     component of the backward pair vanishes; the comparison is exact (up
@@ -723,7 +744,7 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     are zero, which is the regime this oracle is meant for.
     """
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
-    Z = _implicit_euler_bvp(sol.dh, grid)
+    Z = _trapezoidal_bvp(sol.dh, grid)
     ten = sol.dh.A1.rows
     Xo, Yo = Z[:, :ten], Z[:, ten:]
 

@@ -6,7 +6,7 @@ import pytest
 import robustlq as rl
 from robustlq import cli, montecarlo
 
-from conftest import homogeneous_spec, instance_b, malformed_spec_docs
+from conftest import homogeneous_spec, instance_b, malformed_spec_docs, random_spec
 
 
 @pytest.fixture()
@@ -127,6 +127,33 @@ def test_verify_rejects_eps_before_solving(eps, monkeypatch, homog_file, tmp_pat
     code = cli.run(["verify", "--spec", homog_file, "--out", str(tmp_path / "o"), "--eps", *eps])
     assert code == 1
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_rejects_directions_before_solving(count, monkeypatch, homog_file, tmp_path,
+                                                  capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran after a bad --directions")
+
+    monkeypatch.setattr(montecarlo, "deviation_tests", unreachable)
+    monkeypatch.setattr(cli.equilibrium, "solve_game", unreachable)
+    code = cli.run(["verify", "--spec", homog_file, "--out", str(tmp_path / "o"),
+                    "--directions", count])
+    assert code == 1
+    assert "directions" in capsys.readouterr().err
+
+
+def test_verify_passes_diffusion_free_n2_game(tmp_path):
+    # the oracle's gap on this game is second order in its step: 3.6e-6 at
+    # 64 nodes, under the 1e-3 bound a first-order oracle missed
+    f = tmp_path / "special.json"
+    rl.dump_spec(random_spec(1, 2, special=True, N=256), f)
+    out = tmp_path / "v"
+    code = cli.run(["verify", "--spec", str(f), "--out", str(out),
+                    "--paths", "400", "--directions", "2"])
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert summary["oracle"]["ok"] is True, summary
+    assert code == cli.EXIT_OK, summary
 
 
 def test_verify_draws_each_path_once(monkeypatch, homog_file, tmp_path):

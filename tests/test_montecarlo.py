@@ -170,6 +170,24 @@ def test_collapsed_forms_match_reference_loop(sol_a):
         assert np.all(np.abs(out[key] - ref[key]) <= 1e-12 * scale), key
 
 
+def test_factored_costs_match_reference_loop_n2():
+    # at n = 2 the disturbances f and f2 are two rows each, so a signal's
+    # term spans several rows of the factored step costs
+    sol = rl.solve_game(random_spec(42, 2, N=150))
+    cfg = rl.SimConfig(paths=50, seed=4, substeps=2)
+    dev = rl.deviation_tests(sol, cfg, directions=2, samples=1)
+    sim = rl.simulate(sol, cfg)
+    pre = montecarlo._precompute_base(sol, cfg.substeps)
+    dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
+    ref = reference_run(pre, dev.tests, dW)
+    for name, field in (("game", "j"), ("follower", "j_follower"), ("leader", "j_leader")):
+        for got in (dev.out[name], getattr(sim, field)):
+            assert np.all(np.abs(got - ref[name]) <= 1e-12 * np.abs(ref[name])), name
+    for key in ref.keys() - {"game", "follower", "leader"}:
+        scale = np.abs(ref[key]).max(axis=0)
+        assert np.all(np.abs(dev.out[key] - ref[key]) <= 1e-12 * scale), key
+
+
 def test_simulated_signals_are_the_feedback_maps(sol_a):
     """The Monte Carlo controls and disturbances are the equilibrium maps
     `feedback` evaluates, at the left ends of the sub-grid steps."""
@@ -354,27 +372,33 @@ def test_bvp_oracle_gap_and_refinement(sol_b):
 
 
 def dense_oracle_solution(sol, coarse_n):
-    """(x_k, y_k) of the oracle's implicit-Euler system, assembled as one
+    """(x_k, y_k) of the oracle's trapezoidal system, assembled as one
     dense matrix (block rows: initial state, forward steps, backward steps,
     terminal; block columns x_0..x_c, then y_0..y_c) and solved directly."""
     dh = sol.dh
     ten = dh.A1.rows
     grid = rl.make_grid(sol.spec.grid.horizon, coarse_n)
-    dtc, c = grid.dt, coarse_n
+    h, c = 0.5 * grid.dt, coarse_n
     eye = np.eye(ten)
     M = np.zeros((2 * (c + 1), ten, 2 * (c + 1), ten))
     rhs = np.zeros((2 * (c + 1), ten))
-    nxt, here, k = grid.nodes[1:], grid.nodes[:-1], np.arange(c)
+    A1, B1, A2, Q = (p.at(grid.nodes) for p in (dh.A1, dh.B1, dh.A2, dh.Q))
+    F, Ups = (p.at(grid.nodes)[:, :, 0] for p in (dh.F, dh.Upsilon))
+    k = np.arange(c)
     M[0, :, 0] = eye
     rhs[0] = dh.Xi[:, 0]
-    M[1 + k, :, 1 + k] = eye - dtc * dh.A1.at(nxt)
-    M[1 + k, :, k] = -eye
-    M[1 + k, :, c + 2 + k] = -dtc * dh.B1.at(nxt)
-    rhs[1 + k] = dtc * dh.F.at(nxt)[:, :, 0]
-    M[c + 1 + k, :, c + 2 + k] = eye
-    M[c + 1 + k, :, c + 1 + k] = -eye + dtc * dh.A2.at(here).mT
-    M[c + 1 + k, :, k] = -dtc * dh.Q.at(here)
-    rhs[c + 1 + k] = dtc * dh.Upsilon.at(here)[:, :, 0]
+    # x_(k+1) - x_k = h (A1 x + B1 y + F)_k + h (A1 x + B1 y + F)_(k+1)
+    M[1 + k, :, k] = -eye - h * A1[k]
+    M[1 + k, :, 1 + k] = eye - h * A1[k + 1]
+    M[1 + k, :, c + 1 + k] = -h * B1[k]
+    M[1 + k, :, c + 2 + k] = -h * B1[k + 1]
+    rhs[1 + k] = h * (F[k] + F[k + 1])
+    # y_(k+1) - y_k = h (Q x - A2' y + Ups)_k + h (Q x - A2' y + Ups)_(k+1)
+    M[c + 1 + k, :, k] = -h * Q[k]
+    M[c + 1 + k, :, 1 + k] = -h * Q[k + 1]
+    M[c + 1 + k, :, c + 1 + k] = -eye + h * A2[k].mT
+    M[c + 1 + k, :, c + 2 + k] = eye + h * A2[k + 1].mT
+    rhs[c + 1 + k] = h * (Ups[k] + Ups[k + 1])
     M[-1, :, -1] = eye
     M[-1, :, c] = -dh.G
     z = np.linalg.solve(M.reshape(rhs.size, rhs.size), rhs.ravel())
@@ -506,9 +530,9 @@ def test_one_suite_run(sol_a):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2, chunk=17): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "dab5d6f11731d8276abb8a0463295c230dcb1063c5c42f65a80f907cdfd5ab49",
-    "j_follower": "d48a384711a1bb108c2500f15ad0fc90b4be96e1eede3688a7d96f1accc56863",
-    "j_leader": "465172082b5feba4fa6db8b3f09fb610b73319d0e96b799714947a5104bf16b7",
+    "j": "d515d07f427ff0dbbc16b85e12a87b5d3b3dc0aa973ea68cb802d861d7ba22fc",
+    "j_follower": "643fe6245000db978f5187b49af15b30a28c65451d8a396b6927a5bcaddd8641",
+    "j_leader": "7afe3b5a040b804c82b101857cd3f9d62b5fb1a6d0b55d48bdb2367bdfc5c4bd",
     "terminal": "2813fe8ae316920e41bfb95027b804a6a1349f25fd93732e04d6c0104ca8ad94",
 }
 
