@@ -2,17 +2,18 @@
 the Lyapunov equation and the fundamental-matrix closed form.
 
 Every equation here is integrated with classical fixed-step RK4 on the spec
-grid, marching from the terminal node to 0 with coefficients interpolated at
-half-steps.  Because all inputs are deterministic paths, the offset
-equations have identically-zero martingale parts and reduce to linear ODEs.
-Stage times are located once per grid and numbered by distinct located
-pair.  The Riccati and Lyapunov right-hand sides read their coefficients by
-index, once per distinct stage time; the linear marches (`linear_backward`)
-build theirs beforehand, in stacks over runs of the distinct reads, with
-bit for bit the arithmetic of one read at a time.  A generalized Riccati
-problem without a fraction integrates the plain quadratic equation.  Stage
-solves are plain LU (an exactly singular matrix is a RegularityError with
-its node); near singularity is judged per node after the march, from SVD
+grid, marching from the terminal node to 0.  Because all inputs are
+deterministic paths, the offset equations have identically-zero martingale
+parts and reduce to linear ODEs.  The march keys each stage by its integer
+half step j, the time j dt/2, and coefficients are read there with
+`MatrixPath.half`: the node for an even j, the mean of the cell's two nodes
+for an odd one.  The Riccati and Lyapunov right-hand sides read their
+coefficients once per half step; the linear marches (`linear_backward`)
+build theirs beforehand, in stacks over runs of half steps, with bit for
+bit the arithmetic of one read at a time.  A generalized Riccati problem
+without a fraction integrates the plain quadratic equation.  Stage solves
+are plain LU (an exactly singular matrix is a RegularityError with its
+node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
 """
 
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (BlowUpError, MatrixPath, RegularityError, StageTime, TimeGrid,
-                    frobenius)
+from .model import BlowUpError, MatrixPath, RegularityError, TimeGrid, frobenius
 
 # Reciprocal-condition floor below which a decoupling inverse is treated as
 # a hypothesis failure rather than roundoff.
@@ -31,10 +31,13 @@ RCOND_LIMIT = 1e-12
 
 
 def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
-    """Integrate M'(t) = rhs(t, M) backward from M(T) = terminal with RK4.
+    """Integrate M' = rhs(j, M) backward from M(T) = terminal with RK4.
 
-    The terminal node of the result equals `terminal` bit-exactly.  Any
-    non-finite value aborts with the node index where it appeared.
+    rhs receives the integer half step j of each stage, at the time
+    j dt/2: the step from node k to node k-1 evaluates it at j = 2k, 2k-1
+    (twice) and 2k-2.  The terminal node of the result equals `terminal`
+    bit-exactly.  Any non-finite value aborts with the node index where it
+    appeared.
     """
     term = np.atleast_2d(np.asarray(terminal, dtype=float))
     out = np.empty((len(grid),) + term.shape)
@@ -43,12 +46,12 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     # overflow is detected and reported via the finiteness check, so the
     # intermediate warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, mid, end) in zip(range(grid.steps, 0, -1), grid.rk4_stages):
-            m = out[k]
-            k1 = rhs(t, m)
-            k2 = rhs(mid, m - 0.5 * h * k1)
-            k3 = rhs(mid, m - 0.5 * h * k2)
-            k4 = rhs(end, m - h * k3)
+        for k in range(grid.steps, 0, -1):
+            m, j = out[k], 2 * k
+            k1 = rhs(j, m)
+            k2 = rhs(j - 1, m - 0.5 * h * k1)
+            k3 = rhs(j - 1, m - 0.5 * h * k2)
+            k4 = rhs(j - 2, m - h * k3)
             step = m - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(step).all():
                 raise BlowUpError(
@@ -60,16 +63,16 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
 
 
 def _per_stage(coef):
-    """coef(t), reused while the StageTime's read repeats: RK4 reads its
-    half step twice and usually ends a step on the node where the next
-    begins."""
-    last = []
+    """coef(j), reused while the half step j repeats: RK4 reads its
+    midpoint twice and ends a step on the half step where the next begins.
+    An array of half steps is read afresh."""
+    last = [None, None]
 
-    def cached(t):
-        if not isinstance(t, StageTime):
-            return coef(t)
-        if not (last and last[0].grid is t.grid and last[0].read == t.read):
-            last[:] = t, coef(t)
+    def cached(j):
+        if isinstance(j, np.ndarray):
+            return coef(j)
+        if last[0] != j:
+            last[:] = j, coef(j)
         return last[1]
 
     return cached
@@ -86,21 +89,19 @@ def _rcond(mats) -> np.ndarray:
     return out
 
 
-def _solve_guarded(mat, rhs_mat, what, t):
-    """Solve mat @ X = rhs_mat by LU, for one matrix at time t or a stack
-    at the times t; an exactly singular matrix fails loudly, naming the
-    time and the node of the first singular one (the node of a StageTime,
-    else its place in the stack).  Near singularity is checked per node
-    after the march, where the margins are recorded."""
+def _solve_guarded(mat, rhs_mat, what, j, dt):
+    """Solve mat @ X = rhs_mat by LU, for one matrix at half step j or a
+    stack at the half steps j; an exactly singular matrix fails loudly,
+    naming the time j dt/2 and the node j // 2 of the first singular one.
+    Near singularity is checked per node after the march, where the
+    margins are recorded."""
     try:
         return np.linalg.solve(mat, rhs_mat)
     except np.linalg.LinAlgError:
-        node = None
-        if np.ndim(t):
-            node = int(np.argmax(np.linalg.slogdet(mat)[0] == 0.0))
-            t = t[node]
-        node = getattr(t, "k", node)
-        raise RegularityError(f"{what} is singular at t={t:.6g} (node {node})",
+        if np.ndim(j):
+            j = j[np.argmax(np.linalg.slogdet(mat)[0] == 0.0)]
+        node = int(j) // 2
+        raise RegularityError(f"{what} is singular at t={j * dt / 2:.6g} (node {node})",
                               node=node) from None
 
 
@@ -144,25 +145,26 @@ class RiccatiSolution:
 def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
     integrates this callable and residual checks evaluate it on all nodes
-    at once (a time array and a stack of matrices).  A problem without a
-    fraction gets -(P A1 + A2^T P + P B1 P - Q), to which the fraction
-    would add only zeros."""
+    at once (an array of half steps and a stack of matrices).  A problem
+    without a fraction gets -(P A1 + A2^T P + P B1 P - Q), to which the
+    fraction would add only zeros."""
     fraction = prob.has_fraction
     eye = np.eye(prob.terminal.shape[0])
 
     @_per_stage
-    def coef(t):
-        return (prob.A1.at(t), prob.A2.at(t).mT, prob.B1.at(t), prob.Q.at(t), prob.D2.at(t),
-                prob.C1.at(t), prob.D1.at(t), prob.C2.at(t).mT, prob.B2.at(t))
+    def coef(j):
+        return (prob.A1.half(j), prob.A2.half(j).mT, prob.B1.half(j), prob.Q.half(j),
+                prob.D2.half(j), prob.C1.half(j), prob.D1.half(j), prob.C2.half(j).mT,
+                prob.B2.half(j))
 
-    def rhs(t, P):
-        A1, A2T, B1, Q, D2, C1, D1, C2T, B2 = coef(t)
+    def rhs(j, P):
+        A1, A2T, B1, Q, D2, C1, D1, C2T, B2 = coef(j)
         val = P @ A1 + A2T @ P + P @ B1 @ P - Q
         if fraction:
             gap = eye - P @ D2
             inner = P @ C1 + P @ D1 @ P
             val = val + (C2T + P @ B2) @ _solve_guarded(
-                gap, inner, "decoupling matrix (I - P D2)", t
+                gap, inner, "decoupling matrix (I - P D2)", j, prob.grid.dt
             )
         return -val
 
@@ -192,15 +194,15 @@ def follower_riccati_rhs(spec):
     nodes at once."""
 
     @_per_stage
-    def coef(t):
-        return (spec.A.at(t), spec.C.at(t), spec.B1.at(t), spec.D1.at(t), spec.R1.at(t),
-                spec.Q.at(t))
+    def coef(j):
+        return (spec.A.half(j), spec.C.half(j), spec.B1.half(j), spec.D1.half(j),
+                spec.R1.half(j), spec.Q.half(j))
 
-    def rhs(t, P):
-        A, C, B1, D1, R1, Q = coef(t)
+    def rhs(j, P):
+        A, C, B1, D1, R1, Q = coef(j)
         gain = P @ B1 + C.mT @ P @ D1
         rt1 = R1 + D1.mT @ P @ D1
-        quad = _solve_guarded(rt1, gain.mT, "control weight R1 + D1'PD1", t)
+        quad = _solve_guarded(rt1, gain.mT, "control weight R1 + D1'PD1", j, spec.grid.dt)
         return -(P @ A + A.mT @ P + C.mT @ P @ C + Q - gain @ quad)
 
     return rhs
@@ -235,12 +237,12 @@ def disturbance_riccati_rhs(spec):
     scale = 2.0 / spec.alpha
 
     @_per_stage
-    def coef(t):
-        return spec.A.at(t), spec.C.at(t), spec.R0.at(t), spec.Q.at(t)
+    def coef(j):
+        return spec.A.half(j), spec.C.half(j), spec.R0.half(j), spec.Q.half(j)
 
-    def rhs(t, P1):
-        A, C, R0, Q = coef(t)
-        mixed = scale * P1 @ _solve_guarded(R0, P1, "disturbance weight R0", t)
+    def rhs(j, P1):
+        A, C, R0, Q = coef(j)
+        mixed = scale * P1 @ _solve_guarded(R0, P1, "disturbance weight R0", j, spec.grid.dt)
         return -(P1 @ A + A.mT @ P1 - mixed + C.mT @ P1 @ C - Q)
 
     return rhs
@@ -267,25 +269,25 @@ def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
     """Solve phi' = -(lin(t) phi + src(t)) backward from phi(T) = terminal.
 
     The coefficients are known before the march, so they are built in
-    stacks over runs of the grid's distinct RK4 reads (`TimeGrid.reads`),
-    about RUN_BYTES of them at a time: coef(at, stages) returns the (lin,
-    src) stacks of one run, where at(path) reads a path at the run's
-    stages, bit for bit as `MatrixPath.at` reads each.  An error coef
-    raises, such as a singular stage solve, ends the march when the run
-    holding that stage is built.
+    stacks over runs of descending half steps, about RUN_BYTES of them at
+    a time: coef(at, js) returns the (lin, src) stacks of the half steps
+    js, where at(path) is `path.half(js)`, bit for bit the reads one at a
+    time.  An error coef raises, such as a singular stage solve, ends the
+    march when the run holding that stage is built.
     """
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     rows, cols = terminal.shape
     size = max(1, RUN_BYTES // (8 * rows * (rows + cols)))
-    lo = hi = 0  # the built run: reads lo..hi-1
+    lo = hi = -1  # the built run: half steps lo down to hi+1
     lin = src = None
 
-    def rhs(t, phi):
+    def rhs(j, phi):
         nonlocal lo, hi, lin, src
-        if not lo <= t.read < hi:
-            lo, hi = t.read, min(t.read + size, len(grid.reads))
-            lin, src = coef(lambda path: path.at_reads(grid, lo, hi), grid.reads[lo:hi])
-        return -(lin[t.read - lo] @ phi + src[t.read - lo])
+        if not hi < j <= lo:
+            lo, hi = j, max(j - size, -1)
+            js = np.arange(lo, hi, -1)
+            lin, src = coef(lambda path: path.half(js), js)
+        return -(lin[lo - j] @ phi + src[lo - j])
 
     return integrate_backward(rhs, terminal, grid)
 
@@ -297,7 +299,7 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
     columns gives D offset columns in one solve."""
     scale = 2.0 / spec.alpha
 
-    def coef(at, stages):
+    def coef(at, js):
         P1t, C, u1t = at(P1), at(spec.C), at(u1)
         return (at(spec.A).mT - scale * P1t @ np.linalg.inv(at(spec.R0)),
                 P1t @ at(spec.B1) @ u1t + C.mT @ P1t @ at(spec.D1) @ u1t)
@@ -317,11 +319,11 @@ def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources, cols: int) -
     """
     eye = np.eye(prob.terminal.shape[0])
 
-    def coef(at, stages):
+    def coef(at, js):
         Pt = at(P)
         gap = eye - Pt @ at(prob.D2)
         FP = (at(prob.C2).mT + Pt @ at(prob.B2)) @ _solve_guarded(
-            gap, eye, "decoupling matrix (I - P D2)", stages) @ Pt
+            gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
         drift, diff, adj = sources(at)
         return (at(prob.A2).mT + Pt @ at(prob.B1) + FP @ at(prob.D1),
                 FP @ diff + Pt @ drift - adj)
@@ -359,12 +361,12 @@ def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
     """Solve L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0 backward."""
 
     @_per_stage
-    def coef(t):
-        At, Ct = Atil.at(t), Ctil.at(t)
-        return At, At.T, Ct, Ct.T, source.at(t)
+    def coef(j):
+        At, Ct = Atil.half(j), Ctil.half(j)
+        return At, At.T, Ct, Ct.T, source.half(j)
 
-    def rhs(t, L):
-        At, AtT, Ct, CtT, src = coef(t)
+    def rhs(j, L):
+        At, AtT, Ct, CtT, src = coef(j)
         return -(L @ At + AtT @ L + CtT @ L @ Ct + src)
 
     return integrate_backward(rhs, terminal, grid)
@@ -380,7 +382,7 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
     with psi(T) = 0.
     """
 
-    def coef(at, stages):
+    def coef(at, js):
         Lt = at(L)
         return at(Atil).mT, Lt @ at(Btil) + at(Ctil).mT @ Lt @ at(Dtil) + at(extra_source)
 
@@ -409,7 +411,7 @@ def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> 
     A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))
     qshift = Pterm @ A1 + A2.mT @ Pterm + Pterm @ B1 @ Pterm - Q
     M = MatrixPath(prob.grid, np.block([[A1 + B1 @ Pterm, B1], [-qshift, -(A2.mT + Pterm @ B1)]]))
-    th = integrate_backward(lambda t, Th: -Th @ M.at(t), np.eye(2 * d), prob.grid).samples
+    th = integrate_backward(lambda j, Th: -Th @ M.half(j), np.eye(2 * d), prob.grid).samples
     rconds = _rcond(th[:, d:, d:])
     bad = np.flatnonzero(rconds < 1.0 / cond_limit)
     if bad.size:
@@ -441,10 +443,10 @@ def _derivative_4th_order(samples: np.ndarray, dt: float) -> np.ndarray:
 def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
     """Per-node Frobenius residual of P against its equation.
 
-    `rhs(t, P)` must return the time derivative the equation prescribes,
-    here for all nodes at once (the node times and the stack of samples);
-    the residual compares it with a 4th-order finite-difference derivative
-    of the solved node samples.
+    `rhs(j, P)` must return the time derivative the equation prescribes,
+    here for all nodes at once (their half steps 2k and the stack of
+    samples); the residual compares it with a 4th-order finite-difference
+    derivative of the solved node samples.
     """
     deriv = _derivative_4th_order(P.samples, P.grid.dt)
-    return frobenius(deriv - rhs(P.grid.nodes, P.samples))
+    return frobenius(deriv - rhs(2 * np.arange(len(P.grid)), P.samples))

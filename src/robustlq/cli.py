@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import augment, equilibrium, montecarlo
+from . import equilibrium, montecarlo
 from .model import (BlowUpError, MatrixPath, RegularityError, SpecError,
                     load_spec, make_grid, validate_spec)
 
@@ -235,15 +235,7 @@ def cmd_example(args) -> int:
 def cmd_dump_blocks(args) -> int:
     _echo(args, ("spec", "stage", "t", "out", "delta"))
     spec = _load(args)
-    from .backward import solve_riccati_follower
-    P = solve_riccati_follower(spec, args.delta).P
-    terms = augment.follower_terms(spec, P, args.delta)
-    stages = {"hat": augment.build_hat(spec, terms), "check": augment.build_check(spec, terms),
-              "weights": augment.build_cost_weights(spec, terms)}
-    stages["blackboard"] = augment.build_blackboard(stages["check"], stages["hat"], terms)
-    stages["doublehat"] = augment.build_doublehat(stages["blackboard"], stages["weights"],
-                                                  terms.Rbbinv)
-    stage = stages[args.stage]
+    stage = equilibrium.stage_blocks(spec, args.delta)[args.stage]
     doc = {"stage": args.stage, "t": args.t, "blocks": {}}
     for name in stage.__dataclass_fields__:
         val = getattr(stage, name)

@@ -65,6 +65,23 @@ def _stage(name, fn, *args, **kwargs):
         raise
 
 
+def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
+    """The follower Riccati solution ("follower"), the follower terms
+    ("terms") and the five stage constructions of a spec, keyed "hat",
+    "check", "blackboard", "weights" and "doublehat".  A failure is
+    tagged with its stage, as in solve_game."""
+    Psol = _stage("follower riccati", backward.solve_riccati_follower, spec, delta)
+    # Rbb is formed and checked with the follower terms, so a leader weight
+    # that fails keeps the stage name of the weights it belongs to
+    terms = _stage("leader cost weights", augment.follower_terms, spec, Psol.P, delta)
+    hat = augment.build_hat(spec, terms)
+    check = augment.build_check(spec, terms)
+    bb = augment.build_blackboard(check, hat, terms)
+    weights = augment.build_cost_weights(spec, terms)
+    return {"follower": Psol, "terms": terms, "hat": hat, "check": check, "blackboard": bb,
+            "weights": weights, "doublehat": augment.build_doublehat(bb, weights, terms.Rbbinv)}
+
+
 def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     """Run the full solver cascade on a validated spec.
 
@@ -77,18 +94,9 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
         names = ", ".join(c.name for c in report.failures())
         raise SpecError(f"spec validation failed: {names}")
 
-    Psol = _stage("follower riccati", backward.solve_riccati_follower, spec, delta)
+    blocks = stage_blocks(spec, delta)
     P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
-    P = Psol.P
-
-    # Rbb is formed and checked with the follower terms, so a leader weight
-    # that fails keeps the stage name of the weights it belongs to
-    terms = _stage("leader cost weights", augment.follower_terms, spec, P, delta)
-    hat = augment.build_hat(spec, terms)
-    check = augment.build_check(spec, terms)
-    bb = augment.build_blackboard(check, hat, terms)
-    weights = augment.build_cost_weights(spec, terms)
-    dh = augment.build_doublehat(bb, weights, terms.Rbbinv)
+    Psol, terms, dh = blocks["follower"], blocks["terms"], blocks["doublehat"]
 
     prob = dh.problem()
     Phsol = _stage("hamiltonian riccati", backward.solve_riccati_generalized, prob)
@@ -121,10 +129,10 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
 
     return EquilibriumSolution(
-        spec=spec, P=P, P1=P1sol.P, Phat=Phat, phihat=phihat,
+        spec=spec, P=Psol.P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
-        Dtil=Dtil, hat=hat, check=check, bb=bb, weights=weights, dh=dh,
-        terms=terms, regularity=regularity,
+        Dtil=Dtil, hat=blocks["hat"], check=blocks["check"], bb=blocks["blackboard"],
+        weights=blocks["weights"], dh=dh, terms=terms, regularity=regularity,
     )
 
 
@@ -143,12 +151,12 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
 
     The linear backward march integrates the time-reversed loop y(t) =
     X(T - t) from y(T) = Xi, reading the reversed coefficient paths at its
-    own stage times.  A non-finite state raises BlowUpError, whose node is
+    own half steps.  A non-finite state raises BlowUpError, whose node is
     on the reversed grid.
     """
     grid = sol.spec.grid
     A, b = (MatrixPath(grid, p.samples[::-1]) for p in (sol.Atil, sol.Btil))
-    rev = backward.linear_backward(grid, lambda at, stages: (at(A), at(b)), sol.dh.Xi)
+    rev = backward.linear_backward(grid, lambda at, js: (at(A), at(b)), sol.dh.Xi)
     return rev.samples[::-1, :, 0]
 
 
@@ -247,12 +255,12 @@ def scalar_bode(a: float, c: float, q: float, g: float, r1: float,
     lin = 2.0 * (1.0 - a) + c * c
     gain = (1.0 + c) ** 2
 
-    def rhs(t, Pm):
+    def rhs(j, Pm):
         p = Pm[0, 0]
         den = r1 + p
         if den < delta:
             raise RegularityError(
-                f"control weight r1 + P dropped below {delta:.1e} at t={t:.6g}"
+                f"control weight r1 + P dropped below {delta:.1e} at t={j * grid.dt / 2:.6g}"
             )
         frac = p * p * gain / den
         return np.array([[-(lin * p - frac + q)]])

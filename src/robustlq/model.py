@@ -3,6 +3,9 @@ the full game specification, and validation of the standing assumptions.
 
 All coefficients are deterministic functions of time, represented by their
 values at the nodes of a uniform grid with linear interpolation in between.
+`MatrixPath.at` reads a path at any time; the backward RK4 marches read it
+by integer half step with `MatrixPath.half`, the node or the midpoint of a
+cell, so no stage time is ever located.
 The leader-observed disturbance f1 is restricted to a deterministic path,
 which keeps every backward equation in the pipeline an ODE.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,50 +70,6 @@ class TimeGrid:
         snap = nxt | (ts == self.nodes[k]) | (k == self.steps)
         k, w = k + nxt, np.where(snap, 0.0, u - k)
         return (int(k), float(w)) if ts.ndim == 0 else (k, w)
-
-    @cached_property
-    def rk4_stages(self) -> list:
-        """StageTimes (t_k, t_k - h/2, t_k - h) of the backward RK4 march,
-        k = N..1, located in one call per grid.  Each carries `read`, the
-        number of its located (k, w) pair among the distinct pairs in march
-        order (see `reads`)."""
-        times = (self.nodes[:0:-1, None] - np.array([0.0, 0.5, 1.0]) * self.dt).ravel()
-        ks, ws = self.locate(times)
-        number = {}
-        flat = [StageTime(self, t, k, w, number.setdefault((k, w), len(number)))
-                for t, k, w in zip(times.tolist(), ks.tolist(), ws.tolist())]
-        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-
-    @cached_property
-    def reads(self) -> list:
-        """One StageTime per distinct located pair of `rk4_stages`, in march
-        order: reads[t.read] is located as t is.  Pairs are told apart by
-        (k, w), not by half step: a step end need not snap to its node, nor
-        a midpoint locate at w = 0.5."""
-        first = {}
-        for stage in self.rk4_stages:
-            for t in stage:
-                first.setdefault(t.read, t)
-        return list(first.values())
-
-    @cached_property
-    def _read_kw(self):
-        return (np.array([t.k for t in self.reads]), np.array([t.w for t in self.reads]))
-
-
-class StageTime(float):
-    """A time already located on a grid: a plain float to arithmetic, read
-    by index by every path on that grid."""
-
-    __slots__ = ("grid", "k", "w", "read")
-
-    def __new__(cls, grid, t, k, w, read):
-        self = super().__new__(cls, t)
-        self.grid, self.k, self.w, self.read = grid, k, w, read
-        return self
-
-    def __reduce__(self):
-        return StageTime, (self.grid, float(self), self.k, self.w, self.read)
 
 
 def make_grid(T: float, N: int) -> TimeGrid:
@@ -170,29 +128,27 @@ class MatrixPath:
 
     def at(self, t) -> np.ndarray:
         """Value at time t, or values stacked along the leading axes for an
-        array of times; a StageTime of this path's grid is read by index."""
-        if isinstance(t, StageTime) and t.grid is self.grid:
-            if t.w == 0.0:
-                return self.samples[t.k]
-            return (1.0 - t.w) * self.samples[t.k] + t.w * self.samples[t.k + 1]
+        array of times: node k where t locates at w = 0, else
+        (1-w) m_k + w m_{k+1}."""
         ts = np.asarray(t, dtype=float)
-        return self._interpolate(*self.grid.locate(ts.reshape(-1))).reshape(ts.shape + self.shape)
-
-    def at_reads(self, grid: TimeGrid, lo: int, hi: int) -> np.ndarray:
-        """Values at the distinct RK4 reads lo..hi-1 of `grid` (its
-        `reads`), stacked; bit for bit what `at` gives their StageTimes."""
-        if grid is not self.grid:
-            return self.at(np.array(grid.reads[lo:hi], dtype=float))
-        k, w = grid._read_kw
-        return self._interpolate(k[lo:hi], w[lo:hi])
-
-    def _interpolate(self, k, w) -> np.ndarray:
-        """Samples at located (k, w) arrays, with a StageTime read's
-        arithmetic: node k where w is 0, else (1-w) m_k + w m_{k+1}."""
+        k, w = self.grid.locate(ts.reshape(-1))
         out = self.samples[k]
         mid = w != 0.0
         wm, km = w[mid][:, None, None], k[mid]
         out[mid] = (1.0 - wm) * self.samples[km] + wm * self.samples[km + 1]
+        return out.reshape(ts.shape + self.shape)
+
+    def half(self, j) -> np.ndarray:
+        """Value at half step j, the time j dt/2: node j/2, bit-exactly, for
+        an even j, else the mean of the two nodes either side; stacked
+        along the leading axis for an int array of half steps, bit for bit
+        the scalar reads."""
+        k = j >> 1
+        if not isinstance(j, np.ndarray):
+            return 0.5 * (self.samples[k] + self.samples[k + 1]) if j & 1 else self.samples[k]
+        out = self.samples[k]
+        mid = (j & 1) == 1
+        out[mid] = 0.5 * (self.samples[k[mid]] + self.samples[k[mid] + 1])
         return out
 
 
@@ -278,8 +234,9 @@ def build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths) -> GameSpec:
     """Assemble a GameSpec from constants, callables or MatrixPath values.
 
     Each coefficient may be given as a scalar/array constant, a callable
-    t -> matrix, or an existing MatrixPath.  Unspecified sigma and f1
-    default to zero paths.
+    t -> matrix, or an existing MatrixPath.  Every coefficient that is
+    omitted or None becomes a zero path (a JSON spec, by contrast, may
+    omit only sigma and f1).
     """
     grid = make_grid(T, N)
 

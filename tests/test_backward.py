@@ -44,6 +44,17 @@ def test_scalar_linear_ode_closed_form():
     assert path.samples[0, 0, 0] == pytest.approx(expect, rel=1e-8)
 
 
+def test_half_step_times_exact_on_cubic():
+    # M' = 3 t^2 + 1 at t = j dt/2: RK4 integrates a cubic exactly, so a
+    # wrong half step to time mapping shows at once
+    grid = rl.make_grid(1.3, 7)
+    path = rl.integrate_backward(lambda j, m: np.array([[3.0 * (j * grid.dt / 2) ** 2 + 1.0]]),
+                                 np.array([[0.0]]), grid)
+    t = grid.nodes
+    expect = t ** 3 + t - (1.3 ** 3 + 1.3)
+    assert np.allclose(path.samples[:, 0, 0], expect, rtol=0.0, atol=1e-14)
+
+
 def test_blowup_reports_node():
     # p' = -p^2 with p(1) = 2 escapes at t = 1/2 marching backward
     grid = rl.make_grid(1.0, 64)
@@ -195,12 +206,12 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
     prob = dh.problem()
     eye = np.eye(P.rows)
 
-    def rhs(t, phi):
-        Pt = P.at(t)
-        FP = ((prob.C2.at(t).T + Pt @ prob.B2.at(t))
-              @ np.linalg.solve(eye - Pt @ prob.D2.at(t), eye) @ Pt)
-        lin = prob.A2.at(t).T + Pt @ prob.B1.at(t) + FP @ prob.D1.at(t)
-        src = FP @ dh.Sigma.at(t) + Pt @ dh.F.at(t) - dh.Upsilon.at(t)
+    def rhs(j, phi):
+        Pt = P.half(j)
+        FP = ((prob.C2.half(j).T + Pt @ prob.B2.half(j))
+              @ np.linalg.solve(eye - Pt @ prob.D2.half(j), eye) @ Pt)
+        lin = prob.A2.half(j).T + Pt @ prob.B1.half(j) + FP @ prob.D1.half(j)
+        src = FP @ dh.Sigma.half(j) + Pt @ dh.F.half(j) - dh.Upsilon.half(j)
         return -(lin @ phi + src)
 
     ref = rl.integrate_backward(rhs, np.zeros((P.rows, 1)), P.grid)
@@ -237,8 +248,8 @@ def test_offset_b1_with_control_source():
     u1 = MatrixPath.constant(spec.grid, [[1.0]])
     phi = rl.solve_offset_b1(spec, P1, u1)
 
-    def rhs(t, p):
-        return -(-P1.at(t) @ p + P1.at(t))
+    def rhs(j, p):
+        return -(-P1.half(j) @ p + P1.half(j))
 
     expect = rl.integrate_backward(rhs, np.zeros((1, 1)), spec.grid)
     assert np.allclose(phi.samples, expect.samples, atol=1e-12)

@@ -235,6 +235,19 @@ def test_dump_blocks(homog_file, tmp_path, capsys):
         assert doc["stage"] == stage and doc["blocks"]
 
 
+def test_dump_blocks_failure_names_stage(tmp_path, capsys):
+    # R1 + D1' G D1 = -0.5 + 0.5 = 0 exactly at the terminal time
+    spec = rl.build_spec(
+        n=1, m1=1, m2=1, T=1.0, N=20, alpha=2.0, gamma=2.0, xi=[0.0], G=[[0.5]],
+        A=0.0, C=0.0, B1=1.0, D1=1.0, B2=1.0, D2=0.0, Q=0.0, R1=-0.5, R2=-1.0,
+        R0=1.0, R0hat=1.0,
+    )
+    f = tmp_path / "singular.json"
+    rl.dump_spec(spec, f)
+    assert cli.run(["dump-blocks", "--spec", str(f), "--stage", "hat", "--t", "0.5"]) == 2
+    assert "[stage follower riccati]" in capsys.readouterr().err
+
+
 def test_grid_override(homog_file, tmp_path):
     out = tmp_path / "o"
     code = cli.run(["solve", "--spec", homog_file, "--out", str(out),

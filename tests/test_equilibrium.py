@@ -194,7 +194,7 @@ def test_decoupled_representation_residual(sol_a):
 def test_skeleton_matches_scalar_read_march(sol_a):
     grid = sol_a.spec.grid
     A, b = (rl.MatrixPath(grid, p.samples[::-1]) for p in (sol_a.Atil, sol_a.Btil))
-    ref = rl.integrate_backward(lambda t, y: -(A.at(t) @ y + b.at(t)), sol_a.dh.Xi, grid)
+    ref = rl.integrate_backward(lambda j, y: -(A.half(j) @ y + b.half(j)), sol_a.dh.Xi, grid)
     assert np.array_equal(equilibrium.skeleton(sol_a), ref.samples[::-1, :, 0])
 
 
@@ -257,25 +257,25 @@ def test_golden_values(name):
     assert got == pytest.approx(GOLDEN[name], rel=1e-12, abs=0.0)
 
 
-# sha256 of the node samples of the solution paths, recorded before the
-# march read its coefficients through pre-located stage times and guarded
-# its stage solves with LU: the output must stay bit for bit the same
+# sha256 of the node samples of the solution paths, recorded with the
+# marches reading their coefficients by integer half step: the output must
+# stay bit for bit the same
 PATH_GOLDEN = {
     "instance_a": {
         "P": "9228d6dad5538b4f9d9a75deab5949aa2841e16d94dd3322e03552bb88fcdbae",
         "P1": "a72fbfc1483cf4659d5d6fe0328b21b43868681aecd45de0320d5ab3224f35de",
-        "Phat": "da615643f2c17e04d3870597cd7b412738038a189c4be37291b39cbd0f36213d",
-        "phihat": "1fbdf556751cc9ba5987694c0e6dec4cb1d5290576ef744b2153c8a52fe29121",
-        "L": "7effa40d9e1529066da40d88743eb2e303915b1d7198a8385b9d2b34cc72015d",
-        "psi": "673215d034bd31a616c518c945783b552b454e51e2c0e3a687bbfa8538dad905",
+        "Phat": "a225b7a31f09cdd75f6c46a16da529e895532ce777f14b9c4b54d9d26c19b3cd",
+        "phihat": "3a6d472c49288bf8f50a8c3dc0e976a6251fce2b71c3104e202eae6d2cea99be",
+        "L": "938b3522c55fa55be4567f542df7dd779a436aba71c63228cb2e0c4939eec951",
+        "psi": "278889c5dd799c1bd60318ab94788ce1041c4e6b2b9df9d24d32bdbcebfe7502",
     },
     "random_1_4": {
-        "P": "fbeb45d00cda2638b546acb5336d705a89f226ad5caa69b934bb33b0b463b91a",
-        "P1": "6eb1248a78727f07d701e4668df3f2f12c7bb99626923bc27948b7fa42db1366",
-        "Phat": "143263394a078f283ff779038b2b9c03a0a1acb8b25c818ae7241b07df6b8660",
-        "phihat": "ffab7ea9b8f2c79f13f70385cfece7bcdea083a9ca0cab2cfc2c3468321e0ac0",
-        "L": "dd84b099d483530a384e029c8d545e7b7c87713c42fd0d4414bab3841d20441a",
-        "psi": "8a578209e5470bdc9f2b4ddae80241da6cee3aad682e6cf766f2f3b49677bf2c",
+        "P": "2d01803dd5de92ce7bbc3ac0c8faf653ca64d13368ed7c9419d0c4721e3aa9fa",
+        "P1": "bc8fd08fa0f5097f0cb1f3dc261617e27e334514cfcff129e8fcd946ea43fb0f",
+        "Phat": "1480501dcfba9758a1242ced966b55b8b20dc348d746367273d25fa86e705a1e",
+        "phihat": "4cf50ebc0ebea8385b97bb1b0382f27f2ed0488b7fd4ede83434d34f71a264e6",
+        "L": "aad30d8a8f5fa999131f832a4d62c0e34890a52373152b988bfb2c872a915949",
+        "psi": "f54eba16b164ffb1f714ba0f9b31573822b233d257086caed4f7554e81832e69",
     },
 }
 
@@ -290,8 +290,9 @@ def test_solution_paths_bit_exact(name):
 
 
 def test_locate_calls_independent_of_grid_size(monkeypatch):
-    # stage times are located once per grid, so a per-stage lookup that
-    # comes back shows up as a count growing with N
+    # the marches read their coefficients by half step and locate no
+    # time, so a per-stage lookup that comes back shows up as a count
+    # growing with N
     locate = rl.TimeGrid.locate
     counts = []
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq.model import MatrixPath, SpecError, StageTime
+from robustlq.model import MatrixPath, SpecError
 
 from conftest import instance_a, malformed_spec_docs
 
@@ -83,7 +83,8 @@ def _reference_at(path, t):
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("N", [7, 200, 256])
 def test_located_reads_match_scalar_at(N, T):
-    # every RK4 stage time as the march forms it: t_k, t_k - h/2, t_k - h
+    # floating-point times t_k, t_k - h/2, t_k - h, which need not locate
+    # exactly on a node or at w = 0.5
     grid = rl.make_grid(T, N)
     path = MatrixPath(grid, np.random.default_rng(N).standard_normal((N + 1, 2, 3)))
     h = grid.dt
@@ -95,30 +96,25 @@ def test_located_reads_match_scalar_at(N, T):
     assert np.array_equal(np.stack([path.at(t) for t in times]), ref)
     assert np.array_equal(path.at(np.array(times[1])), ref[1])
     assert np.array_equal(path.samples, samples)
-    staged = np.stack([path.at(s) for stage in grid.rk4_stages for s in stage])
-    assert np.array_equal(staged, ref)
     k, w = grid.locate(np.array(times))
     assert list(zip(k.tolist(), w.tolist())) == [grid.locate(t) for t in times]
 
 
-def test_batched_reads_match_stage_reads():
-    # on T = 3, N = 100 step ends that miss their node and midpoints off
-    # w = 0.5 both occur, so reads must be told apart by located pair
+def test_half_step_reads():
+    # even half steps are the stored nodes, odd ones the mean of the two
+    # nodes either side; an array of half steps reads each as a scalar does
     grid = rl.make_grid(3.0, 100)
-    stages = [s for stage in grid.rk4_stages for s in stage]
-    assert any(t.w != 0.0 for _, _, t in grid.rk4_stages)
-    assert any(m.w != 0.5 for _, m, _ in grid.rk4_stages)
-    assert all((grid.reads[s.read].k, grid.reads[s.read].w) == (s.k, s.w) for s in stages)
-    assert len({(s.k, s.w) for s in stages}) == len(grid.reads)
-    assert [s.read for s in grid.reads] == list(range(len(grid.reads)))
     path = MatrixPath(grid, np.random.default_rng(3).standard_normal((101, 2, 3)))
-    ref = np.stack([path.at(s) for s in grid.reads])
-    for cut in (1, 77, len(grid.reads) - 1):
-        runs = [path.at_reads(grid, 0, cut), path.at_reads(grid, cut, len(grid.reads))]
-        assert np.array_equal(np.concatenate(runs), ref)
-    # a path on another grid is read at the reads' times
-    other = MatrixPath(rl.make_grid(3.0, 100), path.samples)
-    assert np.array_equal(other.at_reads(grid, 5, 60), ref[5:60])
+    m = path.samples
+    for k in range(101):
+        assert np.array_equal(path.half(2 * k), m[k])
+    for k in range(100):
+        assert np.array_equal(path.half(2 * k + 1), 0.5 * (m[k] + m[k + 1]))
+    js = np.arange(200, -1, -1)
+    ref = np.stack([path.half(int(j)) for j in js])
+    assert np.array_equal(path.half(js), ref)
+    assert np.array_equal(path.half(js[7:60]), ref[7:60])
+    assert np.array_equal(path.samples, m)
 
 
 def test_located_read_rejects_out_of_range():
@@ -130,15 +126,13 @@ def test_located_read_rejects_out_of_range():
 
 
 def test_solved_objects_copy_and_pickle():
-    # a march caches located stage times on the grid; copies must keep
-    # working and keep reading by index on their own grid
+    # copies of a spec and a solution must keep working and solve to the
+    # same paths
     spec = instance_a(N=20)
     sol = rl.solve_game(spec)
     for copy_of in (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
         spec2, sol2 = copy_of(spec), copy_of(sol)
         assert np.array_equal(sol2.P.samples, sol.P.samples)
-        stage = spec2.grid.rk4_stages[0][1]
-        assert isinstance(stage, StageTime) and stage.grid is spec2.grid
         assert np.array_equal(rl.solve_game(spec2).Phat.samples, sol.Phat.samples)
 
 

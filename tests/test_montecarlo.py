@@ -530,10 +530,10 @@ def test_one_suite_run(sol_a):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2, chunk=17): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "d515d07f427ff0dbbc16b85e12a87b5d3b3dc0aa973ea68cb802d861d7ba22fc",
-    "j_follower": "643fe6245000db978f5187b49af15b30a28c65451d8a396b6927a5bcaddd8641",
-    "j_leader": "7afe3b5a040b804c82b101857cd3f9d62b5fb1a6d0b55d48bdb2367bdfc5c4bd",
-    "terminal": "2813fe8ae316920e41bfb95027b804a6a1349f25fd93732e04d6c0104ca8ad94",
+    "j": "7ff2641efc29604c7255de6549561157289ac037181c04640d6fd71d0a210d31",
+    "j_follower": "5ecdf5a622ee0328852396140be33de295e1ba2bbdbf265f54499cfa4a425583",
+    "j_leader": "f44d41212e26a10bb11da1cbb9c7918adac1f7fd99e7e462ba69284ad5f30846",
+    "terminal": "a03048259e23bbfde714e2fcdd2a023999435b576c6a825b0f4d6e5532f061a6",
 }
 
 # rows of perturb_best_response and sampled_convexity on one
