@@ -5,10 +5,10 @@ The closed-loop state is simulated with Euler-Maruyama on the spec grid
 refined by a fixed number of substeps.  Brownian increments come in path
 blocks of PATH_BLOCK paths, each one counter-based Philox stream keyed by
 (master seed, spawn key (0, block index)) and drawn path after path, so
-a path's increments depend only on the seed and its index, never on the
-chunking.  The (0, .) keys are disjoint from the one-element keys of the
-perturbation and convexity direction streams.  Costs are accumulated
-with left-endpoint quadrature.
+a path's increments depend only on the seed and its index.  The (0, .)
+keys are disjoint from the one-element keys of the perturbation and
+convexity direction streams.  Costs are accumulated with left-endpoint
+quadrature.
 
 Every perturbation test compares two arms under common random numbers.
 Because the game is linear-quadratic, the perturbed arm equals the base
@@ -41,6 +41,9 @@ the maps `feedback` evaluates.  A criterion is a sum of coef * s' W s
 terms, so a step's costs are weighted products of the rows E_s X1 and
 dt W E_s X1.  One matrix product per step gives those rows, the
 closed-loop move and the tests' cross rows, and each test takes one more.
+The blocks run one at a time, so a run holds about one block of
+increments plus the step matrices, which the first block forms and the
+later blocks reuse.
 """
 
 from __future__ import annotations
@@ -56,29 +59,27 @@ from .model import BlowUpError, MatrixPath, SpecError, make_grid
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
 # Paths [b, b + PATH_BLOCK) share one Brownian stream and are advanced
 # together as the columns of one block.  Blocks start at fixed multiples,
-# so a path's increments and the shape of every product it takes part in,
-# hence its rounding, do not depend on the chunk.
+# so the increments of a path, and the products and rounding of a full
+# block, do not depend on how many paths the run has.
 PATH_BLOCK = 1024
 STEP_BLOCK = 32  # steps whose matrices are formed together
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run settings.
+    """Monte Carlo run settings: the number of paths, the master seed of
+    their Brownian streams and the Euler substeps per spec grid step.
 
-    chunk is the number of paths drawn and simulated together, in whole
-    path blocks: chunk // PATH_BLOCK blocks and at least one, so at most
-    max(chunk, PATH_BLOCK) paths of increments are held at once.  Results
-    do not depend on it.
+    The paths run PATH_BLOCK at a time, so one block of increments,
+    PATH_BLOCK x (N * substeps) doubles, is held at once.
     """
 
     paths: int = 10_000
     seed: int = 0
     substeps: int = 1
-    chunk: int = 20_000
 
     def __post_init__(self):
-        for name in ("paths", "substeps", "chunk"):
+        for name in ("paths", "substeps"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -198,7 +199,9 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     sub-grid steps.  Each signal is a row map E_s of the augmented state
     X1 = [X; 1]: the equilibrium maps of `row_maps`, (steps, k, 10n+1),
     for the controls and disturbances, a constant (n, 10n+1) selector for
-    x and xbar."""
+    x and xbar.  The closed loop (A, b, C, d) stays a tuple of paths that
+    `_forms` samples per chunk of steps, so its (10n, 10n) samples are
+    held only inside the step matrices."""
     spec = sol.spec
     n = spec.n
     times = _subtimes(spec.grid, substeps)
@@ -212,10 +215,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
         "dt": times[1] - times[0],
         "steps": len(left),
         "n": n,
-        "A": at(sol.Atil),
-        "b": at(sol.Btil),
-        "C": at(sol.Ctil),
-        "d": at(sol.Dtil),
+        "closed_loop": (sol.Atil, sol.Btil, sol.Ctil, sol.Dtil),
         "Q": at(spec.Q),
         "R1": at(spec.R1),
         "R2": at(spec.R2),
@@ -368,8 +368,9 @@ def _forms(pre: dict, tests, ks):
     if ks is None:
         drift = diff = np.zeros((m, m + 1))
     else:
-        drift = dt * np.concatenate([pre["A"][ks], pre["b"][ks]], axis=2)
-        diff = np.concatenate([pre["C"][ks], pre["d"][ks]], axis=2)
+        A, b, C, d = (path.at(pre["left"][ks]) for path in pre["closed_loop"])
+        drift = dt * np.concatenate([A, b], axis=2)
+        diff = np.concatenate([C, d], axis=2)
     # each (signal, weight) pair once, rows first[p]:first[p + 1] of both stacks
     pairs = list(dict.fromkeys((s, w) for terms in terms_of.values() for s, w, _ in terms))
     first = np.cumsum([0] + [E[s].shape[-2] for s, _ in pairs])
@@ -404,13 +405,11 @@ def _forms(pre: dict, tests, ks):
 
 
 class _Block:
-    """Paths [first, first + width) of one run: the augmented state X1 and
-    response states Z as columns, with their cost accumulators."""
+    """One path block of a run: the augmented state X1 and response states
+    Z as columns, with their cost accumulators."""
 
-    def __init__(self, pre, tests, first, dW):
-        width = len(dW)
+    def __init__(self, pre, tests, width):
         m = 10 * pre["n"]
-        self.first, self.dW = first, dW
         self.X1 = np.empty((m + 1, width))
         self.X1[:m] = pre["x0"][:, None]
         self.X1[m] = 1.0
@@ -447,60 +446,58 @@ class _Block:
             X1[:m] += Y[m:2 * m]
 
 
-def _groups(cfg: SimConfig, steps: int, dt: float):
-    """Brownian increments of the path blocks, max(1, chunk // PATH_BLOCK)
-    whole blocks at a time: lists of (first path, (width, steps)
-    increments), one aligned `path_increments` call per block."""
-    size = max(1, cfg.chunk // PATH_BLOCK) * PATH_BLOCK
-    for start in range(0, cfg.paths, size):
-        yield [(b, path_increments(cfg.seed, b, min(PATH_BLOCK, cfg.paths - b), steps, dt))
-               for b in range(start, min(start + size, cfg.paths), PATH_BLOCK)]
-
-
 def _run(pre: dict, cfg: SimConfig, tests=()):
     """Simulate the closed loop and all requested linear responses under
     common increments.  Returns the SimOutput and the per-path outputs:
     the cost of each criterion by name, and each test's per-direction
-    cross and quad under ("cross", name) and ("quad", name)."""
+    cross and quad under ("cross", name) and ("quad", name).
+
+    The path blocks run one after another, each through every step and
+    the terminal costs before the next block's increments are drawn.  The
+    step forms are built once, while the first block runs, and kept only
+    if another block follows."""
     S = pre["steps"]
     out = {name: np.empty(cfg.paths) for name in pre["criteria"]}
     for t in tests:
         out["cross", t.name] = np.empty((cfg.paths, t.b.shape[2]))
         out["quad", t.name] = np.empty((cfg.paths, t.b.shape[2]))
     terminal = np.empty((cfg.paths, len(pre["x0"])))
+    chunks = [slice(k0, min(k0 + STEP_BLOCK, S)) for k0 in range(0, S, STEP_BLOCK)]
     final = _forms(pre, tests, None)
+    cached = []  # the forms of `chunks`, once the first block has built them
 
     blown = 0
-    for group in _groups(cfg, S, pre["dt"]):
-        blocks = [_Block(pre, tests, first, dW) for first, dW in group]
-        del group
+    for first in range(0, cfg.paths, PATH_BLOCK):
+        width = min(PATH_BLOCK, cfg.paths - first)
+        dW = path_increments(cfg.seed, first, width, S, pre["dt"])
+        blk = _Block(pre, tests, width)
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
-            for k0 in range(0, S, STEP_BLOCK):
-                ks = slice(k0, min(k0 + STEP_BLOCK, S))
-                forms = _forms(pre, tests, ks)
-                for blk in blocks:
-                    tile = np.ascontiguousarray(blk.dW[:, ks].T)
-                    for j, dw in enumerate(tile):
-                        blk.step(forms, j, dw)
-            for blk in blocks:
-                blk.step(final, 0)
+            for i, ks in enumerate(chunks):
+                if first:
+                    forms = cached[i]
+                else:
+                    forms = _forms(pre, tests, ks)
+                    if cfg.paths > PATH_BLOCK:
+                        cached.append(forms)
+                for j, dw in enumerate(np.ascontiguousarray(dW[:, ks].T)):
+                    blk.step(forms, j, dw)
+            blk.step(final, 0)
+        del dW  # one block's increments are held at a time
 
-        for blk in blocks:
-            X = blk.X1[:-1].T
-            bad = ~np.isfinite(X).all(axis=1)
-            for Z, _, _ in blk.resp:
-                bad |= ~np.isfinite(Z).all(axis=(0, 1))
-            blown += int(bad.sum())
-            sl = slice(blk.first, blk.first + len(X))
-            terminal[sl] = X
-            per_path = list(zip(pre["criteria"], blk.costs))
-            for t, (_, cross, quad) in zip(tests, blk.resp):
-                per_path += [(("cross", t.name), cross.T), (("quad", t.name), quad.T)]
-            for key, arr in per_path:
-                arr[bad] = np.nan
-                out[key][sl] = arr
-        del blocks, blk  # one group's increments are held at a time
+        X = blk.X1[:-1].T
+        bad = ~np.isfinite(X).all(axis=1)
+        for Z, _, _ in blk.resp:
+            bad |= ~np.isfinite(Z).all(axis=(0, 1))
+        blown += int(bad.sum())
+        sl = slice(first, first + width)
+        terminal[sl] = X
+        per_path = list(zip(pre["criteria"], blk.costs))
+        for t, (_, cross, quad) in zip(tests, blk.resp):
+            per_path += [(("cross", t.name), cross.T), (("quad", t.name), quad.T)]
+        for key, arr in per_path:
+            arr[bad] = np.nan
+            out[key][sl] = arr
 
     if blown > BLOWUP_PATH_BUDGET * cfg.paths:
         raise BlowUpError(
@@ -707,25 +704,31 @@ def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     """
     ten = dh.A1.rows
     coarse_n, h = grid.steps, 0.5 * grid.dt
-    eye, zero = np.eye(ten), np.zeros((ten, ten))
+    eye = np.eye(ten)
     A1, B1, A2, Q = (h * path.at(grid.nodes) for path in (dh.A1, dh.B1, dh.A2, dh.Q))
     F, Ups = (path.at(grid.nodes)[:, :, 0] for path in (dh.F, dh.Upsilon))
 
-    carry, rhs = np.hstack([eye, zero]), dh.Xi[:, 0]
+    # a step's rows, written in place: the carried rows, then its x and y
+    # rows; left holds their z_k columns, right their right-hand side and
+    # z_(k+1) columns (zero in the carried rows)
+    x, y = slice(ten, 2 * ten), slice(2 * ten, None)
+    left, right = np.zeros((3 * ten, 2 * ten)), np.zeros((3 * ten, 2 * ten + 1))
+    left[:ten, :ten], right[:ten, 0] = eye, dh.Xi[:, 0]
     back = np.empty((coarse_n, 2 * ten, 2 * ten + 1))  # z_k = back[k] @ [1; -z_(k+1)]
     try:
         for k in range(coarse_n):
-            left = np.block([[carry], [-eye - A1[k], -B1[k]], [-Q[k], A2[k].T - eye]])
-            right = np.block([[zero, zero], [eye - A1[k + 1], -B1[k + 1]],
-                              [-Q[k + 1], eye + A2[k + 1].T]])
+            left[x, :ten], left[x, ten:] = -eye - A1[k], -B1[k]
+            left[y, :ten], left[y, ten:] = -Q[k], A2[k].T - eye
+            right[x, 0], right[y, 0] = h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])
+            right[x, 1:ten + 1], right[x, ten + 1:] = eye - A1[k + 1], -B1[k + 1]
+            right[y, 1:ten + 1], right[y, ten + 1:] = -Q[k + 1], eye + A2[k + 1].T
             q, r = np.linalg.qr(left, mode="complete")
-            step_rhs = np.concatenate([rhs, h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])])
-            reduced = q.T @ np.column_stack([step_rhs, right])
+            reduced = q.T @ right
             back[k] = np.linalg.solve(r[:2 * ten], reduced[:2 * ten])
-            rhs, carry = reduced[2 * ten:, 0], reduced[2 * ten:, 1:]
+            left[:ten], right[:ten, 0] = reduced[2 * ten:, 1:], reduced[2 * ten:, 0]
         Z = np.empty((coarse_n + 1, 2 * ten))
-        Z[-1] = np.linalg.solve(np.vstack([carry, np.hstack([-dh.G, eye])]),
-                                np.concatenate([rhs, np.zeros(ten)]))
+        Z[-1] = np.linalg.solve(np.vstack([left[:ten], np.hstack([-dh.G, eye])]),
+                                np.concatenate([right[:ten, 0], np.zeros(ten)]))
     except np.linalg.LinAlgError as exc:
         raise BlowUpError(f"oracle system is singular: {exc}") from exc
     for k in reversed(range(coarse_n)):

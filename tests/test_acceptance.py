@@ -161,7 +161,7 @@ def test_criterion_7_invariant_suite(sol_a):
         assert 12.0 <= ratio <= 20.0, f"order ratio {ratio:.2f}"
 
         # seed determinism
-        cfg = rl.SimConfig(paths=300, seed=77, substeps=2, chunk=97)
+        cfg = rl.SimConfig(paths=300, seed=77, substeps=2)
         one = rl.simulate(sol_a, cfg)
         two = rl.simulate(sol_a, rl.SimConfig(paths=300, seed=77, substeps=2))
         assert np.array_equal(one.j, two.j)

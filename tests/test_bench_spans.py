@@ -41,7 +41,7 @@ def test_traced_layers_record(tmp_path):
         sol = equilibrium.solve_game(instance_b(N=48))
         equilibrium.value(sol)
         paths = montecarlo.PATH_BLOCK + 8
-        montecarlo.simulate(sol, rl.SimConfig(paths=paths, seed=1, chunk=1))
+        montecarlo.simulate(sol, rl.SimConfig(paths=paths, seed=1))
         # the stream counters count every simulated path step exactly once
         assert tracer.counts["montecarlo.stream_paths"] == paths
         assert tracer.counts["montecarlo.path_steps"] == paths * sol.spec.grid.steps

@@ -234,6 +234,33 @@ def test_intermediate_stage_residuals():
         assert rel.max() <= 1e-5
 
 
+@pytest.mark.parametrize("spec", [instance_a(N=100), instance_b(N=64), random_spec(3, 2, N=100),
+                                  random_spec(1, 4, N=100)],
+                         ids=["instance_a", "instance_b", "random_3_2", "random_1_4"])
+def test_decoupled_stages_are_j_symmetric(spec):
+    """With J = diag(I, -I) split at a stage's forward | backward rows,
+    every decoupled stage has A2 = J A1 J, C2 = J C1 J, D1 = J B2' J and
+    J B1, J Q, J D2, J G symmetric, so its Riccati equation is symmetric
+    in S = J P and S stays symmetric along the solved path."""
+    def gap(a, b):
+        return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300)
+
+    n = spec.n
+    sol = rl.ensure_diagnostics(rl.solve_game(spec))
+    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
+    for prob, P, top in ((sol.hat.problem(), P2, n), (sol.bb.problem(), sol.P3, 3 * n),
+                         (sol.dh.problem(), sol.Phat, 5 * n)):
+        J = np.diag(np.r_[np.ones(top), -np.ones(P.rows - top)])
+        coef = lambda name: getattr(prob, name).samples
+        assert np.array_equal(coef("A2"), J @ coef("A1") @ J)
+        assert np.array_equal(coef("C2"), J @ coef("C1") @ J)
+        assert gap(coef("D1"), J @ coef("B2").mT @ J) <= 1e-15
+        for M in (J @ coef("B1"), J @ coef("Q"), J @ coef("D2"), J @ prob.terminal):
+            assert gap(M, M.mT) <= 1e-15
+        S = J @ P.samples
+        assert gap(S, S.mT) <= 1e-13
+
+
 # value, |Phat(0)|_F and Xi' Phat(0) Xi of fixed instances; a change to the
 # cascade that moves any of them beyond roundoff changes the solver's output
 GOLDEN = {

@@ -8,7 +8,7 @@ import robustlq as rl
 from robustlq import equilibrium, montecarlo
 from robustlq.model import BlowUpError, SpecError
 
-from conftest import homogeneous_spec, instance_b, random_spec
+from conftest import homogeneous_spec, instance_a, instance_b, random_spec
 
 
 def no_noise_spec(N=100):
@@ -31,20 +31,18 @@ def brownian_spec(N=50):
 
 
 def test_seed_determinism_and_chunk_invariance(sol_a):
-    out1 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=9, substeps=1, chunk=100))
-    out2 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=9, substeps=1, chunk=377))
+    out1 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=9, substeps=1))
+    out2 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=9, substeps=1))
     assert np.array_equal(out1.j, out2.j)
     assert np.array_equal(out1.terminal, out2.terminal)
     out3 = rl.simulate(sol_a, rl.SimConfig(paths=400, seed=10, substeps=1))
     assert not np.array_equal(out1.j, out3.j)
-    # chunks of one path, of 97 paths, and one chunk holding more than one
-    # of the loop's internal path blocks
-    paths = montecarlo.PATH_BLOCK + 300
-    runs = [rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=2, chunk=chunk))
-            for chunk in (1, 97, montecarlo.PATH_BLOCK + 100)]
-    for out in runs[1:]:
-        for name in ("j", "j_follower", "j_leader", "terminal"):
-            assert np.array_equal(getattr(out, name), getattr(runs[0], name)), name
+    # a block's paths are the same whether or not another block follows
+    B = montecarlo.PATH_BLOCK
+    one, two = (rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=2))
+                for paths in (B, B + 300))
+    for name in ("j", "j_follower", "j_leader", "terminal"):
+        assert np.array_equal(getattr(two, name)[:B], getattr(one, name)), name
 
 
 def test_path_increments_slices_of_aligned_blocks():
@@ -71,8 +69,23 @@ def test_streams_drawn_once_per_path(monkeypatch, sol_a):
 
     monkeypatch.setattr(montecarlo, "path_increments", counting)
     paths = montecarlo.PATH_BLOCK + 300
-    rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=1, chunk=1))
-    assert sum(drawn) == paths
+    rl.simulate(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=1))
+    assert drawn == [montecarlo.PATH_BLOCK, 300]  # one call per block
+
+
+def test_simulate_holds_one_block_of_increments():
+    # three blocks of 800 steps each: a run that drew all of them before
+    # stepping would hold three blocks of increments at once
+    sol = rl.solve_game(instance_a(N=100))
+    B, substeps = montecarlo.PATH_BLOCK, 8
+    block = B * sol.spec.grid.steps * substeps * 8
+    tracemalloc.start()
+    try:
+        rl.simulate(sol, rl.SimConfig(paths=3 * B, seed=2, substeps=substeps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block, f"{peak / block:.2f} blocks"
 
 
 @pytest.mark.parametrize("seed", [0, 12345])
@@ -95,6 +108,7 @@ def reference_run(pre, tests, dW):
     term one at a time: the per-path criteria and each test's cross and
     quad, as `montecarlo._run` reports them."""
     dt, criteria = pre["dt"], pre["criteria"]
+    A, b, C, d = (path.at(pre["left"]) for path in pre["closed_loop"])
     paths = len(dW)
     X = np.tile(pre["x0"], (paths, 1))
     Z = {t.name: np.zeros((paths,) + t.b.shape[1:]) for t in tests}
@@ -136,8 +150,7 @@ def reference_run(pre, tests, dW):
             drift = np.einsum("ij,pjd->pid", t.A[k], zk) + t.b[k]
             diff = np.einsum("ij,pjd->pid", t.C[k], zk) + t.d[k]
             Z[t.name] = zk + dt * drift + diff * dW[:, k, None, None]
-        X = X + dt * (X @ pre["A"][k].T + pre["b"][k][:, 0]) \
-            + (X @ pre["C"][k].T + pre["d"][k][:, 0]) * dW[:, k, None]
+        X = X + dt * (X @ A[k].T + b[k][:, 0]) + (X @ C[k].T + d[k][:, 0]) * dW[:, k, None]
 
     for name, (_, s) in criteria.items():
         base = signal(s, None, X)
@@ -484,7 +497,7 @@ def test_blown_path_leaves_rows_finite(monkeypatch, sol_a):
         assert rep.ok, [r for r in rep.rows if r.verdict != "pass"]
 
 
-@pytest.mark.parametrize("field", ["paths", "substeps", "chunk"])
+@pytest.mark.parametrize("field", ["paths", "substeps"])
 def test_sim_config_rejects_counts_below_one(field):
     with pytest.raises(SpecError, match=f"{field} must be at least 1"):
         rl.SimConfig(**{field: 0})
@@ -528,7 +541,7 @@ def test_one_suite_run(sol_a):
 
 
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
-# substeps=2, chunk=17): any change to the realized numbers shows here
+# substeps=2): any change to the realized numbers shows here
 SIM_GOLDEN = {
     "j": "7ff2641efc29604c7255de6549561157289ac037181c04640d6fd71d0a210d31",
     "j_follower": "5ecdf5a622ee0328852396140be33de295e1ba2bbdbf265f54499cfa4a425583",
@@ -568,7 +581,7 @@ ROWS_GOLDEN = [
 
 
 def test_harness_golden_values(sol_a):
-    out = rl.simulate(sol_a, rl.SimConfig(paths=64, seed=3, substeps=2, chunk=17))
+    out = rl.simulate(sol_a, rl.SimConfig(paths=64, seed=3, substeps=2))
     for name, digest in SIM_GOLDEN.items():
         assert hashlib.sha256(getattr(out, name).tobytes()).hexdigest() == digest, name
     cfg = rl.SimConfig(paths=200)
