@@ -4,22 +4,23 @@ the Lyapunov equation and the fundamental-matrix closed form.
 Every equation here is integrated with classical fixed-step RK4 on the spec
 grid, marching from the terminal node to 0.  Because all inputs are
 deterministic paths, the offset equations have identically-zero martingale
-parts and reduce to linear ODEs.  The march keys each stage by its integer
-half step j, the time j dt/2, and coefficients are read there with
-`MatrixPath.half`: the node for an even j, the mean of the cell's two nodes
-for an odd one.  The Riccati and Lyapunov right-hand sides read their
-coefficients once per half step; the linear marches (`linear_backward`)
-build theirs beforehand, in stacks over runs of half steps, with bit for
-bit the arithmetic of one read at a time.  A generalized Riccati problem
-without a fraction integrates the plain quadratic equation.  Stage solves
-are plain LU (an exactly singular matrix is a RegularityError with its
+parts and reduce to linear ODEs.  Every equation but the follower's is a
+`RiccatiProblem` (the stages, `disturbance_problem`, `lyapunov_problem`)
+with one right-hand side and one offset solver, which skip vanishing terms.
+The march keys each stage by its integer half step j, the time j dt/2, and
+coefficients are read there with `MatrixPath.half`: the node for an even
+j, the mean of the cell's two nodes for an odd one.  The Riccati
+right-hand sides read their coefficients once per half step; the linear
+marches (`linear_backward`) build theirs beforehand, in stacks over runs
+of half steps, with bit for bit the arithmetic of one read at a time.
+Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,8 +114,7 @@ class RiccatiProblem:
            + (C2^T + P B2)(I - P D2)^{-1}(P C1 + P D1 P) = 0,  P(T) = terminal.
 
     Each decoupled stage maps its blocks to these coefficients in its
-    `problem()` method; zero fraction paths (C1, C2, B2, D1, D2) give the
-    plain non-symmetric quadratic equation.
+    `problem()` method, as `disturbance_problem` and `lyapunov_problem` do.
     """
 
     grid: TimeGrid
@@ -129,11 +129,17 @@ class RiccatiProblem:
     D1: MatrixPath
     D2: MatrixPath
 
-    @property
-    def has_fraction(self) -> bool:
-        """Whether any sample of C1, C2, B2, D1 or D2 is nonzero."""
-        return any(np.any(getattr(self, name).samples != 0.0)
-                   for name in ("C1", "C2", "B2", "D1", "D2"))
+    def vanishes(self, *names) -> bool:
+        """Whether every sample of the named coefficients is zero; an axis
+        that a broadcast view repeats (stride 0) is read once."""
+        return not any(np.any(s[tuple(slice(None) if st else slice(1) for st in s.strides)])
+                       for s in (getattr(self, name).samples for name in names))
+
+    def terms(self):
+        """Whether the equation has P B1 P, a fraction, and the (I - P D2)
+        solve in it; without the solve the fraction is C2^T P C1."""
+        solve = not self.vanishes("B2", "D1", "D2")
+        return not self.vanishes("B1"), solve or not self.vanishes("C1", "C2"), solve
 
 
 @dataclass
@@ -145,27 +151,32 @@ class RiccatiSolution:
 def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
     integrates this callable and residual checks evaluate it on all nodes
-    at once (an array of half steps and a stack of matrices).  A problem
-    without a fraction gets -(P A1 + A2^T P + P B1 P - Q), to which the
-    fraction would add only zeros."""
-    fraction = prob.has_fraction
+    at once (an array of half steps and a stack of matrices).  Vanishing
+    terms are skipped unread; the full formula would add only zeros."""
+    quad, fraction, solve = prob.terms()
+    used = (True, True, True, quad, fraction, fraction, solve, solve, solve)
+    paths = [getattr(prob, name) if use else None
+             for name, use in zip(("A1", "A2", "Q", "B1", "C1", "C2", "B2", "D1", "D2"), used)]
     eye = np.eye(prob.terminal.shape[0])
 
     @_per_stage
     def coef(j):
-        return (prob.A1.half(j), prob.A2.half(j).mT, prob.B1.half(j), prob.Q.half(j),
-                prob.D2.half(j), prob.C1.half(j), prob.D1.half(j), prob.C2.half(j).mT,
-                prob.B2.half(j))
+        return [None if path is None else path.half(j) for path in paths]
 
     def rhs(j, P):
-        A1, A2T, B1, Q, D2, C1, D1, C2T, B2 = coef(j)
-        val = P @ A1 + A2T @ P + P @ B1 @ P - Q
-        if fraction:
+        A1, A2, Q, B1, C1, C2, B2, D1, D2 = coef(j)
+        val = P @ A1 + A2.mT @ P
+        if quad:
+            val = val + P @ B1 @ P
+        val = val - Q
+        if solve:
             gap = eye - P @ D2
             inner = P @ C1 + P @ D1 @ P
-            val = val + (C2T + P @ B2) @ _solve_guarded(
+            val = val + (C2.mT + P @ B2) @ _solve_guarded(
                 gap, inner, "decoupling matrix (I - P D2)", j, prob.grid.dt
             )
+        elif fraction:
+            val = val + C2.mT @ (P @ C1)
         return -val
 
     return rhs
@@ -230,22 +241,29 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
     return RiccatiSolution(P=P, regularity={"rtilde1_min_eig": eigs})
 
 
-def disturbance_riccati_rhs(spec):
-    """Time derivative prescribed by the disturbance Riccati equation; the
-    solver integrates this callable and residual checks evaluate it on all
-    nodes at once."""
-    scale = 2.0 / spec.alpha
+class _InversePath(MatrixPath):
+    """scale * base^{-1}, inverted where it is read, so a midpoint inverts
+    base's midpoint (a mean of node inverses costs the march two orders).
+    Node samples are inverted last node first, in the march's order."""
 
-    @_per_stage
-    def coef(j):
-        return spec.A.half(j), spec.C.half(j), spec.R0.half(j), spec.Q.half(j)
+    __slots__ = ("base", "scale", "what", "eye")
 
-    def rhs(j, P1):
-        A, C, R0, Q = coef(j)
-        mixed = scale * P1 @ _solve_guarded(R0, P1, "disturbance weight R0", j, spec.grid.dt)
-        return -(P1 @ A + A.mT @ P1 - mixed + C.mT @ P1 @ C - Q)
+    def __init__(self, base: MatrixPath, scale: float, what: str):
+        self.base, self.scale, self.what, self.eye = base, scale, what, np.eye(base.rows)
+        super().__init__(base.grid, self.half(2 * np.arange(len(base.grid))[::-1])[::-1])
 
-    return rhs
+    def half(self, j) -> np.ndarray:
+        return self.scale * _solve_guarded(self.base.half(j), self.eye, self.what, j,
+                                           self.base.grid.dt)
+
+
+def disturbance_problem(spec) -> RiccatiProblem:
+    """The disturbance Riccati equation: A1 = A2 = A, B1 = -(2/alpha) R0^{-1},
+    Q, C1 = C2 = C, B2 = D1 = D2 = 0 and P1(T) = -G."""
+    zero = MatrixPath(spec.grid, np.broadcast_to(0.0, spec.A.samples.shape))  # no samples stored
+    B1 = _InversePath(spec.R0, -2.0 / spec.alpha, "disturbance weight R0")
+    return RiccatiProblem(grid=spec.grid, A1=spec.A, A2=spec.A, B1=B1, Q=spec.Q, terminal=-spec.G,
+                          C1=spec.C, C2=spec.C, B2=zero, D1=zero, D2=zero)
 
 
 def solve_riccati_disturbance(spec) -> RiccatiSolution:
@@ -253,11 +271,11 @@ def solve_riccati_disturbance(spec) -> RiccatiSolution:
 
         P1' + P1 A + A^T P1 - (2/alpha) P1 R0^{-1} P1 + C^T P1 C - Q = 0,
 
-    with P1(T) = -G.  A finite-time blow-up signals that the attenuation
-    level is too aggressive for this instance.
+    with P1(T) = -G: `disturbance_problem`.  A finite-time blow-up signals
+    that the attenuation level is too aggressive for this instance.
     """
-    P1 = integrate_backward(disturbance_riccati_rhs(spec), -spec.G, spec.grid)
-    return RiccatiSolution(P=P1)
+    prob = disturbance_problem(spec)
+    return RiccatiSolution(P=integrate_backward(generalized_riccati_rhs(prob), -spec.G, spec.grid))
 
 
 # Bytes of (lin, src) coefficients a linear march builds in one run: enough
@@ -292,43 +310,50 @@ def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
     return integrate_backward(rhs, terminal, grid)
 
 
-def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
-    """Offset of the disturbance-side value expansion driven by a
-    deterministic follower control path u1: phi1' = -[(A^T - (2/alpha) P1
-    R0^{-1}) phi1 + P1 B1 u1 + C^T P1 D1 u1], phi1(T) = 0.  A u1 with D
-    columns gives D offset columns in one solve."""
-    scale = 2.0 / spec.alpha
-
-    def coef(at, js):
-        P1t, C, u1t = at(P1), at(spec.C), at(u1)
-        return (at(spec.A).mT - scale * P1t @ np.linalg.inv(at(spec.R0)),
-                P1t @ at(spec.B1) @ u1t + C.mT @ P1t @ at(spec.D1) @ u1t)
-
-    return linear_backward(spec.grid, coef, np.zeros((spec.n, u1.shape[1])))
-
-
 def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources, cols: int) -> MatrixPath:
-    """Offset equation of a decoupled stage whose Riccati path P solves
-    `prob`:
+    """Offset equation of a stage whose Riccati path P solves `prob`:
 
         phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
     where sources(at) returns the drift, diffusion and adjoint sources
-    (s_drift, s_diff, s_adj) read by `at`, each with `cols` columns.
+    (s_drift, s_diff, s_adj) read by `at`, each with `cols` columns (or
+    0.0).  Vanishing terms are skipped unread, as in the Riccati rhs.
     """
-    eye = np.eye(prob.terminal.shape[0])
+    quad, fraction, solve = prob.terms()
+    eye = np.eye(P.rows)
 
     def coef(at, js):
         Pt = at(P)
-        gap = eye - Pt @ at(prob.D2)
-        FP = (at(prob.C2).mT + Pt @ at(prob.B2)) @ _solve_guarded(
-            gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
         drift, diff, adj = sources(at)
-        return (at(prob.A2).mT + Pt @ at(prob.B1) + FP @ at(prob.D1),
-                FP @ diff + Pt @ drift - adj)
+        lin, src = at(prob.A2).mT, Pt @ drift
+        if quad:
+            lin = lin + Pt @ at(prob.B1)
+        if solve:
+            gap = eye - Pt @ at(prob.D2)
+            FP = (at(prob.C2).mT + Pt @ at(prob.B2)) @ _solve_guarded(
+                gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
+            lin = lin + FP @ at(prob.D1)
+        elif fraction:
+            FP = at(prob.C2).mT @ Pt
+        if fraction:
+            src = FP @ diff + src
+        return lin, src - adj
 
-    return linear_backward(P.grid, coef, np.zeros((len(eye), cols)))
+    return linear_backward(P.grid, coef, np.zeros((P.rows, cols)))
+
+
+def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
+    """Offset of the disturbance-side value expansion driven by a
+    deterministic follower control path u1: phi1' = -[(A^T - (2/alpha) P1
+    R0^{-1}) phi1 + P1 B1 u1 + C^T P1 D1 u1], phi1(T) = 0, of
+    `disturbance_problem`.  A u1 with D columns gives D offset columns."""
+
+    def sources(at):
+        u1t = at(u1)
+        return at(spec.B1) @ u1t, at(spec.D1) @ u1t, 0.0
+
+    return _decoupled_offset(disturbance_problem(spec), P1, sources, u1.shape[1])
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
@@ -356,20 +381,27 @@ def solve_offset_b4(dh, Phat: MatrixPath) -> MatrixPath:
     return _decoupled_offset(dh.problem(), Phat, sources, dh.F.shape[1])
 
 
+def lyapunov_problem(Atil: MatrixPath, Ctil: MatrixPath, source, terminal) -> RiccatiProblem:
+    """L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0, L(T) = terminal:
+    A1 = A2 = Atil, Q = -source (0 for a source None), C1 = C2 = Ctil."""
+    zero = MatrixPath(Atil.grid, np.broadcast_to(0.0, Atil.samples.shape))  # no samples stored
+    Q = zero if source is None else MatrixPath(Atil.grid, -source.samples)
+    return RiccatiProblem(grid=Atil.grid, A1=Atil, A2=Atil, B1=zero, Q=Q, terminal=terminal,
+                          C1=Ctil, C2=Ctil, B2=zero, D1=zero, D2=zero)
+
+
 def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
                    terminal: np.ndarray, grid: TimeGrid) -> MatrixPath:
-    """Solve L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0 backward."""
+    """Solve L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0 backward.
 
-    @_per_stage
-    def coef(j):
-        At, Ct = Atil.half(j), Ctil.half(j)
-        return At, At.T, Ct, Ct.T, source.half(j)
-
-    def rhs(j, L):
-        At, AtT, Ct, CtT, src = coef(j)
-        return -(L @ At + AtT @ L + CtT @ L @ Ct + src)
-
-    return integrate_backward(rhs, terminal, grid)
+    The equation is linear, so -L solves `lyapunov_problem` with Q = source
+    and terminal -terminal: that march reads the source with no negated
+    copy, and its result is negated in place, as 0 - x so that a zero
+    stays +0."""
+    prob = replace(lyapunov_problem(Atil, Ctil, None, -terminal), Q=source)
+    L = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, grid)
+    np.subtract(0.0, L.samples, out=L.samples)
+    return L
 
 
 def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
@@ -379,32 +411,29 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
 
         psi' = -[Atil^T psi + L Btil + Ctil^T L Dtil + extra_source],
 
-    with psi(T) = 0.
+    with psi(T) = 0: the offset of the Lyapunov problem (which reads no Q).
     """
 
-    def coef(at, js):
-        Lt = at(L)
-        return at(Atil).mT, Lt @ at(Btil) + at(Ctil).mT @ Lt @ at(Dtil) + at(extra_source)
+    def sources(at):
+        return at(Btil), at(Dtil), -at(extra_source)
 
-    return linear_backward(grid, coef, np.zeros(Btil.shape))
+    return _decoupled_offset(lyapunov_problem(Atil, Ctil, None, L.samples[-1]), L, sources,
+                             Btil.shape[1])
 
 
 def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> RiccatiSolution:
     """Closed-form solution of the fraction-free Riccati equation via the
-    fundamental matrix of its associated linear Hamiltonian flow.
+    fundamental matrix of its linear Hamiltonian flow: P - Pterm solves a
+    quadratic equation with zero terminal value, the linear-fractional
+    image of the 2d x 2d flow
 
-    Writing Pi := P - terminal, Pi satisfies a shifted quadratic equation
-    with zero terminal value, whose solution is the linear-fractional image
-    of the 2d x 2d flow M(t)
+        M(t) = [[A1 + B1 Pterm,                        B1       ],
+                [-(Pterm A1 + A2^T Pterm + Pterm B1 Pterm - Q),  -(A2^T + Pterm B1)]].
 
-        [[A1 + B1 Pterm,                        B1       ],
-         [-(Pterm A1 + A2^T Pterm + Pterm B1 Pterm - Q),  -(A2^T + Pterm B1)]].
-
-    With Theta(t) the transition of that flow from t to T (one backward
-    sweep of Theta' = -Theta M(t), Theta(T) = I),
+    With Theta' = -Theta M(t), Theta(T) = I swept backward,
     P(t) = Pterm - Theta22(t)^{-1} Theta21(t).
     """
-    if prob.has_fraction:
+    if not prob.vanishes("C1", "C2", "B2", "D1", "D2"):
         raise RegularityError("closed-form solution requires the fraction coefficients to vanish")
     d = prob.terminal.shape[0]
     Pterm = prob.terminal

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import equilibrium, montecarlo
 from .model import (BlowUpError, MatrixPath, RegularityError, SpecError,
-                    load_spec, make_grid, validate_spec)
+                    build_spec, load_spec, make_grid, validate_spec)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -206,19 +206,16 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     _echo(args, ("a", "c", "q", "g", "r1", "r2", "alpha", "gamma", "xi", "T", "N", "out"))
     out = _outdir(args)
-    P = equilibrium.scalar_bode(args.a, args.c, args.q, args.g, args.r1,
-                                args.T, args.N)
-    write_path_csv(P, out / "bode.csv")
-    print(f"production game: P(0) = {P.samples[0, 0, 0]:.9f}, "
-          f"P(T) = {P.samples[-1, 0, 0]:.9f}")
-
-    from .model import build_spec
     spec = build_spec(
         n=1, m1=1, m2=1, T=args.T, N=args.N, alpha=args.alpha, gamma=args.gamma,
         xi=[args.xi], G=[[args.g]], A=1.0 - args.a, C=args.c, B1=1.0, D1=1.0,
         B2=1.0, D2=1.0, Q=args.q, R1=args.r1, R2=args.r2, R0=1.0, R0hat=1.0,
     )
     sol = equilibrium.solve_game(spec)
+    P = sol.P  # the scalar_bode path of these arguments
+    write_path_csv(P, out / "bode.csv")
+    print(f"production game: P(0) = {P.samples[0, 0, 0]:.9f}, "
+          f"P(T) = {P.samples[-1, 0, 0]:.9f}")
     # clamped strategies along the deterministic skeleton (outputs are
     # productions, so negative prescriptions are cut at zero)
     t = spec.grid.nodes

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import augment, backward
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
-                    SpecError, make_grid, validate_spec)
+                    SpecError, build_spec, validate_spec)
 
 
 @dataclass
@@ -115,13 +115,13 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     PM1, PM2 = gains.PM1.samples, gains.PM2.samples
     PM1T, PM2T = PM1.mT, PM2.mT
     x = augment.block_row(0, spec.n)  # the physical state's slot
-    lyap_src = (x.T @ spec.Q.samples @ x
-                + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2)
     psi_src = (PM1T @ terms.R @ gains.phiM1.samples
                + PM2T @ terms.W2 @ gains.phiM2.samples)
 
     L = _stage("lyapunov", backward.solve_lyapunov, Atil, Ctil,
-               MatrixPath(grid, lyap_src), x.T @ spec.G @ x, grid)
+               MatrixPath(grid, x.T @ spec.Q.samples @ x
+                          + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2),
+               x.T @ spec.G @ x, grid)
     psi = _stage("value offset", backward.solve_value_offset, Atil, Ctil, Btil,
                  Dtil, L, MatrixPath(grid, psi_src), grid)
 
@@ -245,24 +245,11 @@ def value(sol: EquilibriumSolution) -> float:
 
 def scalar_bode(a: float, c: float, q: float, g: float, r1: float,
                 T: float, N: int, delta: float = 1e-8) -> MatrixPath:
-    """Follower Riccati path of the scalar production-supply game:
+    """Follower Riccati path of the scalar production-supply game (A = 1 - a,
+    C = c, B1 = D1 = 1, Q = q, R1 = r1, G = g), with r1 + P >= delta:
 
-        P' + [2(1-a) + c^2] P - P^2 (1+c)^2 / (r1 + P) + q = 0,  P(T) = g,
-
-    with r1 + P monitored against delta along the backward march.
+        P' + [2(1-a) + c^2] P - P^2 (1+c)^2 / (r1 + P) + q = 0,  P(T) = g.
     """
-    grid = make_grid(T, N)
-    lin = 2.0 * (1.0 - a) + c * c
-    gain = (1.0 + c) ** 2
-
-    def rhs(j, Pm):
-        p = Pm[0, 0]
-        den = r1 + p
-        if den < delta:
-            raise RegularityError(
-                f"control weight r1 + P dropped below {delta:.1e} at t={j * grid.dt / 2:.6g}"
-            )
-        frac = p * p * gain / den
-        return np.array([[-(lin * p - frac + q)]])
-
-    return backward.integrate_backward(rhs, np.array([[g]]), grid)
+    spec = build_spec(n=1, m1=1, m2=1, T=T, N=N, alpha=1.0, gamma=1.0, xi=[0.0], G=[[g]],
+                      A=1.0 - a, C=c, B1=1.0, D1=1.0, Q=q, R1=r1)
+    return backward.solve_riccati_follower(spec, delta).P

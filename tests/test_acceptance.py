@@ -63,7 +63,7 @@ def test_criterion_2_riccati_residuals():
             Ph = backward.solve_riccati_generalized(prob).P
             for rhs, path, tag in (
                 (backward.follower_riccati_rhs(spec), P, "P"),
-                (backward.disturbance_riccati_rhs(spec), P1, "P1"),
+                (backward.generalized_riccati_rhs(backward.disturbance_problem(spec)), P1, "P1"),
                 (backward.generalized_riccati_rhs(prob), Ph, "Phat"),
             ):
                 res = backward.riccati_residuals(rhs, path)
@@ -85,7 +85,8 @@ def test_criterion_3_special_case_equivalence():
             bb = rl.build_blackboard(check, hat, terms)
             w = rl.build_cost_weights(spec, terms)
             dh = rl.build_doublehat(bb, w, terms.Rbbinv)
-            for prob in (hat.problem(), bb.problem(), dh.problem()):
+            for prob in (hat.problem(), bb.problem(), dh.problem(),
+                         backward.disturbance_problem(spec)):
                 num = rl.solve_riccati_generalized(prob).P
                 cf = backward.closed_form_special_case(prob).P
                 gap = np.linalg.norm(num.samples - cf.samples, axis=(1, 2))

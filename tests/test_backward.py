@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 import robustlq as rl
-from robustlq import backward
+from robustlq import augment, backward
 from robustlq.model import BlowUpError, MatrixPath, RegularityError
 
-from conftest import instance_b
+from conftest import instance_a, instance_b, random_spec
 
 
 def scalar_spec(**kw):
@@ -117,6 +117,26 @@ def test_disturbance_homogeneous_stays_zero():
     assert np.all(sol.P.samples == 0.0)
 
 
+def test_disturbance_weight_inverted_where_read():
+    # R0 = (1 + 2t) I: the march inverts R0's midpoint reads, so P1 keeps
+    # fourth order; node-sampled inverses would halve it (ratio 4)
+    def solve(N):
+        spec = scalar_spec(N=N, A=0.3, C=0.2, Q=1.0, G=[[-0.8]],
+                           R0=lambda t: [[1.0 + 2.0 * t]])
+        return rl.solve_riccati_disturbance(spec).P.samples[0, 0, 0]
+
+    p1, p2, p4 = solve(50), solve(100), solve(200)
+    ratio = abs(p1 - p2) / abs(p2 - p4)
+    assert 12.0 <= ratio <= 20.0, ratio
+
+
+def test_singular_disturbance_weight_names_node():
+    # R0 = 0 is singular at the terminal node, where the march starts
+    with pytest.raises(RegularityError, match="disturbance weight R0") as err:
+        rl.solve_riccati_disturbance(scalar_spec(R0=0.0, G=[[-1.0]]))
+    assert err.value.node == 200
+
+
 # ---------------------------------------------------------------------------
 # generalized Riccati
 
@@ -219,14 +239,35 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
 
 
 def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
+    # each branch that skips vanishing terms against the full formula: no
+    # fraction (instance_b's stages), the fraction C2^T P C1 without the
+    # solve (P1 and phi1 of games with diffusion) and no P B1 P either (L
+    # and psi)
     probs = (sol_b.dh.problem(), sol_b.bb.problem())
-    assert not any(prob.has_fraction for prob in probs)
-    short = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
-    monkeypatch.setattr(backward.RiccatiProblem, "has_fraction", property(lambda self: True))
-    full = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
-    assert np.array_equal(short[0], sol_b.Phat.samples)
-    for a, b in zip(short, full):
+    assert all(prob.vanishes("C1", "C2", "B2", "D1", "D2") for prob in probs)
+    games = (instance_a(N=100), random_spec(3, 2, N=100))
+
+    def solve_all():
+        stages = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
+        stages.append(backward.solve_offset_b4(sol_b.dh, sol_b.Phat).samples)
+        sols = [rl.solve_game(spec) for spec in games]
+        phi1 = [backward.solve_offset_b1(spec, sol.P1, sol.gains.phiM1).samples
+                for spec, sol in zip(games, sols)]
+        return stages, sols, phi1
+
+    short = solve_all()
+    monkeypatch.setattr(backward.RiccatiProblem, "vanishes", lambda self, *names: False)
+    full = solve_all()
+    assert np.array_equal(short[0][0], sol_b.Phat.samples)
+    assert np.array_equal(short[0][2], sol_b.phihat.samples)
+    for a, b in zip(short[0] + short[2], full[0] + full[2]):
         assert np.array_equal(a, b)
+    for a, b in zip(short[1], full[1]):
+        for name in ("P", "P1", "Phat", "phihat"):
+            assert np.array_equal(getattr(a, name).samples, getattr(b, name).samples), name
+        for name in ("L", "psi"):
+            x, y = getattr(a, name).samples, getattr(b, name).samples
+            assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max(), name
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +366,23 @@ def test_closed_form_matches_rk4_scalar():
     cf = backward.closed_form_special_case(prob)
     rel = np.abs(num.P.samples - cf.P.samples) / (1.0 + np.abs(cf.P.samples))
     assert rel.max() <= 1e-6
+
+
+def test_closed_form_matches_lyapunov(sol_b):
+    # instance_b's closed loop has Ctil = 0, so its Lyapunov equation has
+    # the fundamental-matrix closed form
+    spec, g = sol_b.spec, sol_b.gains
+    x = augment.block_row(0, spec.n)
+    PM1, PM2 = g.PM1.samples, g.PM2.samples
+    source = rl.MatrixPath(spec.grid, x.T @ spec.Q.samples @ x + PM1.mT @ sol_b.terms.R @ PM1
+                           + PM2.mT @ sol_b.terms.W2 @ PM2)
+    terminal = x.T @ spec.G @ x
+    L = rl.solve_lyapunov(sol_b.Atil, sol_b.Ctil, source, terminal, spec.grid)
+    assert np.array_equal(L.samples, sol_b.L.samples)
+    prob = backward.lyapunov_problem(sol_b.Atil, sol_b.Ctil, source, terminal)
+    cf = backward.closed_form_special_case(prob).P.samples
+    gap = np.linalg.norm(L.samples - cf, axis=(1, 2)) / (1.0 + np.linalg.norm(cf, axis=(1, 2)))
+    assert gap.max() <= 1e-12
 
 
 def test_closed_form_rejects_fraction():

@@ -57,3 +57,9 @@ def test_traced_layers_record(tmp_path):
     recorded = {name for name, *_ in tracer.spans}
     assert not wanted - recorded, sorted(wanted - recorded)
     assert not tracer.nesting_problems()
+    # the disturbance and Lyapunov solves march the unified form without
+    # a generalized-Riccati span of their own, which would count their
+    # time twice
+    nested = {tracer.spans[parent][0] for name, _, _, parent in tracer.spans
+              if name == "backward.riccati_generalized" and parent is not None}
+    assert not nested & {"backward.riccati_disturbance", "backward.lyapunov"}, nested

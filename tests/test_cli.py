@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import cli, montecarlo
+from robustlq import backward, cli, montecarlo
 
 from conftest import homogeneous_spec, instance_b, malformed_spec_docs, random_spec
 
@@ -59,6 +59,25 @@ def test_example_reproduces_closed_form(tmp_path):
     for line in strategies[1:]:
         vals = [float(v) for v in line.split(",")]
         assert vals[3] >= 0.0 and vals[4] >= 0.0
+
+
+def test_example_marches_follower_once(tmp_path, monkeypatch):
+    # bode.csv is the solved game's follower path, which is the scalar_bode
+    # path of the same arguments: one follower march, not two
+    calls = []
+    follower = backward.solve_riccati_follower
+
+    def counted(*args):
+        calls.append(args)
+        return follower(*args)
+
+    monkeypatch.setattr(backward, "solve_riccati_follower", counted)
+    out = tmp_path / "ex"
+    assert cli.run(["example", "--c", "0.3", "--r1", "0.5", "--r2", "-0.5", "--N", "200",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    cli.write_path_csv(rl.scalar_bode(0.5, 0.3, 1.0, 1.0, 0.5, 2.0, 200), tmp_path / "ref.csv")
+    assert (out / "bode.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_verify_byte_identical(game_b_file, tmp_path):

@@ -285,24 +285,25 @@ def test_golden_values(name):
 
 
 # sha256 of the node samples of the solution paths, recorded with the
-# marches reading their coefficients by integer half step: the output must
-# stay bit for bit the same
+# marches reading their coefficients by integer half step and P1, L and psi
+# solved in the unified Riccati form: the output must stay bit for bit the
+# same
 PATH_GOLDEN = {
     "instance_a": {
         "P": "9228d6dad5538b4f9d9a75deab5949aa2841e16d94dd3322e03552bb88fcdbae",
-        "P1": "a72fbfc1483cf4659d5d6fe0328b21b43868681aecd45de0320d5ab3224f35de",
+        "P1": "df6cc5b135867b83bc61c2a62b02810ea0b8c2a45cbc79912d0b9a22a5823676",
         "Phat": "a225b7a31f09cdd75f6c46a16da529e895532ce777f14b9c4b54d9d26c19b3cd",
         "phihat": "3a6d472c49288bf8f50a8c3dc0e976a6251fce2b71c3104e202eae6d2cea99be",
-        "L": "938b3522c55fa55be4567f542df7dd779a436aba71c63228cb2e0c4939eec951",
-        "psi": "278889c5dd799c1bd60318ab94788ce1041c4e6b2b9df9d24d32bdbcebfe7502",
+        "L": "9553b675d1299837622f2e44b0a70f24b51d75719e81656087f96e14dba31658",
+        "psi": "066d88c4ef0aefee10b517605eb63e646b521c29588f0546da261330bf97c24c",
     },
     "random_1_4": {
         "P": "2d01803dd5de92ce7bbc3ac0c8faf653ca64d13368ed7c9419d0c4721e3aa9fa",
-        "P1": "bc8fd08fa0f5097f0cb1f3dc261617e27e334514cfcff129e8fcd946ea43fb0f",
+        "P1": "2b65e897195bd08c1bb1a297ddf429c230c6fa4c4bf7cb5bde867386fdb4a2c1",
         "Phat": "1480501dcfba9758a1242ced966b55b8b20dc348d746367273d25fa86e705a1e",
         "phihat": "4cf50ebc0ebea8385b97bb1b0382f27f2ed0488b7fd4ede83434d34f71a264e6",
-        "L": "aad30d8a8f5fa999131f832a4d62c0e34890a52373152b988bfb2c872a915949",
-        "psi": "f54eba16b164ffb1f714ba0f9b31573822b233d257086caed4f7554e81832e69",
+        "L": "78a4e6f53952463e2732bab3a31641026f6a5821b5997567af46b1e22eb16a46",
+        "psi": "05f024dfcfc6a81eab56d92df219fdc9be8d19e3aee02deae8ec524fddba5aa9",
     },
 }
 
