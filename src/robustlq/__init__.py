@@ -10,7 +10,7 @@ from .backward import (RiccatiProblem, RiccatiSolution, integrate_backward,
                        solve_riccati_generalized, solve_value_offset)
 from .equilibrium import (EquilibriumSolution, StrategyOutput,
                           clamp_nonnegative, ensure_diagnostics, feedback,
-                          scalar_bode, solve_game, value)
+                          solve_game, value)
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
                     SpecError, TimeGrid, ValidationReport, build_spec,
                     dump_spec, load_spec, make_grid, spec_from_dict,
@@ -32,7 +32,7 @@ __all__ = [
     "clamp_nonnegative", "deviation_tests", "dump_spec",
     "ensure_diagnostics", "feedback", "follower_terms", "integrate_backward",
     "load_spec", "make_grid", "perturb_best_response", "sampled_convexity",
-    "scalar_bode", "simulate", "solve_game", "solve_lyapunov",
+    "simulate", "solve_game", "solve_lyapunov",
     "solve_offset_b1", "solve_offset_b3", "solve_offset_b4",
     "solve_riccati_disturbance", "solve_riccati_follower",
     "solve_riccati_generalized", "solve_value_offset", "spec_from_dict",

@@ -1,5 +1,5 @@
-"""Backward-in-time integration: Riccati equations, offset equations,
-the Lyapunov equation and the fundamental-matrix closed form.
+"""Backward-in-time integration: Riccati equations, offset equations
+and the Lyapunov equation.
 
 Every equation here is integrated with classical fixed-step RK4 on the spec
 grid, marching from the terminal node to 0.  Because all inputs are
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import BlowUpError, MatrixPath, RegularityError, TimeGrid, frobenius
+from .model import BlowUpError, MatrixPath, RegularityError, TimeGrid
 
 # Reciprocal-condition floor below which a decoupling inverse is treated as
 # a hypothesis failure rather than roundoff.
@@ -225,18 +225,21 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
         P' + P A + A^T P + C^T P C + Q
            - (P B1 + C^T P D1)(R1 + D1^T P D1)^{-1}(B1^T P + D1^T P C) = 0,
 
-    with P(T) = G, enforcing R1 + D1^T P D1 >= delta*I at every node.
+    with P(T) = G, enforcing R1 + D1^T P D1 >= delta*I at every node.  A
+    failure names the first node the march reached below delta, the
+    largest failing index, and its min eigenvalue.
     """
     P = integrate_backward(follower_riccati_rhs(spec), spec.G, spec.grid)
     D1 = spec.D1.samples
     rtilde = spec.R1.samples + D1.mT @ P.samples @ D1
     eigs = np.linalg.eigvalsh(rtilde).min(axis=1)
-    worst = int(np.argmin(eigs))
-    if eigs[worst] < delta:
+    lost = np.flatnonzero(eigs < delta)
+    if lost.size:
+        node = int(lost[-1])
         raise RegularityError(
             f"follower control weight R1 + D1'PD1 lost strong positivity at node "
-            f"{worst} (min eig {eigs[worst]:.3e} < {delta:.1e})",
-            node=worst,
+            f"{node} (min eig {eigs[node]:.3e} < {delta:.1e})",
+            node=node,
         )
     return RiccatiSolution(P=P, regularity={"rtilde1_min_eig": eigs})
 
@@ -419,63 +422,3 @@ def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
 
     return _decoupled_offset(lyapunov_problem(Atil, Ctil, None, L.samples[-1]), L, sources,
                              Btil.shape[1])
-
-
-def closed_form_special_case(prob: RiccatiProblem, cond_limit: float = 1e12) -> RiccatiSolution:
-    """Closed-form solution of the fraction-free Riccati equation via the
-    fundamental matrix of its linear Hamiltonian flow: P - Pterm solves a
-    quadratic equation with zero terminal value, the linear-fractional
-    image of the 2d x 2d flow
-
-        M(t) = [[A1 + B1 Pterm,                        B1       ],
-                [-(Pterm A1 + A2^T Pterm + Pterm B1 Pterm - Q),  -(A2^T + Pterm B1)]].
-
-    With Theta' = -Theta M(t), Theta(T) = I swept backward,
-    P(t) = Pterm - Theta22(t)^{-1} Theta21(t).
-    """
-    if not prob.vanishes("C1", "C2", "B2", "D1", "D2"):
-        raise RegularityError("closed-form solution requires the fraction coefficients to vanish")
-    d = prob.terminal.shape[0]
-    Pterm = prob.terminal
-    A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))
-    qshift = Pterm @ A1 + A2.mT @ Pterm + Pterm @ B1 @ Pterm - Q
-    M = MatrixPath(prob.grid, np.block([[A1 + B1 @ Pterm, B1], [-qshift, -(A2.mT + Pterm @ B1)]]))
-    th = integrate_backward(lambda j, Th: -Th @ M.half(j), np.eye(2 * d), prob.grid).samples
-    rconds = _rcond(th[:, d:, d:])
-    bad = np.flatnonzero(rconds < 1.0 / cond_limit)
-    if bad.size:
-        k = int(bad[0])
-        raise RegularityError(
-            f"corner block of the fundamental matrix is ill conditioned at node {k} "
-            f"(rcond={rconds[k]:.2e})",
-            node=k,
-        )
-    out = Pterm - np.linalg.solve(th[:, d:, d:], th[:, d:, :d])
-    return RiccatiSolution(P=MatrixPath(prob.grid, out), regularity={"corner_rcond": rconds})
-
-
-def _derivative_4th_order(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Entrywise 4th-order finite-difference time derivative of node samples."""
-    K = samples.shape[0] - 1
-    if K < 4:
-        raise ValueError("need at least 5 nodes for the 4th-order stencil")
-    d = np.empty_like(samples)
-    s = samples
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
-    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * dt)
-    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * dt)
-    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * dt)
-    d[-1] = (-25.0 * s[-1] + 48.0 * s[-2] - 36.0 * s[-3] + 16.0 * s[-4] - 3.0 * s[-5]) / (-12.0 * dt)
-    return d
-
-
-def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
-    """Per-node Frobenius residual of P against its equation.
-
-    `rhs(j, P)` must return the time derivative the equation prescribes,
-    here for all nodes at once (their half steps 2k and the stack of
-    samples); the residual compares it with a 4th-order finite-difference
-    derivative of the solved node samples.
-    """
-    deriv = _derivative_4th_order(P.samples, P.grid.dt)
-    return frobenius(deriv - rhs(2 * np.arange(len(P.grid)), P.samples))

@@ -212,7 +212,7 @@ def cmd_example(args) -> int:
         B2=1.0, D2=1.0, Q=args.q, R1=args.r1, R2=args.r2, R0=1.0, R0hat=1.0,
     )
     sol = equilibrium.solve_game(spec)
-    P = sol.P  # the scalar_bode path of these arguments
+    P = sol.P
     write_path_csv(P, out / "bode.csv")
     print(f"production game: P(0) = {P.samples[0, 0, 0]:.9f}, "
           f"P(T) = {P.samples[-1, 0, 0]:.9f}")

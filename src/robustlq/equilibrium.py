@@ -28,7 +28,7 @@ import numpy as np
 
 from . import augment, backward
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
-                    SpecError, build_spec, validate_spec)
+                    SpecError, validate_spec)
 
 
 @dataclass
@@ -55,6 +55,8 @@ class EquilibriumSolution:
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
     P3: MatrixPath | None = None
+    # skeleton(sol), kept by the first BVP oracle; a `replace` starts afresh
+    noise_free: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -241,15 +243,3 @@ def value(sol: EquilibriumSolution) -> float:
     Xi = sol.dh.Xi
     boundary = Xi.T @ sol.L.samples[0] @ Xi + 2.0 * Xi.T @ sol.psi.samples[0]
     return float(quad) + boundary.item()
-
-
-def scalar_bode(a: float, c: float, q: float, g: float, r1: float,
-                T: float, N: int, delta: float = 1e-8) -> MatrixPath:
-    """Follower Riccati path of the scalar production-supply game (A = 1 - a,
-    C = c, B1 = D1 = 1, Q = q, R1 = r1, G = g), with r1 + P >= delta:
-
-        P' + [2(1-a) + c^2] P - P^2 (1+c)^2 / (r1 + P) + q = 0,  P(T) = g.
-    """
-    spec = build_spec(n=1, m1=1, m2=1, T=T, N=N, alpha=1.0, gamma=1.0, xi=[0.0], G=[[g]],
-                      A=1.0 - a, C=c, B1=1.0, D1=1.0, Q=q, R1=r1)
-    return backward.solve_riccati_follower(spec, delta).P

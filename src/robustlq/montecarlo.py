@@ -40,10 +40,13 @@ off] of X1; the controls and disturbances are `equilibrium.row_maps`,
 the maps `feedback` evaluates.  A criterion is a sum of coef * s' W s
 terms, so a step's costs are weighted products of the rows E_s X1 and
 dt W E_s X1.  One matrix product per step gives those rows, the
-closed-loop move and the tests' cross rows, and each test takes one more.
-The blocks run one at a time, so a run holds about one block of
-increments plus the step matrices, which the first block forms and the
-later blocks reuse.
+closed-loop move and the tests' cross rows.  The four tests' response
+states are stacked into one state, direction-major, which one more
+product with a block-diagonal map shared by every direction advances;
+a 0/1 selector sums each test's rows into its cross and quad, so a step
+has no loop over the tests.  The blocks run one at a time, so a run
+holds about one block of increments plus the step matrices, which the
+first block forms and the later blocks reuse.
 """
 
 from __future__ import annotations
@@ -327,23 +330,29 @@ def _disturbance(sol, pre, dirs, side) -> _Response:
 
 
 def _forms(pre: dict, tests, ks):
-    """Step matrices (K, resp) of the sub-grid steps ks, j indexing the
-    steps; for ks None, of the terminal costs as one step of weight 1 that
-    does not move.
+    """Step matrices (K, coefs, resp) of the sub-grid steps ks, j indexing
+    the steps; for ks None, of the terminal costs as one step of weight 1
+    that does not move.
 
     K[j] maps the block's augmented state X1 = [X; 1] to, in this order:
     the drift part [dt A | dt b] and the diffusion part [C | d] of the
     step, the rows E_s of each (signal s, weight W) pair the criteria use,
-    the rows dt W E_s of the same pairs, and per test the rows H' and h'
-    of its cross term X1' (H Z_d + h_d).  The step's cost of criterion c
+    the rows dt W E_s of the same pairs, and the rows H' and h' of the
+    tests' cross terms X1' (H Z_d + h_d).  The step's cost of criterion c
     is coefs[c] @ (E_s X1 * dt W E_s X1) over the pair rows, coefs holding
     the criterion's coefficient on every row of each pair it uses.  A
     criterion is a few signal terms, so these rows are far fewer than a
-    (10n+1)^2 form per criterion, and no weight need be definite.  Per
-    test, resp[i] = (Kz, zoff, czz): Kz[j] stacks
-    dt A, C and Mzz over the response state Z, zoff[j] the matching
-    columns dt b_d, d_d and 2 mzo_d of each direction, and czz[j] the
-    constants of the quad term Z_d' (Mzz Z_d + 2 mzo_d) + czz_d.
+    (10n+1)^2 form per criterion, and no weight need be definite.
+
+    The tests' response states are stacked test after test into one state
+    of Dz rows per direction.  H' has one row per stacked row; h' one row
+    per (direction, test) pair, direction-major.  resp is None without
+    tests, else (Kz, zoff, czz, sel): Kz[j] (3 Dz, Dz) stacks the block
+    diagonals of the tests' dt A, C and Mzz and serves every direction;
+    zoff[j] (D, 3 Dz, 1) holds the matching columns dt b_d, d_d and
+    2 mzo_d of each direction, czz[j] (D, T, 1) the constants of each
+    test's quad term Z_d' (Mzz Z_d + 2 mzo_d) + czz_d, and the 0/1
+    selector sel (T, Dz) sums each test's rows.
     """
     m = 10 * pre["n"]
     criteria = pre["criteria"]
@@ -361,10 +370,6 @@ def _forms(pre: dict, tests, ks):
         return sum(dt * c * (left[s].mT @ take(pre[w]) @ right[s])
                    for s, w, c in terms if s in left)
 
-    def stack(parts, cols):
-        return np.concatenate([np.broadcast_to(p, (steps, p.shape[-2], cols)) for p in parts],
-                              axis=1)
-
     if ks is None:
         drift = diff = np.zeros((m, m + 1))
     else:
@@ -381,32 +386,43 @@ def _forms(pre: dict, tests, ks):
             coefs[i, first[p]:first[p + 1]] += c
     parts = ([drift, diff] + [E[s] for s, _ in pairs]
              + [dt * take(pre[w]) @ E[s] for s, w in pairs])
-    resp = []
-    for t in tests:
-        terms = terms_of[t.criterion]
-        dim, dirs = t.b.shape[1:]
-        moved = {s for s, _, _ in terms} & t.moves.keys()
-        g = {s: np.zeros((E[s].shape[-2], dim)) if t.moves[s][0] is None
-             else take(t.moves[s][0]) for s in moved}
-        o = {s: np.zeros((E[s].shape[-2], dirs)) if t.moves[s][1] is None
-             else take(t.moves[s][1]) for s in moved}
-        parts += [2.0 * wsum(terms, g, E), 2.0 * wsum(terms, o, E)]
-        Mzz, mzo = wsum(terms, g, g), wsum(terms, g, o)
-        czz = np.diagonal(wsum(terms, o, o), axis1=-2, axis2=-1)
-        if ks is None:
-            move = np.zeros((2 * dim, dim)), np.zeros((2 * dim, dirs))
-        else:
-            move = (np.concatenate([dt * t.A[ks], t.C[ks]], axis=1),
-                    np.concatenate([dt * t.b[ks], t.d[ks]], axis=1))
-        resp.append((np.ascontiguousarray(stack([move[0], Mzz], dim)),
-                     stack([move[1], 2.0 * mzo], dirs),
-                     np.broadcast_to(czz, (steps, dirs))))
-    return np.ascontiguousarray(stack(parts, m + 1)), coefs, resp
+    resp = None
+    if tests:
+        # test i holds rows zrow[i]:zrow[i + 1] of the stacked response state
+        zrow = np.cumsum([0] + [t.b.shape[1] for t in tests])
+        dirs, count, dz = tests[0].b.shape[2], len(tests), zrow[-1]
+        Kz, zoff = np.zeros((steps, 3, dz, dz)), np.zeros((steps, dirs, 3, dz))
+        h, czz = np.empty((steps, dirs, count, m + 1)), np.empty((steps, dirs, count))
+        sel = np.zeros((count, dz))
+        for i, t in enumerate(tests):
+            z = slice(zrow[i], zrow[i + 1])
+            sel[i, z] = 1.0
+            terms = terms_of[t.criterion]
+            moved = {s for s, _, _ in terms} & t.moves.keys()
+            g = {s: np.zeros((E[s].shape[-2], t.b.shape[1])) if t.moves[s][0] is None
+                 else take(t.moves[s][0]) for s in moved}
+            o = {s: np.zeros((E[s].shape[-2], dirs)) if t.moves[s][1] is None
+                 else take(t.moves[s][1]) for s in moved}
+            parts.append(2.0 * wsum(terms, g, E))
+            h[:, :, i] = 2.0 * wsum(terms, o, E)
+            Kz[:, 2, z, z] = wsum(terms, g, g)
+            zoff[:, :, 2, z] = (2.0 * wsum(terms, g, o)).mT
+            czz[:, :, i] = np.diagonal(wsum(terms, o, o), axis1=-2, axis2=-1)
+            if ks is not None:
+                Kz[:, 0, z, z], Kz[:, 1, z, z] = dt * t.A[ks], t.C[ks]
+                zoff[:, :, 0, z], zoff[:, :, 1, z] = (dt * t.b[ks]).mT, t.d[ks].mT
+        parts.append(h.reshape(steps, dirs * count, m + 1))
+        resp = (Kz.reshape(steps, 3 * dz, dz), zoff.reshape(steps, dirs, 3 * dz, 1),
+                czz[..., None], sel)
+    K = np.concatenate([np.broadcast_to(p, (steps, p.shape[-2], m + 1)) for p in parts], axis=1)
+    return K, coefs, resp
 
 
 class _Block:
-    """One path block of a run: the augmented state X1 and response states
-    Z as columns, with their cost accumulators."""
+    """One path block of a run: the augmented state X1 as columns, with the
+    cost accumulators; with tests, also the stacked response state Z
+    (directions, Dz, width) and the cross and quad accumulators
+    (directions, tests, width)."""
 
     def __init__(self, pre, tests, width):
         m = 10 * pre["n"]
@@ -414,10 +430,10 @@ class _Block:
         self.X1[:m] = pre["x0"][:, None]
         self.X1[m] = 1.0
         self.costs = np.zeros((len(pre["criteria"]), width))
-        # per test: Z (dim, directions, width), cross and quad (directions, width)
-        self.resp = [(np.zeros(t.b.shape[1:] + (width,)),
-                      np.zeros((t.b.shape[2], width)), np.zeros((t.b.shape[2], width)))
-                     for t in tests]
+        if tests:
+            dirs, dz = tests[0].b.shape[2], sum(t.b.shape[1] for t in tests)
+            self.Z = np.zeros((dirs, dz, width))
+            self.cross, self.quad = (np.zeros((dirs, len(tests), width)) for _ in range(2))
 
     def step(self, forms, j, dw=None):
         """Accumulate the costs of step j of `_forms` output at the current
@@ -427,19 +443,19 @@ class _Block:
         Y = K[j] @ X1
         row = 2 * m + 2 * rows
         self.costs += coefs @ (Y[2 * m:2 * m + rows] * Y[2 * m + rows:row])
-        for (Z, cross, quad), (Kz, zoff, czz) in zip(self.resp, resp):
-            dim, dirs = Z.shape[:2]
-            Yz = (Kz[j] @ Z.reshape(dim, -1)).reshape(3 * dim, dirs, -1)
-            Yz += zoff[j][:, :, None]
-            cross += np.einsum("ip,idp->dp", Y[row:row + dim], Z)
-            cross += Y[row + dim:row + dim + dirs]
-            quad += np.einsum("idp,idp->dp", Yz[2 * dim:], Z)
-            quad += czz[j][:, None]
-            row += dim + dirs
+        if resp is not None:
+            (Kz, zoff, czz, sel), Z = resp, self.Z
+            dz = Z.shape[1]
+            Yz = Kz[j] @ Z
+            Yz += zoff[j]
+            self.cross += sel @ (Y[row:row + dz] * Z)
+            self.cross += Y[row + dz:].reshape(self.cross.shape)
+            self.quad += sel @ (Yz[:, 2 * dz:] * Z)
+            self.quad += czz[j]
             if dw is not None:
-                Z += Yz[:dim]
-                Yz[dim:2 * dim] *= dw
-                Z += Yz[dim:2 * dim]
+                Z += Yz[:, :dz]
+                Yz[:, dz:2 * dz] *= dw
+                Z += Yz[:, dz:2 * dz]
         if dw is not None:
             X1[:m] += Y[:m]
             Y[m:2 * m] *= dw
@@ -487,14 +503,15 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
 
         X = blk.X1[:-1].T
         bad = ~np.isfinite(X).all(axis=1)
-        for Z, _, _ in blk.resp:
-            bad |= ~np.isfinite(Z).all(axis=(0, 1))
+        if tests:
+            bad |= ~np.isfinite(blk.Z).all(axis=(0, 1))
         blown += int(bad.sum())
         sl = slice(first, first + width)
         terminal[sl] = X
         per_path = list(zip(pre["criteria"], blk.costs))
-        for t, (_, cross, quad) in zip(tests, blk.resp):
-            per_path += [(("cross", t.name), cross.T), (("quad", t.name), quad.T)]
+        for i, t in enumerate(tests):
+            per_path += [(("cross", t.name), blk.cross[:, i].T),
+                         (("quad", t.name), blk.quad[:, i].T)]
         for key, arr in per_path:
             arr[bad] = np.nan
             out[key][sl] = arr
@@ -744,7 +761,8 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     The skeleton drops the Brownian terms, under which the martingale
     component of the backward pair vanishes; the comparison is exact (up
     to discretization) when the diffusion couplings C, D1, D2 of the game
-    are zero, which is the regime this oracle is meant for.
+    are zero, which is the regime this oracle is meant for.  It is marched
+    once per solution and kept as `sol.noise_free` for later calls.
     """
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
     Z = _trapezoidal_bvp(sol.dh, grid)
@@ -752,7 +770,9 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     Xo, Yo = Z[:, :ten], Z[:, ten:]
 
     # pipeline skeleton on the fine grid, sampled at the coarse nodes
-    Xp = MatrixPath(sol.spec.grid, skeleton(sol)[:, :, None]).at(grid.nodes)[:, :, 0]
+    if sol.noise_free is None:
+        sol.noise_free = skeleton(sol)
+    Xp = MatrixPath(sol.spec.grid, sol.noise_free[:, :, None]).at(grid.nodes)[:, :, 0]
     Ph = sol.Phat.at(grid.nodes)
     ph = sol.phihat.at(grid.nodes)[:, :, 0]
     Yp = np.array([Ph[k] @ Xp[k] + ph[k] for k in range(len(Xp))])

@@ -1,0 +1,88 @@
+"""Independent oracles that only the tests read: the scalar follower
+equation of the production-supply game, the fundamental-matrix closed
+form of fraction-free Riccati equations, and the finite-difference
+residual of a solved path against its right-hand side."""
+
+import numpy as np
+
+import robustlq as rl
+from robustlq import backward
+from robustlq.model import MatrixPath, RegularityError, frobenius
+
+
+def scalar_bode(a: float, c: float, q: float, g: float, r1: float,
+                T: float, N: int, delta: float = 1e-8) -> MatrixPath:
+    """Follower Riccati path of the scalar production-supply game (A = 1 - a,
+    C = c, B1 = D1 = 1, Q = q, R1 = r1, G = g), with r1 + P >= delta:
+
+        P' + [2(1-a) + c^2] P - P^2 (1+c)^2 / (r1 + P) + q = 0,  P(T) = g.
+
+    `robustlq example` writes this path of its arguments as bode.csv.
+    """
+    spec = rl.build_spec(n=1, m1=1, m2=1, T=T, N=N, alpha=1.0, gamma=1.0, xi=[0.0], G=[[g]],
+                         A=1.0 - a, C=c, B1=1.0, D1=1.0, Q=q, R1=r1)
+    return backward.solve_riccati_follower(spec, delta).P
+
+
+def closed_form_special_case(prob: backward.RiccatiProblem,
+                             cond_limit: float = 1e12) -> backward.RiccatiSolution:
+    """Closed-form solution of the fraction-free Riccati equation via the
+    fundamental matrix of its linear Hamiltonian flow: P - Pterm solves a
+    quadratic equation with zero terminal value, the linear-fractional
+    image of the 2d x 2d flow
+
+        M(t) = [[A1 + B1 Pterm,                        B1       ],
+                [-(Pterm A1 + A2^T Pterm + Pterm B1 Pterm - Q),  -(A2^T + Pterm B1)]].
+
+    With Theta' = -Theta M(t), Theta(T) = I swept backward,
+    P(t) = Pterm - Theta22(t)^{-1} Theta21(t).  With a diffusion-free game
+    the disturbance and Lyapunov problems have this form too.
+    """
+    if not prob.vanishes("C1", "C2", "B2", "D1", "D2"):
+        raise RegularityError("closed-form solution requires the fraction coefficients to vanish")
+    d = prob.terminal.shape[0]
+    Pterm = prob.terminal
+    A1, A2, B1, Q = (p.at(prob.grid.nodes) for p in (prob.A1, prob.A2, prob.B1, prob.Q))
+    qshift = Pterm @ A1 + A2.mT @ Pterm + Pterm @ B1 @ Pterm - Q
+    M = MatrixPath(prob.grid, np.block([[A1 + B1 @ Pterm, B1], [-qshift, -(A2.mT + Pterm @ B1)]]))
+    th = backward.integrate_backward(lambda j, Th: -Th @ M.half(j), np.eye(2 * d),
+                                     prob.grid).samples
+    rconds = backward._rcond(th[:, d:, d:])
+    bad = np.flatnonzero(rconds < 1.0 / cond_limit)
+    if bad.size:
+        k = int(bad[0])
+        raise RegularityError(
+            f"corner block of the fundamental matrix is ill conditioned at node {k} "
+            f"(rcond={rconds[k]:.2e})",
+            node=k,
+        )
+    out = Pterm - np.linalg.solve(th[:, d:, d:], th[:, d:, :d])
+    return backward.RiccatiSolution(P=MatrixPath(prob.grid, out),
+                                    regularity={"corner_rcond": rconds})
+
+
+def derivative_4th_order(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Entrywise 4th-order finite-difference time derivative of node samples."""
+    K = samples.shape[0] - 1
+    if K < 4:
+        raise ValueError("need at least 5 nodes for the 4th-order stencil")
+    d = np.empty_like(samples)
+    s = samples
+    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
+    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * dt)
+    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * dt)
+    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * dt)
+    d[-1] = (-25.0 * s[-1] + 48.0 * s[-2] - 36.0 * s[-3] + 16.0 * s[-4] - 3.0 * s[-5]) / (-12.0 * dt)
+    return d
+
+
+def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
+    """Per-node Frobenius residual of P against its equation.
+
+    `rhs(j, P)` must return the time derivative the equation prescribes,
+    here for all nodes at once (their half steps 2k and the stack of
+    samples); the residual compares it with a 4th-order finite-difference
+    derivative of the solved node samples.
+    """
+    deriv = derivative_4th_order(P.samples, P.grid.dt)
+    return frobenius(deriv - rhs(2 * np.arange(len(P.grid)), P.samples))

@@ -12,6 +12,7 @@ import robustlq as rl
 from robustlq import augment, backward
 
 from conftest import homogeneous_spec, random_spec
+from oracles import closed_form_special_case, riccati_residuals, scalar_bode
 
 
 class _Timer:
@@ -35,7 +36,7 @@ class _Timer:
 
 def test_criterion_1_production_example():
     with _Timer("1 (production example)", 1.0) as tm:
-        P = rl.scalar_bode(a=0.5, c=-1.0, q=1.0, g=1.0, r1=-0.5, T=2.0, N=2000)
+        P = scalar_bode(a=0.5, c=-1.0, q=1.0, g=1.0, r1=-0.5, T=2.0, N=2000)
         p0 = P.samples[0, 0, 0]
         expect = 1.5 * np.exp(4.0) - 0.5
         assert abs(p0 - expect) <= 1e-8 * abs(expect)
@@ -66,7 +67,7 @@ def test_criterion_2_riccati_residuals():
                 (backward.generalized_riccati_rhs(backward.disturbance_problem(spec)), P1, "P1"),
                 (backward.generalized_riccati_rhs(prob), Ph, "Phat"),
             ):
-                res = backward.riccati_residuals(rhs, path)
+                res = riccati_residuals(rhs, path)
                 bound = 1e-6 * (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))
                 worst = (res / bound).max()
                 assert worst <= 1.0, f"seed {seed} {tag}: residual ratio {worst:.2e}"
@@ -88,7 +89,7 @@ def test_criterion_3_special_case_equivalence():
             for prob in (hat.problem(), bb.problem(), dh.problem(),
                          backward.disturbance_problem(spec)):
                 num = rl.solve_riccati_generalized(prob).P
-                cf = backward.closed_form_special_case(prob).P
+                cf = closed_form_special_case(prob).P
                 gap = np.linalg.norm(num.samples - cf.samples, axis=(1, 2))
                 rel = gap / (1.0 + np.linalg.norm(cf.samples, axis=(1, 2)))
                 assert rel.max() <= 1e-6, f"seed {100 + seed}: {rel.max():.2e}"

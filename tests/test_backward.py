@@ -9,6 +9,7 @@ from robustlq import augment, backward
 from robustlq.model import BlowUpError, MatrixPath, RegularityError
 
 from conftest import instance_a, instance_b, random_spec
+from oracles import closed_form_special_case, derivative_4th_order, riccati_residuals
 
 
 def scalar_spec(**kw):
@@ -128,6 +129,16 @@ def test_disturbance_weight_inverted_where_read():
     p1, p2, p4 = solve(50), solve(100), solve(200)
     ratio = abs(p1 - p2) / abs(p2 - p4)
     assert 12.0 <= ratio <= 20.0, ratio
+
+
+def test_follower_positivity_names_first_lost_node():
+    # the `robustlq example --c 0.3 --N 500` follower: R1 + D1'PD1 drops
+    # below delta first at node 441 on the march from T; its smallest
+    # eigenvalue, at node 229, lies further along the march
+    spec = scalar_spec(N=500, T=2.0, A=0.5, C=0.3, B1=1.0, D1=1.0, Q=1.0, R1=-0.5, G=[[1.0]])
+    with pytest.raises(RegularityError, match="at node 441 ") as err:
+        rl.solve_riccati_follower(spec)
+    assert err.value.node == 441
 
 
 def test_singular_disturbance_weight_names_node():
@@ -346,7 +357,7 @@ def test_closed_form_trivial_shift():
     grid = rl.make_grid(1.0, 32)
     term = np.array([[0.3, 0.1], [0.1, -0.2]])
     prob = _plain_problem(grid, np.zeros((2, 2)), term, 2)
-    sol = backward.closed_form_special_case(prob)
+    sol = closed_form_special_case(prob)
     assert np.allclose(sol.P.samples, term, atol=1e-12)
 
 
@@ -363,7 +374,7 @@ def test_closed_form_matches_rk4_scalar():
         C1=z, C2=z, B2=z, D1=z, D2=z,
     )
     num = rl.solve_riccati_generalized(prob)
-    cf = backward.closed_form_special_case(prob)
+    cf = closed_form_special_case(prob)
     rel = np.abs(num.P.samples - cf.P.samples) / (1.0 + np.abs(cf.P.samples))
     assert rel.max() <= 1e-6
 
@@ -380,7 +391,7 @@ def test_closed_form_matches_lyapunov(sol_b):
     L = rl.solve_lyapunov(sol_b.Atil, sol_b.Ctil, source, terminal, spec.grid)
     assert np.array_equal(L.samples, sol_b.L.samples)
     prob = backward.lyapunov_problem(sol_b.Atil, sol_b.Ctil, source, terminal)
-    cf = backward.closed_form_special_case(prob).P.samples
+    cf = closed_form_special_case(prob).P.samples
     gap = np.linalg.norm(L.samples - cf, axis=(1, 2)) / (1.0 + np.linalg.norm(cf, axis=(1, 2)))
     assert gap.max() <= 1e-12
 
@@ -393,7 +404,7 @@ def test_closed_form_rejects_fraction():
                                    terminal=np.array([[0.0]]),
                                    C1=one, C2=one, B2=z, D1=z, D2=z)
     with pytest.raises(RegularityError, match="fraction"):
-        backward.closed_form_special_case(prob)
+        closed_form_special_case(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +425,7 @@ def test_fd_derivative_exact_on_cubics():
     grid = rl.make_grid(1.0, 20)
     t = grid.nodes
     samples = (t ** 3 - 2 * t ** 2 + t)[:, None, None]
-    got = backward._derivative_4th_order(samples, grid.dt)[:, 0, 0]
+    got = derivative_4th_order(samples, grid.dt)[:, 0, 0]
     expect = 3 * t ** 2 - 4 * t + 1
     assert np.allclose(got, expect, atol=1e-12)
 
@@ -422,6 +433,6 @@ def test_fd_derivative_exact_on_cubics():
 def test_follower_residual_small():
     spec = instance_b()
     P = rl.solve_riccati_follower(spec).P
-    res = backward.riccati_residuals(backward.follower_riccati_rhs(spec), P)
+    res = riccati_residuals(backward.follower_riccati_rhs(spec), P)
     norms = 1.0 + np.linalg.norm(P.samples, axis=(1, 2))
     assert (res / norms).max() <= 1e-8

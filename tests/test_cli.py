@@ -7,6 +7,7 @@ import robustlq as rl
 from robustlq import backward, cli, montecarlo
 
 from conftest import homogeneous_spec, instance_b, malformed_spec_docs, random_spec
+from oracles import scalar_bode
 
 
 @pytest.fixture()
@@ -76,7 +77,7 @@ def test_example_marches_follower_once(tmp_path, monkeypatch):
     assert cli.run(["example", "--c", "0.3", "--r1", "0.5", "--r2", "-0.5", "--N", "200",
                     "--out", str(out)]) == 0
     assert len(calls) == 1
-    cli.write_path_csv(rl.scalar_bode(0.5, 0.3, 1.0, 1.0, 0.5, 2.0, 200), tmp_path / "ref.csv")
+    cli.write_path_csv(scalar_bode(0.5, 0.3, 1.0, 1.0, 0.5, 2.0, 200), tmp_path / "ref.csv")
     assert (out / "bode.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -103,6 +104,22 @@ def test_verify_runs_oracle_when_diffusion_free(game_b_file, tmp_path):
     assert summary["oracle"]["applicable"] is True
     assert summary["oracle"]["gap_n64"] <= 1e-3
     assert code == 0, summary
+
+
+def test_verify_marches_skeleton_once(monkeypatch, game_b_file, tmp_path):
+    # both oracle refinements compare against one noise-free skeleton
+    calls = []
+    inner = montecarlo.skeleton
+
+    def counting(sol):
+        calls.append(sol)
+        return inner(sol)
+
+    monkeypatch.setattr(montecarlo, "skeleton", counting)
+    code = cli.run(["verify", "--spec", game_b_file, "--out", str(tmp_path / "o"),
+                    "--paths", "50", "--directions", "1", "--eps", "0.1"])
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
+    assert len(calls) == 1
 
 
 def test_verify_validation_failure_exit_code(tmp_path):
@@ -242,6 +259,14 @@ def test_solver_failure_exit_code(tmp_path):
     f = tmp_path / "irregular.json"
     rl.dump_spec(spec, f)
     assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_example_names_first_lost_node(tmp_path, capsys):
+    # r1 + P falls below delta first at t = 1.764, node 441 of 500, on
+    # the march from T; the smallest eigenvalue lies further on
+    code = cli.run(["example", "--c", "0.3", "--N", "500", "--out", str(tmp_path / "ex")])
+    assert code == cli.EXIT_SOLVER
+    assert "lost strong positivity at node 441 " in capsys.readouterr().err
 
 
 def test_dump_blocks(homog_file, tmp_path, capsys):

@@ -10,6 +10,7 @@ from robustlq.model import BlowUpError, RegularityError
 
 from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
                       random_spec)
+from oracles import derivative_4th_order, riccati_residuals, scalar_bode
 
 
 def test_homogeneous_game_everything_zero(sol_homog):
@@ -23,7 +24,7 @@ def test_homogeneous_game_everything_zero(sol_homog):
 def test_production_pipeline_matches_bode():
     spec = production_spec(N=400)
     sol = rl.solve_game(spec)
-    bode = rl.scalar_bode(0.5, -1.0, 1.0, 1.0, -0.5, 2.0, 400)
+    bode = scalar_bode(0.5, -1.0, 1.0, 1.0, -0.5, 2.0, 400)
     assert np.allclose(sol.P.samples, bode.samples, rtol=1e-12, atol=1e-12)
     assert np.isfinite(rl.value(sol))
 
@@ -135,12 +136,12 @@ def test_value_quadrature_convergence():
 
 
 def test_scalar_bode_zero():
-    P = rl.scalar_bode(0.5, -1.0, 0.0, 0.0, 1.0, 2.0, 100)
+    P = scalar_bode(0.5, -1.0, 0.0, 0.0, 1.0, 2.0, 100)
     assert np.all(P.samples == 0.0)
 
 
 def test_scalar_bode_closed_form_and_shape():
-    P = rl.scalar_bode(0.5, -1.0, 1.0, 1.0, -0.5, 2.0, 2000)
+    P = scalar_bode(0.5, -1.0, 1.0, 1.0, -0.5, 2.0, 2000)
     assert P.samples[0, 0, 0] == pytest.approx(1.5 * np.exp(4.0) - 0.5, rel=1e-8)
     assert P.samples[-1, 0, 0] == 1.0
     assert np.all(np.diff(P.samples[:, 0, 0]) < 0.0)
@@ -148,7 +149,7 @@ def test_scalar_bode_closed_form_and_shape():
 
 def test_scalar_bode_regularity_monitor():
     with pytest.raises(RegularityError):
-        rl.scalar_bode(0.5, 0.3, 1.0, 1.0, -2.0, 2.0, 100)
+        scalar_bode(0.5, 0.3, 1.0, 1.0, -2.0, 2.0, 100)
 
 
 def test_clamp_scope():
@@ -177,7 +178,7 @@ def test_decoupled_representation_residual(sol_a):
     Y = np.empty_like(X)
     for k in range(len(grid)):
         Y[k] = sol_a.Phat.samples[k] @ X[k] + sol_a.phihat.samples[k][:, 0]
-    dY = backward._derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
+    dY = derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
     worst = 0.0
     Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
                                  sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
@@ -229,7 +230,7 @@ def test_intermediate_stage_residuals():
         (sol.hat.problem(), P2),
         (sol.bb.problem(), sol.P3),
     ):
-        res = backward.riccati_residuals(backward.generalized_riccati_rhs(prob), path)
+        res = riccati_residuals(backward.generalized_riccati_rhs(prob), path)
         rel = res / (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))
         assert rel.max() <= 1e-5
 

@@ -45,6 +45,38 @@ def test_seed_determinism_and_chunk_invariance(sol_a):
         assert np.array_equal(getattr(two, name)[:B], getattr(one, name)), name
 
 
+def test_deviation_outputs_block_invariant(sol_a):
+    # a block's cross and quad are the same bits whether or not another
+    # block follows, as are its costs
+    B = montecarlo.PATH_BLOCK
+    one, two = (rl.deviation_tests(sol_a, rl.SimConfig(paths=paths, seed=9, substeps=1),
+                                   directions=2, samples=1) for paths in (B, B + 300))
+    keys = [key for key in one.out if key[0] in ("cross", "quad")]
+    assert len(keys) == 8
+    for key in keys + ["game", "follower", "leader"]:
+        assert np.array_equal(two.out[key][:B], one.out[key]), key
+
+
+def test_deviation_forms_shared_by_directions(monkeypatch):
+    # the cached step forms of a multi-block run hold one response map per
+    # step for all directions: a copy per direction would add
+    # steps x 3 Dz^2 doubles per direction, 88 MB from 2 to 16 directions
+    sol = rl.solve_game(random_spec(1, 4, N=128))
+    monkeypatch.setattr(montecarlo, "PATH_BLOCK", 64)
+    cfg = rl.SimConfig(paths=65, seed=1, substeps=2)
+    steps, dz = sol.spec.grid.steps * cfg.substeps, 8 * sol.spec.n
+    peaks = []
+    for count in (2, 16):
+        tracemalloc.start()
+        try:
+            rl.deviation_tests(sol, cfg, directions=count, samples=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    copies = steps * (16 - 2) * 3 * dz * dz * 8
+    assert peaks[1] - peaks[0] < 0.25 * copies, f"{(peaks[1] - peaks[0]) / 1e6:.1f} MB"
+
+
 def test_path_increments_slices_of_aligned_blocks():
     B, steps, dt = montecarlo.PATH_BLOCK, 5, 0.01
     blocks = [montecarlo.path_increments(4, b * B, B, steps, dt) for b in range(3)]
