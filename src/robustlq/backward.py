@@ -247,17 +247,26 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
 class _InversePath(MatrixPath):
     """scale * base^{-1}, inverted where it is read, so a midpoint inverts
     base's midpoint (a mean of node inverses costs the march two orders).
-    Node samples are inverted last node first, in the march's order."""
+    Node samples are inverted last node first, in the march's order, and
+    an even half step reads them."""
 
     __slots__ = ("base", "scale", "what", "eye")
 
     def __init__(self, base: MatrixPath, scale: float, what: str):
         self.base, self.scale, self.what, self.eye = base, scale, what, np.eye(base.rows)
-        super().__init__(base.grid, self.half(2 * np.arange(len(base.grid))[::-1])[::-1])
+        super().__init__(base.grid, self._invert(2 * np.arange(len(base.grid))[::-1])[::-1])
 
-    def half(self, j) -> np.ndarray:
+    def _invert(self, j) -> np.ndarray:
         return self.scale * _solve_guarded(self.base.half(j), self.eye, self.what, j,
                                            self.base.grid.dt)
+
+    def half(self, j) -> np.ndarray:
+        if not isinstance(j, np.ndarray):
+            return self._invert(j) if j & 1 else self.samples[j >> 1]
+        out = self.samples[j >> 1]
+        odd = (j & 1) == 1
+        out[odd] = self._invert(j[odd])
+        return out
 
 
 def disturbance_problem(spec) -> RiccatiProblem:

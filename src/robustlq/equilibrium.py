@@ -28,7 +28,7 @@ import numpy as np
 
 from . import augment, backward
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
-                    SpecError, validate_spec)
+                    SpecError, check_delta, validate_spec)
 
 
 @dataclass
@@ -71,7 +71,9 @@ def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
     """The follower Riccati solution ("follower"), the follower terms
     ("terms") and the five stage constructions of a spec, keyed "hat",
     "check", "blackboard", "weights" and "doublehat".  A failure is
-    tagged with its stage, as in solve_game."""
+    tagged with its stage, as in solve_game; a delta that is not a
+    positive finite number is a SpecError."""
+    check_delta(delta)
     Psol = _stage("follower riccati", backward.solve_riccati_follower, spec, delta)
     # Rbb is formed and checked with the follower terms, so a leader weight
     # that fails keeps the stage name of the weights it belongs to

@@ -319,6 +319,13 @@ def _min_eig_over_nodes(path: MatrixPath):
     return lam[k], k
 
 
+def check_delta(delta: float):
+    """A SpecError unless the strong-positivity threshold delta is a
+    positive finite number."""
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise SpecError(f"delta must be a positive finite number, got {delta}")
+
+
 def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     """Run the decidable standing-assumption checks on a spec.
 
@@ -327,8 +334,10 @@ def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     R0 and R0hat (minimum eigenvalue >= delta at every node) and
     positivity of the attenuation parameters.  The functional-positivity
     assumptions that quantify over all disturbance processes are not
-    decidable here; the montecarlo module probes them by sampling.
+    decidable here; the montecarlo module probes them by sampling.  A
+    delta that is not a positive finite number is a SpecError.
     """
+    check_delta(delta)
     checks = []
 
     def add(name, passed, detail="", node=None):

@@ -41,10 +41,13 @@ the maps `feedback` evaluates.  A criterion is a sum of coef * s' W s
 terms, so a step's costs are weighted products of the rows E_s X1 and
 dt W E_s X1.  One matrix product per step gives those rows, the
 closed-loop move and the tests' cross rows.  The four tests' response
-states are stacked into one state, direction-major, which one more
+states are stacked into one state, held direction-major, which one more
 product with a block-diagonal map shared by every direction advances;
 a 0/1 selector sums each test's rows into its cross and quad, so a step
-has no loop over the tests.  The blocks run one at a time, so a run
+has no loop over the tests.  When no test has a diffusion term, no
+increment reaches the stacked state, so it is one deterministic path per
+direction and is held as one column, which the cross rows of every path
+read; its quad is one column too.  The blocks run one at a time, so a run
 holds about one block of increments plus the step matrices, which the
 first block forms and the later blocks reuse.
 """
@@ -418,13 +421,21 @@ def _forms(pre: dict, tests, ks):
     return K, coefs, resp
 
 
+def _noise_free(tests) -> bool:
+    """Whether every test's C and d are zero at every step: then no
+    increment reaches the responses, dZ = (A Z + b) dt."""
+    return not any(np.any(t.C) or np.any(t.d) for t in tests)
+
+
 class _Block:
     """One path block of a run: the augmented state X1 as columns, with the
     cost accumulators; with tests, also the stacked response state Z
     (directions, Dz, width) and the cross and quad accumulators
-    (directions, tests, width)."""
+    (directions, tests, width).  A noise-free stack (`_noise_free`) is the
+    same on every path, so Z and quad hold one column per direction, which
+    broadcasts over the block's paths."""
 
-    def __init__(self, pre, tests, width):
+    def __init__(self, pre, tests, width, noise_free):
         m = 10 * pre["n"]
         self.X1 = np.empty((m + 1, width))
         self.X1[:m] = pre["x0"][:, None]
@@ -432,8 +443,11 @@ class _Block:
         self.costs = np.zeros((len(pre["criteria"]), width))
         if tests:
             dirs, dz = tests[0].b.shape[2], sum(t.b.shape[1] for t in tests)
-            self.Z = np.zeros((dirs, dz, width))
-            self.cross, self.quad = (np.zeros((dirs, len(tests), width)) for _ in range(2))
+            self.noisy = not noise_free
+            cols = width if self.noisy else 1
+            self.Z = np.zeros((dirs, dz, cols))
+            self.cross = np.zeros((dirs, len(tests), width))
+            self.quad = np.zeros((dirs, len(tests), cols))
 
     def step(self, forms, j, dw=None):
         """Accumulate the costs of step j of `_forms` output at the current
@@ -454,8 +468,9 @@ class _Block:
             self.quad += czz[j]
             if dw is not None:
                 Z += Yz[:, :dz]
-                Yz[:, dz:2 * dz] *= dw
-                Z += Yz[:, dz:2 * dz]
+                if self.noisy:  # else the diffusion band is 0 @ Z + 0
+                    Yz[:, dz:2 * dz] *= dw
+                    Z += Yz[:, dz:2 * dz]
         if dw is not None:
             X1[:m] += Y[:m]
             Y[m:2 * m] *= dw
@@ -480,13 +495,14 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
     terminal = np.empty((cfg.paths, len(pre["x0"])))
     chunks = [slice(k0, min(k0 + STEP_BLOCK, S)) for k0 in range(0, S, STEP_BLOCK)]
     final = _forms(pre, tests, None)
+    noise_free = _noise_free(tests)
     cached = []  # the forms of `chunks`, once the first block has built them
 
     blown = 0
     for first in range(0, cfg.paths, PATH_BLOCK):
         width = min(PATH_BLOCK, cfg.paths - first)
         dW = path_increments(cfg.seed, first, width, S, pre["dt"])
-        blk = _Block(pre, tests, width)
+        blk = _Block(pre, tests, width, noise_free)
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
             for i, ks in enumerate(chunks):
@@ -513,8 +529,8 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
             per_path += [(("cross", t.name), blk.cross[:, i].T),
                          (("quad", t.name), blk.quad[:, i].T)]
         for key, arr in per_path:
-            arr[bad] = np.nan
-            out[key][sl] = arr
+            out[key][sl] = arr  # a one-column quad broadcasts over the paths
+            out[key][sl][bad] = np.nan
 
     if blown > BLOWUP_PATH_BUDGET * cfg.paths:
         raise BlowUpError(

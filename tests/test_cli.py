@@ -142,13 +142,15 @@ def test_counts_below_one_exit_code(argv, homog_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["simulate", "--seed", "-1"], "seed"),
-    (["verify", "--seed", "-1", "--directions", "1"], "seed"),
-    (["verify", "--eps", "0.05", "nan", "--directions", "1"], "eps"),
-    (["verify", "--eps", "inf", "--directions", "1"], "eps")])
+    (["simulate", "--paths", "10", "--seed", "-1"], "seed"),
+    (["verify", "--paths", "10", "--seed", "-1", "--directions", "1"], "seed"),
+    (["verify", "--paths", "10", "--eps", "0.05", "nan", "--directions", "1"], "eps"),
+    (["verify", "--paths", "10", "--eps", "inf", "--directions", "1"], "eps")]
+    + [(command + ["--delta", delta], "delta") for delta in ("-1", "0", "nan")
+       for command in (["solve"], ["verify", "--paths", "10", "--directions", "1"],
+                       ["dump-blocks", "--stage", "hat"])])
 def test_bad_run_settings_exit_code(argv, field, homog_file, tmp_path, capsys):
-    code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o"),
-                           "--paths", "10"])
+    code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o")])
     assert code == 1
     assert field in capsys.readouterr().err
 

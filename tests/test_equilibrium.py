@@ -6,7 +6,7 @@ import pytest
 
 import robustlq as rl
 from robustlq import augment, backward, equilibrium
-from robustlq.model import BlowUpError, RegularityError
+from robustlq.model import BlowUpError, RegularityError, SpecError
 
 from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
                       random_spec)
@@ -37,6 +37,14 @@ def test_regularity_failure_names_stage():
     )
     with pytest.raises(RegularityError, match="follower riccati"):
         rl.solve_game(spec)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), float("inf")])
+def test_delta_must_be_positive_finite(delta):
+    spec = instance_a(N=20)
+    for fn in (rl.solve_game, rl.validate_spec, equilibrium.stage_blocks):
+        with pytest.raises(SpecError, match="delta must be a positive finite number"):
+            fn(spec, delta=delta)
 
 
 def test_feedback_zero_state_homogeneous(sol_homog):

@@ -198,6 +198,17 @@ def reference_run(pre, tests, dW):
     return out
 
 
+def assert_matches_reference(out, ref):
+    """Each criterion within 1e-12 of the reference per path, relative.  A
+    single path's cross can cancel to near zero, so each direction's cross
+    and quad entries are compared relative to that direction's largest."""
+    for name in ("game", "follower", "leader"):
+        assert np.all(np.abs(out[name] - ref[name]) <= 1e-12 * np.abs(ref[name])), name
+    for key in ref.keys() - {"game", "follower", "leader"}:
+        scale = np.abs(ref[key]).max(axis=0)
+        assert np.all(np.abs(out[key] - ref[key]) <= 1e-12 * scale), key
+
+
 def test_collapsed_forms_match_reference_loop(sol_a):
     cfg = rl.SimConfig(paths=50, seed=4, substeps=2)
     dev = rl.deviation_tests(sol_a, cfg, directions=2, samples=1)
@@ -206,13 +217,7 @@ def test_collapsed_forms_match_reference_loop(sol_a):
     dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
     ref = reference_run(pre, tests, dW)
     assert len(tests) == 4 and set(ref) == set(out)
-    for name in ("game", "follower", "leader"):
-        assert np.all(np.abs(out[name] - ref[name]) <= 1e-12 * np.abs(ref[name])), name
-    for key in ref.keys() - {"game", "follower", "leader"}:
-        # a single path's cross can cancel to near zero: each direction's
-        # entries are compared relative to that direction's largest one
-        scale = np.abs(ref[key]).max(axis=0)
-        assert np.all(np.abs(out[key] - ref[key]) <= 1e-12 * scale), key
+    assert_matches_reference(out, ref)
 
 
 def test_factored_costs_match_reference_loop_n2():
@@ -226,11 +231,73 @@ def test_factored_costs_match_reference_loop_n2():
     dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
     ref = reference_run(pre, dev.tests, dW)
     for name, field in (("game", "j"), ("follower", "j_follower"), ("leader", "j_leader")):
-        for got in (dev.out[name], getattr(sim, field)):
-            assert np.all(np.abs(got - ref[name]) <= 1e-12 * np.abs(ref[name])), name
-    for key in ref.keys() - {"game", "follower", "leader"}:
-        scale = np.abs(ref[key]).max(axis=0)
-        assert np.all(np.abs(dev.out[key] - ref[key]) <= 1e-12 * scale), key
+        got = getattr(sim, field)
+        assert np.all(np.abs(got - ref[name]) <= 1e-12 * np.abs(ref[name])), name
+    assert_matches_reference(dev.out, ref)
+
+
+def record_z_widths(monkeypatch):
+    """The columns of the stacked response state of every block of the
+    runs that follow."""
+    widths = []
+
+    class Recording(montecarlo._Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            widths.append(self.Z.shape[2])
+
+    monkeypatch.setattr(montecarlo, "_Block", Recording)
+    return widths
+
+
+def test_noise_free_stack_matches_full_width(monkeypatch, sol_b):
+    # instance_b has no diffusion coupling, so its stacked response is one
+    # column per direction: the same bits as one column per path
+    B = montecarlo.PATH_BLOCK
+    cfg = rl.SimConfig(paths=B + 300, seed=3, substeps=2)
+    widths = record_z_widths(monkeypatch)
+    one = rl.deviation_tests(sol_b, cfg, directions=2, samples=1)
+    monkeypatch.setattr(montecarlo, "_noise_free", lambda tests: False)
+    full = rl.deviation_tests(sol_b, cfg, directions=2, samples=1)
+    assert widths == [1, 1, B, 300]
+    assert one.out.keys() == full.out.keys()
+    for key in full.out:
+        assert np.array_equal(one.out[key], full.out[key]), key
+
+
+def test_noise_free_stack_matches_reference_loop_n2():
+    # the diffusion-free n = 2 game robustlq verify passes, at the bounds
+    # of the reference comparison with diffusion
+    sol = rl.solve_game(random_spec(1, 2, special=True, N=256))
+    cfg = rl.SimConfig(paths=50, seed=4, substeps=2)
+    dev = rl.deviation_tests(sol, cfg, directions=2, samples=1)
+    assert montecarlo._noise_free(dev.tests)
+    pre = montecarlo._precompute_base(sol, cfg.substeps)
+    dW = montecarlo.path_increments(cfg.seed, 0, cfg.paths, pre["steps"], pre["dt"])
+    assert_matches_reference(dev.out, reference_run(pre, dev.tests, dW))
+
+
+def d2_only_spec(N=128):
+    # instance_b with the leader's diffusion coupling D2 on
+    return rl.build_spec(
+        n=1, m1=1, m2=1, T=0.5, N=N, alpha=10.0, gamma=10.0, xi=[1.0], G=[[0.1]],
+        A=0.2, C=0.0, B1=0.6, D1=0.0, B2=0.6, D2=0.3, sigma=0.3, f1=0.1,
+        Q=0.4, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
+    )
+
+
+@pytest.mark.parametrize("make, noisy", [
+    (instance_a, [True, True, True, True]),
+    (d2_only_spec, [False, True, False, False])], ids=["instance_a", "d2_only"])
+def test_diffusion_keeps_full_width_stack(make, noisy, monkeypatch):
+    # a diffusion term in any test, here D2 alone in the leader's
+    # response, keeps a column per path for the whole stack
+    sol = rl.solve_game(make())
+    widths = record_z_widths(monkeypatch)
+    dev = rl.deviation_tests(sol, rl.SimConfig(paths=20, seed=1), directions=1, samples=1)
+    assert [bool(np.any(t.C) or np.any(t.d)) for t in dev.tests] == noisy
+    assert not montecarlo._noise_free(dev.tests)
+    assert widths == [20]
 
 
 def test_simulated_signals_are_the_feedback_maps(sol_a):
