@@ -16,7 +16,9 @@ them as matrix paths; no symbolic simplification is attempted, so every
 block can be audited entry by entry against its definition.  The 2n, 5n
 and 10n stages map their blocks to the unified Riccati form in their
 `problem()` method, and `decoupling` turns a solved stage into its
-martingale integrand and closed loop.
+martingale integrand and closed loop.  The 10n stage stores its offsets
+as trailing columns of the blocks they sit beside, which is the form the
+joint [Phat | phihat] march reads.
 
 Component layout of the ten n-blocks of the doublehat stage (0-based):
 
@@ -36,7 +38,7 @@ at slot 9 of the backward stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -459,7 +461,14 @@ def build_cost_weights(spec: GameSpec, ft: FollowerTerms) -> LeaderCostWeights:
 
 @dataclass(frozen=True)
 class DoubleHatStage:
-    """10n-forward / 10n-backward blocks of the leader optimality system."""
+    """10n-forward / 10n-backward blocks of the leader optimality system.
+
+    The drift, diffusion and adjoint offsets F, Sigma and Upsilon are
+    stored as trailing columns of the blocks they sit beside: `joined`
+    holds the paths [A1 | F], [C1 | Sigma] and [Q | Upsilon] under "A1",
+    "C1" and "Q", and A1, F, C1, Sigma, Q and Upsilon are views of them,
+    so the offset march reads them with no copy.
+    """
 
     n: int
     A1: MatrixPath
@@ -476,6 +485,7 @@ class DoubleHatStage:
     Upsilon: MatrixPath
     Xi: np.ndarray
     G: np.ndarray
+    joined: dict = field(repr=False)
 
     def __post_init__(self):
         ten = 10 * self.n
@@ -483,12 +493,17 @@ class DoubleHatStage:
             assert getattr(self, name).shape == (ten, ten), name
         assert self.Xi.shape == (ten, 1) and self.G.shape == (ten, ten)
 
-    def problem(self) -> RiccatiProblem:
+    def problem(self, offset: bool = False) -> RiccatiProblem:
         """The stage's (10n) Riccati equation in unified form, with the
-        two-sided C1/C2 split."""
+        two-sided C1/C2 split; with offset, the rectangular form whose
+        path is [Phat | phihat]: A1, C1 and Q carry F, Sigma and Upsilon as
+        trailing columns, and the terminal is [G | 0]."""
+        A1, C1, Q, G = ((self.joined["A1"], self.joined["C1"], self.joined["Q"],
+                         np.hstack([self.G, np.zeros((len(self.G), self.F.shape[1]))]))
+                        if offset else (self.A1, self.C1, self.Q, self.G))
         return RiccatiProblem(
-            grid=self.A1.grid, A1=self.A1, A2=self.A2, B1=self.B1, Q=self.Q,
-            terminal=self.G, C1=self.C1, C2=self.C2, B2=self.B2, D1=self.D1, D2=self.D2,
+            grid=self.A2.grid, A1=A1, A2=self.A2, B1=self.B1, Q=Q,
+            terminal=G, C1=C1, C2=self.C2, B2=self.B2, D1=self.D1, D2=self.D2,
         )
 
 
@@ -526,19 +541,28 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
     Gdh = np.block([[-w.Gbar, -bb.G.T], [bb.G, z5]])
     Xi = np.vstack([bb.Xi, np.zeros((5 * n, 1))])
     mp = lambda s: MatrixPath(grid, s)
-    return DoubleHatStage(
-        n=n,
-        A1=mp(np.block([
-            [A - B2R @ S2, B2R @ F2T],
-            [S1 - M2R @ S2, A + M2R @ F2T],
+    joined = {
+        "A1": mp(np.block([
+            [A - B2R @ S2, B2R @ F2T, bb.F1.samples - B2R @ cross],
+            [S1 - M2R @ S2, A + M2R @ F2T, w.M3.samples.mT @ sig - M2R @ cross],
         ])),
+        "C1": mp(np.block([
+            [C - D2R @ S2, D2R @ F2T, bb.Sigma.samples - D2R @ cross],
+            [L1 - L2R @ S2, C + L2R @ F2T, w.L3.samples.mT @ sig - L2R @ cross],
+        ])),
+        "Q": mp(np.block([
+            [w.Qbar.samples - S2R @ S2, -Qbb.mT + S2R @ F2T, w.S3.samples.mT @ sig - S2R @ cross],
+            [Qbb - F2R @ S2, F2R @ F2T, bb.Upsilon.samples - F2R @ cross],
+        ])),
+    }
+    ten = 10 * n
+    (A1, F), (C1, Sigma), (Q, Upsilon) = ((mp(p.samples[..., :ten]), mp(p.samples[..., ten:]))
+                                          for p in joined.values())
+    return DoubleHatStage(
+        n=n, A1=A1, C1=C1, Q=Q, F=F, Sigma=Sigma, Upsilon=Upsilon,
         A2=mp(np.block([
             [A - B2R @ S2, -B2R @ F2T],
             [-S1 + M2R @ S2, A + M2R @ F2T],
-        ])),
-        C1=mp(np.block([
-            [C - D2R @ S2, D2R @ F2T],
-            [L1 - L2R @ S2, C + L2R @ F2T],
         ])),
         C2=mp(np.block([
             [C - D2R @ S2, -D2R @ F2T],
@@ -560,23 +584,7 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
             [D2R @ Db2T, Db3 - D2R @ L2],
             [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2],
         ])),
-        Q=mp(np.block([
-            [w.Qbar.samples - S2R @ S2, -Qbb.mT + S2R @ F2T],
-            [Qbb - F2R @ S2, F2R @ F2T],
-        ])),
-        F=mp(np.block([
-            [bb.F1.samples - B2R @ cross],
-            [w.M3.samples.mT @ sig - M2R @ cross],
-        ])),
-        Sigma=mp(np.block([
-            [bb.Sigma.samples - D2R @ cross],
-            [w.L3.samples.mT @ sig - L2R @ cross],
-        ])),
-        Upsilon=mp(np.block([
-            [w.S3.samples.mT @ sig - S2R @ cross],
-            [bb.Upsilon.samples - F2R @ cross],
-        ])),
-        Xi=Xi, G=Gdh,
+        Xi=Xi, G=Gdh, joined=joined,
     )
 
 
@@ -590,40 +598,48 @@ class GainMaps:
     phiM2: MatrixPath
 
 
-def decoupling(prob: RiccatiProblem, P: np.ndarray, phi: np.ndarray, drift: np.ndarray,
-               diff: np.ndarray, at):
+# The coefficients `decoupling` reads, as named in a RiccatiProblem.
+DECOUPLED = ("A1", "B1", "C1", "B2", "D1", "D2")
+
+
+def decoupling(P: np.ndarray, A1: np.ndarray, B1: np.ndarray, C1: np.ndarray,
+               B2: np.ndarray, D1: np.ndarray, D2: np.ndarray):
     """Martingale integrand and closed loop of a decoupled stage, Y = P X +
-    phi with P solving `prob` and phi its offset:
+    phi with P solving a stage problem and phi its offset, all given as
+    stacks at the same times (the DECOUPLED coefficients of the problem,
+    in that order).  P is [P | phi], and A1 and C1 carry the offset's
+    forward drift and diffusion as trailing columns, [A1 | drift] and
+    [C1 | diff], so that one formula gives the state and offset columns:
 
-        Z = E X + e,
-        E = (I - P D2)^{-1} P (C1 + D1 P),
-        e = (I - P D2)^{-1} (P D1 phi + P diff),
-        dX = (A X + b) dt + (C X + d) dW,
-        A = A1 + B1 P + B2 E,  b = B1 phi + B2 e + drift,
-        C = C1 + D1 P + D2 E,  d = D1 phi + D2 e + diff.
+        [E | e] = (I - P D2)^{-1} P ([C1 | diff] + D1 [P | phi]),
+        [A | b] = [A1 | drift] + B1 [P | phi] + B2 [E | e],
+        [C | d] = [C1 | diff] + D1 [P | phi] + D2 [E | e],
 
-    at(path) samples a coefficient path of `prob` at the wanted times;
-    P, phi and the forward drift and diffusion offsets are given as samples
-    at those times.  Returns the arrays (E, e, A, b, C, d).
+    where Z = E X + e and dX = (A X + b) dt + (C X + d) dW.  The products
+    and the solve take the leading square block of P.  Returns the arrays
+    [E | e], [A | b] and [C | d].
     """
-    A1, B1, C1, B2, D1, D2 = map(at, (prob.A1, prob.B1, prob.C1, prob.B2, prob.D1, prob.D2))
-    dim = P.shape[-1]
-    gap = np.eye(dim) - P @ D2
-    rhs_state = P @ C1 + P @ D1 @ P
-    rhs_off = P @ D1 @ phi + P @ diff
+    S = P[..., :P.shape[-2]]
+    # the sums are formed in place, term by term in the formulas' order:
+    # these stacks set the peak memory of a solve
+    gap = S @ D2
+    np.subtract(np.eye(S.shape[-1]), gap, out=gap)
+    inner = S @ C1
+    inner += S @ D1 @ P
     try:
-        sol = np.linalg.solve(gap, np.concatenate([rhs_state, rhs_off], axis=2))
+        Ee = np.linalg.solve(gap, inner)
     except np.linalg.LinAlgError as exc:
         k = int(np.argmax(np.linalg.slogdet(gap)[0] == 0.0))
         raise RegularityError(
             f"decoupling matrix (I - P D2) is singular at node {k}", node=k
         ) from exc
-    # free the solve's inputs before the closed loop, which sets the peak
-    # memory of a solve
-    del gap, rhs_state, rhs_off
-    E, e = sol[:, :, :dim], sol[:, :, dim:]
-    return (E, e, A1 + B1 @ P + B2 @ E, B1 @ phi + B2 @ e + drift,
-            C1 + D1 @ P + D2 @ E, D1 @ phi + D2 @ e + diff)
+    del gap, inner
+    Ab, Cd = B1 @ P, D1 @ P
+    Ab += A1
+    Ab += B2 @ Ee
+    Cd += C1
+    Cd += D2 @ Ee
+    return Ee, Ab, Cd
 
 
 def build_gain_maps(spec: GameSpec, ft: FollowerTerms, Phat: MatrixPath,

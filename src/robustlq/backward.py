@@ -6,13 +6,17 @@ grid, marching from the terminal node to 0.  Because all inputs are
 deterministic paths, the offset equations have identically-zero martingale
 parts and reduce to linear ODEs.  Every equation but the follower's is a
 `RiccatiProblem` (the stages, `disturbance_problem`, `lyapunov_problem`)
-with one right-hand side and one offset solver, which skip vanishing terms.
+with one right-hand side, which skips vanishing terms.  Its P may be
+rectangular, [P | phi]: the offset phi then marches as trailing columns of
+its Riccati path, its sources as trailing columns of A1, C1 and Q, which is
+how the Hamiltonian offset phihat and the value offset psi are solved.
 The march keys each stage by its integer half step j, the time j dt/2, and
 coefficients are read there with `MatrixPath.half`: the node for an even
-j, the mean of the cell's two nodes for an odd one.  The Riccati
-right-hand sides read their coefficients once per half step; the linear
-marches (`linear_backward`) build theirs beforehand, in stacks over runs
-of half steps, with bit for bit the arithmetic of one read at a time.
+j, the cubic midpoint of the cell for an odd one, so the cascade keeps
+RK4's fourth order.  The Riccati right-hand sides take their odd reads
+from per-run tables (`_half_reads`); the linear marches (`linear_backward`)
+build their coefficients beforehand, in stacks over runs of half steps;
+both with bit for bit the arithmetic of one read at a time.
 Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
@@ -63,20 +67,44 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     return MatrixPath(grid, out)
 
 
-def _per_stage(coef):
-    """coef(j), reused while the half step j repeats: RK4 reads its
-    midpoint twice and ends a step on the half step where the next begins.
-    An array of half steps is read afresh."""
+# Bytes of coefficients a march reads ahead in one run: enough reads to
+# spread numpy's per-call cost, few enough to keep the stacks small.
+RUN_BYTES = 256 * 1024
+
+
+def _half_reads(paths):
+    """coef(j): each path (None stays None) read at half step j, as
+    `path.half(j)` reads it.  An even j reads node views.  Odd reads come
+    from a table of the next run of odd half steps downwards, about
+    RUN_BYTES, filled by one `path.half(js)` per distinct path.  The reads
+    are reused while j repeats: RK4 reads its midpoint twice and ends a
+    step on the half step where the next begins.  An array of half steps
+    is read afresh."""
+    distinct = list({id(p): p for p in paths if p is not None}.values())
+    size = max(1, RUN_BYTES // max(1, 8 * sum(p.samples[0].size for p in distinct)))
+    run = [-1, -1, {}]  # the built run: odd half steps lo down to hi+1
     last = [None, None]
 
-    def cached(j):
+    def coef(j):
         if isinstance(j, np.ndarray):
-            return coef(j)
-        if last[0] != j:
-            last[:] = j, coef(j)
-        return last[1]
+            return [None if p is None else p.half(j) for p in paths]
+        if last[0] == j:
+            return last[1]
+        if j & 1:
+            lo, hi, table = run
+            if not hi < j <= lo:
+                lo, hi = j, max(j - 2 * size, -1)
+                js = np.arange(lo, hi, -2)
+                table = {id(p): p.half(js) for p in distinct}
+                run[:] = lo, hi, table
+            i = (lo - j) >> 1
+            reads = [None if p is None else table[id(p)][i] for p in paths]
+        else:
+            reads = [None if p is None else p.samples[j >> 1] for p in paths]
+        last[:] = j, reads
+        return reads
 
-    return cached
+    return coef
 
 
 def _rcond(mats) -> np.ndarray:
@@ -106,6 +134,13 @@ def _solve_guarded(mat, rhs_mat, what, j, dt):
                               node=node) from None
 
 
+def _vanishes(path: MatrixPath) -> bool:
+    """Whether every sample of a path is zero; an axis that a broadcast
+    view repeats (stride 0) is read once."""
+    s = path.samples
+    return not np.any(s[tuple(slice(None) if st else slice(1) for st in s.strides)])
+
+
 @dataclass
 class RiccatiProblem:
     """Coefficients of the unified generalized Riccati equation
@@ -115,6 +150,14 @@ class RiccatiProblem:
 
     Each decoupled stage maps its blocks to these coefficients in its
     `problem()` method, as `disturbance_problem` and `lyapunov_problem` do.
+    P may be rectangular, [P | phi] with d rows: the products and the
+    (I - P D2) solve then take its leading d columns as the square P, and
+    A1, C1, Q and the terminal carry the offset's drift, diffusion and
+    adjoint sources and its terminal value as trailing columns, so phi
+    solves the linear offset equation of the stage
+
+        phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
+        F = (C2^T + P B2)(I - P D2)^{-1}.
     """
 
     grid: TimeGrid
@@ -130,16 +173,16 @@ class RiccatiProblem:
     D2: MatrixPath
 
     def vanishes(self, *names) -> bool:
-        """Whether every sample of the named coefficients is zero; an axis
-        that a broadcast view repeats (stride 0) is read once."""
-        return not any(np.any(s[tuple(slice(None) if st else slice(1) for st in s.strides)])
-                       for s in (getattr(self, name).samples for name in names))
+        """Whether every sample of the named coefficients is zero."""
+        return all(_vanishes(getattr(self, name)) for name in names)
 
     def terms(self):
         """Whether the equation has P B1 P, a fraction, and the (I - P D2)
-        solve in it; without the solve the fraction is C2^T P C1."""
+        solve in it; without the solve the fraction is C2^T P C1, which
+        vanishes with C1 or with C2."""
         solve = not self.vanishes("B2", "D1", "D2")
-        return not self.vanishes("B1"), solve or not self.vanishes("C1", "C2"), solve
+        fraction = solve or not (self.vanishes("C1") or self.vanishes("C2"))
+        return not self.vanishes("B1"), fraction, solve
 
 
 @dataclass
@@ -155,28 +198,26 @@ def generalized_riccati_rhs(prob: RiccatiProblem):
     terms are skipped unread; the full formula would add only zeros."""
     quad, fraction, solve = prob.terms()
     used = (True, True, True, quad, fraction, fraction, solve, solve, solve)
-    paths = [getattr(prob, name) if use else None
-             for name, use in zip(("A1", "A2", "Q", "B1", "C1", "C2", "B2", "D1", "D2"), used)]
-    eye = np.eye(prob.terminal.shape[0])
-
-    @_per_stage
-    def coef(j):
-        return [None if path is None else path.half(j) for path in paths]
+    coef = _half_reads([getattr(prob, name) if use else None for name, use in
+                        zip(("A1", "A2", "Q", "B1", "C1", "C2", "B2", "D1", "D2"), used)])
+    d = prob.terminal.shape[0]
+    eye = np.eye(d)
 
     def rhs(j, P):
         A1, A2, Q, B1, C1, C2, B2, D1, D2 = coef(j)
-        val = P @ A1 + A2.mT @ P
+        S = P[..., :d]  # the square block: all of P when it has no offset
+        val = S @ A1 + A2.mT @ P
         if quad:
-            val = val + P @ B1 @ P
+            val = val + S @ B1 @ P
         val = val - Q
         if solve:
-            gap = eye - P @ D2
-            inner = P @ C1 + P @ D1 @ P
-            val = val + (C2.mT + P @ B2) @ _solve_guarded(
+            gap = eye - S @ D2
+            inner = S @ C1 + S @ D1 @ P
+            val = val + (C2.mT + S @ B2) @ _solve_guarded(
                 gap, inner, "decoupling matrix (I - P D2)", j, prob.grid.dt
             )
         elif fraction:
-            val = val + C2.mT @ (P @ C1)
+            val = val + C2.mT @ (S @ C1)
         return -val
 
     return rhs
@@ -189,7 +230,8 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
     and must stay above `delta`.
     """
     P = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, prob.grid)
-    rconds = _rcond(np.eye(prob.terminal.shape[0]) - P.samples @ prob.D2.at(prob.grid.nodes))
+    d = prob.terminal.shape[0]
+    rconds = _rcond(np.eye(d) - P.samples[..., :d] @ prob.D2.at(prob.grid.nodes))
     worst = int(np.argmin(rconds))
     if rconds[worst] < delta:
         raise RegularityError(
@@ -202,19 +244,24 @@ def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) 
 def follower_riccati_rhs(spec):
     """Time derivative prescribed by the follower Riccati equation; the
     solver integrates this callable and residual checks evaluate it on all
-    nodes at once."""
-
-    @_per_stage
-    def coef(j):
-        return (spec.A.half(j), spec.C.half(j), spec.B1.half(j), spec.D1.half(j),
-                spec.R1.half(j), spec.Q.half(j))
+    nodes at once.  The C and D1 terms are skipped unread when those paths
+    are zero at every node; the full formula would add only zeros."""
+    C, D1 = (None if _vanishes(path) else path for path in (spec.C, spec.D1))
+    coef = _half_reads([spec.A, C, spec.B1, D1, spec.R1, spec.Q])
 
     def rhs(j, P):
         A, C, B1, D1, R1, Q = coef(j)
-        gain = P @ B1 + C.mT @ P @ D1
-        rt1 = R1 + D1.mT @ P @ D1
+        gain, rt1 = P @ B1, R1
+        val = P @ A + A.mT @ P
+        if C is not None:
+            CP = C.mT @ P
+            val = val + CP @ C
+            if D1 is not None:
+                gain = gain + CP @ D1
+        if D1 is not None:
+            rt1 = rt1 + D1.mT @ P @ D1
         quad = _solve_guarded(rt1, gain.mT, "control weight R1 + D1'PD1", j, spec.grid.dt)
-        return -(P @ A + A.mT @ P + C.mT @ P @ C + Q - gain @ quad)
+        return -(val + Q - gain @ quad)
 
     return rhs
 
@@ -246,8 +293,7 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
 
 class _InversePath(MatrixPath):
     """scale * base^{-1}, inverted where it is read, so a midpoint inverts
-    base's midpoint (a mean of node inverses costs the march two orders).
-    Node samples are inverted last node first, in the march's order, and
+    base's midpoint read.  Node samples are inverted last node first, in the march's order, and
     an even half step reads them."""
 
     __slots__ = ("base", "scale", "what", "eye")
@@ -288,11 +334,6 @@ def solve_riccati_disturbance(spec) -> RiccatiSolution:
     """
     prob = disturbance_problem(spec)
     return RiccatiSolution(P=integrate_backward(generalized_riccati_rhs(prob), -spec.G, spec.grid))
-
-
-# Bytes of (lin, src) coefficients a linear march builds in one run: enough
-# reads to spread numpy's per-call cost, few enough to keep the stacks small.
-RUN_BYTES = 256 * 1024
 
 
 def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
@@ -380,26 +421,27 @@ def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
     return _decoupled_offset(bb.problem(), P3, sources, u2.shape[1])
 
 
-def solve_offset_b4(dh, Phat: MatrixPath) -> MatrixPath:
-    """Offset equation of the Hamiltonian-stage decoupling (10n blocks).
-
-    All control inputs have been absorbed by the stage construction; only
-    the deterministic drift and diffusion offsets source the equation.
-    """
-
-    def sources(at):
-        return at(dh.F), at(dh.Sigma), at(dh.Upsilon)
-
-    return _decoupled_offset(dh.problem(), Phat, sources, dh.F.shape[1])
+def solve_offset_b4(dh) -> RiccatiSolution:
+    """The Hamiltonian-stage (10n) Riccati path and its offset in one
+    march: [Phat | phihat] solves `dh.problem(offset=True)`, whose A1, C1
+    and Q carry the stage's drift, diffusion and adjoint offsets F, Sigma
+    and Upsilon as trailing columns, from [G | 0].  All control inputs have
+    been absorbed by the stage construction."""
+    return solve_riccati_generalized(dh.problem(offset=True))
 
 
 def lyapunov_problem(Atil: MatrixPath, Ctil: MatrixPath, source, terminal) -> RiccatiProblem:
     """L' + L Atil + Atil^T L + Ctil^T L Ctil + source = 0, L(T) = terminal:
-    A1 = A2 = Atil, Q = -source (0 for a source None), C1 = C2 = Ctil."""
-    zero = MatrixPath(Atil.grid, np.broadcast_to(0.0, Atil.samples.shape))  # no samples stored
-    Q = zero if source is None else MatrixPath(Atil.grid, -source.samples)
-    return RiccatiProblem(grid=Atil.grid, A1=Atil, A2=Atil, B1=zero, Q=Q, terminal=terminal,
-                          C1=Ctil, C2=Ctil, B2=zero, D1=zero, D2=zero)
+    A1 = Atil, Q = -source (0 for a source None), C1 = Ctil, and A2, C2
+    the square blocks of Atil and Ctil, which are all of them unless they
+    carry an offset's sources as trailing columns."""
+    d, grid = Atil.rows, Atil.grid
+    zeros = lambda shape: MatrixPath(grid, np.broadcast_to(0.0, shape))  # no samples stored
+    zero = zeros((len(grid), d, d))
+    square = lambda path: path if path.shape[1] == d else MatrixPath(grid, path.samples[..., :d])
+    Q = zeros(Atil.samples.shape) if source is None else MatrixPath(grid, -source.samples)
+    return RiccatiProblem(grid=grid, A1=Atil, A2=square(Atil), B1=zero, Q=Q,
+                          terminal=terminal, C1=Ctil, C2=square(Ctil), B2=zero, D1=zero, D2=zero)
 
 
 def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
@@ -409,25 +451,25 @@ def solve_lyapunov(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
     The equation is linear, so -L solves `lyapunov_problem` with Q = source
     and terminal -terminal: that march reads the source with no negated
     copy, and its result is negated in place, as 0 - x so that a zero
-    stays +0."""
+    stays +0.  Trailing columns of Atil, Ctil, source and terminal march
+    an offset with L, as in `solve_value_offset`."""
     prob = replace(lyapunov_problem(Atil, Ctil, None, -terminal), Q=source)
     L = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, grid)
     np.subtract(0.0, L.samples, out=L.samples)
     return L
 
 
-def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, Btil: MatrixPath,
-                       Dtil: MatrixPath, L: MatrixPath, extra_source: MatrixPath,
-                       grid: TimeGrid) -> MatrixPath:
-    """Solve the value-offset equation
+def solve_value_offset(Atil: MatrixPath, Ctil: MatrixPath, source: MatrixPath,
+                       terminal: np.ndarray, grid: TimeGrid) -> MatrixPath:
+    """The Lyapunov path L and the value offset psi in one march, [L | psi]:
 
-        psi' = -[Atil^T psi + L Btil + Ctil^T L Dtil + extra_source],
+        L' + L Atil + Atil^T L + Ctil^T L Ctil + Lsrc = 0,  L(T) = terminal,
+        psi' = -[Atil^T psi + L Btil + Ctil^T L Dtil + psisrc],  psi(T) = 0,
 
-    with psi(T) = 0: the offset of the Lyapunov problem (which reads no Q).
-    """
-
-    def sources(at):
-        return at(Btil), at(Dtil), -at(extra_source)
-
-    return _decoupled_offset(lyapunov_problem(Atil, Ctil, None, L.samples[-1]), L, sources,
-                             Btil.shape[1])
+    given Atil = [Atil | Btil], Ctil = [Ctil | Dtil] and source = [Lsrc |
+    psisrc] with the offset's sources as trailing columns: `solve_lyapunov`
+    from [terminal | 0], the offset of the Lyapunov problem (which reads no
+    Q)."""
+    d = terminal.shape[0]
+    return solve_lyapunov(Atil, Ctil, source,
+                          np.hstack([terminal, np.zeros((d, Atil.shape[1] - d))]), grid)

@@ -5,9 +5,9 @@ solve_game runs the full cascade:
 
   1. follower Riccati P and disturbance Riccati P1,
   2. hat / check / blackboard / doublehat stage construction,
-  3. Hamiltonian-stage Riccati Phat and its offset phihat,
+  3. Hamiltonian-stage Riccati Phat and its offset phihat, one march,
   4. feedback gain maps, closed-loop coefficients,
-  5. Lyapunov path L and value offset psi.
+  5. Lyapunov path L and value offset psi, one march.
 
 row_maps gives the four equilibrium maps u1, u2, f and f2 as row maps
 of X1 = [X; 1] at one time or at an array of times; feedback applies
@@ -102,32 +102,31 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
     Psol, terms, dh = blocks["follower"], blocks["terms"], blocks["doublehat"]
 
-    prob = dh.problem()
-    Phsol = _stage("hamiltonian riccati", backward.solve_riccati_generalized, prob)
-    Phat = Phsol.P
-    phihat = _stage("hamiltonian offset", backward.solve_offset_b4, dh, Phat)
+    Phsol = _stage("hamiltonian riccati", backward.solve_offset_b4, dh)
+    grid, d = spec.grid, 10 * spec.n
+    split = lambda s: (MatrixPath(grid, s[..., :d]), MatrixPath(grid, s[..., d:]))
+    Phat, phihat = split(Phsol.P.samples)
 
     # the closed loop dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW of the
     # equilibrium state comes with the decoupling gains (E, e)
-    grid = spec.grid
-    E, e, *closed = _stage("gain maps", augment.decoupling, prob, Phat.samples,
-                           phihat.samples, dh.F.samples, dh.Sigma.samples,
-                           lambda path: path.samples)
-    Atil, Btil, Ctil, Dtil = (MatrixPath(grid, c) for c in closed)
-    gains = augment.build_gain_maps(spec, terms, Phat, phihat, E, e)
+    prob = dh.problem(offset=True)
+    Ee, AB, CD = _stage("gain maps", augment.decoupling, Phsol.P.samples,
+                        *(getattr(prob, name).samples for name in augment.DECOUPLED))
+    (Atil, Btil), (Ctil, Dtil) = split(AB), split(CD)
+    gains = augment.build_gain_maps(spec, terms, Phat, phihat, Ee[..., :d], Ee[..., d:])
+    del Ee  # read by the gain maps only; freed before the last march
 
     PM1, PM2 = gains.PM1.samples, gains.PM2.samples
     PM1T, PM2T = PM1.mT, PM2.mT
     x = augment.block_row(0, spec.n)  # the physical state's slot
-    psi_src = (PM1T @ terms.R @ gains.phiM1.samples
-               + PM2T @ terms.W2 @ gains.phiM2.samples)
-
-    L = _stage("lyapunov", backward.solve_lyapunov, Atil, Ctil,
-               MatrixPath(grid, x.T @ spec.Q.samples @ x
-                          + PM1T @ terms.R @ PM1 + PM2T @ terms.W2 @ PM2),
-               x.T @ spec.G @ x, grid)
-    psi = _stage("value offset", backward.solve_value_offset, Atil, Ctil, Btil,
-                 Dtil, L, MatrixPath(grid, psi_src), grid)
+    # the sources of L and, as a trailing column, of psi
+    source = np.concatenate([x.T @ spec.Q.samples @ x + PM1T @ terms.R @ PM1
+                             + PM2T @ terms.W2 @ PM2,
+                             PM1T @ terms.R @ gains.phiM1.samples
+                             + PM2T @ terms.W2 @ gains.phiM2.samples], axis=-1)
+    Lpsi = _stage("lyapunov", backward.solve_value_offset, MatrixPath(grid, AB),
+                  MatrixPath(grid, CD), MatrixPath(grid, source), x.T @ spec.G @ x, grid)
+    L, psi = split(Lpsi.samples)
 
     regularity = dict(Psol.regularity)
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
@@ -229,9 +228,21 @@ def clamp_nonnegative(s: StrategyOutput) -> StrategyOutput:
     )
 
 
+def _quadrature_weights(steps: int) -> np.ndarray:
+    """Node weights, in units of the step, of the fourth-order
+    end-corrected trapezoidal rule 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6,
+    3/8 (Press et al., Numerical Recipes, eq. 4.1.14).  It needs six
+    nodes; a grid of fewer than five steps gets the plain trapezoid."""
+    w = np.ones(steps + 1)
+    ends = (0.5,) if steps < 5 else (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
+    for i, wi in enumerate(ends):
+        w[i] = w[-1 - i] = wi
+    return w
+
+
 def value(sol: EquilibriumSolution) -> float:
-    """Value of the game at the spec's initial state: trapezoidal quadrature
-    of the offset integrand plus the boundary terms
+    """Value of the game at the spec's initial state: quadrature of the
+    offset integrand (`_quadrature_weights`) plus the boundary terms
 
         Xi' L(0) Xi + 2 Xi' psi(0).
     """
@@ -241,7 +252,8 @@ def value(sol: EquilibriumSolution) -> float:
         phi1.mT @ sol.terms.R @ phi1 + phi2.mT @ sol.terms.W2 @ phi2
         + Dt.mT @ sol.L.samples @ Dt + 2.0 * Bt.mT @ sol.psi.samples
     )[:, 0, 0]
-    quad = np.trapezoid(integrand, sol.spec.grid.nodes)
+    grid = sol.spec.grid
+    quad = grid.dt * (_quadrature_weights(grid.steps) @ integrand)
     Xi = sol.dh.Xi
     boundary = Xi.T @ sol.L.samples[0] @ Xi + 2.0 * Xi.T @ sol.psi.samples[0]
     return float(quad) + boundary.item()

@@ -2,10 +2,10 @@
 the full game specification, and validation of the standing assumptions.
 
 All coefficients are deterministic functions of time, represented by their
-values at the nodes of a uniform grid with linear interpolation in between.
-`MatrixPath.at` reads a path at any time; the backward RK4 marches read it
-by integer half step with `MatrixPath.half`, the node or the midpoint of a
-cell, so no stage time is ever located.
+values at the nodes of a uniform grid.  `MatrixPath.at` reads a path at any
+time by linear interpolation; the backward RK4 marches read it by integer
+half step with `MatrixPath.half`, the node or the cubic midpoint of a cell,
+so no stage time is ever located.
 The leader-observed disturbance f1 is restricted to a deterministic path,
 which keeps every backward equation in the pipeline an ODE.
 """
@@ -88,9 +88,9 @@ def make_grid(T: float, N: int) -> TimeGrid:
 class MatrixPath:
     """A matrix-valued function of time sampled at grid nodes.
 
-    Samples are stored as an array of shape (N+1, rows, cols); evaluation
-    between nodes is entrywise linear interpolation, and node values are
-    returned bit-exactly.
+    Samples are stored as an array of shape (N+1, rows, cols); `at`
+    interpolates entrywise linearly between nodes, `half` reads a cell's
+    cubic midpoint, and both return node values bit-exactly.
     """
 
     __slots__ = ("grid", "samples")
@@ -140,15 +140,42 @@ class MatrixPath:
 
     def half(self, j) -> np.ndarray:
         """Value at half step j, the time j dt/2: node j/2, bit-exactly, for
-        an even j, else the mean of the two nodes either side; stacked
-        along the leading axis for an int array of half steps, bit for bit
-        the scalar reads."""
+        an even j, else the cubic midpoint of its cell (`_midpoint`);
+        stacked along the leading axis for an int array of half steps, bit
+        for bit the scalar reads."""
         k = j >> 1
         if not isinstance(j, np.ndarray):
-            return 0.5 * (self.samples[k] + self.samples[k + 1]) if j & 1 else self.samples[k]
-        out = self.samples[k]
+            return self._midpoint(np.array([k]))[0] if j & 1 else self.samples[k]
         mid = (j & 1) == 1
-        out[mid] = 0.5 * (self.samples[k[mid]] + self.samples[k[mid] + 1])
+        if mid.all():
+            return self._midpoint(k)
+        out = self.samples[k]
+        out[mid] = self._midpoint(k[mid])
+        return out
+
+    def _midpoint(self, k: np.ndarray) -> np.ndarray:
+        """Midpoints of the cells k, [t_k, t_{k+1}], of the cubic through
+        four nodes: (a + b)/2 + ((a + b) - (c + d))/16 with a, b = m_k,
+        m_{k+1} and c, d = m_{k-1}, m_{k+2}; the first cell reads the
+        one-sided (5 m_0 + 15 m_1 - 5 m_2 + m_3)/16 and the last its
+        mirror.  Every correction is a sum of node differences, so a
+        constant path reads exactly.  A grid of fewer than three steps has
+        no cubic and reads the mean of the two nodes."""
+        m, last = self.samples, len(self.samples) - 1
+        if last < 3:
+            return 0.5 * (m[k] + m[k + 1])
+        # in place, from one gathered copy per pair of nodes
+        out, outer = m[k], m[np.maximum(k - 1, 0)]
+        out += m[k + 1]
+        outer += m[np.minimum(k + 2, last)]
+        np.subtract(out, outer, out=outer)
+        outer *= 0.0625
+        out *= 0.5
+        out += outer
+        for end, (a, b, c, d) in ((0, m[:4]), (last - 1, m[:-5:-1])):
+            hit = k == end
+            if hit.any():
+                out[hit] = 0.5 * (a + b) + (3.0 * (b - a) + 4.0 * (b - c) + (d - c)) * 0.0625
         return out
 
 

@@ -299,8 +299,13 @@ def _leader_control(sol, pre, dirs) -> _Response:
     at = lambda path: path.at(pre["left"])
     q = at(backward.solve_offset_b3(bb, sol.P3, dirs))
     v, P3 = at(dirs), at(sol.P3)
-    Zx, zoff, A, b, C, d = augment.decoupling(bb.problem(), P3, q, at(bb.B2) @ v,
-                                              at(bb.D2) @ v, at)
+    stage = [at(getattr(bb.problem(), name)) for name in augment.DECOUPLED]
+    # q rides as trailing columns of P3, its drift and diffusion sources as
+    # trailing columns of A1 and C1
+    stage[0] = np.concatenate([stage[0], at(bb.B2) @ v], axis=-1)
+    stage[2] = np.concatenate([stage[2], at(bb.D2) @ v], axis=-1)
+    Ee, Ab, Cd = augment.decoupling(np.concatenate([P3, q], axis=-1), *stage)
+    (Zx, zoff), (A, b), (C, d) = ((s[..., :5 * n], s[..., 5 * n:]) for s in (Ee, Ab, Cd))
 
     B1, D1, D2, P = at(spec.B1), at(spec.D1), at(spec.D2), at(sol.P)
     r_xtil, r_xbar, r_ybar = (augment.block_row(slot, n, 5) for slot in (0, 1, 3))
@@ -433,7 +438,8 @@ class _Block:
     (directions, Dz, width) and the cross and quad accumulators
     (directions, tests, width).  A noise-free stack (`_noise_free`) is the
     same on every path, so Z and quad hold one column per direction, which
-    broadcasts over the block's paths."""
+    broadcasts over the block's paths, and the cross rows of a step are one
+    (directions x tests, Dz) @ (Dz, width) product."""
 
     def __init__(self, pre, tests, width, noise_free):
         m = 10 * pre["n"]
@@ -462,7 +468,11 @@ class _Block:
             dz = Z.shape[1]
             Yz = Kz[j] @ Z
             Yz += zoff[j]
-            self.cross += sel @ (Y[row:row + dz] * Z)
+            if self.noisy:
+                self.cross += sel @ (Y[row:row + dz] * Z)
+            else:  # one column: fold it into the selector, one product
+                self.cross += ((sel * Z.mT).reshape(-1, dz)
+                               @ Y[row:row + dz]).reshape(self.cross.shape)
             self.cross += Y[row + dz:].reshape(self.cross.shape)
             self.quad += sel @ (Yz[:, 2 * dz:] * Z)
             self.quad += czz[j]

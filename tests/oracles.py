@@ -1,12 +1,13 @@
 """Independent oracles that only the tests read: the scalar follower
 equation of the production-supply game, the fundamental-matrix closed
-form of fraction-free Riccati equations, and the finite-difference
-residual of a solved path against its right-hand side."""
+form of fraction-free Riccati equations, the finite-difference
+residual of a solved path against its right-hand side, and the
+martingale integrand gains of a solved game."""
 
 import numpy as np
 
 import robustlq as rl
-from robustlq import backward
+from robustlq import augment, backward
 from robustlq.model import MatrixPath, RegularityError, frobenius
 
 
@@ -86,3 +87,12 @@ def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
     """
     deriv = derivative_4th_order(P.samples, P.grid.dt)
     return frobenius(deriv - rhs(2 * np.arange(len(P.grid)), P.samples))
+
+
+def integrand_gains(sol):
+    """(E, e) with Z = E X + e at the nodes of a solved game: `decoupling`
+    of [Phat | phihat] under the 10n stage's offset form."""
+    prob = sol.dh.problem(offset=True)
+    Ee = augment.decoupling(np.concatenate([sol.Phat.samples, sol.phihat.samples], axis=-1),
+                            *(getattr(prob, name).samples for name in augment.DECOUPLED))[0]
+    return Ee[..., :sol.Phat.rows], Ee[..., sol.Phat.rows:]

@@ -8,6 +8,7 @@ from robustlq import augment
 from robustlq.model import MatrixPath, RegularityError
 
 from conftest import instance_a, random_spec
+from oracles import integrand_gains
 
 
 def const_path(spec, value):
@@ -271,9 +272,7 @@ def test_gain_map_matches_componentwise_formula(sol_a):
     n = spec.n
     rng = np.random.default_rng(8)
     worst = 0.0
-    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
-                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
-                                 lambda path: path.samples)[:2]
+    Es, es = integrand_gains(sol_a)
     for _ in range(25):
         k = int(rng.integers(0, len(spec.grid)))
         X = rng.standard_normal((10 * n, 1))

@@ -217,36 +217,44 @@ def test_singular_stage_matrix_names_stage_and_node():
 
 
 def test_singular_offset_gap_names_terminal_node():
-    # I - P D2 = 0 at every node: the first stage, at T, fails with node N
+    # I - P D2 = 0 at the terminal [G | 0] = [1 | 0] of the joint march: its
+    # first stage, at T, fails with node N
     grid = rl.make_grid(1.0, 10)
-    one, z = MatrixPath.constant(grid, [[1.0]]), MatrixPath.zeros(grid, 1, 1)
-    prob = backward.RiccatiProblem(grid=grid, A1=z, A2=z, B1=z, Q=z, terminal=np.zeros((1, 1)),
-                                   C1=z, C2=z, B2=z, D1=z, D2=one)
-    dh = SimpleNamespace(F=z, Sigma=z, Upsilon=z, problem=lambda: prob)
+    one, z, z2 = (MatrixPath.constant(grid, [[1.0]]), MatrixPath.zeros(grid, 1, 1),
+                  MatrixPath.zeros(grid, 1, 2))
+    prob = backward.RiccatiProblem(grid=grid, A1=z2, A2=z, B1=z, Q=z2,
+                                   terminal=np.array([[1.0, 0.0]]),
+                                   C1=z2, C2=z, B2=z, D1=z, D2=one)
+    dh = SimpleNamespace(problem=lambda offset: prob)
     with pytest.raises(RegularityError, match=r"singular at t=1 \(node 10\)") as err:
-        backward.solve_offset_b4(dh, one)
+        backward.solve_offset_b4(dh)
     assert err.value.node == 10
 
 
 @pytest.mark.parametrize("run_bytes", [backward.RUN_BYTES, 2000])
 def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
-    # the batched coefficients reproduce a march that reads every stage
-    # time on its own, whatever the run length (2000 bytes: two reads)
+    # the joint [Phat | phihat] march serves its odd reads from per-run
+    # tables; it reproduces a march of the same rectangular problem that
+    # reads every coefficient at every stage on its own, whatever the run
+    # length (2000 bytes: one odd half step a run)
     monkeypatch.setattr(backward, "RUN_BYTES", run_bytes)
-    dh, P = sol_a.dh, sol_a.Phat
-    prob = dh.problem()
-    eye = np.eye(P.rows)
+    prob = sol_a.dh.problem(offset=True)
+    d = prob.terminal.shape[0]
+    eye = np.eye(d)
 
-    def rhs(j, phi):
-        Pt = P.half(j)
-        FP = ((prob.C2.half(j).T + Pt @ prob.B2.half(j))
-              @ np.linalg.solve(eye - Pt @ prob.D2.half(j), eye) @ Pt)
-        lin = prob.A2.half(j).T + Pt @ prob.B1.half(j) + FP @ prob.D1.half(j)
-        src = FP @ dh.Sigma.half(j) + Pt @ dh.F.half(j) - dh.Upsilon.half(j)
-        return -(lin @ phi + src)
+    def rhs(j, P):
+        read = lambda name: getattr(prob, name).half(j)
+        S = P[:, :d]
+        val = S @ read("A1") + read("A2").T @ P + S @ read("B1") @ P - read("Q")
+        inner = S @ read("C1") + S @ read("D1") @ P
+        return -(val + (read("C2").T + S @ read("B2"))
+                 @ np.linalg.solve(eye - S @ read("D2"), inner))
 
-    ref = rl.integrate_backward(rhs, np.zeros((P.rows, 1)), P.grid)
-    assert np.array_equal(backward.solve_offset_b4(dh, P).samples, ref.samples)
+    ref = rl.integrate_backward(rhs, prob.terminal, prob.grid).samples
+    joint = backward.solve_offset_b4(sol_a.dh).P.samples
+    assert np.array_equal(joint, ref)
+    assert np.array_equal(joint[..., :d], sol_a.Phat.samples)
+    assert np.array_equal(joint[..., d:], sol_a.phihat.samples)
 
 
 def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
@@ -260,7 +268,7 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
 
     def solve_all():
         stages = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
-        stages.append(backward.solve_offset_b4(sol_b.dh, sol_b.Phat).samples)
+        stages.append(backward.solve_offset_b4(sol_b.dh).P.samples)
         sols = [rl.solve_game(spec) for spec in games]
         phi1 = [backward.solve_offset_b1(spec, sol.P1, sol.gains.phiM1).samples
                 for spec, sol in zip(games, sols)]
@@ -269,8 +277,8 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
     short = solve_all()
     monkeypatch.setattr(backward.RiccatiProblem, "vanishes", lambda self, *names: False)
     full = solve_all()
-    assert np.array_equal(short[0][0], sol_b.Phat.samples)
-    assert np.array_equal(short[0][2], sol_b.phihat.samples)
+    assert np.array_equal(short[0][2][..., :10], sol_b.Phat.samples)
+    assert np.array_equal(short[0][2][..., 10:], sol_b.phihat.samples)
     for a, b in zip(short[0] + short[2], full[0] + full[2]):
         assert np.array_equal(a, b)
     for a, b in zip(short[1], full[1]):
@@ -279,6 +287,17 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
         for name in ("L", "psi"):
             x, y = getattr(a, name).samples, getattr(b, name).samples
             assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max(), name
+
+
+@pytest.mark.parametrize("spec", [instance_b(N=64), scalar_spec(C=0.0, D1=0.4, Q=1.0, G=[[0.8]]),
+                                  scalar_spec(C=0.3, D1=0.0, Q=1.0, G=[[0.8]])],
+                         ids=["no_C_no_D1", "no_C", "no_D1"])
+def test_follower_skips_vanishing_terms(spec, monkeypatch):
+    # the follower right-hand side without its C or D1 terms, when those
+    # paths are zero, gives the bits of the full formula
+    short = rl.solve_riccati_follower(spec).P.samples
+    monkeypatch.setattr(backward, "_vanishes", lambda path: False)
+    assert np.array_equal(short, rl.solve_riccati_follower(spec).P.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +327,14 @@ def test_offset_b1_with_control_source():
 
 
 def test_value_offset_constant_source():
+    # with no drift and no L source, psi' = -3 beside L = 0
     grid = rl.make_grid(2.0, 50)
-    z = MatrixPath.zeros(grid, 1, 1)
-    src = MatrixPath.constant(grid, [[3.0]])
-    psi = rl.solve_value_offset(z, z, z, z, z, src, grid)
+    z = MatrixPath.zeros(grid, 1, 2)
+    src = MatrixPath.constant(grid, [[0.0, 3.0]])
+    Lpsi = rl.solve_value_offset(z, z, src, np.zeros((1, 1)), grid)
     expect = 3.0 * (grid.horizon - grid.nodes)
-    assert np.allclose(psi.samples[:, 0, 0], expect, atol=1e-12)
+    assert np.allclose(Lpsi.samples[:, 0, 1], expect, atol=1e-12)
+    assert np.all(Lpsi.samples[:, 0, 0] == 0.0)
 
 
 def test_lyapunov_zero():

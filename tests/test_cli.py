@@ -6,7 +6,7 @@ import pytest
 import robustlq as rl
 from robustlq import backward, cli, montecarlo
 
-from conftest import homogeneous_spec, instance_b, malformed_spec_docs, random_spec
+from conftest import homogeneous_spec, instance_a, instance_b, malformed_spec_docs, random_spec
 from oracles import scalar_bode
 
 
@@ -272,13 +272,17 @@ def test_example_names_first_lost_node(tmp_path, capsys):
 
 
 def test_dump_blocks(homog_file, tmp_path, capsys):
-    for stage in ("hat", "check", "blackboard", "doublehat", "weights"):
+    for stage in ("hat", "check", "blackboard", "weights", "doublehat"):
         code = cli.run(["dump-blocks", "--spec", homog_file, "--stage", stage,
                         "--t", "0.5"])
         assert code == 0
         captured = capsys.readouterr().out
         doc = json.loads(captured[captured.index("{\n"):])
         assert doc["stage"] == stage and doc["blocks"]
+    # the offsets the 10n stage stores as trailing columns are written as
+    # blocks of their own, and the joined paths are not written
+    assert set(doc["blocks"]) == {"A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2", "F", "G",
+                                  "Q", "Sigma", "Upsilon", "Xi"}
 
 
 def test_dump_blocks_failure_names_stage(tmp_path, capsys):
@@ -301,3 +305,15 @@ def test_grid_override(homog_file, tmp_path):
     assert code == 0
     lines = (out / "P.csv").read_text().strip().splitlines()
     assert len(lines) == 27  # header + 26 nodes
+
+
+@pytest.mark.parametrize("steps", ["1", "2", "3", "5"])
+def test_coarse_grid_override(steps, tmp_path):
+    # grids too coarse for the cubic reads and the end-corrected quadrature
+    # solve with their lower-degree rules, not with an IndexError
+    spec_file, out = tmp_path / "a.json", tmp_path / "o"
+    rl.dump_spec(instance_a(N=40), spec_file)
+    assert cli.run(["solve", "--spec", str(spec_file), "--out", str(out),
+                    "--grid-n", steps]) == cli.EXIT_OK
+    assert np.isfinite(json.loads((out / "summary.json").read_text())["value"])
+    assert len((out / "P.csv").read_text().strip().splitlines()) == int(steps) + 2

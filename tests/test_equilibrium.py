@@ -10,7 +10,7 @@ from robustlq.model import BlowUpError, RegularityError, SpecError
 
 from conftest import (homogeneous_spec, instance_a, instance_b, production_spec,
                       random_spec)
-from oracles import derivative_4th_order, riccati_residuals, scalar_bode
+from oracles import derivative_4th_order, integrand_gains, riccati_residuals, scalar_bode
 
 
 def test_homogeneous_game_everything_zero(sol_homog):
@@ -67,9 +67,7 @@ def test_feedback_leader_control_consistency(sol_a):
     stacked processes under the decoupled representation."""
     spec = sol_a.spec
     rng = np.random.default_rng(12)
-    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
-                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
-                                 lambda path: path.samples)[:2]
+    Es, es = integrand_gains(sol_a)
     for _ in range(10):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
@@ -138,9 +136,19 @@ def test_value_pure_quadratic_without_offsets():
 
 
 def test_value_quadrature_convergence():
-    vals = {N: rl.value(rl.solve_game(instance_a(N=N))) for N in (50, 100, 200)}
-    ratio = abs(vals[50] - vals[100]) / abs(vals[100] - vals[200])
-    assert 2.5 <= ratio <= 6.5
+    # fourth order through the whole cascade: halving the step divides the
+    # error of every solved path (at the common nodes) and of the value by
+    # about 16, which the cubic midpoint reads and the end-corrected
+    # quadrature give; linear reads or the plain trapezoid would give 4
+    for make in (instance_a, lambda N: random_spec(7, 2, N=N)):
+        sols = [rl.solve_game(make(N)) for N in (50, 100, 200)]
+        for name in ("P", "P1", "Phat", "phihat", "L", "psi"):
+            a, b, c = (getattr(sol, name).samples for sol in sols)
+            ratio = np.abs(a - b[::2]).max() / np.abs(b[::2] - c[::4]).max()
+            assert 12.0 <= ratio <= 20.0, (name, ratio)
+        v50, v100, v200 = (rl.value(sol) for sol in sols)
+        ratio = abs(v50 - v100) / abs(v100 - v200)
+        assert 12.0 <= ratio <= 20.0, ratio
 
 
 def test_scalar_bode_zero():
@@ -188,9 +196,7 @@ def test_decoupled_representation_residual(sol_a):
         Y[k] = sol_a.Phat.samples[k] @ X[k] + sol_a.phihat.samples[k][:, 0]
     dY = derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
     worst = 0.0
-    Es, es = augment.decoupling(sol_a.dh.problem(), sol_a.Phat.samples, sol_a.phihat.samples,
-                                 sol_a.dh.F.samples, sol_a.dh.Sigma.samples,
-                                 lambda path: path.samples)[:2]
+    Es, es = integrand_gains(sol_a)
     for k in range(len(grid)):
         Z = Es[k] @ X[k] + es[k][:, 0]
         drift = (-sol_a.dh.A2.samples[k].T @ Y[k] - sol_a.dh.C2.samples[k].T @ Z
@@ -243,6 +249,56 @@ def test_intermediate_stage_residuals():
         assert rel.max() <= 1e-5
 
 
+@pytest.mark.parametrize("spec", [instance_a(N=400), random_spec(3, 2, N=400)],
+                         ids=["instance_a", "random_3_2"])
+def test_joint_march_residuals(spec):
+    """[Phat | phihat] and [L | psi], each solved in one march with the
+    offset as trailing columns, satisfy their rectangular equations: the
+    10n stage's offset form and the Lyapunov form with the value offset's
+    sources beside L's."""
+    sol = rl.solve_game(spec)
+    joined = lambda *paths: rl.MatrixPath(spec.grid, np.concatenate([p.samples for p in paths],
+                                                                    axis=-1))
+    g, x = sol.gains, augment.block_row(0, spec.n)
+    PM1T, PM2T = g.PM1.samples.mT, g.PM2.samples.mT
+    source = rl.MatrixPath(spec.grid, np.concatenate(
+        [x.T @ spec.Q.samples @ x + PM1T @ sol.terms.R @ g.PM1.samples
+         + PM2T @ sol.terms.W2 @ g.PM2.samples,
+         PM1T @ sol.terms.R @ g.phiM1.samples + PM2T @ sol.terms.W2 @ g.phiM2.samples], axis=-1))
+    Lpsi = joined(sol.L, sol.psi)
+    lyap = backward.lyapunov_problem(joined(sol.Atil, sol.Btil), joined(sol.Ctil, sol.Dtil),
+                                     source, Lpsi.samples[-1])
+    for prob, path in ((sol.dh.problem(offset=True), joined(sol.Phat, sol.phihat)),
+                       (lyap, Lpsi)):
+        res = riccati_residuals(backward.generalized_riccati_rhs(prob), path)
+        rel = res / (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))
+        assert rel.max() <= 1e-5
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5])
+def test_coarse_grids_solve(steps):
+    """A grid too coarse for the fourth-order rules follows the documented
+    lower-degree ones: the mean of a cell's nodes below three steps, the
+    plain trapezoid below five.  Each solves to a finite value near the
+    fine one."""
+    sol = rl.solve_game(instance_a(N=steps))
+    v = rl.value(sol)
+    assert np.isfinite(v) and abs(v - GOLDEN["instance_a"][0]) <= 0.05 * v
+    w = equilibrium._quadrature_weights(steps)
+    assert w.sum() == steps
+    if steps < 5:
+        assert np.array_equal(w, np.r_[0.5, np.ones(steps - 1), 0.5])
+
+
+@pytest.mark.parametrize("steps", [5, 6, 7, 50])
+def test_quadrature_exact_on_cubics(steps):
+    # the end-corrected trapezoid is fourth order: exact on cubics
+    grid = rl.make_grid(2.0, steps)
+    t = grid.nodes
+    got = grid.dt * (equilibrium._quadrature_weights(steps) @ (1.0 - t + 3.0 * t ** 2 - t ** 3))
+    assert got == pytest.approx(2.0 - 2.0 + 8.0 - 4.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("spec", [instance_a(N=100), instance_b(N=64), random_spec(3, 2, N=100),
                                   random_spec(1, 4, N=100)],
                          ids=["instance_a", "instance_b", "random_3_2", "random_1_4"])
@@ -273,11 +329,11 @@ def test_decoupled_stages_are_j_symmetric(spec):
 # value, |Phat(0)|_F and Xi' Phat(0) Xi of fixed instances; a change to the
 # cascade that moves any of them beyond roundoff changes the solver's output
 GOLDEN = {
-    "instance_a": (1.742874750108786, 8.455454668126766, -1.5447423256672923),
-    "instance_b": (0.36456497956483347, 1.1338268640794733, -0.3380626237484416),
-    "random_1_1": (0.027933112154448936, 1.2313819855911539, -0.029489333570746862),
-    "random_1_2": (0.07274786407922532, 1.3513551881052637, -0.05292043297137604),
-    "random_1_4": (0.9023611593537108, 18.484800474670696, -3.278778436822907),
+    "instance_a": (1.7428725726137748, 8.455437316703069, -1.5447424762927668),
+    "instance_b": (0.3645649757946887, 1.133826866297727, -0.33806259532445104),
+    "random_1_1": (0.027933110109856676, 1.2313819908240125, -0.02948933350574098),
+    "random_1_2": (0.07274790403435068, 1.3513552262862754, -0.052920430554035634),
+    "random_1_4": (0.9039399357154125, 18.48456199684331, -3.2787432209620055),
 }
 
 
@@ -294,25 +350,25 @@ def test_golden_values(name):
 
 
 # sha256 of the node samples of the solution paths, recorded with the
-# marches reading their coefficients by integer half step and P1, L and psi
-# solved in the unified Riccati form: the output must stay bit for bit the
-# same
+# marches reading their coefficients by integer half step (cubic midpoints),
+# P1 solved in the unified Riccati form and phihat and psi marched as
+# trailing columns of Phat and L: the output must stay bit for bit the same
 PATH_GOLDEN = {
     "instance_a": {
         "P": "9228d6dad5538b4f9d9a75deab5949aa2841e16d94dd3322e03552bb88fcdbae",
         "P1": "df6cc5b135867b83bc61c2a62b02810ea0b8c2a45cbc79912d0b9a22a5823676",
-        "Phat": "a225b7a31f09cdd75f6c46a16da529e895532ce777f14b9c4b54d9d26c19b3cd",
-        "phihat": "3a6d472c49288bf8f50a8c3dc0e976a6251fce2b71c3104e202eae6d2cea99be",
-        "L": "9553b675d1299837622f2e44b0a70f24b51d75719e81656087f96e14dba31658",
-        "psi": "066d88c4ef0aefee10b517605eb63e646b521c29588f0546da261330bf97c24c",
+        "Phat": "a75f676294f2afae6fb9058370e44a048f0abe7e400fedf2bf9b577d9c68e19c",
+        "phihat": "017ce09b4e8d27d4f13074ee9ff76b4c835e32f68f52050a661f3f92f293f168",
+        "L": "dc9d1e02560674fd5f033a003a674e05983b3a17c0fc5ee5d8e9c70552ecdd79",
+        "psi": "f934ec5cb64dbcee36d6897bd803b3ebb965f8bc3e5d1a5204bf356396a9f228",
     },
     "random_1_4": {
         "P": "2d01803dd5de92ce7bbc3ac0c8faf653ca64d13368ed7c9419d0c4721e3aa9fa",
         "P1": "2b65e897195bd08c1bb1a297ddf429c230c6fa4c4bf7cb5bde867386fdb4a2c1",
-        "Phat": "1480501dcfba9758a1242ced966b55b8b20dc348d746367273d25fa86e705a1e",
-        "phihat": "4cf50ebc0ebea8385b97bb1b0382f27f2ed0488b7fd4ede83434d34f71a264e6",
-        "L": "78a4e6f53952463e2732bab3a31641026f6a5821b5997567af46b1e22eb16a46",
-        "psi": "05f024dfcfc6a81eab56d92df219fdc9be8d19e3aee02deae8ec524fddba5aa9",
+        "Phat": "68cb5b278471dca9f4f453755fcb39f058d90f837155d20d598df7bccd1de202",
+        "phihat": "8009c88d123e249afb36928a355b793e5100589a6eb164e96fcc54fd45811406",
+        "L": "a41e53a85401ecdc38520a371cf336b925f5fd6375fa3b8e95391613c8eccdac",
+        "psi": "51f660ad91c4c22f81d58ac5821a19bf8ed6cad2445bc1d2baee19a8bcef13b3",
     },
 }
 

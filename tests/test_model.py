@@ -101,20 +101,52 @@ def test_located_reads_match_scalar_at(N, T):
 
 
 def test_half_step_reads():
-    # even half steps are the stored nodes, odd ones the mean of the two
-    # nodes either side; an array of half steps reads each as a scalar does
+    # even half steps are the stored nodes; an odd one reads the midpoint
+    # of the cubic through four nodes, one-sided in the two end cells; an
+    # array of half steps reads each as a scalar does
     grid = rl.make_grid(3.0, 100)
     path = MatrixPath(grid, np.random.default_rng(3).standard_normal((101, 2, 3)))
     m = path.samples
     for k in range(101):
         assert np.array_equal(path.half(2 * k), m[k])
-    for k in range(100):
-        assert np.array_equal(path.half(2 * k + 1), 0.5 * (m[k] + m[k + 1]))
+    for k in range(1, 99):
+        expect = (9.0 * (m[k] + m[k + 1]) - m[k - 1] - m[k + 2]) / 16.0
+        assert np.allclose(path.half(2 * k + 1), expect, rtol=0.0, atol=1e-15)
+    first = (5.0 * m[0] + 15.0 * m[1] - 5.0 * m[2] + m[3]) / 16.0
+    last = (5.0 * m[100] + 15.0 * m[99] - 5.0 * m[98] + m[97]) / 16.0
+    assert np.allclose(path.half(1), first, rtol=0.0, atol=1e-15)
+    assert np.allclose(path.half(199), last, rtol=0.0, atol=1e-15)
     js = np.arange(200, -1, -1)
     ref = np.stack([path.half(int(j)) for j in js])
     assert np.array_equal(path.half(js), ref)
     assert np.array_equal(path.half(js[7:60]), ref[7:60])
+    assert np.array_equal(path.half(js[::-2]), ref[::-2])
     assert np.array_equal(path.samples, m)
+
+    # a cubic in time is read exactly (to roundoff) in every cell, the end
+    # cells too, and a constant bit-exactly
+    t = grid.nodes
+    cubic = MatrixPath(grid, (1.0 + t - 2.0 * t ** 2 + 0.5 * t ** 3)[:, None, None])
+    tm = (t[:-1] + t[1:]) / 2.0
+    reads = cubic.half(2 * np.arange(100) + 1)[:, 0, 0]
+    assert np.allclose(reads, 1.0 + tm - 2.0 * tm ** 2 + 0.5 * tm ** 3, rtol=0.0, atol=1e-12)
+    value = np.array([[0.1, -3.0e7, 7.3e-9]])
+    const = MatrixPath.constant(grid, value)
+    assert all(np.array_equal(const.half(j), value) for j in range(201))
+    assert np.array_equal(const.half(js), np.broadcast_to(value, (201, 1, 3)))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_half_step_reads_coarse_grid(steps):
+    # a grid of fewer than three steps has no four nodes to fit a cubic
+    # through: an odd half step reads the mean of its cell's nodes
+    grid = rl.make_grid(1.0, steps)
+    path = MatrixPath(grid, np.random.default_rng(steps).standard_normal((steps + 1, 2, 2)))
+    m = path.samples
+    for k in range(steps):
+        assert np.array_equal(path.half(2 * k + 1), 0.5 * (m[k] + m[k + 1]))
+    js = np.arange(2 * steps, -1, -1)
+    assert np.array_equal(path.half(js), np.stack([path.half(int(j)) for j in js]))
 
 
 def test_located_read_rejects_out_of_range():

@@ -252,7 +252,10 @@ def record_z_widths(monkeypatch):
 
 def test_noise_free_stack_matches_full_width(monkeypatch, sol_b):
     # instance_b has no diffusion coupling, so its stacked response is one
-    # column per direction: the same bits as one column per path
+    # column per direction: the same bits as one column per path, but for
+    # the cross terms, which the one column sums as one product with the
+    # selector, in another order (measured: 7.5e-16 of a direction
+    # column's largest magnitude)
     B = montecarlo.PATH_BLOCK
     cfg = rl.SimConfig(paths=B + 300, seed=3, substeps=2)
     widths = record_z_widths(monkeypatch)
@@ -262,7 +265,11 @@ def test_noise_free_stack_matches_full_width(monkeypatch, sol_b):
     assert widths == [1, 1, B, 300]
     assert one.out.keys() == full.out.keys()
     for key in full.out:
-        assert np.array_equal(one.out[key], full.out[key]), key
+        if key[0] == "cross":
+            scale = np.abs(full.out[key]).max(axis=0)
+            assert (np.abs(one.out[key] - full.out[key]) <= 1e-14 * scale).all(), key
+        else:
+            assert np.array_equal(one.out[key], full.out[key]), key
 
 
 def test_noise_free_stack_matches_reference_loop_n2():
@@ -642,40 +649,40 @@ def test_one_suite_run(sol_a):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "7ff2641efc29604c7255de6549561157289ac037181c04640d6fd71d0a210d31",
-    "j_follower": "5ecdf5a622ee0328852396140be33de295e1ba2bbdbf265f54499cfa4a425583",
-    "j_leader": "f44d41212e26a10bb11da1cbb9c7918adac1f7fd99e7e462ba69284ad5f30846",
-    "terminal": "a03048259e23bbfde714e2fcdd2a023999435b576c6a825b0f4d6e5532f061a6",
+    "j": "63f1b9ef547e0193c2ba27bf5643cf1713171bcc39a762e420489436bb0ecfe6",
+    "j_follower": "f9ab54b2983e1fc7c8f31b4ea3abd6bdaf1afecfc748462a677fa0d1b60b5b74",
+    "j_leader": "f6cd12ec1e376f0f39ba74f51aa633a2f1be47a642754a71e8cbd4c7777a41ce",
+    "terminal": "11eb2dd04031f6d459a3bc1b04b1844de32e7828101dc2f474a55ff33d350ecd",
 }
 
 # rows of perturb_best_response and sampled_convexity on one
 # deviation_tests(directions=2, samples=2) run on instance_a with 200
 # paths, seed 0, one substep
 ROWS_GOLDEN = [
-    ("follower_control", 0, 0.05, 0.004935918140352966, 0.004357548635950177, "inconclusive"),
-    ("follower_control", 0, 0.1, 0.016006592310352584, 0.008583215285105767, "inconclusive"),
-    ("follower_control", 1, 0.05, 0.004091233810958604, 0.0034524739466890654, "inconclusive"),
-    ("follower_control", 1, 0.1, 0.01346837001506781, 0.006882105560193203, "inconclusive"),
-    ("leader_control", 0, 0.05, -0.002301015023223553, 0.001371995167655752, "inconclusive"),
-    ("leader_control", 0, 0.1, -0.009525233514403555, 0.0027745508804344473, "pass"),
-    ("leader_control", 1, 0.05, -0.002254462735309829, 0.001326939508841187, "inconclusive"),
-    ("leader_control", 1, 0.1, -0.009501741507484457, 0.0026268430523591524, "pass"),
-    ("follower_disturbance", 0, 0.05, -0.009624223791533031, 0.0005409736273648431, "pass"),
-    ("follower_disturbance", 0, 0.1, -0.03838835348720627, 0.00107297088663187, "pass"),
-    ("follower_disturbance", 1, 0.05, -0.009508038765027456, 0.0006726987327479846, "pass"),
-    ("follower_disturbance", 1, 0.1, -0.03775359748534997, 0.0013581805763295384, "pass"),
-    ("leader_disturbance", 0, 0.05, 0.010144720460081495, 0.00026608725330467143, "pass"),
-    ("leader_disturbance", 0, 0.1, 0.04041973388699919, 0.0005322349953469721, "pass"),
-    ("leader_disturbance", 1, 0.05, 0.01018776642412957, 0.0002426376661817259, "pass"),
-    ("leader_disturbance", 1, 0.1, 0.04045708963650158, 0.00048512529565987764, "pass"),
+    ("follower_control", 0, 0.05, 0.0049359454092037115, 0.0043575479651917284, "inconclusive"),
+    ("follower_control", 0, 0.1, 0.016006647425711153, 0.008583214810472625, "inconclusive"),
+    ("follower_control", 1, 0.05, 0.004091240979610932, 0.003452473616106906, "inconclusive"),
+    ("follower_control", 1, 0.1, 0.013468384972318139, 0.006882104607245962, "inconclusive"),
+    ("leader_control", 0, 0.05, -0.002300976831175637, 0.0013720070930332458, "inconclusive"),
+    ("leader_control", 0, 0.1, -0.0095251549076865, 0.002774575040275215, "pass"),
+    ("leader_control", 1, 0.05, -0.002254399927558943, 0.001326945292924827, "inconclusive"),
+    ("leader_control", 1, 0.1, -0.009501617210218423, 0.0026268544025315594, "pass"),
+    ("follower_disturbance", 0, 0.05, -0.009624244627379604, 0.0005409732776582575, "pass"),
+    ("follower_disturbance", 0, 0.1, -0.03838839515889941, 0.0010729701871763108, "pass"),
+    ("follower_disturbance", 1, 0.05, -0.009508014411417605, 0.0006726982513901047, "pass"),
+    ("follower_disturbance", 1, 0.1, -0.037753548778130266, 0.0013581796136137993, "pass"),
+    ("leader_disturbance", 0, 0.05, 0.010144716846683667, 0.00026608697293334664, "pass"),
+    ("leader_disturbance", 0, 0.1, 0.04041972666020354, 0.0005322344346535379, "pass"),
+    ("leader_disturbance", 1, 0.05, 0.010187760850627248, 0.0002426374363315836, "pass"),
+    ("leader_disturbance", 1, 0.1, 0.04045707848949693, 0.0004851248359931343, "pass"),
     ("follower_disturbance_concavity", 0, 1.0, 3.3661815262361143, 0.009052447334780613, "pass"),
     ("follower_disturbance_concavity", 1, 1.0, 3.80830108157837, 0.0038875042435546595, "pass"),
-    ("follower_control_convexity", 0, 1.0, 1.1247801052445618, 0.032059197916824836, "pass"),
-    ("follower_control_convexity", 1, 1.0, 1.431666336925936, 0.05973742668291184, "pass"),
+    ("follower_control_convexity", 0, 1.0, 1.1247802896369248, 0.03205935636855478, "pass"),
+    ("follower_control_convexity", 1, 1.0, 1.4316664862165123, 0.05973727900837269, "pass"),
     ("leader_disturbance_convexity", 0, 1.0, 4.02515593895672, 0.00023899445309982835, "pass"),
     ("leader_disturbance_convexity", 1, 1.0, 4.0815006689117554, 0.0009796740754426537, "pass"),
-    ("leader_control_concavity", 0, 1.0, 1.0809547241978859, 0.005435679882077832, "pass"),
-    ("leader_control_concavity", 1, 1.0, 1.1178317922459737, 0.004552710010199607, "pass"),
+    ("leader_control_concavity", 0, 1.0, 1.0809549151870363, 0.005435513320644316, "pass"),
+    ("leader_control_concavity", 1, 1.0, 1.1178324893095908, 0.004552532056240779, "pass"),
 ]
 
 
