@@ -38,11 +38,11 @@ at slot 9 of the backward stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import RiccatiProblem
+from .backward import RiccatiProblem, tabled
 from .model import GameSpec, MatrixPath, RegularityError
 
 
@@ -181,11 +181,11 @@ class HatStage:
         assert self.B2.shape == (two, self.m2) and self.G.shape == (two, two)
 
     def problem(self) -> RiccatiProblem:
-        """The stage's (2n) Riccati equation in unified form."""
-        return RiccatiProblem(
+        """The stage's (2n) Riccati equation in unified form, `tabled`."""
+        return tabled(RiccatiProblem(
             grid=self.A1.grid, A1=self.A1, A2=self.A2, B1=self.B1, Q=self.Q,
             terminal=self.G, C1=self.C, C2=self.C, B2=self.B3, D1=self.D1, D2=self.D3,
-        )
+        ))
 
 
 def build_hat(spec: GameSpec, ft: FollowerTerms) -> HatStage:
@@ -329,11 +329,11 @@ class BlackboardStage:
         assert self.B2.shape == (five, self.m2)
 
     def problem(self) -> RiccatiProblem:
-        """The stage's (5n) Riccati equation in unified form."""
-        return RiccatiProblem(
+        """The stage's (5n) Riccati equation in unified form, `tabled`."""
+        return tabled(RiccatiProblem(
             grid=self.A.grid, A1=self.A, A2=self.A, B1=self.B1, Q=self.Q,
             terminal=self.G, C1=self.C, C2=self.C, B2=self.B3, D1=self.D1, D2=self.D3,
-        )
+        ))
 
 
 def build_blackboard(check: CheckStage, hat: HatStage, ft: FollowerTerms) -> BlackboardStage:
@@ -463,11 +463,11 @@ def build_cost_weights(spec: GameSpec, ft: FollowerTerms) -> LeaderCostWeights:
 class DoubleHatStage:
     """10n-forward / 10n-backward blocks of the leader optimality system.
 
-    The drift, diffusion and adjoint offsets F, Sigma and Upsilon are
-    stored as trailing columns of the blocks they sit beside: `joined`
-    holds the paths [A1 | F], [C1 | Sigma] and [Q | Upsilon] under "A1",
-    "C1" and "Q", and A1, F, C1, Sigma, Q and Upsilon are views of them,
-    so the offset march reads them with no copy.
+    The blocks that Phat multiplies from the left are column views of one
+    coefficient table [A1 | F | B1 | C1 | Sigma | D1 | B2 | D2], and Q and
+    Upsilon of one array [Q | Upsilon]: the drift, diffusion and adjoint
+    offsets sit beside their blocks, so the offset march reads [A1 | F],
+    [C1 | Sigma], [Q | Upsilon] and the table with no copy.
     """
 
     n: int
@@ -485,7 +485,6 @@ class DoubleHatStage:
     Upsilon: MatrixPath
     Xi: np.ndarray
     G: np.ndarray
-    joined: dict = field(repr=False)
 
     def __post_init__(self):
         ten = 10 * self.n
@@ -498,68 +497,65 @@ class DoubleHatStage:
         two-sided C1/C2 split; with offset, the rectangular form whose
         path is [Phat | phihat]: A1, C1 and Q carry F, Sigma and Upsilon as
         trailing columns, and the terminal is [G | 0]."""
-        A1, C1, Q, G = ((self.joined["A1"], self.joined["C1"], self.joined["Q"],
-                         np.hstack([self.G, np.zeros((len(self.G), self.F.shape[1]))]))
-                        if offset else (self.A1, self.C1, self.Q, self.G))
+        A1, C1, Q, G = self.A1, self.C1, self.Q, self.G
+        if offset:  # each block with its offset column, as build_doublehat lays them out
+            ten, grid, table = 10 * self.n, self.A2.grid, self.A1.samples.base
+            A1, C1 = (MatrixPath(grid, table[..., a:a + ten + 1]) for a in (0, 2 * ten + 1))
+            Q, G = MatrixPath(grid, self.Q.samples.base), np.hstack([G, np.zeros((ten, 1))])
         return RiccatiProblem(
             grid=self.A2.grid, A1=A1, A2=self.A2, B1=self.B1, Q=Q,
             terminal=G, C1=C1, C2=self.C2, B2=self.B2, D1=self.D1, D2=self.D2,
         )
 
 
+def _fill(out: np.ndarray, rows) -> None:
+    """out[...] = np.block(rows), two equal rows of (N+1, r, c) stacks, in place."""
+    for half, row in zip(np.split(out, 2, axis=1), rows):
+        np.concatenate(row, axis=-1, out=half)
+
+
 def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
                     Rbbinv: np.ndarray) -> DoubleHatStage:
     """Hamiltonian-stage blocks with the leader's control eliminated;
-    Rbbinv holds the inverse of w.Rbb at every node."""
+    Rbbinv holds the inverse of w.Rbb at every node.  The blocks are written
+    in place into the table and [Q | Upsilon] that the fields slice."""
     n = bb.n
     grid = bb.A.grid
-    A = bb.A.samples
-    C = bb.C.samples
-    Bb1 = bb.B1.samples
-    Bb2 = bb.B2.samples
-    Bb3 = bb.B3.samples
-    Db1 = bb.D1.samples
-    Db2 = bb.D2.samples
-    Db3 = bb.D3.samples
-    Qbb = bb.Q.samples
-    F2 = bb.F2.samples
+    A, C, Qbb, F2 = bb.A.samples, bb.C.samples, bb.Q.samples, bb.F2.samples
+    Bb1, Bb2, Bb3 = bb.B1.samples, bb.B2.samples, bb.B3.samples
+    Db1, Db2, Db3 = bb.D1.samples, bb.D2.samples, bb.D3.samples
     S1, S2 = w.S1.samples, w.S2.samples
     M1, M2 = w.M1.samples, w.M2.samples
     L1, L2 = w.L1.samples, w.L2.samples
-    cross = w.cross.samples
-    sig = w.sigma.samples
+    cross, sig = w.cross.samples, w.sigma.samples
 
-    B2R = Bb2 @ Rbbinv
-    D2R = Db2 @ Rbbinv
-    M2R = M2.mT @ Rbbinv
-    L2R = L2.mT @ Rbbinv
-    S2R = S2.mT @ Rbbinv
-    F2R = F2 @ Rbbinv
+    B2R, D2R, F2R = Bb2 @ Rbbinv, Db2 @ Rbbinv, F2 @ Rbbinv
+    M2R, L2R, S2R = M2.mT @ Rbbinv, L2.mT @ Rbbinv, S2.mT @ Rbbinv
     F2T, Bb2T, Db2T = F2.mT, Bb2.mT, Db2.mT
 
     z5 = np.zeros((5 * n, 5 * n))
     Gdh = np.block([[-w.Gbar, -bb.G.T], [bb.G, z5]])
     Xi = np.vstack([bb.Xi, np.zeros((5 * n, 1))])
     mp = lambda s: MatrixPath(grid, s)
-    joined = {
-        "A1": mp(np.block([
-            [A - B2R @ S2, B2R @ F2T, bb.F1.samples - B2R @ cross],
-            [S1 - M2R @ S2, A + M2R @ F2T, w.M3.samples.mT @ sig - M2R @ cross],
-        ])),
-        "C1": mp(np.block([
-            [C - D2R @ S2, D2R @ F2T, bb.Sigma.samples - D2R @ cross],
-            [L1 - L2R @ S2, C + L2R @ F2T, w.L3.samples.mT @ sig - L2R @ cross],
-        ])),
-        "Q": mp(np.block([
-            [w.Qbar.samples - S2R @ S2, -Qbb.mT + S2R @ F2T, w.S3.samples.mT @ sig - S2R @ cross],
-            [Qbb - F2R @ S2, F2R @ F2T, bb.Upsilon.samples - F2R @ cross],
-        ])),
-    }
     ten = 10 * n
-    (A1, F), (C1, Sigma), (Q, Upsilon) = ((mp(p.samples[..., :ten]), mp(p.samples[..., ten:]))
-                                          for p in joined.values())
+    table = np.empty((len(grid), ten, 6 * ten + 2))
+    QU = np.empty((len(grid), ten, ten + 1))
+    A1F, B1, C1S, D1, B2, D2 = np.split(table, np.cumsum([ten + 1, ten, ten + 1, ten, ten]), -1)
+    _fill(A1F, ([A - B2R @ S2, B2R @ F2T, bb.F1.samples - B2R @ cross],
+                [S1 - M2R @ S2, A + M2R @ F2T, w.M3.samples.mT @ sig - M2R @ cross]))
+    _fill(C1S, ([C - D2R @ S2, D2R @ F2T, bb.Sigma.samples - D2R @ cross],
+                [L1 - L2R @ S2, C + L2R @ F2T, w.L3.samples.mT @ sig - L2R @ cross]))
+    _fill(QU, ([w.Qbar.samples - S2R @ S2, -Qbb.mT + S2R @ F2T,
+                w.S3.samples.mT @ sig - S2R @ cross],
+               [Qbb - F2R @ S2, F2R @ F2T, bb.Upsilon.samples - F2R @ cross]))
+    _fill(B1, ([B2R @ Bb2T, Bb1 - B2R @ M2], [-Bb1.mT + M2R @ Bb2T, w.Bbar.samples - M2R @ M2]))
+    _fill(B2, ([B2R @ Db2T, Bb3 - B2R @ L2], [-Db1.mT + M2R @ Db2T, M1.mT - M2R @ L2]))
+    _fill(D1, ([D2R @ Bb2T, Db1 - D2R @ M2], [-Bb3.mT + L2R @ Bb2T, M1 - L2R @ M2]))
+    _fill(D2, ([D2R @ Db2T, Db3 - D2R @ L2], [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2]))
     return DoubleHatStage(
-        n=n, A1=A1, C1=C1, Q=Q, F=F, Sigma=Sigma, Upsilon=Upsilon,
+        n=n, A1=mp(A1F[..., :ten]), F=mp(A1F[..., ten:]), C1=mp(C1S[..., :ten]),
+        Sigma=mp(C1S[..., ten:]), Q=mp(QU[..., :ten]), Upsilon=mp(QU[..., ten:]),
+        B1=mp(B1), B2=mp(B2), D1=mp(D1), D2=mp(D2),
         A2=mp(np.block([
             [A - B2R @ S2, -B2R @ F2T],
             [-S1 + M2R @ S2, A + M2R @ F2T],
@@ -568,23 +564,7 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
             [C - D2R @ S2, -D2R @ F2T],
             [-L1 + L2R @ S2, C + L2R @ F2T],
         ])),
-        B1=mp(np.block([
-            [B2R @ Bb2T, Bb1 - B2R @ M2],
-            [-Bb1.mT + M2R @ Bb2T, w.Bbar.samples - M2R @ M2],
-        ])),
-        B2=mp(np.block([
-            [B2R @ Db2T, Bb3 - B2R @ L2],
-            [-Db1.mT + M2R @ Db2T, M1.mT - M2R @ L2],
-        ])),
-        D1=mp(np.block([
-            [D2R @ Bb2T, Db1 - D2R @ M2],
-            [-Bb3.mT + L2R @ Bb2T, M1 - L2R @ M2],
-        ])),
-        D2=mp(np.block([
-            [D2R @ Db2T, Db3 - D2R @ L2],
-            [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2],
-        ])),
-        Xi=Xi, G=Gdh, joined=joined,
+        Xi=Xi, G=Gdh,
     )
 
 

@@ -13,10 +13,10 @@ how the Hamiltonian offset phihat and the value offset psi are solved.
 The march keys each stage by its integer half step j, the time j dt/2, and
 coefficients are read there with `MatrixPath.half`: the node for an even
 j, the cubic midpoint of the cell for an odd one, so the cascade keeps
-RK4's fourth order.  The Riccati right-hand sides take their odd reads
-from per-run tables (`_half_reads`); the linear marches (`linear_backward`)
-build their coefficients beforehand, in stacks over runs of half steps;
-both with bit for bit the arithmetic of one read at a time.
+RK4's fourth order.  The Riccati right-hand sides read odd half steps in
+runs (`_half_reads`), with one read and one product S W a stage for the
+coefficients held in one table; the linear marches (`linear_backward`)
+build their coefficients beforehand in stacks over runs of half steps.
 Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
@@ -68,21 +68,20 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
 
 
 # Bytes of coefficients a march reads ahead in one run: enough reads to
-# spread numpy's per-call cost, few enough to keep the stacks small.
-RUN_BYTES = 256 * 1024
+# spread numpy's per-call cost, few enough to keep the stacks in cache.
+RUN_BYTES = 512 * 1024
 
 
 def _half_reads(paths):
     """coef(j): each path (None stays None) read at half step j, as
     `path.half(j)` reads it.  An even j reads node views.  Odd reads come
     from a table of the next run of odd half steps downwards, about
-    RUN_BYTES, filled by one `path.half(js)` per distinct path.  The reads
+    RUN_BYTES, filled by one `path.half(js)` per path.  The reads
     are reused while j repeats: RK4 reads its midpoint twice and ends a
     step on the half step where the next begins.  An array of half steps
     is read afresh."""
-    distinct = list({id(p): p for p in paths if p is not None}.values())
-    size = max(1, RUN_BYTES // max(1, 8 * sum(p.samples[0].size for p in distinct)))
-    run = [-1, -1, {}]  # the built run: odd half steps lo down to hi+1
+    size = max(1, RUN_BYTES // max(1, 8 * sum(p.samples[0].size for p in paths if p is not None)))
+    run = [-1, -1, []]  # the built run: odd half steps lo down to hi+1
     last = [None, None]
 
     def coef(j):
@@ -95,10 +94,9 @@ def _half_reads(paths):
             if not hi < j <= lo:
                 lo, hi = j, max(j - 2 * size, -1)
                 js = np.arange(lo, hi, -2)
-                table = {id(p): p.half(js) for p in distinct}
+                table = [None if p is None else p.half(js) for p in paths]
                 run[:] = lo, hi, table
-            i = (lo - j) >> 1
-            reads = [None if p is None else table[id(p)][i] for p in paths]
+            reads = [None if t is None else t[(lo - j) >> 1] for t in table]
         else:
             reads = [None if p is None else p.samples[j >> 1] for p in paths]
         last[:] = j, reads
@@ -141,6 +139,10 @@ def _vanishes(path: MatrixPath) -> bool:
     return not np.any(s[tuple(slice(None) if st else slice(1) for st in s.strides)])
 
 
+# What the square block S of P multiplies from the left, in a table's order.
+LEFT = ("A1", "B1", "C1", "D1", "B2", "D2")
+
+
 @dataclass
 class RiccatiProblem:
     """Coefficients of the unified generalized Riccati equation
@@ -158,7 +160,9 @@ class RiccatiProblem:
 
         phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
         F = (C2^T + P B2)(I - P D2)^{-1}.
-    """
+
+    The kept LEFT coefficients that are column views of the array A1's
+    samples view, its coefficient table, are read and multiplied together."""
 
     grid: TimeGrid
     A1: MatrixPath
@@ -185,39 +189,74 @@ class RiccatiProblem:
         return not self.vanishes("B1"), fraction, solve
 
 
+def _left(quad, fraction, solve):
+    """The LEFT coefficients of the terms a problem keeps (`terms`)."""
+    return [n for n, use in zip(LEFT, (True, quad, fraction, solve, solve, solve)) if use]
+
+
+def tabled(prob: RiccatiProblem) -> RiccatiProblem:
+    """prob with its cubic-read `_left` coefficients copied into one table."""
+    paths = {n: p for n in _left(*prob.terms())
+             if type(p := getattr(prob, n)).half is MatrixPath.half}
+    table = np.concatenate([p.samples for p in paths.values()], axis=-1)
+    edges = np.cumsum([0] + [p.shape[1] for p in paths.values()])
+    return replace(prob, **{n: MatrixPath(prob.grid, table[..., a:b])
+                            for n, a, b in zip(paths, edges, edges[1:])})
+
+
 @dataclass
 class RiccatiSolution:
     P: MatrixPath
     regularity: dict = field(default_factory=dict)
 
 
+def _columns(table: np.ndarray, path: MatrixPath):
+    """The columns of the C-ordered table that a cubic-read path views, if any."""
+    part, data = path.samples, lambda a: a.__array_interface__["data"][0]
+    off, rem = divmod(data(part) - data(table), part.itemsize)
+    if (table.flags.c_contiguous and type(path).half is MatrixPath.half and not rem
+            and part.strides == table.strides and part.shape[:2] == table.shape[:2]
+            and 0 <= off <= table.shape[2] - part.shape[2]):
+        return slice(off, off + part.shape[2])
+
+
 def generalized_riccati_rhs(prob: RiccatiProblem):
     """Time derivative prescribed by the unified equation; the solver
     integrates this callable and residual checks evaluate it on all nodes
     at once (an array of half steps and a stack of matrices).  Vanishing
-    terms are skipped unread; the full formula would add only zeros."""
+    terms are skipped unread; the full formula would add only zeros.  The
+    LEFT coefficients held in A1's table are read together and multiplied
+    as one SW = S W, sliced into S A1, S B1, ...; any other on its own."""
     quad, fraction, solve = prob.terms()
-    used = (True, True, True, quad, fraction, fraction, solve, solve, solve)
-    coef = _half_reads([getattr(prob, name) if use else None for name, use in
-                        zip(("A1", "A2", "Q", "B1", "C1", "C2", "B2", "D1", "D2"), used)])
+    table = prob.A1.samples if prob.A1.samples.base is None else prob.A1.samples.base
+    cols = {n: _columns(table, getattr(prob, n)) for n in _left(quad, fraction, solve)}
+    hi = max((sl.stop for sl in cols.values() if sl), default=0)
+    own = [n for n, sl in cols.items() if not sl]
+    coef = _half_reads([MatrixPath(prob.grid, table[..., :hi]) if hi else None, prob.A2,
+                        prob.Q, prob.C2 if fraction else None] + [getattr(prob, n) for n in own])
+    # per LEFT name, its product with S: columns of SW, or S times its own read
+    SA1, SB1, SC1, SD1, SB2, SD2 = [
+        (lambda S, SW, reads, ix=(..., cols[n]): SW[ix]) if cols.get(n) else
+        (lambda S, SW, reads, i=own.index(n) if n in own else None: S @ reads[i]) for n in LEFT]
     d = prob.terminal.shape[0]
     eye = np.eye(d)
 
     def rhs(j, P):
-        A1, A2, Q, B1, C1, C2, B2, D1, D2 = coef(j)
+        W, A2, Q, C2, *reads = coef(j)
         S = P[..., :d]  # the square block: all of P when it has no offset
-        val = S @ A1 + A2.mT @ P
+        SW = W if W is None else S @ W
+        val = SA1(S, SW, reads) + A2.mT @ P
         if quad:
-            val = val + S @ B1 @ P
+            val = val + SB1(S, SW, reads) @ P
         val = val - Q
         if solve:
-            gap = eye - S @ D2
-            inner = S @ C1 + S @ D1 @ P
-            val = val + (C2.mT + S @ B2) @ _solve_guarded(
+            gap = eye - SD2(S, SW, reads)
+            inner = SC1(S, SW, reads) + SD1(S, SW, reads) @ P
+            val = val + (C2.mT + SB2(S, SW, reads)) @ _solve_guarded(
                 gap, inner, "decoupling matrix (I - P D2)", j, prob.grid.dt
             )
         elif fraction:
-            val = val + C2.mT @ (S @ C1)
+            val = val + C2.mT @ SC1(S, SW, reads)
         return -val
 
     return rhs
@@ -320,8 +359,8 @@ def disturbance_problem(spec) -> RiccatiProblem:
     Q, C1 = C2 = C, B2 = D1 = D2 = 0 and P1(T) = -G."""
     zero = MatrixPath(spec.grid, np.broadcast_to(0.0, spec.A.samples.shape))  # no samples stored
     B1 = _InversePath(spec.R0, -2.0 / spec.alpha, "disturbance weight R0")
-    return RiccatiProblem(grid=spec.grid, A1=spec.A, A2=spec.A, B1=B1, Q=spec.Q, terminal=-spec.G,
-                          C1=spec.C, C2=spec.C, B2=zero, D1=zero, D2=zero)
+    return tabled(RiccatiProblem(grid=spec.grid, A1=spec.A, A2=spec.A, B1=B1, Q=spec.Q,
+                                 terminal=-spec.G, C1=spec.C, C2=spec.C, B2=zero, D1=zero, D2=zero))
 
 
 def solve_riccati_disturbance(spec) -> RiccatiSolution:

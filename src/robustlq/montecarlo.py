@@ -299,7 +299,8 @@ def _leader_control(sol, pre, dirs) -> _Response:
     at = lambda path: path.at(pre["left"])
     q = at(backward.solve_offset_b3(bb, sol.P3, dirs))
     v, P3 = at(dirs), at(sol.P3)
-    stage = [at(getattr(bb.problem(), name)) for name in augment.DECOUPLED]
+    prob = bb.problem()
+    stage = [at(getattr(prob, name)) for name in augment.DECOUPLED]
     # q rides as trailing columns of P3, its drift and diffusion sources as
     # trailing columns of A1 and C1
     stage[0] = np.concatenate([stage[0], at(bb.B2) @ v], axis=-1)

@@ -1,8 +1,9 @@
 """Independent oracles that only the tests read: the scalar follower
 equation of the production-supply game, the fundamental-matrix closed
 form of fraction-free Riccati equations, the finite-difference
-residual of a solved path against its right-hand side, and the
-martingale integrand gains of a solved game."""
+residual of a solved path against its right-hand side, the martingale
+integrand gains of a solved game, and the unified Riccati march that
+reads and multiplies every coefficient on its own."""
 
 import numpy as np
 
@@ -96,3 +97,30 @@ def integrand_gains(sol):
     Ee = augment.decoupling(np.concatenate([sol.Phat.samples, sol.phihat.samples], axis=-1),
                             *(getattr(prob, name).samples for name in augment.DECOUPLED))[0]
     return Ee[..., :sol.Phat.rows], Ee[..., sol.Phat.rows:]
+
+
+def separate_read_march(prob: backward.RiccatiProblem) -> MatrixPath:
+    """The march of the unified Riccati equation of prob that reads every
+    coefficient on its own (`path.half(j)`) at every stage and forms one
+    product per term, skipping the terms `prob.terms()` skips: the
+    solver's march on a coefficient table, without the table."""
+    quad, fraction, solve = prob.terms()
+    d = prob.terminal.shape[0]
+    eye = np.eye(d)
+
+    def rhs(j, P):
+        read = lambda name: getattr(prob, name).half(j)
+        S = P[:, :d]
+        val = S @ read("A1") + read("A2").T @ P
+        if quad:
+            val = val + S @ read("B1") @ P
+        val = val - read("Q")
+        if solve:
+            inner = S @ read("C1") + S @ read("D1") @ P
+            val = val + (read("C2").T + S @ read("B2")) @ np.linalg.solve(
+                eye - S @ read("D2"), inner)
+        elif fraction:
+            val = val + read("C2").T @ (S @ read("C1"))
+        return -val
+
+    return backward.integrate_backward(rhs, prob.terminal, prob.grid)

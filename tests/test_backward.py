@@ -9,7 +9,8 @@ from robustlq import augment, backward
 from robustlq.model import BlowUpError, MatrixPath, RegularityError
 
 from conftest import instance_a, instance_b, random_spec
-from oracles import closed_form_special_case, derivative_4th_order, riccati_residuals
+from oracles import (closed_form_special_case, derivative_4th_order, riccati_residuals,
+                     separate_read_march)
 
 
 def scalar_spec(**kw):
@@ -255,6 +256,33 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
     assert np.array_equal(joint, ref)
     assert np.array_equal(joint[..., :d], sol_a.Phat.samples)
     assert np.array_equal(joint[..., d:], sol_a.phihat.samples)
+
+
+@pytest.mark.parametrize("game", ["instance_a", "instance_b", "random_2", "random_4"])
+def test_tabled_marches_match_separate_reads(game, monkeypatch):
+    # the P1, [Phat | phihat] and [L | psi] marches of a solve read their
+    # coefficient tables in one read a run and one product S W a stage;
+    # the march that reads and multiplies each coefficient on its own
+    # gives the same paths: bit for bit at n = 1, and within 1e-14 of each
+    # path's largest entry at n = 2 and 4, where the wider product may
+    # take another BLAS kernel
+    spec = {"instance_a": instance_a, "instance_b": instance_b}.get(
+        game, lambda: random_spec(1, int(game[-1]), N=200))()
+    probs, rhs = [], backward.generalized_riccati_rhs
+    monkeypatch.setattr(backward, "generalized_riccati_rhs",
+                        lambda prob: probs.append(prob) or rhs(prob))
+    sol = rl.solve_game(spec)
+    assert len(probs) == 3  # P1, [Phat | phihat], -[L | psi]
+    ref = [separate_read_march(prob).samples for prob in probs]
+    d = 10 * spec.n
+    pairs = [(sol.P1.samples, ref[0]), (sol.Phat.samples, ref[1][..., :d]),
+             (sol.phihat.samples, ref[1][..., d:]), (sol.L.samples, 0.0 - ref[2][..., :d]),
+             (sol.psi.samples, 0.0 - ref[2][..., d:])]
+    for got, want in pairs:
+        if spec.n == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -283,6 +284,40 @@ def test_dump_blocks(homog_file, tmp_path, capsys):
     # blocks of their own, and the joined paths are not written
     assert set(doc["blocks"]) == {"A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2", "F", "G",
                                   "Q", "Sigma", "Upsilon", "Xi"}
+
+
+# sha256 of `dump-blocks --t 0.5` of every stage, recorded when each
+# doublehat block was its own np.block array
+DUMP_BLOCKS_SHA = {
+    "instance_a": {
+        "hat": "e85c6b949ffb1c0382b3c7002815b73703a587007cb5689db2c1f939a2d307c6",
+        "check": "6fe4f9d11065fc21de208081f257e189d0ceff5f65a55222b39bf22534366767",
+        "blackboard": "74a2f9bc1dd9e0f301306c74a0d1a33644ec4d1c58c85a858cf04493e8a14f63",
+        "weights": "9c497c80d43c972d9bdb5e0cd6e61dd48761427a34c972c74383add9e64ce296",
+        "doublehat": "e3bec46ec763678ab9ae760bf3cefabae2f8a2a80e047171248fdff47a92690d",
+    },
+    "random_3_2": {
+        "hat": "6bcff746d92194b393c7bd0c280e1441147cc1558208a930f802eee41f5db60a",
+        "check": "82b25ea11cb5388bdd7a5c3d0d6eeb1c431732aa2ad56449cb5845e7ac46b735",
+        "blackboard": "290819459c598df83e651f3d57654730477453578504676a219587899f3da481",
+        "weights": "bcdd0c4f7c4fab8a88d5db7472fa1979b166005f7384332f0e77009bf85231d3",
+        "doublehat": "b77e38f05862cc57b9ca432619015b5cc4b83cd5f95a29cc0200dcacf769fbd8",
+    },
+}
+
+
+@pytest.mark.parametrize("game", sorted(DUMP_BLOCKS_SHA))
+def test_dump_blocks_bytes(game, tmp_path):
+    # the doublehat blocks are column slices of one coefficient table; the
+    # JSON of every stage keeps its bytes, so no block moved and the table
+    # is not written
+    spec = instance_a() if game == "instance_a" else random_spec(3, 2, N=40)
+    spec_file, out = tmp_path / "spec.json", tmp_path / "o"
+    rl.dump_spec(spec, spec_file)
+    for stage, digest in DUMP_BLOCKS_SHA[game].items():
+        assert cli.run(["dump-blocks", "--spec", str(spec_file), "--stage", stage, "--t", "0.5",
+                        "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256((out / f"blocks_{stage}.json").read_bytes()).hexdigest() == digest, stage
 
 
 def test_dump_blocks_failure_names_stage(tmp_path, capsys):

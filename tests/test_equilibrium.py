@@ -366,9 +366,9 @@ PATH_GOLDEN = {
         "P": "2d01803dd5de92ce7bbc3ac0c8faf653ca64d13368ed7c9419d0c4721e3aa9fa",
         "P1": "2b65e897195bd08c1bb1a297ddf429c230c6fa4c4bf7cb5bde867386fdb4a2c1",
         "Phat": "68cb5b278471dca9f4f453755fcb39f058d90f837155d20d598df7bccd1de202",
-        "phihat": "8009c88d123e249afb36928a355b793e5100589a6eb164e96fcc54fd45811406",
+        "phihat": "a0ab7347cc8a624631911efb7e1f6584cf197dc935d68944e538d7e760d7b5f9",
         "L": "a41e53a85401ecdc38520a371cf336b925f5fd6375fa3b8e95391613c8eccdac",
-        "psi": "51f660ad91c4c22f81d58ac5821a19bf8ed6cad2445bc1d2baee19a8bcef13b3",
+        "psi": "e76b405ffa4ef268c1cddae8ee5317cb5a14ce4d6152c51bf0132529fedc6a52",
     },
 }
 
@@ -399,3 +399,25 @@ def test_locate_calls_independent_of_grid_size(monkeypatch):
         counts.append(0)
         rl.solve_game(spec)
     assert counts[0] == counts[1], counts
+
+
+def test_midpoint_reads_per_solve(monkeypatch):
+    # the odd half-step reads of an n = 4 solve at N = 200, in runs of
+    # RUN_BYTES: one `_midpoint` call a run for each coefficient table and
+    # for each coefficient read on its own.  [Phat | phihat]: the table,
+    # A2, [Q | Upsilon] and C2 in 50 runs of 4 odd half steps (200);
+    # [L | psi]: the [Atil | Btil] table, its square block A2, the source,
+    # [Ctil | Dtil] and its square block C2 in 25 runs of 8 (125); the
+    # follower's six paths and the disturbance table, A2, Q, C2 and R0 in
+    # one run each, plus R0's node inversion (12).  A right-hand side that
+    # reads every coefficient on its own again raises the count.
+    midpoint = rl.MatrixPath._midpoint
+    calls = []
+
+    def counting(path, k):
+        calls.append(len(k))
+        return midpoint(path, k)
+
+    monkeypatch.setattr(rl.MatrixPath, "_midpoint", counting)
+    rl.solve_game(random_spec(1, 4, N=200))
+    assert len(calls) == 337
