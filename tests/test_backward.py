@@ -232,12 +232,13 @@ def test_singular_offset_gap_names_terminal_node():
     assert err.value.node == 10
 
 
-@pytest.mark.parametrize("run_bytes", [backward.RUN_BYTES, 2000])
+@pytest.mark.parametrize("run_bytes", sorted({backward.RUN_BYTES, 256 * 1024, 2000}))
 def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
     # the joint [Phat | phihat] march serves its odd reads from per-run
     # tables; it reproduces a march of the same rectangular problem that
     # reads every coefficient at every stage on its own, whatever the run
-    # length (2000 bytes: one odd half step a run)
+    # length (the default, a shorter multi-stage run, and 2000 bytes: one
+    # odd half step a run)
     monkeypatch.setattr(backward, "RUN_BYTES", run_bytes)
     prob = sol_a.dh.problem(offset=True)
     d = prob.terminal.shape[0]
