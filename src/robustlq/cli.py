@@ -23,7 +23,7 @@ import numpy as np
 
 from . import equilibrium, montecarlo
 from .model import (BlowUpError, MatrixPath, RegularityError, SpecError,
-                    build_spec, load_spec, make_grid, validate_spec)
+                    build_spec, load_spec, validate_spec)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,19 +62,7 @@ def _echo(args, keys):
 
 
 def _load(args):
-    spec = load_spec(args.spec)
-    if args.grid_n is not None and args.grid_n != spec.grid.steps:
-        spec = _regrid(spec, args.grid_n)
-    return spec
-
-
-def _regrid(spec, N):
-    from .model import GameSpec, _MATRIX_SHAPES
-    grid = make_grid(spec.grid.horizon, N)
-    paths = {name: MatrixPath(grid, getattr(spec, name).at(grid.nodes))
-             for name in _MATRIX_SHAPES}
-    return GameSpec(n=spec.n, m1=spec.m1, m2=spec.m2, grid=grid, G=spec.G,
-                    alpha=spec.alpha, gamma=spec.gamma, xi=spec.xi, **paths)
+    return load_spec(args.spec, args.grid_n)
 
 
 def _outdir(args) -> Path:
@@ -258,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="game spec JSON file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--grid-n", type=int, default=None,
-                       help="override the spec's grid step count")
+                       help="read the spec onto a grid of this many steps, "
+                            "exactly as if its N were this value")
         p.add_argument("--delta", type=float, default=1e-8,
                        help="strong-positivity threshold")
         if sim:

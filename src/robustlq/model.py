@@ -470,9 +470,10 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
     return MatrixPath(grid, (1.0 - w) * vals[j] + w * vals[j + 1])
 
 
-def load_spec(path_or_file) -> GameSpec:
-    """Parse a game specification from a JSON file path or file object; a
-    file that cannot be read as UTF-8 JSON is a SpecError naming it."""
+def load_spec(path_or_file, steps=None) -> GameSpec:
+    """Parse a game specification from a JSON file path or file object, on
+    `steps` steps in place of its N when given (`spec_from_dict`); a file
+    that cannot be read as UTF-8 JSON is a SpecError naming it."""
     stream = hasattr(path_or_file, "read")
     name = getattr(path_or_file, "name", "<stream>") if stream else path_or_file
     try:
@@ -486,7 +487,7 @@ def load_spec(path_or_file) -> GameSpec:
                         f"column {exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read spec file {name}: {exc}") from exc
-    return spec_from_dict(doc)
+    return spec_from_dict(doc, steps)
 
 
 def _integer(doc: dict, key: str) -> int:
@@ -498,7 +499,10 @@ def _integer(doc: dict, key: str) -> int:
     return value
 
 
-def spec_from_dict(doc: dict) -> GameSpec:
+def spec_from_dict(doc: dict, steps=None) -> GameSpec:
+    """Assemble the document's game with `build_spec`, reading its
+    constants and node lists onto a grid of N steps, or of `steps` in place
+    of a valid N (an N that is no positive integer still fails)."""
     doc = _object(doc, "spec document")
     try:
         n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
@@ -509,6 +513,8 @@ def spec_from_dict(doc: dict) -> GameSpec:
         matrices = _object(doc["matrices"], "spec field 'matrices'")
     except KeyError as exc:
         raise SpecError(f"spec file missing required field {exc}") from exc
+    if steps is not None and N >= 1:
+        N = steps
     grid = make_grid(T, N)
     if "G" not in matrices:
         raise SpecError("spec file missing matrix 'G'")
@@ -518,22 +524,15 @@ def spec_from_dict(doc: dict) -> GameSpec:
     G = _floats(gobj["constant"], "matrix 'G'", (n, n))
 
     paths = {}
-    for name in _MATRIX_SHAPES:
-        shape = _MATRIX_SHAPES[name](n, m1, m2)
+    for name, shape in _MATRIX_SHAPES.items():
         if name in matrices:
-            paths[name] = _path_from_json(grid, matrices[name], shape, name)
-        elif name in ("sigma", "f1"):
-            paths[name] = MatrixPath.zeros(grid, *shape)
-        else:
+            paths[name] = _path_from_json(grid, matrices[name], shape(n, m1, m2), name)
+        elif name not in ("sigma", "f1"):
             raise SpecError(f"spec file missing matrix {name!r}")
     unknown = set(matrices) - set(_MATRIX_SHAPES) - {"G"}
     if unknown:
         raise SpecError(f"spec file has unknown matrices: {sorted(unknown)}")
-
-    return GameSpec(
-        n=n, m1=m1, m2=m2, grid=grid, G=G, alpha=alpha, gamma=gamma, xi=xi,
-        **paths,
-    )
+    return build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths)
 
 
 def spec_to_dict(spec: GameSpec) -> dict:

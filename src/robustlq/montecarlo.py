@@ -54,6 +54,7 @@ first block forms and the later blocks reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,8 @@ STEP_BLOCK = 32  # steps whose matrices are formed together
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run settings: the number of paths, the master seed of
-    their Brownian streams and the Euler substeps per spec grid step.
+    """Monte Carlo run settings: the path count (at least two, for a
+    standard error), the streams' master seed and the Euler substeps per step.
 
     The paths run PATH_BLOCK at a time, so one block of increments,
     PATH_BLOCK x (N * substeps) doubles, is held at once.
@@ -85,9 +86,9 @@ class SimConfig:
     substeps: int = 1
 
     def __post_init__(self):
-        for name in ("paths", "substeps"):
-            if getattr(self, name) < 1:
-                raise SpecError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("paths", 2), ("substeps", 1)):
+            if getattr(self, name) < least:
+                raise SpecError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.seed < 0:
             raise SpecError(f"seed must be non-negative, got {self.seed}")
 
@@ -710,6 +711,9 @@ def sampled_convexity(dev: Deviations) -> PerturbationReport:
 
 @dataclass
 class OracleResult:
+    """The oracle at every node of its grid, `times`, and the pipeline at
+    the nodes that grid shares with the spec grid: every c/gcd(N, c)-th."""
+
     times: np.ndarray
     X_oracle: np.ndarray
     Y_oracle: np.ndarray
@@ -718,9 +722,10 @@ class OracleResult:
 
     @property
     def gap(self) -> float:
-        gx = np.max(np.linalg.norm(self.X_oracle - self.X_pipeline, axis=1)
+        s = (len(self.X_oracle) - 1) // (len(self.X_pipeline) - 1)
+        gx = np.max(np.linalg.norm(self.X_oracle[::s] - self.X_pipeline, axis=1)
                     / (1.0 + np.linalg.norm(self.X_pipeline, axis=1)))
-        gy = np.max(np.linalg.norm(self.Y_oracle - self.Y_pipeline, axis=1)
+        gy = np.max(np.linalg.norm(self.Y_oracle[::s] - self.Y_pipeline, axis=1)
                     / (1.0 + np.linalg.norm(self.Y_pipeline, axis=1)))
         return float(max(gx, gy))
 
@@ -788,20 +793,23 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     The skeleton drops the Brownian terms, under which the martingale
     component of the backward pair vanishes; the comparison is exact (up
     to discretization) when the diffusion couplings C, D1, D2 of the game
-    are zero, which is the regime this oracle is meant for.  It is marched
-    once per solution and kept as `sol.noise_free` for later calls.
+    are zero, which is the regime this oracle is meant for.  The two are
+    compared only at the nodes both grids share, every c/gcd(N, c)-th
+    oracle node (all when c divides N), so no pipeline value is
+    interpolated.  The skeleton is marched once per solution and kept as
+    `sol.noise_free` for later calls.
     """
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
     Z = _trapezoidal_bvp(sol.dh, grid)
     ten = sol.dh.A1.rows
     Xo, Yo = Z[:, :ten], Z[:, ten:]
 
-    # pipeline skeleton on the fine grid, sampled at the coarse nodes
     if sol.noise_free is None:
         sol.noise_free = skeleton(sol)
-    Xp = MatrixPath(sol.spec.grid, sol.noise_free[:, :, None]).at(grid.nodes)[:, :, 0]
-    Ph = sol.Phat.at(grid.nodes)
-    ph = sol.phihat.at(grid.nodes)[:, :, 0]
+    shared = math.gcd(sol.spec.grid.steps, coarse_n)
+    fine = sol.spec.grid.steps // shared
+    Xp = sol.noise_free[::fine]
+    Ph, ph = sol.Phat.samples[::fine], sol.phihat.samples[::fine, :, 0]
     Yp = np.array([Ph[k] @ Xp[k] + ph[k] for k in range(len(Xp))])
     return OracleResult(times=grid.nodes, X_oracle=Xo, Y_oracle=Yo,
                         X_pipeline=Xp, Y_pipeline=Yp)

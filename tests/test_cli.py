@@ -139,7 +139,16 @@ def test_verify_validation_failure_exit_code(tmp_path):
 def test_counts_below_one_exit_code(argv, homog_file, tmp_path, capsys):
     code = cli.run(argv + ["--spec", homog_file, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "at least 1" in capsys.readouterr().err
+    assert ("at least 2" if "--paths" in argv else "at least 1") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_single_path_exit_code(command, homog_file, tmp_path, capsys):
+    # one path gives no standard error, so no verdict and no valid JSON
+    code = cli.run([command, "--paths", "1", "--spec", homog_file, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "paths must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -340,6 +349,25 @@ def test_grid_override(homog_file, tmp_path):
     assert code == 0
     lines = (out / "P.csv").read_text().strip().splitlines()
     assert len(lines) == 27  # header + 26 nodes
+
+
+def test_grid_override_reads_spec_at_new_n(tmp_path):
+    # Q has a kink at t = 0.3, between the N = 4 nodes: --grid-n 10 reads
+    # the node list onto the new grid (Q = 3 at t = 0.3), as writing N = 10
+    # into the document does, not the N = 4 samples re-interpolated
+    doc = rl.spec_to_dict(instance_a(N=4))
+    doc["matrices"]["Q"] = {"nodes": [{"t": t, "value": [[q]]}
+                                      for t, q in ((0.0, 1.0), (0.3, 3.0), (1.0, 1.0))]}
+    (tmp_path / "n4.json").write_text(json.dumps(doc))
+    (tmp_path / "n10.json").write_text(json.dumps({**doc, "N": 10}))
+    assert cli.run(["solve", "--spec", str(tmp_path / "n4.json"), "--out", str(tmp_path / "a"),
+                    "--grid-n", "10"]) == cli.EXIT_OK
+    assert cli.run(["solve", "--spec", str(tmp_path / "n10.json"),
+                    "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == 11 and sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("steps", ["1", "2", "3", "5"])

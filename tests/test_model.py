@@ -246,6 +246,27 @@ def test_spec_rejects_missing_and_unknown_matrices():
         rl.spec_from_dict(doc)
 
 
+def test_spec_steps_read_as_document_n():
+    doc = rl.spec_to_dict(instance_a(N=4))
+    doc["matrices"]["Q"] = {"nodes": [{"t": 0.0, "value": [[1.0]]}, {"t": 0.3, "value": [[3.0]]},
+                                      {"t": 1.0, "value": [[1.0]]}]}
+    spec = rl.spec_from_dict(doc, steps=10)
+    assert spec.grid.steps == 10 and spec.Q.samples[3, 0, 0] == pytest.approx(3.0, abs=1e-14)
+    assert rl.spec_to_dict(spec) == rl.spec_to_dict(rl.spec_from_dict({**doc, "N": 10}))
+
+
+@pytest.mark.parametrize("bad_n, message", [(3.7, "'N' must be an integer"),
+                                            (0, "positive integer"), (None, "'N'")])
+def test_spec_steps_still_check_document_n(bad_n, message):
+    doc = rl.spec_to_dict(instance_a(N=8))
+    if bad_n is None:
+        del doc["N"]
+    else:
+        doc["N"] = bad_n
+    with pytest.raises(SpecError, match=message):
+        rl.spec_from_dict(doc, steps=10)
+
+
 def test_spec_node_form_resampling():
     doc = rl.spec_to_dict(instance_a(N=10))
     doc["matrices"]["A"] = {"nodes": [{"t": 0.0, "value": [[0.0]]},

@@ -490,6 +490,24 @@ def test_bvp_oracle_gap_and_refinement(sol_b):
     assert g128 <= 0.6 * g64
 
 
+@pytest.mark.parametrize("steps", [64, 100, 200])
+def test_bvp_oracle_compares_at_shared_nodes(steps):
+    # oracle grids that are not subgrids of the spec grid: the gaps are
+    # read at the nodes both share (5 at N = 100), so the refinement shows
+    sol = rl.solve_game(instance_b(N=steps))
+    res64, res128 = rl.bvp_oracle(sol, 64), rl.bvp_oracle(sol, 128)
+    assert len(res128.X_oracle) == 129 and len(res128.Y_oracle) == 129
+    assert res64.gap <= 1e-3
+    assert res128.gap <= 0.6 * res64.gap, res128.gap / res64.gap
+
+
+def test_bvp_oracle_catches_perturbed_offset():
+    sol = rl.solve_game(instance_b(N=100))
+    sol.phihat = rl.MatrixPath(sol.spec.grid, sol.phihat.samples + 1e-4)
+    g64, g128 = rl.bvp_oracle(sol, 64).gap, rl.bvp_oracle(sol, 128).gap
+    assert not (g64 <= 1e-3 and g128 <= 0.6 * g64), (g64, g128)
+
+
 def dense_oracle_solution(sol, coarse_n):
     """(x_k, y_k) of the oracle's trapezoidal system, assembled as one
     dense matrix (block rows: initial state, forward steps, backward steps,
@@ -605,8 +623,15 @@ def test_blown_path_leaves_rows_finite(monkeypatch, sol_a):
 
 @pytest.mark.parametrize("field", ["paths", "substeps"])
 def test_sim_config_rejects_counts_below_one(field):
-    with pytest.raises(SpecError, match=f"{field} must be at least 1"):
+    least = 2 if field == "paths" else 1
+    with pytest.raises(SpecError, match=f"{field} must be at least {least}"):
         rl.SimConfig(**{field: 0})
+
+
+def test_sim_config_rejects_single_path():
+    # one path has no standard error: its stderr would read 0 or nan
+    with pytest.raises(SpecError, match="paths must be at least 2, got 1"):
+        rl.SimConfig(paths=1)
 
 
 def test_negative_seeds_rejected(sol_a):
