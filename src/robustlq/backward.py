@@ -17,6 +17,9 @@ RK4's fourth order.  The Riccati right-hand sides read odd half steps in
 runs (`_half_reads`), with one read and one product S W a stage for the
 coefficients held in one table; the linear marches (`linear_backward`)
 build their coefficients beforehand in stacks over runs of half steps.
+The offsets of verify's responses (`solve_offset_b1`, `solve_offset_b3`)
+are linear marches on a stored Riccati path that form the full offset
+equation (`_decoupled_offset`), vanishing terms included.
 Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
@@ -380,10 +383,10 @@ def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
 
     The coefficients are known before the march, so they are built in
     stacks over runs of descending half steps, about RUN_BYTES of them at
-    a time: coef(at, js) returns the (lin, src) stacks of the half steps
-    js, where at(path) is `path.half(js)`, bit for bit the reads one at a
-    time.  An error coef raises, such as a singular stage solve, ends the
-    march when the run holding that stage is built.
+    a time: coef(js) returns the (lin, src) stacks of the half steps js,
+    read with `path.half(js)`, bit for bit the reads one at a time.  An
+    error coef raises, such as a singular stage solve, ends the march when
+    the run holding that stage is built.
     """
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     rows, cols = terminal.shape
@@ -395,44 +398,35 @@ def linear_backward(grid: TimeGrid, coef, terminal) -> MatrixPath:
         nonlocal lo, hi, lin, src
         if not hi < j <= lo:
             lo, hi = j, max(j - size, -1)
-            js = np.arange(lo, hi, -1)
-            lin, src = coef(lambda path: path.half(js), js)
+            lin, src = coef(np.arange(lo, hi, -1))
         return -(lin[lo - j] @ phi + src[lo - j])
 
     return integrate_backward(rhs, terminal, grid)
 
 
-def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, sources, cols: int) -> MatrixPath:
-    """Offset equation of a stage whose Riccati path P solves `prob`:
+def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, u: MatrixPath, drift: MatrixPath,
+                      diff: MatrixPath, adj: MatrixPath | None = None) -> MatrixPath:
+    """Offset equation of a stage whose Riccati path P solves `prob`,
+    driven by the control path u through the drift, diffusion and adjoint
+    source coefficients (adj None for none):
 
-        phi' = -[(A2^T + P B1 + F P D1) phi + F P s_diff + P s_drift - s_adj],
+        phi' = -[(A2^T + P B1 + F P D1) phi + F P (diff u) + P (drift u) - adj u],
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
-    where sources(at) returns the drift, diffusion and adjoint sources
-    (s_drift, s_diff, s_adj) read by `at`, each with `cols` columns (or
-    0.0).  Vanishing terms are skipped unread, as in the Riccati rhs.
+    one offset column per column of u.
     """
-    quad, fraction, solve = prob.terms()
     eye = np.eye(P.rows)
 
-    def coef(at, js):
-        Pt = at(P)
-        drift, diff, adj = sources(at)
-        lin, src = at(prob.A2).mT, Pt @ drift
-        if quad:
-            lin = lin + Pt @ at(prob.B1)
-        if solve:
-            gap = eye - Pt @ at(prob.D2)
-            FP = (at(prob.C2).mT + Pt @ at(prob.B2)) @ _solve_guarded(
-                gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
-            lin = lin + FP @ at(prob.D1)
-        elif fraction:
-            FP = at(prob.C2).mT @ Pt
-        if fraction:
-            src = FP @ diff + src
-        return lin, src - adj
+    def coef(js):
+        Pt, ut = P.half(js), u.half(js)
+        gap = eye - Pt @ prob.D2.half(js)
+        FP = (prob.C2.half(js).mT + Pt @ prob.B2.half(js)) @ _solve_guarded(
+            gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
+        lin = prob.A2.half(js).mT + Pt @ prob.B1.half(js) + FP @ prob.D1.half(js)
+        src = FP @ (diff.half(js) @ ut) + Pt @ (drift.half(js) @ ut)
+        return lin, (src if adj is None else src - adj.half(js) @ ut)
 
-    return linear_backward(P.grid, coef, np.zeros((P.rows, cols)))
+    return linear_backward(P.grid, coef, np.zeros((P.rows, u.shape[1])))
 
 
 def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
@@ -440,24 +434,14 @@ def solve_offset_b1(spec, P1: MatrixPath, u1: MatrixPath) -> MatrixPath:
     deterministic follower control path u1: phi1' = -[(A^T - (2/alpha) P1
     R0^{-1}) phi1 + P1 B1 u1 + C^T P1 D1 u1], phi1(T) = 0, of
     `disturbance_problem`.  A u1 with D columns gives D offset columns."""
-
-    def sources(at):
-        u1t = at(u1)
-        return at(spec.B1) @ u1t, at(spec.D1) @ u1t, 0.0
-
-    return _decoupled_offset(disturbance_problem(spec), P1, sources, u1.shape[1])
+    return _decoupled_offset(disturbance_problem(spec), P1, u1, spec.B1, spec.D1)
 
 
 def solve_offset_b3(bb, P3: MatrixPath, u2: MatrixPath) -> MatrixPath:
     """Offset equation of the leader-stage decoupling (5n blocks) driven by
     a deterministic leader control path u2 alone, one offset column per
     column of u2."""
-
-    def sources(at):
-        u2t = at(u2)
-        return at(bb.B2) @ u2t, at(bb.D2) @ u2t, at(bb.F2) @ u2t
-
-    return _decoupled_offset(bb.problem(), P3, sources, u2.shape[1])
+    return _decoupled_offset(bb.problem(), P3, u2, bb.B2, bb.D2, bb.F2)
 
 
 def solve_offset_b4(dh) -> RiccatiSolution:

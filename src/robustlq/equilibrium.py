@@ -28,7 +28,7 @@ import numpy as np
 
 from . import augment, backward
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
-                    SpecError, check_delta, validate_spec)
+                    SpecError, validate_spec)
 
 
 @dataclass
@@ -70,10 +70,13 @@ def _stage(name, fn, *args, **kwargs):
 def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
     """The follower Riccati solution ("follower"), the follower terms
     ("terms") and the five stage constructions of a spec, keyed "hat",
-    "check", "blackboard", "weights" and "doublehat".  A failure is
-    tagged with its stage, as in solve_game; a delta that is not a
-    positive finite number is a SpecError."""
-    check_delta(delta)
+    "check", "blackboard", "weights" and "doublehat".  A spec that fails
+    `validate_spec`, or a delta that is not a positive finite number, is a
+    SpecError; a solver failure is tagged with its stage, as in solve_game."""
+    report = validate_spec(spec, delta)
+    if not report.ok:
+        names = ", ".join(c.name for c in report.failures())
+        raise SpecError(f"spec validation failed: {names}")
     Psol = _stage("follower riccati", backward.solve_riccati_follower, spec, delta)
     # Rbb is formed and checked with the follower terms, so a leader weight
     # that fails keeps the stage name of the weights it belongs to
@@ -93,11 +96,6 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     (tagged with the failing stage) when a solvability condition breaks
     down.
     """
-    report = validate_spec(spec, delta)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failures())
-        raise SpecError(f"spec validation failed: {names}")
-
     blocks = stage_blocks(spec, delta)
     P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
     Psol, terms, dh = blocks["follower"], blocks["terms"], blocks["doublehat"]
@@ -159,7 +157,7 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     """
     grid = sol.spec.grid
     A, b = (MatrixPath(grid, p.samples[::-1]) for p in (sol.Atil, sol.Btil))
-    rev = backward.linear_backward(grid, lambda at, js: (at(A), at(b)), sol.dh.Xi)
+    rev = backward.linear_backward(grid, lambda js: (A.half(js), b.half(js)), sol.dh.Xi)
     return rev.samples[::-1, :, 0]
 
 

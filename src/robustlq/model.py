@@ -346,13 +346,6 @@ def _min_eig_over_nodes(path: MatrixPath):
     return lam[k], k
 
 
-def check_delta(delta: float):
-    """A SpecError unless the strong-positivity threshold delta is a
-    positive finite number."""
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise SpecError(f"delta must be a positive finite number, got {delta}")
-
-
 def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     """Run the decidable standing-assumption checks on a spec.
 
@@ -364,7 +357,8 @@ def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     decidable here; the montecarlo module probes them by sampling.  A
     delta that is not a positive finite number is a SpecError.
     """
-    check_delta(delta)
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise SpecError(f"delta must be a positive finite number, got {delta}")
     checks = []
 
     def add(name, passed, detail="", node=None):
@@ -455,6 +449,9 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
     except (KeyError, TypeError) as exc:
         raise SpecError(f"matrix {name!r} nodes must be entries with 't' and 'value'") from exc
     ts = _floats(times, f"node times of matrix {name!r}", (len(nodes),))
+    if not np.isfinite(ts).all():
+        raise SpecError(f"matrix {name!r} has a non-finite node time "
+                        f"{ts[~np.isfinite(ts)][0]}")
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     vals = np.stack([_floats(values[i], f"matrix {name!r}", shape) for i in order])

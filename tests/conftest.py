@@ -135,6 +135,10 @@ def malformed_spec_docs():
         "non_numeric_alpha": (doc_with(alpha="x"), "'alpha' must be numeric"),
         "non_numeric_xi": (doc_with(xi=["a"]), "'xi' must be numeric"),
         "non_numeric_node_time": (doc_with(Q=["a", 1.0]), "node times of matrix 'Q'"),
+        "nan_node_time": (doc_with(Q=[0.0, 0.5, float("nan"), 1.0]),
+                          "matrix 'Q' has a non-finite node time"),
+        "infinite_node_times": (doc_with(Q=[-float("inf"), 0.5, float("inf")]),
+                                "matrix 'Q' has a non-finite node time"),
         "infinite_alpha": (doc_with(alpha=float("inf")), "'alpha' must be finite"),
         "infinite_gamma": (doc_with(gamma=-float("inf")), "'gamma' must be finite"),
         "top_level_list": ([1, 2], "spec document must be a JSON object"),

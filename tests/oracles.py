@@ -2,8 +2,11 @@
 equation of the production-supply game, the fundamental-matrix closed
 form of fraction-free Riccati equations, the finite-difference
 residual of a solved path against its right-hand side, the martingale
-integrand gains of a solved game, and the unified Riccati march that
-reads and multiplies every coefficient on its own."""
+integrand gains of a solved game, the unified Riccati march that
+reads and multiplies every coefficient on its own, and a stage offset
+marched as trailing columns of its Riccati path."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -124,3 +127,23 @@ def separate_read_march(prob: backward.RiccatiProblem) -> MatrixPath:
         return -val
 
     return backward.integrate_backward(rhs, prob.terminal, prob.grid)
+
+
+def joint_offset_march(prob: backward.RiccatiProblem, u: MatrixPath, drift: MatrixPath,
+                       diff: MatrixPath, adj: MatrixPath | None = None) -> MatrixPath:
+    """The offset of prob driven by the control path u, as
+    `backward._decoupled_offset` defines it, marched with its Riccati path
+    as [P | phi] on the shared right-hand side
+    `backward.generalized_riccati_rhs`: drift u, diff u and adj u (0 for
+    an adj None) are trailing columns of A1, C1 and Q, and the march
+    starts from [terminal | 0]."""
+    grid, d, cols = prob.grid, prob.terminal.shape[0], u.shape[1]
+    source = lambda coef: (np.zeros((len(grid), d, cols)) if coef is None
+                           else coef.samples @ u.samples)
+    joint = lambda path, coef: MatrixPath(grid, np.concatenate([path.samples, source(coef)],
+                                                               axis=-1))
+    prob = backward.tabled(replace(prob, A1=joint(prob.A1, drift), C1=joint(prob.C1, diff),
+                                   Q=joint(prob.Q, adj),
+                                   terminal=np.hstack([prob.terminal, np.zeros((d, cols))])))
+    P = backward.solve_riccati_generalized(prob).P
+    return MatrixPath(grid, P.samples[..., d:])

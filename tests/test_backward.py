@@ -5,12 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 import robustlq as rl
-from robustlq import augment, backward
+from robustlq import augment, backward, equilibrium
 from robustlq.model import BlowUpError, MatrixPath, RegularityError
 
 from conftest import instance_a, instance_b, random_spec
-from oracles import (closed_form_special_case, derivative_4th_order, riccati_residuals,
-                     separate_read_march)
+from oracles import (closed_form_special_case, derivative_4th_order, joint_offset_march,
+                     riccati_residuals, separate_read_march)
 
 
 def scalar_spec(**kw):
@@ -292,8 +292,8 @@ def test_tabled_marches_match_separate_reads(game, monkeypatch):
 def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
     # each branch that skips vanishing terms against the full formula: no
     # fraction (instance_b's stages), the fraction C2^T P C1 without the
-    # solve (P1 and phi1 of games with diffusion) and no P B1 P either (L
-    # and psi)
+    # solve (P1 of games with diffusion) and no P B1 P either (L and psi);
+    # phi1, which forms the full offset equation, keeps its bits too
     probs = (sol_b.dh.problem(), sol_b.bb.problem())
     assert all(prob.vanishes("C1", "C2", "B2", "D1", "D2") for prob in probs)
     games = (instance_a(N=100), random_spec(3, 2, N=100))
@@ -356,6 +356,33 @@ def test_offset_b1_with_control_source():
 
     expect = rl.integrate_backward(rhs, np.zeros((1, 1)), spec.grid)
     assert np.allclose(phi.samples, expect.samples, atol=1e-12)
+
+
+@pytest.mark.parametrize("game", ["instance_a", "instance_b", "random_3_2"])
+def test_offsets_match_joint_march(game):
+    # the b1 and b3 offsets against the same equations marched as trailing
+    # columns of their Riccati paths on the shared right-hand side: the two
+    # reads differ at fourth order only, so each halving of the step cuts
+    # the relative gap about 16-fold
+    make = {"instance_a": instance_a, "instance_b": instance_b,
+            "random_3_2": lambda N: random_spec(3, 2, N=N)}[game]
+    gaps = []
+    for N in (50, 100, 200):
+        spec = make(N=N)
+        t = spec.grid.nodes[:, None, None]
+        u1 = MatrixPath(spec.grid, np.concatenate([np.sin(3 * t), np.cos(2 * t)], axis=-1))
+        u2 = MatrixPath(spec.grid, np.concatenate([np.cos(3 * t), 1.0 + t ** 2], axis=-1))
+        bb = equilibrium.stage_blocks(spec)["blackboard"]
+        prob1, prob3 = backward.disturbance_problem(spec), bb.problem()
+        pairs = [(backward.solve_offset_b1(spec, rl.solve_riccati_disturbance(spec).P, u1),
+                  joint_offset_march(prob1, u1, spec.B1, spec.D1)),
+                 (backward.solve_offset_b3(bb, backward.solve_riccati_generalized(prob3).P, u2),
+                  joint_offset_march(prob3, u2, bb.B2, bb.D2, bb.F2))]
+        gaps.append([np.abs(got.samples - want.samples).max() / np.abs(want.samples).max()
+                     for got, want in pairs])
+    gaps = np.array(gaps)
+    ratios = gaps[:-1] / gaps[1:]
+    assert np.all((12.0 <= ratios) & (ratios <= 20.0)), (gaps, ratios)
 
 
 def test_value_offset_constant_source():

@@ -342,6 +342,18 @@ def test_dump_blocks_failure_names_stage(tmp_path, capsys):
     assert "[stage follower riccati]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("R0", float("nan")), ("R0", -1.0),
+                                         ("sigma", float("nan"))])
+def test_dump_blocks_rejects_invalid_spec(name, value, tmp_path, capsys):
+    # a spec that fails validation is refused before any block is built
+    doc = rl.spec_to_dict(instance_a(N=8))
+    doc["matrices"][name] = {"constant": [[value]]}
+    f = tmp_path / "invalid.json"
+    f.write_text(json.dumps(doc))
+    assert cli.run(["dump-blocks", "--spec", str(f), "--stage", "hat", "--t", "0.5"]) == 1
+    assert "spec validation failed" in capsys.readouterr().err
+
+
 def test_grid_override(homog_file, tmp_path):
     out = tmp_path / "o"
     code = cli.run(["solve", "--spec", homog_file, "--out", str(out),
