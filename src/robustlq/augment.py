@@ -10,15 +10,17 @@ two nested robust control problems:
   doublehat stage 10n forward / 10n backward  (leader optimality system)
 
 The follower quantities every stage shares are formed and checked once,
-by `follower_terms`.  Each builder then forms its blocks exactly at the
-grid nodes, for all nodes at once as (N+1, rows, cols) arrays, and wraps
-them as matrix paths; no symbolic simplification is attempted, so every
-block can be audited entry by entry against its definition.  The 2n, 5n
-and 10n stages map their blocks to the unified Riccati form in their
-`problem()` method, and `decoupling` turns a solved stage into its
-martingale integrand and closed loop.  The 10n stage stores its offsets
-as trailing columns of the blocks they sit beside, which is the form the
-joint [Phat | phihat] march reads.
+by `follower_terms`.  The check stage reads the hat stage's blocks and
+stacks the physical-state row on them, so each block of the follower's
+system is formed once, by `build_hat`.  Each builder forms its blocks
+exactly at the grid nodes, for all nodes at once as (N+1, rows, cols)
+arrays, and wraps them as matrix paths; no symbolic simplification is
+attempted, so every block can be audited entry by entry against its
+definition.  The 2n, 5n and 10n stages map their blocks to the unified
+Riccati form in their `problem()` method, and `decoupling` turns a
+solved stage into its martingale integrand and closed loop.  The 10n
+stage stores its offsets as trailing columns of the blocks they sit
+beside, which is the form the joint [Phat | phihat] march reads.
 
 Component layout of the ten n-blocks of the doublehat stage (0-based):
 
@@ -235,7 +237,9 @@ def build_hat(spec: GameSpec, ft: FollowerTerms) -> HatStage:
 
 @dataclass(frozen=True)
 class CheckStage:
-    """3n-forward / 2n-backward blocks with the physical state adjoined."""
+    """3n-forward / 2n-backward blocks with the physical state adjoined:
+    each block is the physical-state row over the matching hat block (A
+    over A1, F1 over b), which takes a zero first column in A, C, Q and G."""
 
     n: int
     m2: int
@@ -263,41 +267,36 @@ class CheckStage:
         assert self.Iinj.shape == (3 * self.n, self.n)
 
 
-def build_check(spec: GameSpec, ft: FollowerTerms) -> CheckStage:
-    """Check-stage blocks; the first n-block is the physical state."""
+def build_check(spec: GameSpec, ft: FollowerTerms, hat: HatStage) -> CheckStage:
+    """Check-stage blocks, each the physical-state row on a hat block."""
     n, m2, grid = spec.n, spec.m2, spec.grid
     zn = np.zeros((len(grid), n, n))
-    zm = np.zeros((len(grid), n, m2))
-    z1 = np.zeros((len(grid), n, 1))
-    A, C, Q = spec.A.samples, spec.C.samples, spec.Q.samples
-    aR, BK, DK = ft.aR, ft.BK, ft.DK
-    aRP = aR @ ft.P
+    zx = np.zeros((len(grid), 2 * n, n))
+    wide = lambda path: np.concatenate([zx, path.samples], axis=-1)
 
-    G = spec.G
+    def on_hat(row, below):
+        return MatrixPath(grid, np.concatenate([np.concatenate(row, axis=-1), below], axis=-2))
+
+    Q, G = spec.Q.samples, spec.G
     z = np.zeros((n, n))
-    # same shifted-pair terminal as the hat stage, with the physical-state
-    # column prepended
-    Gcheck = np.block([[z, z, G], [z, -G, z]])
-    Gbar = np.block([[G, z, z], [z, z, z], [z, z, z]])
-    Iinj = np.vstack([np.eye(n), z, z])
-    xicheck = np.vstack([spec.xi, spec.xi, np.zeros((n, 1))])
-    mp = lambda s: MatrixPath(grid, s)
     return CheckStage(
         n=n, m2=m2,
-        A=mp(np.block([[A, -BK, zn], [zn, A - BK, zn], [zn, -aRP, A]])),
-        C=mp(np.block([[C, -DK, zn], [zn, C - DK, zn], [zn, zn, C]])),
-        B1=mp(np.block([[ft.BB, zn], [ft.BB, -aR], [aR, -aR]])),
-        B2=mp(np.block([[ft.B2eff], [ft.B2eff], [zm]])),
-        B3=mp(np.block([[ft.BD, zn], [ft.BD, zn], [zn, zn]])),
-        D1=mp(np.block([[ft.DB, zn], [ft.DB, zn], [zn, zn]])),
-        D2=mp(np.block([[ft.D2eff], [ft.D2eff], [zm]])),
-        D3=mp(np.block([[ft.DD, zn], [ft.DD, zn], [zn, zn]])),
-        F1=mp(np.block([[spec.f1.samples - ft.w], [-ft.w], [z1]])),
-        sigma=mp(np.block([[ft.sig], [ft.sig], [z1]])),
-        Q=mp(np.block([[zn, zn, -Q], [zn, Q, zn]])),
-        G=Gcheck,
-        Qbar=mp(np.block([[Q, zn, zn], [zn, zn, zn], [zn, zn, zn]])),
-        Gbar=Gbar, Iinj=Iinj, xi=xicheck,
+        A=on_hat([spec.A.samples, -ft.BK, zn], wide(hat.A1)),
+        C=on_hat([spec.C.samples, -ft.DK, zn], wide(hat.C)),
+        B1=on_hat([ft.BB, zn], hat.B1.samples),
+        B2=on_hat([ft.B2eff], hat.B2.samples),
+        B3=on_hat([ft.BD, zn], hat.B3.samples),
+        D1=on_hat([ft.DB, zn], hat.D1.samples),
+        D2=on_hat([ft.D2eff], hat.D2.samples),
+        D3=on_hat([ft.DD, zn], hat.D3.samples),
+        F1=on_hat([spec.f1.samples - ft.w], hat.b.samples),
+        sigma=on_hat([ft.sig], hat.sigma.samples),
+        Q=MatrixPath(grid, wide(hat.Q)),
+        G=np.hstack([np.zeros((2 * n, n)), hat.G]),
+        Qbar=MatrixPath(grid, np.block([[Q, zn, zn], [zn, zn, zn], [zn, zn, zn]])),
+        Gbar=np.block([[G, z, z], [z, z, z], [z, z, z]]),
+        Iinj=np.vstack([np.eye(n), z, z]),
+        xi=np.vstack([spec.xi, hat.xi]),
     )
 
 

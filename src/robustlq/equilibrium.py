@@ -33,7 +33,9 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
 
 @dataclass
 class EquilibriumSolution:
-    """All ingredients of the state-feedback equilibrium on one grid."""
+    """All ingredients of the state-feedback equilibrium on one grid.  Of
+    the stages it keeps those read after the solve (bb, weights, dh); the
+    hat and check stages only build bb, and `stage_blocks` rebuilds them."""
 
     spec: GameSpec
     P: MatrixPath
@@ -47,8 +49,6 @@ class EquilibriumSolution:
     Btil: MatrixPath
     Ctil: MatrixPath
     Dtil: MatrixPath
-    hat: augment.HatStage
-    check: augment.CheckStage
     bb: augment.BlackboardStage
     weights: augment.LeaderCostWeights
     dh: augment.DoubleHatStage
@@ -82,7 +82,7 @@ def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
     # that fails keeps the stage name of the weights it belongs to
     terms = _stage("leader cost weights", augment.follower_terms, spec, Psol.P, delta)
     hat = augment.build_hat(spec, terms)
-    check = augment.build_check(spec, terms)
+    check = augment.build_check(spec, terms, hat)
     bb = augment.build_blackboard(check, hat, terms)
     weights = augment.build_cost_weights(spec, terms)
     return {"follower": Psol, "terms": terms, "hat": hat, "check": check, "blackboard": bb,
@@ -132,8 +132,8 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     return EquilibriumSolution(
         spec=spec, P=Psol.P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
-        Dtil=Dtil, hat=blocks["hat"], check=blocks["check"], bb=blocks["blackboard"],
-        weights=blocks["weights"], dh=dh, terms=terms, regularity=regularity,
+        Dtil=Dtil, bb=blocks["blackboard"], weights=blocks["weights"], dh=dh,
+        terms=terms, regularity=regularity,
     )
 
 

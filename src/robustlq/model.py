@@ -467,23 +467,18 @@ def _path_from_json(grid: TimeGrid, obj, shape, name):
     return MatrixPath(grid, (1.0 - w) * vals[j] + w * vals[j + 1])
 
 
-def load_spec(path_or_file, steps=None) -> GameSpec:
-    """Parse a game specification from a JSON file path or file object, on
-    `steps` steps in place of its N when given (`spec_from_dict`); a file
-    that cannot be read as UTF-8 JSON is a SpecError naming it."""
-    stream = hasattr(path_or_file, "read")
-    name = getattr(path_or_file, "name", "<stream>") if stream else path_or_file
+def load_spec(path, steps=None) -> GameSpec:
+    """Parse a game specification from the JSON file at `path`, on `steps`
+    steps in place of its N when given (`spec_from_dict`); a file that
+    cannot be read as UTF-8 JSON is a SpecError naming it."""
     try:
-        if stream:
-            doc = json.load(path_or_file)
-        else:
-            with open(path_or_file, encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise SpecError(f"spec file {name}: malformed JSON at line {exc.lineno}, "
+        raise SpecError(f"spec file {path}: malformed JSON at line {exc.lineno}, "
                         f"column {exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read spec file {name}: {exc}") from exc
+        raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     return spec_from_dict(doc, steps)
 
 
@@ -548,11 +543,8 @@ def spec_to_dict(spec: GameSpec) -> dict:
     }
 
 
-def dump_spec(spec: GameSpec, path_or_file):
-    """Write a spec as JSON; a spec written here re-parses identically."""
-    doc = spec_to_dict(spec)
-    if hasattr(path_or_file, "write"):
-        json.dump(doc, path_or_file, indent=2)
-    else:
-        with open(path_or_file, "w") as fh:
-            json.dump(doc, fh, indent=2)
+def dump_spec(spec: GameSpec, path):
+    """Write a spec as JSON to the file at `path`; a spec written here
+    re-parses identically."""
+    with open(path, "w") as fh:
+        json.dump(spec_to_dict(spec), fh, indent=2)

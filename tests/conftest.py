@@ -6,6 +6,8 @@ diffusion-free counterpart where the boundary-value oracle and the
 fundamental-matrix closed forms apply.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def sol_homog():
     return rl.solve_game(homogeneous_spec(xi=1.0))
 
 
+def hand_made_deviations(shift, paths=100, directions=2, samples=2):
+    """Deviations whose every per-path response, cross and quad, is an
+    alternating +-1 noise minus sign * shift: each suite's sign * J moves
+    by -shift, about 10 shift standard errors, and shift = 0 leaves every
+    mean at exactly zero, inside the noise floor."""
+    noise = np.tile([1.0, -1.0], paths // 2)[:, None]
+    cols = np.ones((1, directions + samples))
+    tests = [SimpleNamespace(name=name, sign=sign) for name, sign in (
+        ("follower_control", 1.0), ("leader_control", -1.0),
+        ("follower_disturbance", -1.0), ("leader_disturbance", 1.0))]
+    out = {(kind, t.name): (noise - t.sign * shift) * cols
+           for t in tests for kind in ("cross", "quad")}
+    return rl.montecarlo.Deviations(tests, out, directions, samples)
+
+
 def malformed_spec_docs():
     """Spec documents with one defect each, keyed by the defect, with a
     fragment of the SpecError message that must name it."""
@@ -113,6 +130,11 @@ def malformed_spec_docs():
     def with_matrix(name, value):
         doc = doc_with()
         doc["matrices"][name] = value
+        return doc
+
+    def without_matrix(name):
+        doc = doc_with()
+        del doc["matrices"][name]
         return doc
 
     def zero_dim(field, matrices, **edits):
@@ -146,6 +168,13 @@ def malformed_spec_docs():
         "matrix_number": (with_matrix("A", 5), "matrix 'A' must be a JSON object"),
         "terminal_number": (with_matrix("G", 5), "matrix 'G' must be a JSON object"),
         "matrix_null": (with_matrix("A", None), "matrix 'A' must be a JSON object"),
+        "matrix_no_entry": (with_matrix("A", {}), "must have a 'constant' or 'nodes' entry"),
+        "bare_node_values": (with_matrix("Q", {"nodes": [1.0, 2.0]}),
+                             "nodes must be entries with 't' and 'value'"),
+        "missing_terminal": (without_matrix("G"), "spec file missing matrix 'G'"),
+        "terminal_nodes": (with_matrix("G", {"nodes": [{"t": t, "value": [[1.0]]}
+                                                       for t in (0.0, 1.0)]}),
+                           "terminal weight G must be given as a constant matrix"),
         "zero_state_dimension": (zero_dim("n", state_matrices, xi=[]),
                                  "dimension 'n' must be at least 1"),
         "zero_follower_control": (zero_dim("m1", ["B1", "D1", "R1"]),

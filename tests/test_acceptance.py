@@ -56,7 +56,7 @@ def test_criterion_2_riccati_residuals():
             P1 = backward.solve_riccati_disturbance(spec).P
             terms = rl.follower_terms(spec, P)
             hat = rl.build_hat(spec, terms)
-            check = rl.build_check(spec, terms)
+            check = rl.build_check(spec, terms, hat)
             bb = rl.build_blackboard(check, hat, terms)
             w = rl.build_cost_weights(spec, terms)
             dh = rl.build_doublehat(bb, w, terms.Rbbinv)
@@ -82,7 +82,7 @@ def test_criterion_3_special_case_equivalence():
             P = backward.solve_riccati_follower(spec).P
             terms = rl.follower_terms(spec, P)
             hat = rl.build_hat(spec, terms)
-            check = rl.build_check(spec, terms)
+            check = rl.build_check(spec, terms, hat)
             bb = rl.build_blackboard(check, hat, terms)
             w = rl.build_cost_weights(spec, terms)
             dh = rl.build_doublehat(bb, w, terms.Rbbinv)

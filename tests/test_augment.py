@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import augment
+from robustlq import augment, equilibrium
 from robustlq.model import MatrixPath, RegularityError
 
 from conftest import instance_a, random_spec
@@ -67,7 +67,7 @@ def test_hat_zero_weights_zero_terminals():
 
 
 def test_hat_sign_pairing(sol_a):
-    hat = sol_a.hat
+    hat = equilibrium.stage_blocks(sol_a.spec)["hat"]
     n = sol_a.spec.n
     A1, A2 = hat.A1.samples, hat.A2.samples
     assert np.array_equal(A1[:, :n, :], A2[:, :n, :])
@@ -86,14 +86,16 @@ def test_check_stacks_initial_state():
         B1=[[1.0], [0.0]], D1=None, B2=[[1.0], [0.0]], D2=None,
         Q=np.zeros((2, 2)), R1=1.0, R2=-1.0, R0=np.eye(2), R0hat=np.eye(2),
     )
-    check = rl.build_check(spec, rl.follower_terms(spec, MatrixPath.zeros(spec.grid, 2, 2)))
+    terms = rl.follower_terms(spec, MatrixPath.zeros(spec.grid, 2, 2))
+    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
     assert np.array_equal(check.xi[:, 0], [1, 1, 1, 1, 0, 0])
     assert np.array_equal(check.Iinj, np.vstack([np.eye(2), np.zeros((4, 2))]))
 
 
 def test_check_zero_sigma_zero_noise_offset():
     spec = hat_example_spec()
-    check = rl.build_check(spec, rl.follower_terms(spec, const_path(spec, [[1.0]])))
+    terms = rl.follower_terms(spec, const_path(spec, [[1.0]]))
+    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
     assert np.all(check.sigma.samples == 0.0)
 
 
@@ -104,7 +106,8 @@ def test_check_disturbance_offset_formula():
         Q=0.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[2.0]])
-    check = rl.build_check(spec, rl.follower_terms(spec, P))
+    terms = rl.follower_terms(spec, P)
+    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
     rt1 = 1.0 + 0.5 * 2.0 * 0.5
     w = 1.0 / rt1 * 0.5 * 2.0 * 0.8  # B1 Rt1^-1 D1' P sigma
     assert np.allclose(check.F1.samples[0][:, 0], [0.3 - w, -w, 0.0])
@@ -118,7 +121,7 @@ def test_blackboard_disturbance_corner(sol_a):
     spec = instance_a()
     terms = rl.follower_terms(spec, sol_a.P)
     hat = rl.build_hat(spec, terms)
-    check = rl.build_check(spec, terms)
+    check = rl.build_check(spec, terms, hat)
     # gamma = 2 and R0hat = I put the identity in the disturbance corner
     unit = replace(terms, gR=np.broadcast_to(np.eye(spec.n), terms.gR.shape))
     bb = rl.build_blackboard(check, hat, unit)
@@ -133,7 +136,7 @@ def test_blackboard_zero_weights(sol_homog):
 
 
 def test_blackboard_sigma_stacking(sol_a):
-    bb, check = sol_a.bb, sol_a.check
+    bb, check = sol_a.bb, equilibrium.stage_blocks(sol_a.spec)["check"]
     n = sol_a.spec.n
     assert np.array_equal(bb.Sigma.samples[:, :3 * n], check.sigma.samples)
     assert np.all(bb.Sigma.samples[:, 3 * n:] == 0.0)
@@ -241,7 +244,7 @@ def test_stage_dimension_audit():
     P = rl.solve_riccati_follower(spec).P
     terms = rl.follower_terms(spec, P)
     hat = rl.build_hat(spec, terms)
-    check = rl.build_check(spec, terms)
+    check = rl.build_check(spec, terms, hat)
     bb = rl.build_blackboard(check, hat, terms)
     w = rl.build_cost_weights(spec, terms)
     dh = rl.build_doublehat(bb, w, terms.Rbbinv)
@@ -253,7 +256,8 @@ def test_stage_dimension_audit():
 
 
 def test_zero_propagation_homogeneous(sol_homog):
-    hat, check, bb, dh = sol_homog.hat, sol_homog.check, sol_homog.bb, sol_homog.dh
+    blocks = equilibrium.stage_blocks(sol_homog.spec)
+    hat, check, bb, dh = blocks["hat"], blocks["check"], sol_homog.bb, sol_homog.dh
     for path in (hat.b, hat.sigma, hat.v, check.F1, bb.F1, bb.Upsilon,
                  dh.F, dh.Sigma, dh.Upsilon):
         assert np.all(path.samples == 0.0)

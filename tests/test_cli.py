@@ -7,7 +7,8 @@ import pytest
 import robustlq as rl
 from robustlq import backward, cli, montecarlo
 
-from conftest import homogeneous_spec, instance_a, instance_b, malformed_spec_docs, random_spec
+from conftest import (hand_made_deviations, homogeneous_spec, instance_a, instance_b,
+                      malformed_spec_docs, random_spec)
 from oracles import scalar_bode
 
 
@@ -202,6 +203,46 @@ def test_verify_passes_diffusion_free_n2_game(tmp_path):
     summary = json.loads((out / "verify_summary.json").read_text())
     assert summary["oracle"]["ok"] is True, summary
     assert code == cli.EXIT_OK, summary
+
+
+def test_verify_failing_suite_exit_code(monkeypatch, tmp_path):
+    # the game of test_verify_passes_diffusion_free_n2_game, with a
+    # convexity suite that fails: exit 3 and convexity_ok false
+    failing = rl.sampled_convexity(hand_made_deviations(1.0))
+    monkeypatch.setattr(cli.montecarlo, "sampled_convexity", lambda dev: failing)
+    f = tmp_path / "special.json"
+    rl.dump_spec(random_spec(1, 2, special=True, N=256), f)
+    out = tmp_path / "v"
+    code = cli.run(["verify", "--spec", str(f), "--out", str(out),
+                    "--paths", "400", "--directions", "2"])
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert code == cli.EXIT_VERIFICATION
+    assert summary["convexity_ok"] is False and summary["perturbation_ok"] is True
+    assert summary["oracle"]["ok"] is True
+
+
+def test_simulate_writes_summary_and_paths(tmp_path):
+    spec = instance_a(N=50)
+    f = tmp_path / "game_a.json"
+    rl.dump_spec(spec, f)
+    runs = {}
+    for flags in ([], ["--per-path"]):
+        out = tmp_path / ("per_path" if flags else "summary")
+        assert cli.run(["simulate", "--spec", str(f), "--out", str(out),
+                        "--paths", "200", *flags]) == cli.EXIT_OK
+        runs[bool(flags)] = out
+    summary = json.loads((runs[True] / "sim_summary.json").read_text())
+    assert set(summary) == {"paths", "blown", "j", "j_follower", "j_leader",
+                            "terminal_mean", "terminal_var", "value"}
+    assert (runs[False] / "sim_summary.json").read_text() == json.dumps(
+        summary, indent=2, sort_keys=True) + "\n"
+    sol = rl.solve_game(spec)
+    assert summary["paths"] == 200 and summary["value"] == rl.value(sol)
+    lines = (runs[True] / "paths.csv").read_text().splitlines()
+    assert lines[0] == "path,j,j_follower,j_leader" and len(lines) == 201
+    j = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.array_equal(j, rl.simulate(sol, rl.SimConfig(paths=200)).j)
+    assert not (runs[False] / "paths.csv").exists()
 
 
 def test_verify_draws_each_path_once(monkeypatch, homog_file, tmp_path):

@@ -226,22 +226,24 @@ def test_skeleton_blow_up_raises(sol_b):
 def test_diagnostic_stages_on_request():
     spec = instance_a(N=80)
     sol = rl.solve_game(spec)
-    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
+    hat = equilibrium.stage_blocks(spec)["hat"]
+    P2 = backward.solve_riccati_generalized(hat.problem()).P
     rl.ensure_diagnostics(sol)
     assert P2 is not None and sol.P3 is not None
     assert P2.shape == (2, 2) and sol.P3.shape == (5, 5)
     # terminal data match the stage definitions exactly
-    assert np.array_equal(P2.samples[-1], sol.hat.G)
+    assert np.array_equal(P2.samples[-1], hat.G)
     assert np.array_equal(sol.P3.samples[-1], sol.bb.G)
 
 
 def test_intermediate_stage_residuals():
     spec = instance_a(N=400)
     sol = rl.solve_game(spec)
-    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
+    hat = equilibrium.stage_blocks(spec)["hat"]
+    P2 = backward.solve_riccati_generalized(hat.problem()).P
     rl.ensure_diagnostics(sol)
     for prob, path in (
-        (sol.hat.problem(), P2),
+        (hat.problem(), P2),
         (sol.bb.problem(), sol.P3),
     ):
         res = riccati_residuals(backward.generalized_riccati_rhs(prob), path)
@@ -312,8 +314,9 @@ def test_decoupled_stages_are_j_symmetric(spec):
 
     n = spec.n
     sol = rl.ensure_diagnostics(rl.solve_game(spec))
-    P2 = backward.solve_riccati_generalized(sol.hat.problem()).P
-    for prob, P, top in ((sol.hat.problem(), P2, n), (sol.bb.problem(), sol.P3, 3 * n),
+    hat = equilibrium.stage_blocks(spec)["hat"]
+    P2 = backward.solve_riccati_generalized(hat.problem()).P
+    for prob, P, top in ((hat.problem(), P2, n), (sol.bb.problem(), sol.P3, 3 * n),
                          (sol.dh.problem(), sol.Phat, 5 * n)):
         J = np.diag(np.r_[np.ones(top), -np.ones(P.rows - top)])
         coef = lambda name: getattr(prob, name).samples

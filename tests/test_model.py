@@ -286,6 +286,20 @@ def test_spec_shape_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda s: rl.build_spec(n=1, m1=1, m2=1, T=1.0, N=8, alpha=8.0, gamma=8.0, xi=[1.0],
+                             G=[[0.5]], Z=1.0), "unknown coefficient names"),
+    (lambda s: replace(s, A=MatrixPath.zeros(s.grid, 2, 2)), "A has shape"),
+    (lambda s: replace(s, A=MatrixPath.zeros(rl.make_grid(1.0, 4), 1, 1)),
+     "does not live on the spec grid"),
+    (lambda s: replace(s, G=np.eye(2)), "G has shape"),
+    (lambda s: MatrixPath(s.grid, np.zeros((len(s.grid), 1))), "path samples must have shape"),
+], ids=["unknown_name", "path_shape", "path_grid", "terminal_shape", "flat_samples"])
+def test_spec_api_errors(make, message):
+    with pytest.raises(SpecError, match=message):
+        make(instance_a(N=8))
+
+
 @pytest.mark.parametrize("case", sorted(malformed_spec_docs()))
 def test_spec_malformed_raises_spec_error(case):
     doc, message = malformed_spec_docs()[case]

@@ -8,7 +8,7 @@ import robustlq as rl
 from robustlq import equilibrium, montecarlo
 from robustlq.model import BlowUpError, SpecError
 
-from conftest import homogeneous_spec, instance_a, instance_b, random_spec
+from conftest import hand_made_deviations, homogeneous_spec, instance_a, instance_b, random_spec
 
 
 def no_noise_spec(N=100):
@@ -649,6 +649,18 @@ def test_suites_read_independent_columns(sol_a):
     assert rl.perturb_best_response(few).rows == rl.perturb_best_response(many).rows
     few, many = (rl.deviation_tests(sol_a, cfg, directions=d, samples=3) for d in (1, 7))
     assert rl.sampled_convexity(few).rows == rl.sampled_convexity(many).rows
+
+
+@pytest.mark.parametrize("shift, verdict", [(1.0, "fail"), (0.0, "inconclusive")])
+def test_suites_fail_and_inconclusive_verdicts(shift, verdict):
+    # responses that lower sign * J by about 10 stderr fail; a zero mean
+    # inside the noise floor is inconclusive; neither report is ok
+    dev = hand_made_deviations(shift)
+    # four tests x two directions, at the two default sizes eps in the first suite
+    for rep, rows in ((rl.perturb_best_response(dev), 16), (rl.sampled_convexity(dev), 8)):
+        assert len(rep.rows) == rows
+        assert {r.verdict for r in rep.rows} == {verdict}
+        assert not rep.ok
 
 
 @pytest.mark.parametrize("suite, count", [(rl.perturb_best_response, "directions"),
