@@ -16,11 +16,13 @@ system is formed once, by `build_hat`.  Each builder forms its blocks
 exactly at the grid nodes, for all nodes at once as (N+1, rows, cols)
 arrays, and wraps them as matrix paths; no symbolic simplification is
 attempted, so every block can be audited entry by entry against its
-definition.  The 2n, 5n and 10n stages map their blocks to the unified
-Riccati form in their `problem()` method, and `decoupling` turns a
-solved stage into its martingale integrand and closed loop.  The 10n
-stage stores its offsets as trailing columns of the blocks they sit
-beside, which is the form the joint [Phat | phihat] march reads.
+definition.  The one exception is the 10n stage's A2 and C2, formed from
+its A1 and C1 as J A1 J and J C1 J with J = diag(I_5n, -I_5n).  The 2n,
+5n and 10n stages map their blocks to the unified Riccati form in their
+`problem()` method, and `decoupling` turns a solved stage into its
+martingale integrand and closed loop.  The 10n stage stores its offsets
+as trailing columns of the blocks they sit beside, which is the form the
+joint [Phat | phihat] march reads.
 
 Component layout of the ten n-blocks of the doublehat stage (0-based):
 
@@ -513,6 +515,14 @@ def _fill(out: np.ndarray, rows) -> None:
         np.concatenate(row, axis=-1, out=half)
 
 
+def _j_conjugate(x: np.ndarray) -> np.ndarray:
+    """J x J, J = diag(I, -I): x with its off-diagonal blocks negated as
+    0.0 - x, which keeps the sign of every zero of x."""
+    out, h = x.copy(), x.shape[-1] // 2
+    out[..., :h, h:], out[..., h:, :h] = 0.0 - x[..., :h, h:], 0.0 - x[..., h:, :h]
+    return out
+
+
 def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
                     Rbbinv: np.ndarray) -> DoubleHatStage:
     """Hamiltonian-stage blocks with the leader's control eliminated;
@@ -551,19 +561,11 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
     _fill(B2, ([B2R @ Db2T, Bb3 - B2R @ L2], [-Db1.mT + M2R @ Db2T, M1.mT - M2R @ L2]))
     _fill(D1, ([D2R @ Bb2T, Db1 - D2R @ M2], [-Bb3.mT + L2R @ Bb2T, M1 - L2R @ M2]))
     _fill(D2, ([D2R @ Db2T, Db3 - D2R @ L2], [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2]))
+    A1, C1 = A1F[..., :ten], C1S[..., :ten]
     return DoubleHatStage(
-        n=n, A1=mp(A1F[..., :ten]), F=mp(A1F[..., ten:]), C1=mp(C1S[..., :ten]),
-        Sigma=mp(C1S[..., ten:]), Q=mp(QU[..., :ten]), Upsilon=mp(QU[..., ten:]),
-        B1=mp(B1), B2=mp(B2), D1=mp(D1), D2=mp(D2),
-        A2=mp(np.block([
-            [A - B2R @ S2, -B2R @ F2T],
-            [-S1 + M2R @ S2, A + M2R @ F2T],
-        ])),
-        C2=mp(np.block([
-            [C - D2R @ S2, -D2R @ F2T],
-            [-L1 + L2R @ S2, C + L2R @ F2T],
-        ])),
-        Xi=Xi, G=Gdh,
+        n=n, A1=mp(A1), F=mp(A1F[..., ten:]), C1=mp(C1), Sigma=mp(C1S[..., ten:]),
+        Q=mp(QU[..., :ten]), Upsilon=mp(QU[..., ten:]), B1=mp(B1), B2=mp(B2), D1=mp(D1),
+        D2=mp(D2), A2=mp(_j_conjugate(A1)), C2=mp(_j_conjugate(C1)), Xi=Xi, G=Gdh,
     )
 
 
@@ -577,18 +579,14 @@ class GainMaps:
     phiM2: MatrixPath
 
 
-# The coefficients `decoupling` reads, as named in a RiccatiProblem.
-DECOUPLED = ("A1", "B1", "C1", "B2", "D1", "D2")
-
-
 def decoupling(P: np.ndarray, A1: np.ndarray, B1: np.ndarray, C1: np.ndarray,
-               B2: np.ndarray, D1: np.ndarray, D2: np.ndarray):
+               D1: np.ndarray, B2: np.ndarray, D2: np.ndarray):
     """Martingale integrand and closed loop of a decoupled stage, Y = P X +
     phi with P solving a stage problem and phi its offset, all given as
-    stacks at the same times (the DECOUPLED coefficients of the problem,
-    in that order).  P is [P | phi], and A1 and C1 carry the offset's
-    forward drift and diffusion as trailing columns, [A1 | drift] and
-    [C1 | diff], so that one formula gives the state and offset columns:
+    stacks at the same times (the `backward.LEFT` coefficients of the
+    problem, in that order).  P is [P | phi], and A1 and C1 carry the
+    offset's forward drift and diffusion as trailing columns, [A1 | drift]
+    and [C1 | diff], so that one formula gives the state and offset columns:
 
         [E | e] = (I - P D2)^{-1} P ([C1 | diff] + D1 [P | phi]),
         [A | b] = [A1 | drift] + B1 [P | phi] + B2 [E | e],

@@ -142,7 +142,7 @@ def _vanishes(path: MatrixPath) -> bool:
     return not np.any(s[tuple(slice(None) if st else slice(1) for st in s.strides)])
 
 
-# What the square block S of P multiplies from the left, in a table's order.
+# What the square block S of P multiplies from the left, in a table's and decoupling's order.
 LEFT = ("A1", "B1", "C1", "D1", "B2", "D2")
 
 

@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
                  "eps", "directions"))
     spec = _load(args)
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
-    eps = tuple(args.eps) if args.eps else (0.05,)
+    eps = tuple(args.eps)
     montecarlo.check_eps(eps)
     if args.directions < 1:
         raise SpecError(f"directions per test must be at least 1, got {args.directions}")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validation + statistical verification")
     common(p, sim=True)
-    p.add_argument("--eps", type=float, nargs="*", default=[0.05])
+    p.add_argument("--eps", type=float, nargs="+", default=[0.05])
     p.add_argument("--directions", type=int, default=20)
     p.set_defaults(fn=cmd_verify)
 

@@ -34,8 +34,8 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
 @dataclass
 class EquilibriumSolution:
     """All ingredients of the state-feedback equilibrium on one grid.  Of
-    the stages it keeps those read after the solve (bb, weights, dh); the
-    hat and check stages only build bb, and `stage_blocks` rebuilds them."""
+    the stages it keeps those read after the solve, bb and dh; the hat,
+    check and weights stages only feed these, and `stage_blocks` rebuilds them."""
 
     spec: GameSpec
     P: MatrixPath
@@ -50,7 +50,6 @@ class EquilibriumSolution:
     Ctil: MatrixPath
     Dtil: MatrixPath
     bb: augment.BlackboardStage
-    weights: augment.LeaderCostWeights
     dh: augment.DoubleHatStage
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
@@ -109,7 +108,7 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     # equilibrium state comes with the decoupling gains (E, e)
     prob = dh.problem(offset=True)
     Ee, AB, CD = _stage("gain maps", augment.decoupling, Phsol.P.samples,
-                        *(getattr(prob, name).samples for name in augment.DECOUPLED))
+                        *(getattr(prob, name).samples for name in backward.LEFT))
     (Atil, Btil), (Ctil, Dtil) = split(AB), split(CD)
     gains = augment.build_gain_maps(spec, terms, Phat, phihat, Ee[..., :d], Ee[..., d:])
     del Ee  # read by the gain maps only; freed before the last march
@@ -132,7 +131,7 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     return EquilibriumSolution(
         spec=spec, P=Psol.P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
-        Dtil=Dtil, bb=blocks["blackboard"], weights=blocks["weights"], dh=dh,
+        Dtil=Dtil, bb=blocks["blackboard"], dh=dh,
         terms=terms, regularity=regularity,
     )
 
@@ -186,7 +185,7 @@ def row_maps(sol: EquilibriumSolution, t) -> dict:
     Ph = rows(sol.Phat, sol.phihat)
     return {
         "u1": rt1inv @ rows(g.PM1, g.phiM1),
-        "u2": np.linalg.inv(at(sol.weights.Rbb)) @ rows(g.PM2, g.phiM2),
+        "u2": np.linalg.inv(at(MatrixPath(spec.grid, sol.terms.Rbb))) @ rows(g.PM2, g.phiM2),
         "f": (-(2.0 / spec.alpha) * r0inv) @ augment.block_row(9, spec.n) @ Ph,
         "f2": ((2.0 / spec.gamma) * r0hinv) @ augment.block_row(5, spec.n) @ Ph,
         "rt1inv": rt1inv, "r0inv": r0inv, "r0hinv": r0hinv,

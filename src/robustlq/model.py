@@ -73,6 +73,7 @@ class TimeGrid:
 
 
 def make_grid(T: float, N: int) -> TimeGrid:
+    T = float(_floats(T, "horizon 'T'", ()))
     if not np.isfinite(T) or T <= 0:
         raise SpecError("horizon must be positive")
     if int(N) != N or N < 1:
@@ -263,19 +264,20 @@ def build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths) -> GameSpec:
     Each coefficient may be given as a scalar/array constant, a callable
     t -> matrix, or an existing MatrixPath.  Every coefficient that is
     omitted or None becomes a zero path (a JSON spec, by contrast, may
-    omit only sigma and f1).
+    omit only sigma and f1).  A value that is not numeric, or a callable's
+    value of the wrong size, is a SpecError naming its field.
     """
     grid = make_grid(T, N)
 
     def as_path(name, value):
-        want = _MATRIX_SHAPES[name](n, m1, m2)
+        want, what = _MATRIX_SHAPES[name](n, m1, m2), f"matrix {name!r}"
         if value is None:
             return MatrixPath.zeros(grid, *want)
         if isinstance(value, MatrixPath):
             return value
         if callable(value):
-            return MatrixPath.from_function(grid, lambda t: np.reshape(value(t), want))
-        arr = np.asarray(value, dtype=float)
+            return MatrixPath.from_function(grid, lambda t: _floats(value(t), what, want))
+        arr = _floats(value, what)
         if arr.size != want[0] * want[1]:
             raise SpecError(f"{name} has {arr.size} entries, expected shape {want}")
         return MatrixPath.constant(grid, arr.reshape(want))
@@ -285,8 +287,10 @@ def build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths) -> GameSpec:
     if unknown:
         raise SpecError(f"unknown coefficient names: {sorted(unknown)}")
     return GameSpec(
-        n=n, m1=m1, m2=m2, grid=grid, G=np.asarray(G, dtype=float).reshape(n, n),
-        alpha=float(alpha), gamma=float(gamma), xi=xi, **kwargs,
+        n=n, m1=m1, m2=m2, grid=grid, G=_floats(G, "matrix 'G'", (n, n)),
+        alpha=float(_floats(alpha, "spec field 'alpha'", ())),
+        gamma=float(_floats(gamma, "spec field 'gamma'", ())),
+        xi=_floats(xi, "spec field 'xi'"), **kwargs,
     )
 
 
@@ -498,10 +502,8 @@ def spec_from_dict(doc: dict, steps=None) -> GameSpec:
     doc = _object(doc, "spec document")
     try:
         n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
-        T, N = float(_floats(doc["T"], "spec field 'T'", ())), _integer(doc, "N")
-        alpha = float(_floats(doc["alpha"], "spec field 'alpha'", ()))
-        gamma = float(_floats(doc["gamma"], "spec field 'gamma'", ()))
-        xi = _floats(doc["xi"], "spec field 'xi'")
+        T, N = doc["T"], _integer(doc, "N")
+        alpha, gamma, xi = doc["alpha"], doc["gamma"], doc["xi"]
         matrices = _object(doc["matrices"], "spec field 'matrices'")
     except KeyError as exc:
         raise SpecError(f"spec file missing required field {exc}") from exc
@@ -513,7 +515,6 @@ def spec_from_dict(doc: dict, steps=None) -> GameSpec:
     gobj = _object(matrices["G"], "matrix 'G'")
     if "constant" not in gobj:
         raise SpecError("terminal weight G must be given as a constant matrix")
-    G = _floats(gobj["constant"], "matrix 'G'", (n, n))
 
     paths = {}
     for name, shape in _MATRIX_SHAPES.items():
@@ -524,7 +525,7 @@ def spec_from_dict(doc: dict, steps=None) -> GameSpec:
     unknown = set(matrices) - set(_MATRIX_SHAPES) - {"G"}
     if unknown:
         raise SpecError(f"spec file has unknown matrices: {sorted(unknown)}")
-    return build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths)
+    return build_spec(n, m1, m2, T, N, alpha, gamma, xi, gobj["constant"], **paths)
 
 
 def spec_to_dict(spec: GameSpec) -> dict:

@@ -301,7 +301,7 @@ def _leader_control(sol, pre, dirs) -> _Response:
     q = at(backward.solve_offset_b3(bb, sol.P3, dirs))
     v, P3 = at(dirs), at(sol.P3)
     prob = bb.problem()
-    stage = [at(getattr(prob, name)) for name in augment.DECOUPLED]
+    stage = [at(getattr(prob, name)) for name in backward.LEFT]
     # q rides as trailing columns of P3, its drift and diffusion sources as
     # trailing columns of A1 and C1
     stage[0] = np.concatenate([stage[0], at(bb.B2) @ v], axis=-1)
@@ -631,9 +631,16 @@ def _verdict(mean, se, sign: float, scale: float) -> str:
 
 
 def check_eps(eps):
-    """A SpecError unless every perturbation size in eps is finite."""
-    if not np.all(np.isfinite(eps)):
-        raise SpecError(f"perturbation sizes eps must be finite, got {list(eps)}")
+    """A SpecError unless eps is a non-empty sequence of finite perturbation
+    sizes: with no size the suite would have no rows, a vacuous pass."""
+    try:
+        sizes = np.asarray(eps, dtype=float)
+        ok = sizes.ndim == 1 and sizes.size > 0 and np.all(np.isfinite(sizes))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise SpecError(f"perturbation sizes eps must be a non-empty sequence of finite "
+                        f"numbers, got {eps!r}")
 
 
 def _has_columns(count: int, name: str, suite: str):
@@ -652,7 +659,7 @@ def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationRepor
     deterministic path; the replayed players' strategies and the linear
     worst-case responses ride on the same Brownian increments.  Reads the
     perturbation columns of `dev`, of which there must be at least one;
-    every size in eps must be finite.
+    eps must hold at least one size, every one finite (`check_eps`).
     """
     check_eps(eps)
     _has_columns(dev.directions, "directions", "best-response")

@@ -98,7 +98,7 @@ def integrand_gains(sol):
     of [Phat | phihat] under the 10n stage's offset form."""
     prob = sol.dh.problem(offset=True)
     Ee = augment.decoupling(np.concatenate([sol.Phat.samples, sol.phihat.samples], axis=-1),
-                            *(getattr(prob, name).samples for name in augment.DECOUPLED))[0]
+                            *(getattr(prob, name).samples for name in backward.LEFT))[0]
     return Ee[..., :sol.Phat.rows], Ee[..., sol.Phat.rows:]
 
 

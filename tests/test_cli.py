@@ -178,6 +178,18 @@ def test_verify_rejects_eps_before_solving(eps, monkeypatch, homog_file, tmp_pat
     assert "eps" in capsys.readouterr().err
 
 
+def test_verify_bare_eps_is_usage_error(monkeypatch, homog_file, tmp_path, capsys):
+    # a bare --eps gives no size: a usage error, not the default size
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran after a bare --eps")
+
+    monkeypatch.setattr(montecarlo, "deviation_tests", unreachable)
+    monkeypatch.setattr(cli.equilibrium, "solve_game", unreachable)
+    code = cli.run(["verify", "--spec", homog_file, "--out", str(tmp_path / "o"), "--eps"])
+    assert code == cli.EXIT_VALIDATION
+    assert "--eps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_verify_rejects_directions_before_solving(count, monkeypatch, homog_file, tmp_path,
                                                   capsys):
@@ -353,6 +365,15 @@ DUMP_BLOCKS_SHA = {
         "weights": "bcdd0c4f7c4fab8a88d5db7472fa1979b166005f7384332f0e77009bf85231d3",
         "doublehat": "b77e38f05862cc57b9ca432619015b5cc4b83cd5f95a29cc0200dcacf769fbd8",
     },
+    # diffusion-free: the C, D1 and D2 blocks are exact zeros, whose signs
+    # the JSON keeps ("-0.0")
+    "instance_b": {
+        "hat": "0de4415357e6fc6559151d052dab24f8d9c83f89292195c2c4f082773342fbbe",
+        "check": "877f9b92608783dff48caadd1e8ca34dbc7eda8cfc6f627bb6a44c22583f5676",
+        "blackboard": "a34747c877aac65b983187f84c7d57a345b0c1aa0ae3d29c922519c3d23e9d5a",
+        "weights": "fc4763ead649fa40bcc257d6c93c9e0c2efa04600682449105679f36ba14d407",
+        "doublehat": "4a5e295c79217abc9af40db3d48806b10adf58a9d4eff354afa089d7f63dfeb6",
+    },
 }
 
 
@@ -361,7 +382,8 @@ def test_dump_blocks_bytes(game, tmp_path):
     # the doublehat blocks are column slices of one coefficient table; the
     # JSON of every stage keeps its bytes, so no block moved and the table
     # is not written
-    spec = instance_a() if game == "instance_a" else random_spec(3, 2, N=40)
+    spec = {"instance_a": instance_a, "instance_b": lambda: instance_b(N=64),
+            "random_3_2": lambda: random_spec(3, 2, N=40)}[game]()
     spec_file, out = tmp_path / "spec.json", tmp_path / "o"
     rl.dump_spec(spec, spec_file)
     for stage, digest in DUMP_BLOCKS_SHA[game].items():

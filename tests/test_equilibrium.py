@@ -68,6 +68,7 @@ def test_feedback_leader_control_consistency(sol_a):
     spec = sol_a.spec
     rng = np.random.default_rng(12)
     Es, es = integrand_gains(sol_a)
+    bb, w = sol_a.bb, equilibrium.stage_blocks(spec)["weights"]
     for _ in range(10):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
@@ -76,7 +77,6 @@ def test_feedback_leader_control_consistency(sol_a):
         Y = sol_a.Phat.samples[k] @ X[:, None] + sol_a.phihat.samples[k]
         Z = Es[k] @ X[:, None] + es[k]
         five = 5 * spec.n
-        bb, w = sol_a.bb, sol_a.weights
         stat = (bb.B2.samples[k].T @ Y[:five] + bb.D2.samples[k].T @ Z[:five]
                 + bb.F2.samples[k].T @ X[five:, None] - w.S2.samples[k] @ X[:five, None]
                 - w.M2.samples[k] @ Y[five:] - w.L2.samples[k] @ Z[five:]

@@ -300,6 +300,22 @@ def test_spec_api_errors(make, message):
         make(instance_a(N=8))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"A": lambda t: [1.0, 2.0]}, r"matrix 'A' must be numeric of shape \(1, 1\)"),
+    ({"A": "abc"}, "matrix 'A' must be numeric"),
+    ({"G": [[0.5, 0.5]]}, r"matrix 'G' must be numeric of shape \(1, 1\)"),
+    ({"alpha": "x"}, "'alpha' must be numeric"),
+    ({"T": "abc"}, "'T' must be numeric"),
+], ids=["callable_size", "constant_text", "terminal_size", "alpha_text", "horizon_text"])
+def test_build_spec_malformed_values(edit, message):
+    # each value is read as numbers of its field's shape, so a bad one is
+    # a SpecError naming the field, not a ValueError or TypeError
+    kwargs = dict(n=1, m1=1, m2=1, T=1.0, N=8, alpha=8.0, gamma=8.0, xi=[1.0], G=[[0.5]],
+                  A=0.1, Q=1.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0)
+    with pytest.raises(SpecError, match=message):
+        rl.build_spec(**{**kwargs, **edit})
+
+
 @pytest.mark.parametrize("case", sorted(malformed_spec_docs()))
 def test_spec_malformed_raises_spec_error(case):
     doc, message = malformed_spec_docs()[case]

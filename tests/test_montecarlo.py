@@ -663,6 +663,13 @@ def test_suites_fail_and_inconclusive_verdicts(shift, verdict):
         assert not rep.ok
 
 
+@pytest.mark.parametrize("eps", [(), 0.05], ids=["empty", "scalar"])
+def test_perturbation_rejects_no_sizes(eps):
+    # no size would give a report with no rows, a vacuous pass
+    with pytest.raises(SpecError, match="eps must be a non-empty sequence"):
+        rl.perturb_best_response(hand_made_deviations(0.0), eps=eps)
+
+
 @pytest.mark.parametrize("suite, count", [(rl.perturb_best_response, "directions"),
                                           (rl.sampled_convexity, "samples")])
 def test_deviation_suites_reject_no_directions(sol_a, suite, count):
