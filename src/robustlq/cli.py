@@ -23,7 +23,7 @@ import numpy as np
 
 from . import equilibrium, montecarlo
 from .model import (BlowUpError, MatrixPath, RegularityError, SpecError,
-                    build_spec, load_spec, validate_spec)
+                    as_count, build_spec, load_spec, validate_spec)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,11 +54,6 @@ def write_path_csv(path: MatrixPath, dest):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in flat]))
     dest = Path(dest)
     dest.write_text("\n".join(lines) + "\n")
-
-
-def _echo(args, keys):
-    resolved = {k: getattr(args, k) for k in keys}
-    print("resolved configuration:", json.dumps(resolved, sort_keys=True, default=str))
 
 
 def _load(args):
@@ -112,7 +107,6 @@ def _write_json(obj, dest):
 
 
 def cmd_solve(args) -> int:
-    _echo(args, ("spec", "out", "grid_n", "delta"))
     spec = _load(args)
     sol = equilibrium.solve_game(spec, delta=args.delta)
     out = _outdir(args)
@@ -124,7 +118,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _echo(args, ("spec", "out", "grid_n", "delta", "paths", "seed", "substeps"))
     spec = _load(args)
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
     sol = equilibrium.solve_game(spec, delta=args.delta)
@@ -145,14 +138,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _echo(args, ("spec", "out", "grid_n", "delta", "paths", "seed", "substeps",
-                 "eps", "directions"))
     spec = _load(args)
     cfg = montecarlo.SimConfig(paths=args.paths, seed=args.seed, substeps=args.substeps)
     eps = tuple(args.eps)
     montecarlo.check_eps(eps)
-    if args.directions < 1:
-        raise SpecError(f"directions per test must be at least 1, got {args.directions}")
+    as_count(args.directions, "directions per test")
     out = _outdir(args)
     report = validate_spec(spec, delta=args.delta)
     (out / "validation.txt").write_text("\n".join(report.lines()) + "\n")
@@ -192,7 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    _echo(args, ("a", "c", "q", "g", "r1", "r2", "alpha", "gamma", "xi", "T", "N", "out"))
     out = _outdir(args)
     spec = build_spec(
         n=1, m1=1, m2=1, T=args.T, N=args.N, alpha=args.alpha, gamma=args.gamma,
@@ -218,7 +207,6 @@ def cmd_example(args) -> int:
 
 
 def cmd_dump_blocks(args) -> int:
-    _echo(args, ("spec", "stage", "t", "out", "delta"))
     spec = _load(args)
     stage = equilibrium.stage_blocks(spec, args.delta)[args.stage]
     doc = {"stage": args.stage, "t": args.t, "blocks": {}}
@@ -303,6 +291,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    resolved = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    print("resolved configuration:", json.dumps(resolved, sort_keys=True, default=str))
     try:
         return args.fn(args)
     except SpecError as exc:

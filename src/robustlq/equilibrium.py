@@ -28,7 +28,7 @@ import numpy as np
 
 from . import augment, backward
 from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
-                    SpecError, validate_spec)
+                    SpecError, _floats, validate_spec)
 
 
 @dataclass
@@ -72,6 +72,7 @@ def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
     "check", "blackboard", "weights" and "doublehat".  A spec that fails
     `validate_spec`, or a delta that is not a positive finite number, is a
     SpecError; a solver failure is tagged with its stage, as in solve_game."""
+    delta = float(_floats(delta, "delta", ()))
     report = validate_spec(spec, delta)
     if not report.ok:
         names = ", ".join(c.name for c in report.failures())

@@ -22,6 +22,21 @@ class SpecError(ValueError):
     """Malformed or inconsistent game specification."""
 
 
+def as_count(value, what, least=1) -> int:
+    """value as a Python int of at least `least`: a Python or numpy integer,
+    or a float with an integral value (a JSON 200.0), never a bool; else a
+    SpecError naming `what`.  Every count of the package, from the
+    dimensions and N to the Monte Carlo paths, is read through here."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise SpecError(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
 class RegularityError(RuntimeError):
     """A regularity condition failed at some grid node."""
 
@@ -76,9 +91,7 @@ def make_grid(T: float, N: int) -> TimeGrid:
     T = float(_floats(T, "horizon 'T'", ()))
     if not np.isfinite(T) or T <= 0:
         raise SpecError("horizon must be positive")
-    if int(N) != N or N < 1:
-        raise SpecError("step count must be a positive integer")
-    N = int(N)
+    N = as_count(N, "step count 'N'")
     try:
         nodes = np.linspace(0.0, float(T), N + 1)
     except (ValueError, MemoryError) as exc:
@@ -236,9 +249,7 @@ class GameSpec:
 
     def __post_init__(self):
         for name in ("n", "m1", "m2"):
-            dim = getattr(self, name)
-            if dim < 1:
-                raise SpecError(f"dimension {name!r} must be at least 1, got {dim}")
+            object.__setattr__(self, name, as_count(getattr(self, name), f"dimension {name!r}"))
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         xi = np.asarray(self.xi, dtype=float)
         for name in ("alpha", "gamma"):
@@ -264,9 +275,11 @@ def build_spec(n, m1, m2, T, N, alpha, gamma, xi, G, **paths) -> GameSpec:
     Each coefficient may be given as a scalar/array constant, a callable
     t -> matrix, or an existing MatrixPath.  Every coefficient that is
     omitted or None becomes a zero path (a JSON spec, by contrast, may
-    omit only sigma and f1).  A value that is not numeric, or a callable's
-    value of the wrong size, is a SpecError naming its field.
+    omit only sigma and f1).  A value that is not numeric, a callable's
+    value of the wrong size, or a dimension or N that is no count
+    (`as_count`), is a SpecError naming its field.
     """
+    n, m1, m2 = (as_count(v, f"dimension {k!r}") for k, v in (("n", n), ("m1", m1), ("m2", m2)))
     grid = make_grid(T, N)
 
     def as_path(name, value):
@@ -361,6 +374,7 @@ def validate_spec(spec: GameSpec, delta: float = 1e-8) -> ValidationReport:
     decidable here; the montecarlo module probes them by sampling.  A
     delta that is not a positive finite number is a SpecError.
     """
+    delta = float(_floats(delta, "delta", ()))
     if not (np.isfinite(delta) and delta > 0.0):
         raise SpecError(f"delta must be a positive finite number, got {delta}")
     checks = []
@@ -486,29 +500,20 @@ def load_spec(path, steps=None) -> GameSpec:
     return spec_from_dict(doc, steps)
 
 
-def _integer(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecError(f"spec field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def spec_from_dict(doc: dict, steps=None) -> GameSpec:
     """Assemble the document's game with `build_spec`, reading its
     constants and node lists onto a grid of N steps, or of `steps` in place
-    of a valid N (an N that is no positive integer still fails)."""
+    of a valid N (an N that is no count still fails)."""
     doc = _object(doc, "spec document")
     try:
-        n, m1, m2 = _integer(doc, "n"), _integer(doc, "m1"), _integer(doc, "m2")
-        T, N = doc["T"], _integer(doc, "N")
+        n, m1, m2 = (as_count(doc[k], f"dimension {k!r}") for k in ("n", "m1", "m2"))
+        T, N = doc["T"], as_count(doc["N"], "spec field 'N'")
         alpha, gamma, xi = doc["alpha"], doc["gamma"], doc["xi"]
         matrices = _object(doc["matrices"], "spec field 'matrices'")
     except KeyError as exc:
         raise SpecError(f"spec file missing required field {exc}") from exc
-    if steps is not None and N >= 1:
-        N = steps
+    if steps is not None:
+        N = as_count(steps, "steps")
     grid = make_grid(T, N)
     if "G" not in matrices:
         raise SpecError("spec file missing matrix 'G'")

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import augment, backward
 from .equilibrium import EquilibriumSolution, ensure_diagnostics, row_maps, skeleton
-from .model import BlowUpError, MatrixPath, SpecError, make_grid
+from .model import BlowUpError, MatrixPath, SpecError, as_count, make_grid
 
 BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
 # Paths [b, b + PATH_BLOCK) share one Brownian stream and are advanced
@@ -74,8 +74,9 @@ STEP_BLOCK = 32  # steps whose matrices are formed together
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run settings: the path count (at least two, for a
-    standard error), the streams' master seed and the Euler substeps per step.
+    """Monte Carlo run settings, each stored as a count (`as_count`): the
+    path count (at least two, for a standard error), the streams' master
+    seed (at least 0) and the Euler substeps per step (at least 1).
 
     The paths run PATH_BLOCK at a time, so one block of increments,
     PATH_BLOCK x (N * substeps) doubles, is held at once.
@@ -86,11 +87,8 @@ class SimConfig:
     substeps: int = 1
 
     def __post_init__(self):
-        for name, least in (("paths", 2), ("substeps", 1)):
-            if getattr(self, name) < least:
-                raise SpecError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise SpecError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("paths", 2), ("seed", 0), ("substeps", 1)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
 
 
 def _mean_se(arr):
@@ -583,17 +581,16 @@ def deviation_tests(sol: EquilibriumSolution, cfg: SimConfig, directions: int = 
     simulation seed).  Every response treats its columns independently, so
     the directions of one suite give the same outputs whatever the other
     suite's count, 0 included; the base closed loop, the offset solves and
-    the Brownian increments are shared.
+    the Brownian increments are shared.  Each count is at least 0
+    (`as_count`), and directions + samples at least 1.
     """
-    for name, count in (("directions", directions), ("samples", samples)):
-        if count < 0:
-            raise SpecError(f"{name} per test must be non-negative, got {count}")
+    directions = as_count(directions, "directions per test", 0)
+    samples = as_count(samples, "samples per test", 0)
     if directions + samples < 1:
         raise SpecError("directions and samples per test must add up to at least 1, got 0")
-    if directions_seed is not None and directions_seed < 0:
-        raise SpecError(f"directions_seed must be non-negative, got {directions_seed}")
     spec = sol.spec
-    entropy = cfg.seed if directions_seed is None else directions_seed
+    entropy = (cfg.seed if directions_seed is None
+               else as_count(directions_seed, "directions_seed", 0))
     drawn = []
     for key, count in ((0xD1, directions), (0xC0, samples)):
         rng = np.random.Generator(np.random.Philox(
@@ -643,13 +640,6 @@ def check_eps(eps):
                         f"numbers, got {eps!r}")
 
 
-def _has_columns(count: int, name: str, suite: str):
-    """A SpecError for a suite whose run has no columns: an empty report
-    would read as a vacuous pass."""
-    if count < 1:
-        raise SpecError(f"{name} per test must be at least 1 for the {suite} suite, got {count}")
-
-
 def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationReport:
     """Best-response perturbation suite under common random numbers.
 
@@ -662,7 +652,8 @@ def perturb_best_response(dev: Deviations, eps=(0.05, 0.1)) -> PerturbationRepor
     eps must hold at least one size, every one finite (`check_eps`).
     """
     check_eps(eps)
-    _has_columns(dev.directions, "directions", "best-response")
+    # a run with no columns would give an empty report, a vacuous pass
+    as_count(dev.directions, "directions per test of the best-response suite")
     report = PerturbationReport()
     for t in dev.tests:
         for d in range(dev.directions):
@@ -694,7 +685,8 @@ def sampled_convexity(dev: Deviations) -> PerturbationReport:
     definiteness assumption (sampling cannot prove it).  Reads the
     convexity columns of `dev`, of which there must be at least one.
     """
-    _has_columns(dev.samples, "samples", "convexity")
+    # a run with no columns would give an empty report, a vacuous pass
+    as_count(dev.samples, "samples per test of the convexity suite")
     by_name = {t.name: t for t in dev.tests}
     report = PerturbationReport()
     for name in _NESTED_ORDER:

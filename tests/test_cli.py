@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,35 @@ def test_solve_homogeneous(homog_file, tmp_path, capsys):
                  "phiM1", "phiM2"):
         assert (out / f"{name}.csv").exists()
     assert "resolved configuration" in capsys.readouterr().out
+
+
+def test_echo_lists_every_option(homog_file, tmp_path, capsys):
+    # the echo reads the parsed options, so no subcommand leaves one out
+    for argv, key, value in (
+            (["simulate", "--paths", "10", "--per-path", "--out", str(tmp_path / "s")],
+             "per_path", True),
+            (["dump-blocks", "--stage", "hat", "--grid-n", "4"], "grid_n", 4)):
+        assert cli.run(argv + ["--spec", homog_file]) == cli.EXIT_OK
+        echo = capsys.readouterr().out.splitlines()[0]
+        assert echo.startswith("resolved configuration: ")
+        assert json.loads(echo.split(": ", 1)[1])[key] == value
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m robustlq.cli` runs `main`, which exits with run's code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def robustlq(*argv):
+        return subprocess.run([sys.executable, "-m", "robustlq.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = robustlq("example", "--N", "40", "--out", str(tmp_path / "ex"))
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    for name in ("bode.csv", "strategies.csv"):
+        assert (tmp_path / "ex" / name).stat().st_size > 0, name
+    done = robustlq("solve", "--spec", str(tmp_path / "missing.json"),
+                    "--out", str(tmp_path / "o"))
+    assert done.returncode == cli.EXIT_VALIDATION and "spec error" in done.stderr
 
 
 def test_solve_csv_roundtrip_precision(homog_file, tmp_path):

@@ -47,6 +47,25 @@ def test_delta_must_be_positive_finite(delta):
             fn(spec, delta=delta)
 
 
+@pytest.mark.parametrize("delta", ["x", None, [1e-8, 1e-8]], ids=["text", "none", "pair"])
+def test_delta_must_be_a_number(delta):
+    spec = instance_a(N=20)
+    for fn in (rl.solve_game, rl.validate_spec, equilibrium.stage_blocks):
+        with pytest.raises(SpecError, match="delta must be"):
+            fn(spec, delta=delta)
+
+
+def test_delta_is_read_once_as_a_float():
+    # a numeric text or a one-entry list reaches every stage as the float
+    # it holds, as alpha and T do
+    spec = instance_a(N=20)
+    want = rl.solve_game(spec, delta=1e-8)
+    for delta in ("1e-8", [1e-8]):
+        got = rl.solve_game(spec, delta=delta)
+        assert np.array_equal(got.Phat.samples, want.Phat.samples)
+        assert rl.value(got) == rl.value(want)
+
+
 def test_feedback_zero_state_homogeneous(sol_homog):
     out = rl.feedback(sol_homog, np.zeros(10), 0.3)
     for arr in (out.u1, out.u2, out.f, out.f2):

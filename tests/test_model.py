@@ -256,7 +256,7 @@ def test_spec_steps_read_as_document_n():
 
 
 @pytest.mark.parametrize("bad_n, message", [(3.7, "'N' must be an integer"),
-                                            (0, "positive integer"), (None, "'N'")])
+                                            (0, "must be at least 1"), (None, "'N'")])
 def test_spec_steps_still_check_document_n(bad_n, message):
     doc = rl.spec_to_dict(instance_a(N=8))
     if bad_n is None:
@@ -314,6 +314,58 @@ def test_build_spec_malformed_values(edit, message):
                   A=0.1, Q=1.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0)
     with pytest.raises(SpecError, match=message):
         rl.build_spec(**{**kwargs, **edit})
+
+
+_SPEC_KWARGS = dict(n=1, m1=1, m2=1, T=1.0, N=8, alpha=8.0, gamma=8.0, xi=[1.0], G=[[0.5]],
+                    A=0.1, Q=1.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0)
+
+# one call per count of the package, each taking its count from `v`
+_COUNTS = {
+    "build_spec.n": (lambda v, f, sol: rl.build_spec(**{**_SPEC_KWARGS, "n": v}), "'n'"),
+    "build_spec.m1": (lambda v, f, sol: rl.build_spec(**{**_SPEC_KWARGS, "m1": v}), "'m1'"),
+    "build_spec.m2": (lambda v, f, sol: rl.build_spec(**{**_SPEC_KWARGS, "m2": v}), "'m2'"),
+    "build_spec.N": (lambda v, f, sol: rl.build_spec(**{**_SPEC_KWARGS, "N": v}), "'N'"),
+    "load_spec.steps": (lambda v, f, sol: rl.load_spec(f, v), "steps"),
+    "SimConfig.paths": (lambda v, f, sol: rl.SimConfig(paths=v), "paths"),
+    "SimConfig.substeps": (lambda v, f, sol: rl.SimConfig(substeps=v), "substeps"),
+    "SimConfig.seed": (lambda v, f, sol: rl.SimConfig(seed=v), "seed"),
+    "deviation_tests.directions": (
+        lambda v, f, sol: rl.deviation_tests(sol, rl.SimConfig(paths=10), directions=v),
+        "directions"),
+    "deviation_tests.samples": (
+        lambda v, f, sol: rl.deviation_tests(sol, rl.SimConfig(paths=10), samples=v),
+        "samples"),
+    "deviation_tests.directions_seed": (
+        lambda v, f, sol: rl.deviation_tests(sol, rl.SimConfig(paths=10), directions_seed=v),
+        "directions_seed"),
+}
+
+
+@pytest.mark.parametrize("target, value", [
+    (target, value) for target in sorted(_COUNTS) for value in ("abc", None, True, 1.5)
+    # None is the default of these two, and means "not given"
+    if value is not None or target not in ("load_spec.steps", "deviation_tests.directions_seed")])
+def test_counts_reject_non_integers(target, value, sol_a, tmp_path):
+    # every count is read by one rule: no text, None, bool or fraction
+    call, field = _COUNTS[target]
+    f = tmp_path / "a.json"
+    rl.dump_spec(instance_a(N=8), f)
+    with pytest.raises(SpecError, match=f"{field}.* must be an integer"):
+        call(value, f, sol_a)
+
+
+def test_integral_counts_read_as_ints(sol_a):
+    # an integral float or a numpy integer is the int it holds, bit for bit
+    cfg = rl.SimConfig(paths=64.0, seed=np.int64(3), substeps=2.0)
+    assert [type(v) for v in (cfg.paths, cfg.seed, cfg.substeps)] == [int] * 3
+    got, want = (rl.simulate(sol_a, c) for c in (cfg, rl.SimConfig(paths=64, seed=3, substeps=2)))
+    for name in ("j", "j_follower", "j_leader", "terminal"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    spec = rl.build_spec(**{**_SPEC_KWARGS, "m2": np.int64(1), "N": 8.0})
+    assert type(spec.m2) is int and type(spec.grid.steps) is int
+    got, want = (rl.solve_game(s) for s in (spec, rl.build_spec(**_SPEC_KWARGS)))
+    assert np.array_equal(got.Phat.samples, want.Phat.samples)
+    assert rl.value(got) == rl.value(want)
 
 
 @pytest.mark.parametrize("case", sorted(malformed_spec_docs()))
