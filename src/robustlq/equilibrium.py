@@ -34,8 +34,9 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
 @dataclass
 class EquilibriumSolution:
     """All ingredients of the state-feedback equilibrium on one grid.  Of
-    the stages it keeps those read after the solve, bb and dh; the hat,
-    check and weights stages only feed these, and `stage_blocks` rebuilds them."""
+    the stages it keeps the follower terms and the 10n stage dh, which the
+    value, the skeleton and the oracles read.  Verification alone reads the
+    5n stage bb and its path P3: `ensure_diagnostics` fills both on demand."""
 
     spec: GameSpec
     P: MatrixPath
@@ -49,10 +50,10 @@ class EquilibriumSolution:
     Btil: MatrixPath
     Ctil: MatrixPath
     Dtil: MatrixPath
-    bb: augment.BlackboardStage
     dh: augment.DoubleHatStage
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
+    bb: augment.BlackboardStage | None = None
     P3: MatrixPath | None = None
     # skeleton(sol), kept by the first BVP oracle; a `replace` starts afresh
     noise_free: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -64,6 +65,14 @@ def _stage(name, fn, *args, **kwargs):
     except (RegularityError, BlowUpError) as exc:
         exc.args = (f"[stage {name}] {exc.args[0]}",) + exc.args[1:]
         raise
+
+
+def _blackboard_chain(spec: GameSpec, terms: augment.FollowerTerms) -> tuple:
+    """The hat, check and blackboard (5n) stages, each built on the one
+    before from the spec and the follower terms alone."""
+    hat = augment.build_hat(spec, terms)
+    check = augment.build_check(spec, terms, hat)
+    return hat, check, augment.build_blackboard(check, hat, terms)
 
 
 def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
@@ -81,9 +90,7 @@ def stage_blocks(spec: GameSpec, delta: float = 1e-8) -> dict:
     # Rbb is formed and checked with the follower terms, so a leader weight
     # that fails keeps the stage name of the weights it belongs to
     terms = _stage("leader cost weights", augment.follower_terms, spec, Psol.P, delta)
-    hat = augment.build_hat(spec, terms)
-    check = augment.build_check(spec, terms, hat)
-    bb = augment.build_blackboard(check, hat, terms)
+    hat, check, bb = _blackboard_chain(spec, terms)
     weights = augment.build_cost_weights(spec, terms)
     return {"follower": Psol, "terms": terms, "hat": hat, "check": check, "blackboard": bb,
             "weights": weights, "doublehat": augment.build_doublehat(bb, weights, terms.Rbbinv)}
@@ -94,11 +101,13 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
 
     Raises SpecError when validation fails, RegularityError or BlowUpError
     (tagged with the failing stage) when a solvability condition breaks
-    down.
+    down.  Of the stages only the follower terms and dh outlive the build;
+    the others are freed before the disturbance march.
     """
     blocks = stage_blocks(spec, delta)
-    P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
     Psol, terms, dh = blocks["follower"], blocks["terms"], blocks["doublehat"]
+    del blocks
+    P1sol = _stage("disturbance riccati", backward.solve_riccati_disturbance, spec)
 
     Phsol = _stage("hamiltonian riccati", backward.solve_offset_b4, dh)
     grid, d = spec.grid, 10 * spec.n
@@ -132,15 +141,16 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     return EquilibriumSolution(
         spec=spec, P=Psol.P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
-        Dtil=Dtil, bb=blocks["blackboard"], dh=dh,
-        terms=terms, regularity=regularity,
+        Dtil=Dtil, dh=dh, terms=terms, regularity=regularity,
     )
 
 
 def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
-    """Solve the leader-stage (5n) Riccati path P3 on demand; it drives the
-    leader-deviation responses in verification."""
+    """Build the 5n stage bb from the spec and the follower terms, bit for
+    bit the one `stage_blocks` gives, and solve its Riccati path P3, on
+    demand; they drive the leader-deviation responses in verification."""
     if sol.P3 is None:
+        sol.bb = _blackboard_chain(sol.spec, sol.terms)[2]
         sol.P3 = _stage("intermediate riccati P3", backward.solve_riccati_generalized,
                         sol.bb.problem()).P
     return sol

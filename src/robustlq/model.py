@@ -437,9 +437,12 @@ def _path_to_json(path: MatrixPath):
 
 def _floats(value, what, shape=None) -> np.ndarray:
     """value as a float array, reshaped when a shape is given; a SpecError
-    naming `what` when it is not numeric or does not fit the shape."""
+    naming `what` when it is not numeric or does not fit the shape.  Shape
+    () takes a number only, not a one-entry array."""
     try:
         arr = np.asarray(value, dtype=float)
+        if shape == () and arr.ndim:
+            raise ValueError("reshape(()) would take any one-entry array")
         return arr if shape is None else arr.reshape(shape)
     except (TypeError, ValueError) as exc:
         fit = "" if shape is None else f" of shape {shape}"

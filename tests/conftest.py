@@ -155,6 +155,8 @@ def malformed_spec_docs():
         "empty_node_list": (doc_with(Q=[]), "'Q' has an empty node list"),
         "non_numeric_T": (doc_with(T="abc"), "'T' must be numeric"),
         "non_numeric_alpha": (doc_with(alpha="x"), "'alpha' must be numeric"),
+        "alpha_list": (doc_with(alpha=[8.0]), "'alpha' must be numeric"),
+        "T_nested": (doc_with(T=[[1.0]]), "'T' must be numeric"),
         "non_numeric_xi": (doc_with(xi=["a"]), "'xi' must be numeric"),
         "non_numeric_node_time": (doc_with(Q=["a", 1.0]), "node times of matrix 'Q'"),
         "nan_node_time": (doc_with(Q=[0.0, 0.5, float("nan"), 1.0]),

@@ -131,12 +131,14 @@ def test_blackboard_disturbance_corner(sol_a):
 
 
 def test_blackboard_zero_weights(sol_homog):
-    assert np.all(sol_homog.bb.Q.samples == 0.0)
-    assert np.all(sol_homog.bb.G == 0.0)
+    bb = equilibrium.stage_blocks(sol_homog.spec)["blackboard"]
+    assert np.all(bb.Q.samples == 0.0)
+    assert np.all(bb.G == 0.0)
 
 
 def test_blackboard_sigma_stacking(sol_a):
-    bb, check = sol_a.bb, equilibrium.stage_blocks(sol_a.spec)["check"]
+    blocks = equilibrium.stage_blocks(sol_a.spec)
+    bb, check = blocks["blackboard"], blocks["check"]
     n = sol_a.spec.n
     assert np.array_equal(bb.Sigma.samples[:, :3 * n], check.sigma.samples)
     assert np.all(bb.Sigma.samples[:, 3 * n:] == 0.0)
@@ -235,7 +237,8 @@ def test_doublehat_sign_pairing(sol_a):
 
 def test_doublehat_xi_stacking(sol_a):
     half = 5 * sol_a.spec.n
-    assert np.array_equal(sol_a.dh.Xi[:half], sol_a.bb.Xi)
+    bb = equilibrium.stage_blocks(sol_a.spec)["blackboard"]
+    assert np.array_equal(sol_a.dh.Xi[:half], bb.Xi)
     assert np.all(sol_a.dh.Xi[half:] == 0.0)
 
 
@@ -257,7 +260,7 @@ def test_stage_dimension_audit():
 
 def test_zero_propagation_homogeneous(sol_homog):
     blocks = equilibrium.stage_blocks(sol_homog.spec)
-    hat, check, bb, dh = blocks["hat"], blocks["check"], sol_homog.bb, sol_homog.dh
+    hat, check, bb, dh = blocks["hat"], blocks["check"], blocks["blackboard"], sol_homog.dh
     for path in (hat.b, hat.sigma, hat.v, check.F1, bb.F1, bb.Upsilon,
                  dh.F, dh.Sigma, dh.Upsilon):
         assert np.all(path.samples == 0.0)

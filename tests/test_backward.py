@@ -294,7 +294,7 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
     # fraction (instance_b's stages), the fraction C2^T P C1 without the
     # solve (P1 of games with diffusion) and no P B1 P either (L and psi);
     # phi1, which forms the full offset equation, keeps its bits too
-    probs = (sol_b.dh.problem(), sol_b.bb.problem())
+    probs = (sol_b.dh.problem(), equilibrium.stage_blocks(sol_b.spec)["blackboard"].problem())
     assert all(prob.vanishes("C1", "C2", "B2", "D1", "D2") for prob in probs)
     games = (instance_a(N=100), random_spec(3, 2, N=100))
 

@@ -1,5 +1,6 @@
 import hashlib
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def test_delta_must_be_positive_finite(delta):
             fn(spec, delta=delta)
 
 
-@pytest.mark.parametrize("delta", ["x", None, [1e-8, 1e-8]], ids=["text", "none", "pair"])
+@pytest.mark.parametrize("delta", ["x", None, [1e-8, 1e-8], [1e-8]],
+                         ids=["text", "none", "pair", "single"])
 def test_delta_must_be_a_number(delta):
     spec = instance_a(N=20)
     for fn in (rl.solve_game, rl.validate_spec, equilibrium.stage_blocks):
@@ -56,14 +58,13 @@ def test_delta_must_be_a_number(delta):
 
 
 def test_delta_is_read_once_as_a_float():
-    # a numeric text or a one-entry list reaches every stage as the float
-    # it holds, as alpha and T do
+    # a numeric text reaches every stage as the float it holds, as alpha
+    # and T do
     spec = instance_a(N=20)
     want = rl.solve_game(spec, delta=1e-8)
-    for delta in ("1e-8", [1e-8]):
-        got = rl.solve_game(spec, delta=delta)
-        assert np.array_equal(got.Phat.samples, want.Phat.samples)
-        assert rl.value(got) == rl.value(want)
+    got = rl.solve_game(spec, delta="1e-8")
+    assert np.array_equal(got.Phat.samples, want.Phat.samples)
+    assert rl.value(got) == rl.value(want)
 
 
 def test_feedback_zero_state_homogeneous(sol_homog):
@@ -87,7 +88,8 @@ def test_feedback_leader_control_consistency(sol_a):
     spec = sol_a.spec
     rng = np.random.default_rng(12)
     Es, es = integrand_gains(sol_a)
-    bb, w = sol_a.bb, equilibrium.stage_blocks(spec)["weights"]
+    blocks = equilibrium.stage_blocks(spec)
+    bb, w = blocks["blackboard"], blocks["weights"]
     for _ in range(10):
         k = int(rng.integers(0, len(spec.grid)))
         t = spec.grid.nodes[k]
@@ -253,6 +255,33 @@ def test_diagnostic_stages_on_request():
     # terminal data match the stage definitions exactly
     assert np.array_equal(P2.samples[-1], hat.G)
     assert np.array_equal(sol.P3.samples[-1], sol.bb.G)
+
+
+@pytest.mark.parametrize("spec", [instance_a(), instance_b(), random_spec(3, 2, N=80)],
+                         ids=["instance_a", "instance_b", "random_3_2"])
+def test_blackboard_stage_on_request(spec):
+    # a solve keeps neither the 5n stage nor P3; ensure_diagnostics rebuilds
+    # the stage that stage_blocks gives, bit for bit
+    sol = rl.solve_game(spec)
+    assert sol.bb is None and sol.P3 is None
+    got = rl.ensure_diagnostics(sol).bb
+    want = equilibrium.stage_blocks(spec)["blackboard"]
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        a, b = (np.asarray(getattr(x, "samples", x)) for x in (a, b))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+
+def test_solve_peak_memory():
+    # the hat, check, weights and 5n stages are freed before the marches
+    spec = random_spec(1, 4, N=200)
+    tracemalloc.start()
+    try:
+        rl.solve_game(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_intermediate_stage_residuals():
