@@ -16,11 +16,12 @@ system is formed once, by `build_hat`.  Each builder forms its blocks
 exactly at the grid nodes, for all nodes at once as (N+1, rows, cols)
 arrays, and wraps them as matrix paths; no symbolic simplification is
 attempted, so every block can be audited entry by entry against its
-definition.  The one exception is the 10n stage's A2 and C2, formed from
-its A1 and C1 as J A1 J and J C1 J with J = diag(I_5n, -I_5n).  The 2n,
-5n and 10n stages map their blocks to the unified Riccati form in their
-`problem()` method, and `decoupling` turns a solved stage into its
-martingale integrand and closed loop.  The 10n stage stores its offsets
+definition.  The one exception is the 10n stage's A2 and C2, J A1 J and
+J C1 J with J = diag(I_5n, -I_5n), which the stage does not store: each
+read forms them from its A1 and C1.  The 2n, 5n and 10n stages map their
+blocks to the unified Riccati form in their `problem()` method, and
+`decoupling` turns a solved stage into its martingale integrand and
+closed loop.  The 10n stage stores its offsets
 as trailing columns of the blocks they sit beside, which is the form the
 joint [Phat | phihat] march reads.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import RiccatiProblem, tabled
+from .backward import LEFT, RiccatiProblem, tabled
 from .model import GameSpec, MatrixPath, RegularityError
 
 
@@ -468,14 +469,14 @@ class DoubleHatStage:
     coefficient table [A1 | F | B1 | C1 | Sigma | D1 | B2 | D2], and Q and
     Upsilon of one array [Q | Upsilon]: the drift, diffusion and adjoint
     offsets sit beside their blocks, so the offset march reads [A1 | F],
-    [C1 | Sigma], [Q | Upsilon] and the table with no copy.
+    [C1 | Sigma], [Q | Upsilon] and the table with no copy.  A2 and C2 are
+    not stored: the properties form J A1 J and J C1 J afresh on each read,
+    so they live only as long as their reader keeps them.
     """
 
     n: int
     A1: MatrixPath
-    A2: MatrixPath
     C1: MatrixPath
-    C2: MatrixPath
     B1: MatrixPath
     B2: MatrixPath
     D1: MatrixPath
@@ -489,24 +490,41 @@ class DoubleHatStage:
 
     def __post_init__(self):
         ten = 10 * self.n
-        for name in ("A1", "A2", "C1", "C2", "B1", "B2", "D1", "D2", "Q"):
+        for name in ("A1", "C1", "B1", "B2", "D1", "D2", "Q"):
             assert getattr(self, name).shape == (ten, ten), name
         assert self.Xi.shape == (ten, 1) and self.G.shape == (ten, ten)
 
+    @property
+    def A2(self) -> MatrixPath:
+        """J A1 J, formed on each read."""
+        return MatrixPath(self.A1.grid, j_conjugate(self.A1.samples))
+
+    @property
+    def C2(self) -> MatrixPath:
+        """J C1 J, formed on each read."""
+        return MatrixPath(self.A1.grid, j_conjugate(self.C1.samples))
+
+    def left(self, offset: bool = False) -> dict:
+        """The `backward.LEFT` coefficients of `problem(offset)`, keyed in
+        that order, with no J-copy formed; with offset, A1 and C1 are the
+        column views [A1 | F] and [C1 | Sigma] of the table."""
+        A1, C1 = self.A1, self.C1
+        if offset:  # each block with its offset column, as build_doublehat lays them out
+            ten, grid, table = 10 * self.n, self.A1.grid, self.A1.samples.base
+            A1, C1 = (MatrixPath(grid, table[..., a:a + ten + 1]) for a in (0, 2 * ten + 1))
+        return dict(zip(LEFT, (A1, self.B1, C1, self.D1, self.B2, self.D2)))
+
     def problem(self, offset: bool = False) -> RiccatiProblem:
         """The stage's (10n) Riccati equation in unified form, with the
-        two-sided C1/C2 split; with offset, the rectangular form whose
-        path is [Phat | phihat]: A1, C1 and Q carry F, Sigma and Upsilon as
-        trailing columns, and the terminal is [G | 0]."""
-        A1, C1, Q, G = self.A1, self.C1, self.Q, self.G
-        if offset:  # each block with its offset column, as build_doublehat lays them out
-            ten, grid, table = 10 * self.n, self.A2.grid, self.A1.samples.base
-            A1, C1 = (MatrixPath(grid, table[..., a:a + ten + 1]) for a in (0, 2 * ten + 1))
-            Q, G = MatrixPath(grid, self.Q.samples.base), np.hstack([G, np.zeros((ten, 1))])
-        return RiccatiProblem(
-            grid=self.A2.grid, A1=A1, A2=self.A2, B1=self.B1, Q=Q,
-            terminal=G, C1=C1, C2=self.C2, B2=self.B2, D1=self.D1, D2=self.D2,
-        )
+        two-sided C1/C2 split and A2 and C2 formed once for it; with offset,
+        the rectangular form whose path is [Phat | phihat]: A1, C1 and Q
+        carry F, Sigma and Upsilon as trailing columns (`left`), and the
+        terminal is [G | 0]."""
+        Q, G = self.Q, self.G
+        if offset:
+            Q, G = MatrixPath(Q.grid, Q.samples.base), np.hstack([G, np.zeros((10 * self.n, 1))])
+        return RiccatiProblem(grid=self.A1.grid, A2=self.A2, Q=Q, terminal=G, C2=self.C2,
+                              **self.left(offset))
 
 
 def _fill(out: np.ndarray, rows) -> None:
@@ -515,7 +533,7 @@ def _fill(out: np.ndarray, rows) -> None:
         np.concatenate(row, axis=-1, out=half)
 
 
-def _j_conjugate(x: np.ndarray) -> np.ndarray:
+def j_conjugate(x: np.ndarray) -> np.ndarray:
     """J x J, J = diag(I, -I): x with its off-diagonal blocks negated as
     0.0 - x, which keeps the sign of every zero of x."""
     out, h = x.copy(), x.shape[-1] // 2
@@ -561,11 +579,10 @@ def build_doublehat(bb: BlackboardStage, w: LeaderCostWeights,
     _fill(B2, ([B2R @ Db2T, Bb3 - B2R @ L2], [-Db1.mT + M2R @ Db2T, M1.mT - M2R @ L2]))
     _fill(D1, ([D2R @ Bb2T, Db1 - D2R @ M2], [-Bb3.mT + L2R @ Bb2T, M1 - L2R @ M2]))
     _fill(D2, ([D2R @ Db2T, Db3 - D2R @ L2], [-Db3.mT + L2R @ Db2T, w.Dbar.samples - L2R @ L2]))
-    A1, C1 = A1F[..., :ten], C1S[..., :ten]
     return DoubleHatStage(
-        n=n, A1=mp(A1), F=mp(A1F[..., ten:]), C1=mp(C1), Sigma=mp(C1S[..., ten:]),
-        Q=mp(QU[..., :ten]), Upsilon=mp(QU[..., ten:]), B1=mp(B1), B2=mp(B2), D1=mp(D1),
-        D2=mp(D2), A2=mp(_j_conjugate(A1)), C2=mp(_j_conjugate(C1)), Xi=Xi, G=Gdh,
+        n=n, A1=mp(A1F[..., :ten]), F=mp(A1F[..., ten:]), C1=mp(C1S[..., :ten]),
+        Sigma=mp(C1S[..., ten:]), Q=mp(QU[..., :ten]), Upsilon=mp(QU[..., ten:]),
+        B1=mp(B1), B2=mp(B2), D1=mp(D1), D2=mp(D2), Xi=Xi, G=Gdh,
     )
 
 

@@ -18,8 +18,8 @@ runs (`_half_reads`), with one read and one product S W a stage for the
 coefficients held in one table; the linear marches (`linear_backward`)
 build their coefficients beforehand in stacks over runs of half steps.
 The offsets of verify's responses (`solve_offset_b1`, `solve_offset_b3`)
-are linear marches on a stored Riccati path that form the full offset
-equation (`_decoupled_offset`), vanishing terms included.
+are linear marches on a stored Riccati path (`_decoupled_offset`) that
+skip the terms its stage's Riccati equation skips.
 Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
 reciprocal condition numbers recorded in `regularity`.
@@ -413,17 +413,29 @@ def _decoupled_offset(prob: RiccatiProblem, P: MatrixPath, u: MatrixPath, drift:
         phi' = -[(A2^T + P B1 + F P D1) phi + F P (diff u) + P (drift u) - adj u],
         F = (C2^T + P B2)(I - P D2)^{-1},  phi(T) = 0,
 
-    one offset column per column of u.
+    one offset column per column of u.  Vanishing terms are skipped as
+    `generalized_riccati_rhs` skips them, by `RiccatiProblem.terms` of the
+    problem with diff in C1's place (diff u is the offset's column of C1):
+    P B1 without B1; without B2, D1 and D2 the solve, so that F = C2^T and
+    F P D1 = 0; and then F P (diff u) when C2 or diff vanishes.
     """
+    quad, fraction, solve = replace(prob, C1=diff).terms()
     eye = np.eye(P.rows)
 
     def coef(js):
         Pt, ut = P.half(js), u.half(js)
-        gap = eye - Pt @ prob.D2.half(js)
-        FP = (prob.C2.half(js).mT + Pt @ prob.B2.half(js)) @ _solve_guarded(
-            gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
-        lin = prob.A2.half(js).mT + Pt @ prob.B1.half(js) + FP @ prob.D1.half(js)
-        src = FP @ (diff.half(js) @ ut) + Pt @ (drift.half(js) @ ut)
+        lin, src = prob.A2.half(js).mT, Pt @ (drift.half(js) @ ut)
+        if quad:
+            lin = lin + Pt @ prob.B1.half(js)
+        if solve:
+            gap = eye - Pt @ prob.D2.half(js)
+            FP = (prob.C2.half(js).mT + Pt @ prob.B2.half(js)) @ _solve_guarded(
+                gap, eye, "decoupling matrix (I - P D2)", js, P.grid.dt) @ Pt
+            lin = lin + FP @ prob.D1.half(js)
+        elif fraction:
+            FP = prob.C2.half(js).mT @ Pt
+        if fraction:
+            src = FP @ (diff.half(js) @ ut) + src
         return lin, (src if adj is None else src - adj.half(js) @ ut)
 
     return linear_backward(P.grid, coef, np.zeros((P.rows, u.shape[1])))

@@ -210,7 +210,9 @@ def cmd_dump_blocks(args) -> int:
     spec = _load(args)
     stage = equilibrium.stage_blocks(spec, args.delta)[args.stage]
     doc = {"stage": args.stage, "t": args.t, "blocks": {}}
-    for name in stage.__dataclass_fields__:
+    # a stage's fields, and the blocks it forms on read (the 10n stage's A2, C2)
+    formed = [name for name, attr in vars(type(stage)).items() if isinstance(attr, property)]
+    for name in [*stage.__dataclass_fields__, *formed]:
         val = getattr(stage, name)
         if isinstance(val, MatrixPath):
             doc["blocks"][name] = val.at(args.t).tolist()

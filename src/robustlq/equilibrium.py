@@ -34,9 +34,10 @@ from .model import (BlowUpError, GameSpec, MatrixPath, RegularityError,
 @dataclass
 class EquilibriumSolution:
     """All ingredients of the state-feedback equilibrium on one grid.  Of
-    the stages it keeps the follower terms and the 10n stage dh, which the
-    value, the skeleton and the oracles read.  Verification alone reads the
-    5n stage bb and its path P3: `ensure_diagnostics` fills both on demand."""
+    the stages it keeps the follower terms and, of the 10n stage, the
+    stacked initial state Xi, which the value and the skeleton read.
+    Verification alone reads the stages themselves: `ensure_diagnostics`
+    fills the 10n stage dh, the 5n stage bb and its path P3 on demand."""
 
     spec: GameSpec
     P: MatrixPath
@@ -50,9 +51,10 @@ class EquilibriumSolution:
     Btil: MatrixPath
     Ctil: MatrixPath
     Dtil: MatrixPath
-    dh: augment.DoubleHatStage
+    Xi: np.ndarray
     terms: augment.FollowerTerms
     regularity: dict = field(default_factory=dict)
+    dh: augment.DoubleHatStage | None = None
     bb: augment.BlackboardStage | None = None
     P3: MatrixPath | None = None
     # skeleton(sol), kept by the first BVP oracle; a `replace` starts afresh
@@ -101,8 +103,10 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
 
     Raises SpecError when validation fails, RegularityError or BlowUpError
     (tagged with the failing stage) when a solvability condition breaks
-    down.  Of the stages only the follower terms and dh outlive the build;
-    the others are freed before the disturbance march.
+    down.  Of the stages only the follower terms outlive the solve: the
+    10n stage is freed after the gain maps, before the [L | psi] march,
+    and the solution keeps its Xi alone; the others are freed before the
+    disturbance march.
     """
     blocks = stage_blocks(spec, delta)
     Psol, terms, dh = blocks["follower"], blocks["terms"], blocks["doublehat"]
@@ -116,12 +120,12 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
 
     # the closed loop dX = (Atil X + Btil) dt + (Ctil X + Dtil) dW of the
     # equilibrium state comes with the decoupling gains (E, e)
-    prob = dh.problem(offset=True)
+    left, Xi = dh.left(offset=True), dh.Xi
     Ee, AB, CD = _stage("gain maps", augment.decoupling, Phsol.P.samples,
-                        *(getattr(prob, name).samples for name in backward.LEFT))
+                        *(left[name].samples for name in backward.LEFT))
     (Atil, Btil), (Ctil, Dtil) = split(AB), split(CD)
     gains = augment.build_gain_maps(spec, terms, Phat, phihat, Ee[..., :d], Ee[..., d:])
-    del Ee  # read by the gain maps only; freed before the last march
+    del Ee, left, dh  # read no more: freed before the last march
 
     PM1, PM2 = gains.PM1.samples, gains.PM2.samples
     PM1T, PM2T = PM1.mT, PM2.mT
@@ -141,18 +145,22 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
     return EquilibriumSolution(
         spec=spec, P=Psol.P, P1=P1sol.P, Phat=Phat, phihat=phihat,
         L=L, psi=psi, gains=gains, Atil=Atil, Btil=Btil, Ctil=Ctil,
-        Dtil=Dtil, dh=dh, terms=terms, regularity=regularity,
+        Dtil=Dtil, Xi=Xi, terms=terms, regularity=regularity,
     )
 
 
 def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
-    """Build the 5n stage bb from the spec and the follower terms, bit for
-    bit the one `stage_blocks` gives, and solve its Riccati path P3, on
-    demand; they drive the leader-deviation responses in verification."""
+    """Build the 5n stage bb and the 10n stage dh from the spec and the
+    follower terms, bit for bit the ones `stage_blocks` gives, and solve
+    the 5n Riccati path P3, on demand: bb and P3 drive the leader-deviation
+    responses in verification, and dh the BVP oracle."""
     if sol.P3 is None:
-        sol.bb = _blackboard_chain(sol.spec, sol.terms)[2]
+        spec, terms = sol.spec, sol.terms
+        sol.bb = _blackboard_chain(spec, terms)[2]
         sol.P3 = _stage("intermediate riccati P3", backward.solve_riccati_generalized,
                         sol.bb.problem()).P
+        sol.dh = augment.build_doublehat(sol.bb, augment.build_cost_weights(spec, terms),
+                                         terms.Rbbinv)
     return sol
 
 
@@ -167,7 +175,7 @@ def skeleton(sol: EquilibriumSolution) -> np.ndarray:
     """
     grid = sol.spec.grid
     A, b = (MatrixPath(grid, p.samples[::-1]) for p in (sol.Atil, sol.Btil))
-    rev = backward.linear_backward(grid, lambda js: (A.half(js), b.half(js)), sol.dh.Xi)
+    rev = backward.linear_backward(grid, lambda js: (A.half(js), b.half(js)), sol.Xi)
     return rev.samples[::-1, :, 0]
 
 
@@ -262,6 +270,6 @@ def value(sol: EquilibriumSolution) -> float:
     )[:, 0, 0]
     grid = sol.spec.grid
     quad = grid.dt * (_quadrature_weights(grid.steps) @ integrand)
-    Xi = sol.dh.Xi
+    Xi = sol.Xi
     boundary = Xi.T @ sol.L.samples[0] @ Xi + 2.0 * Xi.T @ sol.psi.samples[0]
     return float(quad) + boundary.item()

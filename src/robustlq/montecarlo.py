@@ -227,7 +227,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
         "R0": at(spec.R0),
         "R0h": at(spec.R0hat),
         "G": spec.G,
-        "x0": sol.dh.Xi[:, 0],
+        "x0": sol.Xi[:, 0],
         "signals": {"x": select[:n], "xbar": select[n:2 * n], **signals},
         **maps,  # the weight inverses rt1inv, r0inv and r0hinv
         "criteria": _criteria(spec),
@@ -753,7 +753,8 @@ def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     ten = dh.A1.rows
     coarse_n, h = grid.steps, 0.5 * grid.dt
     eye = np.eye(ten)
-    A1, B1, A2, Q = (h * path.at(grid.nodes) for path in (dh.A1, dh.B1, dh.A2, dh.Q))
+    A1, B1, Q = (h * path.at(grid.nodes) for path in (dh.A1, dh.B1, dh.Q))
+    A2 = augment.j_conjugate(A1)  # h J A1 J, the stage's A2, at these nodes alone
     F, Ups = (path.at(grid.nodes)[:, :, 0] for path in (dh.F, dh.Upsilon))
 
     # a step's rows, written in place: the carried rows, then its x and y
@@ -795,12 +796,14 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     are zero, which is the regime this oracle is meant for.  The two are
     compared only at the nodes both grids share, every c/gcd(N, c)-th
     oracle node (all when c divides N), so no pipeline value is
-    interpolated.  The skeleton is marched once per solution and kept as
-    `sol.noise_free` for later calls.
+    interpolated.  The 10n stage comes from `ensure_diagnostics`.  The
+    skeleton is marched once per solution and kept as `sol.noise_free` for
+    later calls.
     """
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
-    Z = _trapezoidal_bvp(sol.dh, grid)
-    ten = sol.dh.A1.rows
+    dh = ensure_diagnostics(sol).dh
+    Z = _trapezoidal_bvp(dh, grid)
+    ten = dh.A1.rows
     Xo, Yo = Z[:, :ten], Z[:, ten:]
 
     if sol.noise_free is None:

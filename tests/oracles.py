@@ -96,7 +96,7 @@ def riccati_residuals(rhs, P: MatrixPath) -> np.ndarray:
 def integrand_gains(sol):
     """(E, e) with Z = E X + e at the nodes of a solved game: `decoupling`
     of [Phat | phihat] under the 10n stage's offset form."""
-    prob = sol.dh.problem(offset=True)
+    prob = rl.ensure_diagnostics(sol).dh.problem(offset=True)
     Ee = augment.decoupling(np.concatenate([sol.Phat.samples, sol.phihat.samples], axis=-1),
                             *(getattr(prob, name).samples for name in backward.LEFT))[0]
     return Ee[..., :sol.Phat.rows], Ee[..., sol.Phat.rows:]

@@ -138,7 +138,7 @@ def test_criterion_7_invariant_suite(sol_a):
         # terminal exactness: each backward solution hits its datum bit-exactly
         assert np.array_equal(sol_a.P.samples[-1], spec.G)
         assert np.array_equal(sol_a.P1.samples[-1], -spec.G)
-        assert np.array_equal(sol_a.Phat.samples[-1], sol_a.dh.G)
+        assert np.array_equal(sol_a.Phat.samples[-1], rl.ensure_diagnostics(sol_a).dh.G)
         assert np.all(sol_a.phihat.samples[-1] == 0.0)
         M1 = augment.block_row(0, spec.n)
         assert np.array_equal(sol_a.L.samples[-1], M1.T @ spec.G @ M1)

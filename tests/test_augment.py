@@ -226,7 +226,7 @@ def test_doublehat_zero_propagation_structure():
 
 
 def test_doublehat_sign_pairing(sol_a):
-    dh = sol_a.dh
+    dh = equilibrium.stage_blocks(sol_a.spec)["doublehat"]
     half = 5 * sol_a.spec.n
     for one, two in ((dh.A1.samples, dh.A2.samples), (dh.C1.samples, dh.C2.samples)):
         assert np.array_equal(one[:, :half, :half], two[:, :half, :half])
@@ -238,8 +238,8 @@ def test_doublehat_sign_pairing(sol_a):
 def test_doublehat_xi_stacking(sol_a):
     half = 5 * sol_a.spec.n
     bb = equilibrium.stage_blocks(sol_a.spec)["blackboard"]
-    assert np.array_equal(sol_a.dh.Xi[:half], bb.Xi)
-    assert np.all(sol_a.dh.Xi[half:] == 0.0)
+    assert np.array_equal(sol_a.Xi[:half], bb.Xi)
+    assert np.all(sol_a.Xi[half:] == 0.0)
 
 
 def test_stage_dimension_audit():
@@ -260,7 +260,7 @@ def test_stage_dimension_audit():
 
 def test_zero_propagation_homogeneous(sol_homog):
     blocks = equilibrium.stage_blocks(sol_homog.spec)
-    hat, check, bb, dh = blocks["hat"], blocks["check"], blocks["blackboard"], sol_homog.dh
+    hat, check, bb, dh = (blocks[k] for k in ("hat", "check", "blackboard", "doublehat"))
     for path in (hat.b, hat.sigma, hat.v, check.F1, bb.F1, bb.Upsilon,
                  dh.F, dh.Sigma, dh.Upsilon):
         assert np.all(path.samples == 0.0)

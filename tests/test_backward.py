@@ -243,7 +243,8 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
     # length (the default, a shorter multi-stage run, and 2000 bytes: one
     # odd half step a run)
     monkeypatch.setattr(backward, "RUN_BYTES", run_bytes)
-    prob = sol_a.dh.problem(offset=True)
+    dh = equilibrium.stage_blocks(sol_a.spec)["doublehat"]
+    prob = dh.problem(offset=True)
     d = prob.terminal.shape[0]
     eye = np.eye(d)
 
@@ -256,7 +257,7 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
                  @ np.linalg.solve(eye - S @ read("D2"), inner))
 
     ref = rl.integrate_backward(rhs, prob.terminal, prob.grid).samples
-    joint = backward.solve_offset_b4(sol_a.dh).P.samples
+    joint = backward.solve_offset_b4(dh).P.samples
     assert np.array_equal(joint, ref)
     assert np.array_equal(joint[..., :d], sol_a.Phat.samples)
     assert np.array_equal(joint[..., d:], sol_a.phihat.samples)
@@ -293,14 +294,16 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
     # each branch that skips vanishing terms against the full formula: no
     # fraction (instance_b's stages), the fraction C2^T P C1 without the
     # solve (P1 of games with diffusion) and no P B1 P either (L and psi);
-    # phi1, which forms the full offset equation, keeps its bits too
-    probs = (sol_b.dh.problem(), equilibrium.stage_blocks(sol_b.spec)["blackboard"].problem())
+    # phi1, whose offset march skips the terms its stage skips, keeps its
+    # bits too
+    blocks = equilibrium.stage_blocks(sol_b.spec)
+    probs = (blocks["doublehat"].problem(), blocks["blackboard"].problem())
     assert all(prob.vanishes("C1", "C2", "B2", "D1", "D2") for prob in probs)
     games = (instance_a(N=100), random_spec(3, 2, N=100))
 
     def solve_all():
         stages = [backward.solve_riccati_generalized(prob).P.samples for prob in probs]
-        stages.append(backward.solve_offset_b4(sol_b.dh).P.samples)
+        stages.append(backward.solve_offset_b4(blocks["doublehat"]).P.samples)
         sols = [rl.solve_game(spec) for spec in games]
         phi1 = [backward.solve_offset_b1(spec, sol.P1, sol.gains.phiM1).samples
                 for spec, sol in zip(games, sols)]

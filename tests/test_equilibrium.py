@@ -151,7 +151,7 @@ def test_value_pure_quadratic_without_offsets():
     )
     sol = rl.solve_game(spec)
     assert np.all(sol.phihat.samples == 0.0) and np.all(sol.psi.samples == 0.0)
-    Xi = sol.dh.Xi
+    Xi = sol.Xi
     expect = (Xi.T @ sol.L.samples[0] @ Xi).item()
     assert rl.value(sol) == pytest.approx(expect, abs=1e-14)
 
@@ -218,10 +218,11 @@ def test_decoupled_representation_residual(sol_a):
     dY = derivative_4th_order(Y[:, :, None], grid.dt)[:, :, 0]
     worst = 0.0
     Es, es = integrand_gains(sol_a)
+    dh = equilibrium.stage_blocks(spec)["doublehat"]
+    A2, C2, Q, Ups = (p.samples for p in (dh.A2, dh.C2, dh.Q, dh.Upsilon))
     for k in range(len(grid)):
         Z = Es[k] @ X[k] + es[k][:, 0]
-        drift = (-sol_a.dh.A2.samples[k].T @ Y[k] - sol_a.dh.C2.samples[k].T @ Z
-                 + sol_a.dh.Q.samples[k] @ X[k] + sol_a.dh.Upsilon.samples[k][:, 0])
+        drift = -A2[k].T @ Y[k] - C2[k].T @ Z + Q[k] @ X[k] + Ups[k][:, 0]
         res = np.linalg.norm(dY[k] - drift) / (1.0 + np.linalg.norm(Y[k]))
         worst = max(worst, res)
     assert worst <= 1e-5
@@ -230,7 +231,7 @@ def test_decoupled_representation_residual(sol_a):
 def test_skeleton_matches_scalar_read_march(sol_a):
     grid = sol_a.spec.grid
     A, b = (rl.MatrixPath(grid, p.samples[::-1]) for p in (sol_a.Atil, sol_a.Btil))
-    ref = rl.integrate_backward(lambda j, y: -(A.half(j) @ y + b.half(j)), sol_a.dh.Xi, grid)
+    ref = rl.integrate_backward(lambda j, y: -(A.half(j) @ y + b.half(j)), sol_a.Xi, grid)
     assert np.array_equal(equilibrium.skeleton(sol_a), ref.samples[::-1, :, 0])
 
 
@@ -270,6 +271,38 @@ def test_blackboard_stage_on_request(spec):
         a, b = getattr(got, f.name), getattr(want, f.name)
         a, b = (np.asarray(getattr(x, "samples", x)) for x in (a, b))
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("spec", [instance_a(), instance_b(), random_spec(3, 2, N=80)],
+                         ids=["instance_a", "instance_b", "random_3_2"])
+def test_doublehat_stage_on_request(spec):
+    # a solve keeps of the 10n stage its Xi alone; ensure_diagnostics
+    # rebuilds the stage that stage_blocks gives, J-copies included, bit
+    # for bit
+    sol = rl.solve_game(spec)
+    assert sol.dh is None
+    got = rl.ensure_diagnostics(sol).dh
+    want = equilibrium.stage_blocks(spec)["doublehat"]
+    assert sol.Xi.tobytes() == want.Xi.tobytes()
+    for name in [f.name for f in fields(want)] + ["A2", "C2"]:
+        a, b = getattr(got, name), getattr(want, name)
+        a, b = (np.asarray(getattr(x, "samples", x)) for x in (a, b))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_solution_memory():
+    # the 10n stage is freed before the last march and its J-copies are
+    # never stored, so neither the solve's peak nor the kept solution holds it
+    spec = random_spec(1, 4, N=200)
+    tracemalloc.start()
+    try:
+        sol = rl.solve_game(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.dh is None
+    assert kept < 14e6, f"kept {kept / 1e6:.1f} MB"
+    assert peak < 35e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_solve_peak_memory():
@@ -318,7 +351,8 @@ def test_joint_march_residuals(spec):
     Lpsi = joined(sol.L, sol.psi)
     lyap = backward.lyapunov_problem(joined(sol.Atil, sol.Btil), joined(sol.Ctil, sol.Dtil),
                                      source, Lpsi.samples[-1])
-    for prob, path in ((sol.dh.problem(offset=True), joined(sol.Phat, sol.phihat)),
+    dh = equilibrium.stage_blocks(spec)["doublehat"]
+    for prob, path in ((dh.problem(offset=True), joined(sol.Phat, sol.phihat)),
                        (lyap, Lpsi)):
         res = riccati_residuals(backward.generalized_riccati_rhs(prob), path)
         rel = res / (1.0 + np.linalg.norm(path.samples, axis=(1, 2)))
@@ -395,7 +429,7 @@ def test_golden_values(name):
     else:
         spec = {"instance_a": instance_a, "instance_b": instance_b}[name]()
     sol = rl.solve_game(spec)
-    P0, Xi = sol.Phat.samples[0], sol.dh.Xi
+    P0, Xi = sol.Phat.samples[0], sol.Xi
     got = (rl.value(sol), np.linalg.norm(P0), (Xi.T @ P0 @ Xi).item())
     assert got == pytest.approx(GOLDEN[name], rel=1e-12, abs=0.0)
 

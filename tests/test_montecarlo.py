@@ -339,7 +339,7 @@ def test_brownian_moments():
     assert np.all(sol.Atil.samples == 0.0) and np.all(sol.Btil.samples == 0.0)
     assert np.all(sol.Ctil.samples == 0.0)
     out = rl.simulate(sol, rl.SimConfig(paths=10_000, seed=3, substeps=1))
-    xi = sol.dh.Xi[:, 0]
+    xi = sol.Xi[:, 0]
     d = sol.Dtil.samples[0][:, 0]
     T = sol.spec.grid.horizon
     term_mean = out.terminal.mean(axis=0)
@@ -361,7 +361,7 @@ def test_euler_weak_order_noise_off(sol_a):
     def euler_terminal(substeps):
         times = montecarlo._subtimes(grid, substeps)
         dt = times[1] - times[0]
-        x = sol_a.dh.Xi[:, 0].copy()
+        x = sol_a.Xi[:, 0].copy()
         for t in times[:-1]:
             x = x + dt * (sol_a.Atil.at(t) @ x + sol_a.Btil.at(t)[:, 0])
         return x
@@ -479,7 +479,7 @@ def test_bvp_oracle_decoupling_identity():
     )
     sol = rl.solve_game(spec)
     res = rl.bvp_oracle(sol, 64)
-    expect = sol.Phat.samples[0] @ sol.dh.Xi[:, 0]
+    expect = sol.Phat.samples[0] @ sol.Xi[:, 0]
     assert np.allclose(res.Y_oracle[0], expect, atol=0.02 * (1 + np.abs(expect).max()))
 
 
@@ -512,7 +512,7 @@ def dense_oracle_solution(sol, coarse_n):
     """(x_k, y_k) of the oracle's trapezoidal system, assembled as one
     dense matrix (block rows: initial state, forward steps, backward steps,
     terminal; block columns x_0..x_c, then y_0..y_c) and solved directly."""
-    dh = sol.dh
+    dh = rl.ensure_diagnostics(sol).dh
     ten = dh.A1.rows
     grid = rl.make_grid(sol.spec.grid.horizon, coarse_n)
     h, c = 0.5 * grid.dt, coarse_n
@@ -556,7 +556,7 @@ def test_bvp_oracle_banded_matches_dense_solve(make):
 
 def test_bvp_oracle_memory_is_banded():
     # the dense system of this call would hold (2 * 40 * 129)^2 doubles
-    sol = rl.solve_game(random_spec(1, 4, N=800))
+    sol = rl.ensure_diagnostics(rl.solve_game(random_spec(1, 4, N=800)))
     tracemalloc.start()
     try:
         rl.bvp_oracle(sol, 128)
