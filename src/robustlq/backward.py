@@ -22,7 +22,8 @@ are linear marches on a stored Riccati path (`_decoupled_offset`) that
 skip the terms its stage's Riccati equation skips.
 Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
 node); near singularity is judged per node after the march, from SVD
-reciprocal condition numbers recorded in `regularity`.
+reciprocal condition numbers recorded in `regularity`, and for (I - P D2)
+also from the sign of its determinant, which must not change.
 """
 
 from __future__ import annotations
@@ -265,21 +266,28 @@ def generalized_riccati_rhs(prob: RiccatiProblem):
     return rhs
 
 
-def solve_riccati_generalized(prob: RiccatiProblem, delta: float = RCOND_LIMIT) -> RiccatiSolution:
+def solve_riccati_generalized(prob: RiccatiProblem) -> RiccatiSolution:
     """Integrate the unified Riccati equation backward on the grid.
 
-    The reciprocal condition number of (I - P D2) is logged at every node
-    and must stay above `delta`.
+    At every node the reciprocal condition number of (I - P D2), logged,
+    must stay above RCOND_LIMIT, and the sign of its determinant must be
+    the terminal node's: a change is a singularity between two nodes.
     """
     P = integrate_backward(generalized_riccati_rhs(prob), prob.terminal, prob.grid)
     d = prob.terminal.shape[0]
-    rconds = _rcond(np.eye(d) - P.samples[..., :d] @ prob.D2.at(prob.grid.nodes))
+    gap = np.eye(d) - P.samples[..., :d] @ prob.D2.at(prob.grid.nodes)
+    rconds = _rcond(gap)
     worst = int(np.argmin(rconds))
-    if rconds[worst] < delta:
+    if rconds[worst] < RCOND_LIMIT:
         raise RegularityError(
             f"(I - P D2) near singular at node {worst} (rcond={rconds[worst]:.2e})",
             node=worst,
         )
+    flips = np.flatnonzero(np.diff(np.linalg.slogdet(gap)[0]))
+    if flips.size:  # the largest node whose sign is not the terminal node's
+        node = int(flips[-1])
+        raise RegularityError(f"determinant of (I - P D2) changes sign between nodes {node} "
+                              f"and {node + 1}", node=node)
     return RiccatiSolution(P=P, regularity={"decouple_rcond": rconds})
 
 

@@ -54,12 +54,12 @@ def test_criterion_2_riccati_residuals():
             assert rl.validate_spec(spec).ok
             P = backward.solve_riccati_follower(spec).P
             P1 = backward.solve_riccati_disturbance(spec).P
-            terms = rl.follower_terms(spec, P)
-            hat = rl.build_hat(spec, terms)
-            check = rl.build_check(spec, terms, hat)
-            bb = rl.build_blackboard(check, hat, terms)
-            w = rl.build_cost_weights(spec, terms)
-            dh = rl.build_doublehat(bb, w, terms.Rbbinv)
+            terms = augment.follower_terms(spec, P)
+            hat = augment.build_hat(spec, terms)
+            check = augment.build_check(spec, terms, hat)
+            bb = augment.build_blackboard(check, hat, terms)
+            w = augment.build_cost_weights(spec, terms)
+            dh = augment.build_doublehat(bb, w, terms.Rbbinv)
             prob = dh.problem()
             Ph = backward.solve_riccati_generalized(prob).P
             for rhs, path, tag in (
@@ -80,15 +80,15 @@ def test_criterion_3_special_case_equivalence():
             n = 1 + (seed % 2)
             spec = random_spec(100 + seed, n, special=True)
             P = backward.solve_riccati_follower(spec).P
-            terms = rl.follower_terms(spec, P)
-            hat = rl.build_hat(spec, terms)
-            check = rl.build_check(spec, terms, hat)
-            bb = rl.build_blackboard(check, hat, terms)
-            w = rl.build_cost_weights(spec, terms)
-            dh = rl.build_doublehat(bb, w, terms.Rbbinv)
+            terms = augment.follower_terms(spec, P)
+            hat = augment.build_hat(spec, terms)
+            check = augment.build_check(spec, terms, hat)
+            bb = augment.build_blackboard(check, hat, terms)
+            w = augment.build_cost_weights(spec, terms)
+            dh = augment.build_doublehat(bb, w, terms.Rbbinv)
             for prob in (hat.problem(), bb.problem(), dh.problem(),
                          backward.disturbance_problem(spec)):
-                num = rl.solve_riccati_generalized(prob).P
+                num = backward.solve_riccati_generalized(prob).P
                 cf = closed_form_special_case(prob).P
                 gap = np.linalg.norm(num.samples - cf.samples, axis=(1, 2))
                 rel = gap / (1.0 + np.linalg.norm(cf.samples, axis=(1, 2)))

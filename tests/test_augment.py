@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import augment, equilibrium
+from robustlq import augment, backward, equilibrium
 from robustlq.model import MatrixPath, RegularityError
 
 from conftest import instance_a, random_spec
@@ -53,7 +53,7 @@ def hat_example_spec():
 
 def test_hat_blocks_hand_checked():
     spec = hat_example_spec()
-    hat = rl.build_hat(spec, rl.follower_terms(spec, const_path(spec, [[1.0]])))
+    hat = augment.build_hat(spec, augment.follower_terms(spec, const_path(spec, [[1.0]])))
     assert np.allclose(hat.A1.samples[0], [[0.0, 0.0], [-1.0, 1.0]])
     assert np.allclose(hat.A2.samples[0], [[0.0, 0.0], [1.0, 1.0]])
     assert np.allclose(hat.B1.samples[0], [[1.0, -1.0], [1.0, -1.0]])
@@ -61,7 +61,7 @@ def test_hat_blocks_hand_checked():
 
 def test_hat_zero_weights_zero_terminals():
     spec = hat_example_spec()
-    hat = rl.build_hat(spec, rl.follower_terms(spec, const_path(spec, [[0.0]])))
+    hat = augment.build_hat(spec, augment.follower_terms(spec, const_path(spec, [[0.0]])))
     assert np.all(hat.Q.samples == 0.0)
     assert np.all(hat.G == 0.0)
 
@@ -86,16 +86,16 @@ def test_check_stacks_initial_state():
         B1=[[1.0], [0.0]], D1=None, B2=[[1.0], [0.0]], D2=None,
         Q=np.zeros((2, 2)), R1=1.0, R2=-1.0, R0=np.eye(2), R0hat=np.eye(2),
     )
-    terms = rl.follower_terms(spec, MatrixPath.zeros(spec.grid, 2, 2))
-    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
+    terms = augment.follower_terms(spec, MatrixPath.zeros(spec.grid, 2, 2))
+    check = augment.build_check(spec, terms, augment.build_hat(spec, terms))
     assert np.array_equal(check.xi[:, 0], [1, 1, 1, 1, 0, 0])
     assert np.array_equal(check.Iinj, np.vstack([np.eye(2), np.zeros((4, 2))]))
 
 
 def test_check_zero_sigma_zero_noise_offset():
     spec = hat_example_spec()
-    terms = rl.follower_terms(spec, const_path(spec, [[1.0]]))
-    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
+    terms = augment.follower_terms(spec, const_path(spec, [[1.0]]))
+    check = augment.build_check(spec, terms, augment.build_hat(spec, terms))
     assert np.all(check.sigma.samples == 0.0)
 
 
@@ -106,8 +106,8 @@ def test_check_disturbance_offset_formula():
         Q=0.0, R1=1.0, R2=-1.0, R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[2.0]])
-    terms = rl.follower_terms(spec, P)
-    check = rl.build_check(spec, terms, rl.build_hat(spec, terms))
+    terms = augment.follower_terms(spec, P)
+    check = augment.build_check(spec, terms, augment.build_hat(spec, terms))
     rt1 = 1.0 + 0.5 * 2.0 * 0.5
     w = 1.0 / rt1 * 0.5 * 2.0 * 0.8  # B1 Rt1^-1 D1' P sigma
     assert np.allclose(check.F1.samples[0][:, 0], [0.3 - w, -w, 0.0])
@@ -119,12 +119,12 @@ def test_check_disturbance_offset_formula():
 
 def test_blackboard_disturbance_corner(sol_a):
     spec = instance_a()
-    terms = rl.follower_terms(spec, sol_a.P)
-    hat = rl.build_hat(spec, terms)
-    check = rl.build_check(spec, terms, hat)
+    terms = augment.follower_terms(spec, sol_a.P)
+    hat = augment.build_hat(spec, terms)
+    check = augment.build_check(spec, terms, hat)
     # gamma = 2 and R0hat = I put the identity in the disturbance corner
     unit = replace(terms, gR=np.broadcast_to(np.eye(spec.n), terms.gR.shape))
-    bb = rl.build_blackboard(check, hat, unit)
+    bb = augment.build_blackboard(check, hat, unit)
     n = spec.n
     assert np.allclose(bb.B1.samples[0][:n, :n], np.eye(n))
     assert np.all(bb.B1.samples[0][:3 * n, n:3 * n] == 0.0)
@@ -155,7 +155,7 @@ def test_weights_no_diffusion_coupling():
         R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[0.7]])
-    w = rl.build_cost_weights(spec, rl.follower_terms(spec, P))
+    w = augment.build_cost_weights(spec, augment.follower_terms(spec, P))
     assert np.allclose(w.R.samples, 0.5)      # R1^{-1} when D1 = 0
     assert np.allclose(w.Rbb.samples, -1.0)   # R2 when D2 = 0
     for name in ("M1", "L1", "S2", "M2", "L2", "S3", "M3", "L3"):
@@ -170,7 +170,7 @@ def test_weights_indefinite_follower_weight():
         R0=1.0, R0hat=1.0,
     )
     P = const_path(spec, [[2.0]])
-    w = rl.build_cost_weights(spec, rl.follower_terms(spec, P))
+    w = augment.build_cost_weights(spec, augment.follower_terms(spec, P))
     # Rt1 = -1 + 2 = 1, R = 1 * (-1) * 1 = -1, Rbb = 1 + (2)^2 (-1) = -3
     assert np.allclose(w.R.samples, -1.0)
     assert np.allclose(w.Rbb.samples, -3.0)
@@ -183,7 +183,7 @@ def test_weights_reject_positive_leader_weight():
         R0=1.0, R0hat=1.0,
     )
     with pytest.raises(RegularityError):
-        rl.follower_terms(spec, const_path(spec, [[0.0]]))
+        augment.follower_terms(spec, const_path(spec, [[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def _synthetic_bb_weights(n=1, m2=1, N=4):
 
 def test_doublehat_zero_propagation_structure():
     bb, w = _synthetic_bb_weights()
-    dh = rl.build_doublehat(bb, w, np.linalg.inv(w.Rbb.samples))
+    dh = augment.build_doublehat(bb, w, np.linalg.inv(w.Rbb.samples))
     five = 5
     Q = dh.Q.samples[0]
     assert np.all(Q[:five, :] == 0.0) and np.all(Q[five:, :five] == 0.0)
@@ -244,13 +244,13 @@ def test_doublehat_xi_stacking(sol_a):
 
 def test_stage_dimension_audit():
     spec = random_spec(21, 2, N=6)
-    P = rl.solve_riccati_follower(spec).P
-    terms = rl.follower_terms(spec, P)
-    hat = rl.build_hat(spec, terms)
-    check = rl.build_check(spec, terms, hat)
-    bb = rl.build_blackboard(check, hat, terms)
-    w = rl.build_cost_weights(spec, terms)
-    dh = rl.build_doublehat(bb, w, terms.Rbbinv)
+    P = backward.solve_riccati_follower(spec).P
+    terms = augment.follower_terms(spec, P)
+    hat = augment.build_hat(spec, terms)
+    check = augment.build_check(spec, terms, hat)
+    bb = augment.build_blackboard(check, hat, terms)
+    w = augment.build_cost_weights(spec, terms)
+    dh = augment.build_doublehat(bb, w, terms.Rbbinv)
     n = 2
     assert hat.A1.shape == (2 * n, 2 * n)
     assert check.A.shape == (3 * n, 3 * n) and check.Q.shape == (2 * n, 3 * n)

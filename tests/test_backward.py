@@ -27,13 +27,13 @@ def scalar_spec(**kw):
 
 def test_zero_rhs_gives_constant_path():
     grid = rl.make_grid(1.0, 8)
-    path = rl.integrate_backward(lambda t, m: np.zeros_like(m), np.eye(2), grid)
+    path = backward.integrate_backward(lambda t, m: np.zeros_like(m), np.eye(2), grid)
     assert np.array_equal(path.samples, np.broadcast_to(np.eye(2), (9, 2, 2)))
 
 
 def test_linear_rhs_exact():
     grid = rl.make_grid(1.0, 10)
-    path = rl.integrate_backward(lambda t, m: np.array([[-1.0]]), np.array([[0.0]]), grid)
+    path = backward.integrate_backward(lambda t, m: np.array([[-1.0]]), np.array([[0.0]]), grid)
     assert path.samples[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
     assert path.samples[-1, 0, 0] == 0.0
 
@@ -41,7 +41,7 @@ def test_linear_rhs_exact():
 def test_scalar_linear_ode_closed_form():
     # p' + 2p + 1 = 0, p(2) = 1  =>  p(0) = 1.5 e^4 - 0.5
     grid = rl.make_grid(2.0, 2000)
-    path = rl.integrate_backward(lambda t, m: -2.0 * m - 1.0, np.array([[1.0]]), grid)
+    path = backward.integrate_backward(lambda t, m: -2.0 * m - 1.0, np.array([[1.0]]), grid)
     expect = 1.5 * np.exp(4.0) - 0.5
     assert path.samples[0, 0, 0] == pytest.approx(expect, rel=1e-8)
 
@@ -50,8 +50,8 @@ def test_half_step_times_exact_on_cubic():
     # M' = 3 t^2 + 1 at t = j dt/2: RK4 integrates a cubic exactly, so a
     # wrong half step to time mapping shows at once
     grid = rl.make_grid(1.3, 7)
-    path = rl.integrate_backward(lambda j, m: np.array([[3.0 * (j * grid.dt / 2) ** 2 + 1.0]]),
-                                 np.array([[0.0]]), grid)
+    path = backward.integrate_backward(
+        lambda j, m: np.array([[3.0 * (j * grid.dt / 2) ** 2 + 1.0]]), np.array([[0.0]]), grid)
     t = grid.nodes
     expect = t ** 3 + t - (1.3 ** 3 + 1.3)
     assert np.allclose(path.samples[:, 0, 0], expect, rtol=0.0, atol=1e-14)
@@ -61,7 +61,7 @@ def test_blowup_reports_node():
     # p' = -p^2 with p(1) = 2 escapes at t = 1/2 marching backward
     grid = rl.make_grid(1.0, 64)
     with pytest.raises(BlowUpError) as err:
-        rl.integrate_backward(lambda t, m: -m * m, np.array([[2.0]]), grid)
+        backward.integrate_backward(lambda t, m: -m * m, np.array([[2.0]]), grid)
     assert err.value.node is not None
 
 
@@ -71,7 +71,7 @@ def test_blowup_reports_node():
 
 def test_follower_zero_weights_zero_solution():
     spec = scalar_spec(Q=0.0, G=[[0.0]])
-    sol = rl.solve_riccati_follower(spec)
+    sol = backward.solve_riccati_follower(spec)
     assert np.all(sol.P.samples == 0.0)
     assert np.allclose(sol.regularity["rtilde1_min_eig"], 1.0)
 
@@ -79,21 +79,21 @@ def test_follower_zero_weights_zero_solution():
 def test_follower_scalar_separable():
     # P' = P^2, P(1) = 1  =>  P(0) = 1/2
     spec = scalar_spec(G=[[1.0]])
-    sol = rl.solve_riccati_follower(spec)
+    sol = backward.solve_riccati_follower(spec)
     assert sol.P.samples[0, 0, 0] == pytest.approx(0.5, rel=1e-8)
     assert sol.P.samples[-1, 0, 0] == 1.0
 
 
 def test_follower_decoupled_constant():
     spec = scalar_spec(B1=0.0, G=[[1.0]])
-    sol = rl.solve_riccati_follower(spec)
+    sol = backward.solve_riccati_follower(spec)
     assert np.all(sol.P.samples == 1.0)
 
 
 def test_follower_regularity_failure_names_node():
     spec = scalar_spec(R1=-1.0, G=[[1.0]])
     with pytest.raises(RegularityError) as err:
-        rl.solve_riccati_follower(spec)
+        backward.solve_riccati_follower(spec)
     assert err.value.node is not None
 
 
@@ -102,20 +102,20 @@ def test_follower_regularity_failure_names_node():
 
 
 def test_disturbance_zero_weights():
-    sol = rl.solve_riccati_disturbance(scalar_spec())
+    sol = backward.solve_riccati_disturbance(scalar_spec())
     assert np.all(sol.P.samples == 0.0)
 
 
 def test_disturbance_scalar_separable():
     # alpha = 2, R0 = 1: P1' = P1^2 with P1(1) = -G = 1  =>  P1(0) = 1/2
     spec = scalar_spec(G=[[-1.0]])
-    sol = rl.solve_riccati_disturbance(spec)
+    sol = backward.solve_riccati_disturbance(spec)
     assert sol.P.samples[0, 0, 0] == pytest.approx(0.5, rel=1e-8)
 
 
 def test_disturbance_homogeneous_stays_zero():
     spec = scalar_spec(A=1.0)
-    sol = rl.solve_riccati_disturbance(spec)
+    sol = backward.solve_riccati_disturbance(spec)
     assert np.all(sol.P.samples == 0.0)
 
 
@@ -128,7 +128,7 @@ def test_disturbance_riccati_fourth_order_under_varying_weight():
     def solve(N):
         spec = scalar_spec(N=N, A=0.3, C=0.2, Q=1.0, G=[[-0.8]],
                            R0=lambda t: [[1.0 + 2.0 * t]])
-        return rl.solve_riccati_disturbance(spec).P.samples[0, 0, 0]
+        return backward.solve_riccati_disturbance(spec).P.samples[0, 0, 0]
 
     p1, p2, p4 = solve(50), solve(100), solve(200)
     ratio = abs(p1 - p2) / abs(p2 - p4)
@@ -141,14 +141,14 @@ def test_follower_positivity_names_first_lost_node():
     # eigenvalue, at node 229, lies further along the march
     spec = scalar_spec(N=500, T=2.0, A=0.5, C=0.3, B1=1.0, D1=1.0, Q=1.0, R1=-0.5, G=[[1.0]])
     with pytest.raises(RegularityError, match="at node 441 ") as err:
-        rl.solve_riccati_follower(spec)
+        backward.solve_riccati_follower(spec)
     assert err.value.node == 441
 
 
 def test_singular_disturbance_weight_names_node():
     # R0 = 0 is singular at the terminal node, where the march starts
     with pytest.raises(RegularityError, match="disturbance weight R0") as err:
-        rl.solve_riccati_disturbance(scalar_spec(R0=0.0, G=[[-1.0]]))
+        backward.solve_riccati_disturbance(scalar_spec(R0=0.0, G=[[-1.0]]))
     assert err.value.node == 200
 
 
@@ -170,7 +170,7 @@ def test_generalized_matches_matrix_exponential(dim):
     A = 0.5 * rng.standard_normal((dim, dim))
     Pterm = rng.standard_normal((dim, dim))
     grid = rl.make_grid(1.0, 400)
-    sol = rl.solve_riccati_generalized(_plain_problem(grid, A, Pterm, dim))
+    sol = backward.solve_riccati_generalized(_plain_problem(grid, A, Pterm, dim))
     for k in (0, 133, 400):
         tau = grid.horizon - grid.nodes[k]
         expect = expm(A.T * tau) @ Pterm @ expm(A * tau)
@@ -181,22 +181,35 @@ def test_generalized_all_zero_keeps_terminal():
     grid = rl.make_grid(1.0, 16)
     term = np.array([[1.0, 2.0], [3.0, 4.0]])
     prob = _plain_problem(grid, np.zeros((2, 2)), term, 2)
-    sol = rl.solve_riccati_generalized(prob)
+    sol = backward.solve_riccati_generalized(prob)
     assert np.array_equal(sol.P.samples, np.broadcast_to(term, (17, 2, 2)))
 
 
-def test_generalized_monitors_decoupling_condition():
-    # P(t) = 0.5 e^{2(1-t)} crosses 1, so I - P D2 passes through zero
+def _crossing_problem():
+    # P(t) = 0.5 e^{2(1-t)} crosses 1 between nodes 65 and 66 at N = 100,
+    # so I - P D2 passes through zero there
     grid = rl.make_grid(1.0, 100)
     one = MatrixPath.constant(grid, [[1.0]])
     z = MatrixPath.zeros(grid, 1, 1)
-    prob = backward.RiccatiProblem(
+    return backward.RiccatiProblem(
         grid=grid, A1=MatrixPath.constant(grid, [[2.0]]), A2=z, B1=z, Q=z,
         terminal=np.array([[0.5]]), C1=z, C2=z, B2=z, D1=z, D2=one,
     )
+
+
+def test_generalized_monitors_decoupling_condition(monkeypatch):
+    monkeypatch.setattr(backward, "RCOND_LIMIT", 0.05)
     with pytest.raises(RegularityError) as err:
-        rl.solve_riccati_generalized(prob, delta=0.05)
+        backward.solve_riccati_generalized(_crossing_problem())
     assert err.value.node is not None
+
+
+def test_generalized_monitors_determinant_sign():
+    # no node is near singular (min rcond 6.9e-3), but the determinant of
+    # I - P D2 is positive at the terminal node and negative at node 65
+    with pytest.raises(RegularityError, match="changes sign between nodes 65 and 66") as err:
+        backward.solve_riccati_generalized(_crossing_problem())
+    assert err.value.node == 65
 
 
 def test_singular_stage_matrix_is_regularity_error():
@@ -208,7 +221,7 @@ def test_singular_stage_matrix_is_regularity_error():
         C1=z, C2=z, B2=z, D1=z, D2=MatrixPath.constant(grid, [[1.0]]),
     )
     with pytest.raises(RegularityError, match="singular") as err:
-        rl.solve_riccati_generalized(prob)
+        backward.solve_riccati_generalized(prob)
     assert err.value.node == 10
 
 
@@ -256,7 +269,7 @@ def test_offset_b4_matches_scalar_read_march(run_bytes, monkeypatch, sol_a):
         return -(val + (read("C2").T + S @ read("B2"))
                  @ np.linalg.solve(eye - S @ read("D2"), inner))
 
-    ref = rl.integrate_backward(rhs, prob.terminal, prob.grid).samples
+    ref = backward.integrate_backward(rhs, prob.terminal, prob.grid).samples
     joint = backward.solve_offset_b4(dh).P.samples
     assert np.array_equal(joint, ref)
     assert np.array_equal(joint[..., :d], sol_a.Phat.samples)
@@ -330,9 +343,9 @@ def test_zero_fraction_rhs_matches_full_formula(monkeypatch, sol_b):
 def test_follower_skips_vanishing_terms(spec, monkeypatch):
     # the follower right-hand side without its C or D1 terms, when those
     # paths are zero, gives the bits of the full formula
-    short = rl.solve_riccati_follower(spec).P.samples
+    short = backward.solve_riccati_follower(spec).P.samples
     monkeypatch.setattr(backward, "_vanishes", lambda path: False)
-    assert np.array_equal(short, rl.solve_riccati_follower(spec).P.samples)
+    assert np.array_equal(short, backward.solve_riccati_follower(spec).P.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +354,8 @@ def test_follower_skips_vanishing_terms(spec, monkeypatch):
 
 def test_offset_b1_homogeneous_is_zero():
     spec = scalar_spec(Q=0.5, G=[[0.2]], A=0.3, alpha=8.0)
-    P1 = rl.solve_riccati_disturbance(spec).P
-    phi = rl.solve_offset_b1(spec, P1, MatrixPath.zeros(spec.grid, spec.m1, 1))
+    P1 = backward.solve_riccati_disturbance(spec).P
+    phi = backward.solve_offset_b1(spec, P1, MatrixPath.zeros(spec.grid, spec.m1, 1))
     assert np.all(phi.samples == 0.0)
 
 
@@ -350,14 +363,14 @@ def test_offset_b1_with_control_source():
     # A=0, C=0, alpha=2, R0=1, Q=1, G=0: P1 solves P1' = P1^2 + 1, and phi1
     # feeds the control through P1 B1 u1; cross-check by direct integration
     spec = scalar_spec(Q=1.0)
-    P1 = rl.solve_riccati_disturbance(spec).P
+    P1 = backward.solve_riccati_disturbance(spec).P
     u1 = MatrixPath.constant(spec.grid, [[1.0]])
-    phi = rl.solve_offset_b1(spec, P1, u1)
+    phi = backward.solve_offset_b1(spec, P1, u1)
 
     def rhs(j, p):
         return -(-P1.half(j) @ p + P1.half(j))
 
-    expect = rl.integrate_backward(rhs, np.zeros((1, 1)), spec.grid)
+    expect = backward.integrate_backward(rhs, np.zeros((1, 1)), spec.grid)
     assert np.allclose(phi.samples, expect.samples, atol=1e-12)
 
 
@@ -377,7 +390,7 @@ def test_offsets_match_joint_march(game):
         u2 = MatrixPath(spec.grid, np.concatenate([np.cos(3 * t), 1.0 + t ** 2], axis=-1))
         bb = equilibrium.stage_blocks(spec)["blackboard"]
         prob1, prob3 = backward.disturbance_problem(spec), bb.problem()
-        pairs = [(backward.solve_offset_b1(spec, rl.solve_riccati_disturbance(spec).P, u1),
+        pairs = [(backward.solve_offset_b1(spec, backward.solve_riccati_disturbance(spec).P, u1),
                   joint_offset_march(prob1, u1, spec.B1, spec.D1)),
                  (backward.solve_offset_b3(bb, backward.solve_riccati_generalized(prob3).P, u2),
                   joint_offset_march(prob3, u2, bb.B2, bb.D2, bb.F2))]
@@ -393,7 +406,7 @@ def test_value_offset_constant_source():
     grid = rl.make_grid(2.0, 50)
     z = MatrixPath.zeros(grid, 1, 2)
     src = MatrixPath.constant(grid, [[0.0, 3.0]])
-    Lpsi = rl.solve_value_offset(z, z, src, np.zeros((1, 1)), grid)
+    Lpsi = backward.solve_value_offset(z, z, src, np.zeros((1, 1)), grid)
     expect = 3.0 * (grid.horizon - grid.nodes)
     assert np.allclose(Lpsi.samples[:, 0, 1], expect, atol=1e-12)
     assert np.all(Lpsi.samples[:, 0, 0] == 0.0)
@@ -402,7 +415,7 @@ def test_value_offset_constant_source():
 def test_lyapunov_zero():
     grid = rl.make_grid(1.0, 20)
     z = MatrixPath.zeros(grid, 2, 2)
-    L = rl.solve_lyapunov(z, z, z, np.zeros((2, 2)), grid)
+    L = backward.solve_lyapunov(z, z, z, np.zeros((2, 2)), grid)
     assert np.all(L.samples == 0.0)
 
 
@@ -412,7 +425,7 @@ def test_lyapunov_scalar_closed_form():
     Ap = MatrixPath.constant(grid, [[a]])
     z = MatrixPath.zeros(grid, 1, 1)
     src = MatrixPath.constant(grid, [[s]])
-    L = rl.solve_lyapunov(Ap, z, src, np.array([[lT]]), grid)
+    L = backward.solve_lyapunov(Ap, z, src, np.array([[lT]]), grid)
     tau = grid.horizon - grid.nodes
     expect = np.exp(2 * a * tau) * lT + s * (np.exp(2 * a * tau) - 1.0) / (2 * a)
     assert np.allclose(L.samples[:, 0, 0], expect, rtol=1e-8)
@@ -426,7 +439,7 @@ def test_lyapunov_preserves_symmetry():
     s = rng.standard_normal((2, 2))
     src = MatrixPath.constant(grid, 0.5 * (s + s.T))
     g = rng.standard_normal((2, 2))
-    L = rl.solve_lyapunov(Ap, Cp, src, 0.5 * (g + g.T), grid)
+    L = backward.solve_lyapunov(Ap, Cp, src, 0.5 * (g + g.T), grid)
     gap = np.abs(L.samples - np.transpose(L.samples, (0, 2, 1))).max()
     scale = np.abs(L.samples).max()
     assert gap <= 1e-10 * max(scale, 1.0)
@@ -456,7 +469,7 @@ def test_closed_form_matches_rk4_scalar():
         terminal=np.array([[0.6]]),
         C1=z, C2=z, B2=z, D1=z, D2=z,
     )
-    num = rl.solve_riccati_generalized(prob)
+    num = backward.solve_riccati_generalized(prob)
     cf = closed_form_special_case(prob)
     rel = np.abs(num.P.samples - cf.P.samples) / (1.0 + np.abs(cf.P.samples))
     assert rel.max() <= 1e-6
@@ -471,7 +484,7 @@ def test_closed_form_matches_lyapunov(sol_b):
     source = rl.MatrixPath(spec.grid, x.T @ spec.Q.samples @ x + PM1.mT @ sol_b.terms.R @ PM1
                            + PM2.mT @ sol_b.terms.W2 @ PM2)
     terminal = x.T @ spec.G @ x
-    L = rl.solve_lyapunov(sol_b.Atil, sol_b.Ctil, source, terminal, spec.grid)
+    L = backward.solve_lyapunov(sol_b.Atil, sol_b.Ctil, source, terminal, spec.grid)
     assert np.array_equal(L.samples, sol_b.L.samples)
     prob = backward.lyapunov_problem(sol_b.Atil, sol_b.Ctil, source, terminal)
     cf = closed_form_special_case(prob).P.samples
@@ -497,7 +510,7 @@ def test_closed_form_rejects_fraction():
 def test_rk4_step_halving_order():
     def solve(N):
         spec = scalar_spec(N=N, A=0.3, Q=1.0, G=[[0.8]])
-        return rl.solve_riccati_follower(spec).P.samples[0, 0, 0]
+        return backward.solve_riccati_follower(spec).P.samples[0, 0, 0]
 
     p1, p2, p4 = solve(50), solve(100), solve(200)
     ratio = abs(p1 - p2) / abs(p2 - p4)
@@ -515,7 +528,7 @@ def test_fd_derivative_exact_on_cubics():
 
 def test_follower_residual_small():
     spec = instance_b()
-    P = rl.solve_riccati_follower(spec).P
+    P = backward.solve_riccati_follower(spec).P
     res = riccati_residuals(backward.follower_riccati_rhs(spec), P)
     norms = 1.0 + np.linalg.norm(P.samples, axis=(1, 2))
     assert (res / norms).max() <= 1e-8

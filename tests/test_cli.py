@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -359,6 +360,13 @@ def test_solver_failure_exit_code(tmp_path):
     assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_decoupling_sign_change_exit_code(tmp_path, capsys):
+    f = tmp_path / "sign_change.json"
+    rl.dump_spec(random_spec(0, 4, N=200), f)
+    assert cli.run(["solve", "--spec", str(f), "--out", str(tmp_path / "o")]) == 2
+    assert "changes sign" in capsys.readouterr().err
+
+
 def test_example_names_first_lost_node(tmp_path, capsys):
     # r1 + P falls below delta first at t = 1.764, node 441 of 500, on
     # the march from T; the smallest eigenvalue lies further on
@@ -488,3 +496,25 @@ def test_coarse_grid_override(steps, tmp_path):
                     "--grid-n", steps]) == cli.EXIT_OK
     assert np.isfinite(json.loads((out / "summary.json").read_text())["value"])
     assert len((out / "P.csv").read_text().strip().splitlines()) == int(steps) + 2
+
+
+PUBLIC = sorted([
+    "BlowUpError", "GameSpec", "MatrixPath", "RegularityError", "SpecError", "TimeGrid",
+    "ValidationReport", "build_spec", "dump_spec", "load_spec", "make_grid",
+    "spec_from_dict", "spec_to_dict", "validate_spec",
+    "EquilibriumSolution", "StrategyOutput", "clamp_nonnegative", "ensure_diagnostics",
+    "feedback", "solve_game", "value",
+    "OracleResult", "PerturbationReport", "SimConfig", "SimOutput", "bvp_oracle",
+    "deviation_tests", "perturb_best_response", "sampled_convexity", "simulate",
+])
+
+
+def test_public_surface():
+    """The package root exports the API the README documents and nothing
+    more: the stage builders and marches stay in `augment` and `backward`."""
+    assert sorted(rl.__all__) == PUBLIC
+    assert all(getattr(rl, name, None) is not None for name in PUBLIC)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    used = set(re.findall(r"\brl\.(\w+)", "".join(re.findall(r"```[^\n]*\n(.*?)```", readme,
+                                                              flags=re.S))))
+    assert used and used <= set(rl.__all__), sorted(used - set(rl.__all__))

@@ -40,6 +40,15 @@ def test_regularity_failure_names_stage():
         rl.solve_game(spec)
 
 
+@pytest.mark.parametrize("seed, N", [(0, 200), (27, 100)])
+def test_decoupling_sign_change_names_stage(seed, N):
+    # every per-node margin passes, yet the determinant of I - Phat D2
+    # changes sign between two nodes; unchecked, these solves return the
+    # finite values 1.6e18 and 3.3e5
+    with pytest.raises(RegularityError, match=r"\[stage hamiltonian riccati\].*changes sign"):
+        rl.solve_game(random_spec(seed, 4, N=N))
+
+
 @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), float("inf")])
 def test_delta_must_be_positive_finite(delta):
     spec = instance_a(N=20)
@@ -231,7 +240,7 @@ def test_decoupled_representation_residual(sol_a):
 def test_skeleton_matches_scalar_read_march(sol_a):
     grid = sol_a.spec.grid
     A, b = (rl.MatrixPath(grid, p.samples[::-1]) for p in (sol_a.Atil, sol_a.Btil))
-    ref = rl.integrate_backward(lambda j, y: -(A.half(j) @ y + b.half(j)), sol_a.Xi, grid)
+    ref = backward.integrate_backward(lambda j, y: -(A.half(j) @ y + b.half(j)), sol_a.Xi, grid)
     assert np.array_equal(equilibrium.skeleton(sol_a), ref.samples[::-1, :, 0])
 
 
