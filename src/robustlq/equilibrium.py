@@ -154,11 +154,17 @@ def ensure_diagnostics(sol: EquilibriumSolution) -> EquilibriumSolution:
     follower terms, bit for bit the ones `stage_blocks` gives, and solve
     the 5n Riccati path P3, on demand: bb and P3 drive the leader-deviation
     responses in verification, and dh the BVP oracle."""
-    if sol.P3 is None:
-        spec, terms = sol.spec, sol.terms
-        sol.bb = _blackboard_chain(spec, terms)[2]
+    if _ensure_stages(sol).P3 is None:
         sol.P3 = _stage("intermediate riccati P3", backward.solve_riccati_generalized,
                         sol.bb.problem()).P
+    return sol
+
+
+def _ensure_stages(sol: EquilibriumSolution) -> EquilibriumSolution:
+    """bb and dh on demand: `ensure_diagnostics` without the P3 march."""
+    if sol.dh is None:
+        spec, terms = sol.spec, sol.terms
+        sol.bb = _blackboard_chain(spec, terms)[2]
         sol.dh = augment.build_doublehat(sol.bb, augment.build_cost_weights(spec, terms),
                                          terms.Rbbinv)
     return sol

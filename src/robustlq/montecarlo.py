@@ -37,19 +37,21 @@ bookkeeping with the base costs.
 The loop is state-major: a block of paths is held as the columns of the
 augmented state X1 = [X; 1], and every signal is a row map E_s = [gain |
 off] of X1; the controls and disturbances are `equilibrium.row_maps`,
-the maps `feedback` evaluates.  A criterion is a sum of coef * s' W s
-terms, so a step's costs are weighted products of the rows E_s X1 and
-dt W E_s X1.  One matrix product per step gives those rows, the
-closed-loop move and the tests' cross rows.  The four tests' response
-states are stacked into one state, held direction-major, which one more
-product with a block-diagonal map shared by every direction advances;
-a 0/1 selector sums each test's rows into its cross and quad, so a step
-has no loop over the tests.  When no test has a diffusion term, no
-increment reaches the stacked state, so it is one deterministic path per
-direction and is held as one column, which the cross rows of every path
-read; its quad is one column too.  The blocks run one at a time, so a run
-holds about one block of increments plus the step matrices, which the
-first block forms and the later blocks reuse.
+the maps `feedback` evaluates; X holds only the coordinates that can
+leave 0 (`_live`).  A criterion is a sum of coef * s' W s terms, so a
+step's costs are weighted products of the rows E_s X1 and dt W E_s X1.
+One matrix product per step gives those rows, the closed-loop move and
+the tests' cross rows, and one call steps a chunk of STEP_BLOCK steps.
+The four tests' response states are stacked into one state, held
+direction-major, which one more product with a block-diagonal map shared
+by every direction advances; a 0/1 selector sums each test's rows into
+its cross and quad, so a step has no loop over the tests.  When no test
+has a diffusion term, no increment reaches the stacked state, so it is
+one deterministic path per direction and is held as one column, which
+the cross rows of every path read; its quad is one column too.  The
+blocks run one at a time, so a run holds about one block of increments
+plus the step matrices, which the first block forms and the later
+blocks reuse.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import augment, backward
+from . import augment, backward, equilibrium
 from .equilibrium import EquilibriumSolution, ensure_diagnostics, row_maps, skeleton
 from .model import BlowUpError, MatrixPath, SpecError, as_count, make_grid
 
@@ -199,6 +201,17 @@ def _criteria(spec) -> dict:
     }
 
 
+def _live(x0, A, b, C, d) -> np.ndarray:
+    """Mask of the coordinates of dX = (A X + b) dt + (C X + d) dW, X(0) = x0,
+    that can leave 0: the least set holding each one with a nonzero start or
+    offset, or whose row reads the set, at some node.  The others stay +0."""
+    reads = np.any(A != 0, axis=0) | np.any(C != 0, axis=0)
+    live = (x0 != 0) | np.any(b != 0, axis=(0, 2)) | np.any(d != 0, axis=(0, 2))
+    while not np.array_equal(live, grown := live | reads[:, live].any(axis=1)):
+        live = grown
+    return live
+
+
 def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     """Sample everything the Euler loop needs at the left ends of the
     sub-grid steps.  Each signal is a row map E_s of the augmented state
@@ -206,7 +219,8 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     for the controls and disturbances, a constant (n, 10n+1) selector for
     x and xbar.  The closed loop (A, b, C, d) stays a tuple of paths that
     `_forms` samples per chunk of steps, so its (10n, 10n) samples are
-    held only inside the step matrices."""
+    held only inside the step matrices.  The loop carries only the
+    coordinates "live" masks (`_live`)."""
     spec = sol.spec
     n = spec.n
     times = _subtimes(spec.grid, substeps)
@@ -215,12 +229,12 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     maps = row_maps(sol, left)
     signals = {s: maps.pop(s) for s in ("u1", "u2", "f", "f2")}
     select = np.eye(10 * n, 10 * n + 1)
+    closed_loop = (sol.Atil, sol.Btil, sol.Ctil, sol.Dtil)
     return {
         "left": left,
         "dt": times[1] - times[0],
         "steps": len(left),
-        "n": n,
-        "closed_loop": (sol.Atil, sol.Btil, sol.Ctil, sol.Dtil),
+        "closed_loop": closed_loop,
         "Q": at(spec.Q),
         "R1": at(spec.R1),
         "R2": at(spec.R2),
@@ -228,6 +242,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
         "R0h": at(spec.R0hat),
         "G": spec.G,
         "x0": sol.Xi[:, 0],
+        "live": _live(sol.Xi[:, 0], *(p.samples for p in closed_loop)),
         "signals": {"x": select[:n], "xbar": select[n:2 * n], **signals},
         **maps,  # the weight inverses rt1inv, r0inv and r0hinv
         "criteria": _criteria(spec),
@@ -342,15 +357,15 @@ def _forms(pre: dict, tests, ks):
     the steps; for ks None, of the terminal costs as one step of weight 1
     that does not move.
 
-    K[j] maps the block's augmented state X1 = [X; 1] to, in this order:
-    the drift part [dt A | dt b] and the diffusion part [C | d] of the
-    step, the rows E_s of each (signal s, weight W) pair the criteria use,
-    the rows dt W E_s of the same pairs, and the rows H' and h' of the
-    tests' cross terms X1' (H Z_d + h_d).  The step's cost of criterion c
-    is coefs[c] @ (E_s X1 * dt W E_s X1) over the pair rows, coefs holding
-    the criterion's coefficient on every row of each pair it uses.  A
-    criterion is a few signal terms, so these rows are far fewer than a
-    (10n+1)^2 form per criterion, and no weight need be definite.
+    K[j] maps the block's augmented state X1 = [X[live]; 1] to, in this
+    order: the drift part [dt A | dt b] and the diffusion part [C | d] of
+    the step's live rows, the rows E_s of each (signal s, weight W) pair
+    the criteria use, the rows dt W E_s of the same pairs, and the rows H'
+    and h' of the tests' cross terms X1' (H Z_d + h_d).  The step's cost of
+    criterion c is coefs[c] @ (E_s X1 * dt W E_s X1) over the pair rows,
+    coefs holding the criterion's coefficient on every row of each pair it
+    uses.  A criterion is a few signal terms, so these rows are far fewer
+    than a (10n+1)^2 form per criterion, and no weight need be definite.
 
     The tests' response states are stacked test after test into one state
     of Dz rows per direction.  H' has one row per stacked row; h' one row
@@ -362,7 +377,8 @@ def _forms(pre: dict, tests, ks):
     test's quad term Z_d' (Mzz Z_d + 2 mzo_d) + czz_d, and the 0/1
     selector sel (T, Dz) sums each test's rows.
     """
-    m = 10 * pre["n"]
+    live = pre["live"]
+    cols, m = np.append(live, True), np.count_nonzero(live)  # X1's rows, X's count
     criteria = pre["criteria"]
     if ks is None:
         dt, steps = 1.0, 1
@@ -371,7 +387,7 @@ def _forms(pre: dict, tests, ks):
         dt, steps = pre["dt"], ks.stop - ks.start
         terms_of = {c: terms for c, (terms, _) in criteria.items()}
     take = lambda a: a if a.ndim == 2 else a[ks]
-    E = {s: take(pre["signals"][s]) for terms in terms_of.values() for s, _, _ in terms}
+    E = {s: take(pre["signals"][s])[..., cols] for t in terms_of.values() for s, _, _ in t}
 
     def wsum(terms, left, right):
         # dt * sum of coef * left_s' W right_s over the signals in `left`
@@ -382,8 +398,8 @@ def _forms(pre: dict, tests, ks):
         drift = diff = np.zeros((m, m + 1))
     else:
         A, b, C, d = (path.at(pre["left"][ks]) for path in pre["closed_loop"])
-        drift = dt * np.concatenate([A, b], axis=2)
-        diff = np.concatenate([C, d], axis=2)
+        drift = dt * np.concatenate([A, b], axis=2)[:, live][..., cols]
+        diff = np.concatenate([C, d], axis=2)[:, live][..., cols]
     # each (signal, weight) pair once, rows first[p]:first[p + 1] of both stacks
     pairs = list(dict.fromkeys((s, w) for terms in terms_of.values() for s, w, _ in terms))
     first = np.cumsum([0] + [E[s].shape[-2] for s, _ in pairs])
@@ -433,7 +449,7 @@ def _noise_free(tests) -> bool:
 
 
 class _Block:
-    """One path block of a run: the augmented state X1 as columns, with the
+    """One path block of a run: X1 = [X[live]; 1] as columns, with the
     cost accumulators; with tests, also the stacked response state Z
     (directions, Dz, width) and the cross and quad accumulators
     (directions, tests, width).  A noise-free stack (`_noise_free`) is the
@@ -442,10 +458,10 @@ class _Block:
     (directions x tests, Dz) @ (Dz, width) product."""
 
     def __init__(self, pre, tests, width, noise_free):
-        m = 10 * pre["n"]
-        self.X1 = np.empty((m + 1, width))
-        self.X1[:m] = pre["x0"][:, None]
-        self.X1[m] = 1.0
+        x0 = pre["x0"][pre["live"]]
+        self.X1 = np.empty((len(x0) + 1, width))
+        self.X1[:-1] = x0[:, None]
+        self.X1[-1] = 1.0
         self.costs = np.zeros((len(pre["criteria"]), width))
         if tests:
             dirs, dz = tests[0].b.shape[2], sum(t.b.shape[1] for t in tests)
@@ -455,36 +471,41 @@ class _Block:
             self.cross = np.zeros((dirs, len(tests), width))
             self.quad = np.zeros((dirs, len(tests), cols))
 
-    def step(self, forms, j, dw=None):
-        """Accumulate the costs of step j of `_forms` output at the current
-        state and, unless dw is None, make the step's Euler-Maruyama move."""
-        (K, coefs, resp), X1 = forms, self.X1
+    def run(self, forms, dW=None):
+        """Accumulate the costs of each step of `_forms` output at the state
+        it starts from and, unless dW is None, make its Euler-Maruyama move
+        with its row of the increments dW (steps, width)."""
+        (K, coefs, resp), X1, costs = forms, self.X1, self.costs
         m, rows = len(X1) - 1, coefs.shape[1]
-        Y = K[j] @ X1
-        row = 2 * m + 2 * rows
-        self.costs += coefs @ (Y[2 * m:2 * m + rows] * Y[2 * m + rows:row])
+        row, X = 2 * m + 2 * rows, X1[:m]
+        Y = np.empty((K.shape[1], X1.shape[1]))  # a step's rows, rewritten by each step
+        drift, diff, E, WE = Y[:m], Y[m:2 * m], Y[2 * m:2 * m + rows], Y[2 * m + rows:row]
         if resp is not None:
             (Kz, zoff, czz, sel), Z = resp, self.Z
-            dz = Z.shape[1]
-            Yz = Kz[j] @ Z
-            Yz += zoff[j]
-            if self.noisy:
-                self.cross += sel @ (Y[row:row + dz] * Z)
-            else:  # one column: fold it into the selector, one product
-                self.cross += ((sel * Z.mT).reshape(-1, dz)
-                               @ Y[row:row + dz]).reshape(self.cross.shape)
-            self.cross += Y[row + dz:].reshape(self.cross.shape)
-            self.quad += sel @ (Yz[:, 2 * dz:] * Z)
-            self.quad += czz[j]
-            if dw is not None:
-                Z += Yz[:, :dz]
-                if self.noisy:  # else the diffusion band is 0 @ Z + 0
-                    Yz[:, dz:2 * dz] *= dw
-                    Z += Yz[:, dz:2 * dz]
-        if dw is not None:
-            X1[:m] += Y[:m]
-            Y[m:2 * m] *= dw
-            X1[:m] += Y[m:2 * m]
+            dz, cross, quad, noisy = Z.shape[1], self.cross, self.quad, self.noisy
+            H, h = Y[row:row + dz], Y[row + dz:].reshape(cross.shape)
+        for j, Kj in enumerate(K):
+            np.matmul(Kj, X1, out=Y)
+            costs += coefs @ (E * WE)
+            if resp is not None:
+                Yz = Kz[j] @ Z
+                Yz += zoff[j]
+                if noisy:
+                    cross += sel @ (H * Z)
+                else:  # one column: fold it into the selector, one product
+                    cross += ((sel * Z.mT).reshape(-1, dz) @ H).reshape(cross.shape)
+                cross += h
+                quad += sel @ (Yz[:, 2 * dz:] * Z)
+                quad += czz[j]
+                if dW is not None:
+                    Z += Yz[:, :dz]
+                    if noisy:  # else the diffusion band is 0 @ Z + 0
+                        Yz[:, dz:2 * dz] *= dW[j]
+                        Z += Yz[:, dz:2 * dz]
+            if dW is not None:
+                X += drift
+                diff *= dW[j]
+                X += diff
 
 
 def _run(pre: dict, cfg: SimConfig, tests=()):
@@ -502,7 +523,7 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
     for t in tests:
         out["cross", t.name] = np.empty((cfg.paths, t.b.shape[2]))
         out["quad", t.name] = np.empty((cfg.paths, t.b.shape[2]))
-    terminal = np.empty((cfg.paths, len(pre["x0"])))
+    terminal = np.zeros((cfg.paths, len(pre["x0"])))
     chunks = [slice(k0, min(k0 + STEP_BLOCK, S)) for k0 in range(0, S, STEP_BLOCK)]
     final = _forms(pre, tests, None)
     noise_free = _noise_free(tests)
@@ -522,9 +543,8 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
                     forms = _forms(pre, tests, ks)
                     if cfg.paths > PATH_BLOCK:
                         cached.append(forms)
-                for j, dw in enumerate(np.ascontiguousarray(dW[:, ks].T)):
-                    blk.step(forms, j, dw)
-            blk.step(final, 0)
+                blk.run(forms, np.ascontiguousarray(dW[:, ks].T))
+            blk.run(final)
         del dW  # one block's increments are held at a time
 
         X = blk.X1[:-1].T
@@ -533,7 +553,9 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
             bad |= ~np.isfinite(blk.Z).all(axis=(0, 1))
         blown += int(bad.sum())
         sl = slice(first, first + width)
-        terminal[sl] = X
+        # the others are +0, or nan on a blown path as a full-state step's 0 * inf
+        terminal[sl, pre["live"]] = X
+        terminal[first + np.flatnonzero(bad)[:, None], ~pre["live"]] = np.nan
         per_path = list(zip(pre["criteria"], blk.costs))
         for i, t in enumerate(tests):
             per_path += [(("cross", t.name), blk.cross[:, i].T),
@@ -796,12 +818,13 @@ def bvp_oracle(sol: EquilibriumSolution, coarse_n: int = 64) -> OracleResult:
     are zero, which is the regime this oracle is meant for.  The two are
     compared only at the nodes both grids share, every c/gcd(N, c)-th
     oracle node (all when c divides N), so no pipeline value is
-    interpolated.  The 10n stage comes from `ensure_diagnostics`.  The
-    skeleton is marched once per solution and kept as `sol.noise_free` for
-    later calls.
+    interpolated.  The 10n stage is built on demand, as `ensure_diagnostics`
+    builds it, without the P3 march the oracle does not read.  The skeleton
+    is marched once per solution and kept as `sol.noise_free` for later
+    calls.
     """
     grid = make_grid(sol.spec.grid.horizon, coarse_n)
-    dh = ensure_diagnostics(sol).dh
+    dh = equilibrium._ensure_stages(sol).dh
     Z = _trapezoidal_bvp(dh, grid)
     ten = dh.A1.rows
     Xo, Yo = Z[:, :ten], Z[:, ten:]

@@ -3,15 +3,16 @@ equation of the production-supply game, the fundamental-matrix closed
 form of fraction-free Riccati equations, the finite-difference
 residual of a solved path against its right-hand side, the martingale
 integrand gains of a solved game, the unified Riccati march that
-reads and multiplies every coefficient on its own, and a stage offset
-marched as trailing columns of its Riccati path."""
+reads and multiplies every coefficient on its own, a stage offset
+marched as trailing columns of its Riccati path, and the Euler loop of
+`simulate` on the full 10n state."""
 
 from dataclasses import replace
 
 import numpy as np
 
 import robustlq as rl
-from robustlq import augment, backward
+from robustlq import augment, backward, montecarlo
 from robustlq.model import MatrixPath, RegularityError, frobenius
 
 
@@ -147,3 +148,36 @@ def joint_offset_march(prob: backward.RiccatiProblem, u: MatrixPath, drift: Matr
                                    terminal=np.hstack([prob.terminal, np.zeros((d, cols))])))
     P = backward.solve_riccati_generalized(prob).P
     return MatrixPath(grid, P.samples[..., d:])
+
+
+def full_state_simulate(sol, cfg):
+    """(terminal, costs by criterion) of `simulate(sol, cfg)` from an Euler
+    loop that steps every coordinate of the 10n state: the block-by-block
+    loop of `montecarlo._run` on step matrices formed with all of X live,
+    one product of the whole augmented state and an in-place move per
+    step, path block after path block."""
+    pre = montecarlo._precompute_base(sol, cfg.substeps)
+    m, S, B = len(pre["x0"]), pre["steps"], montecarlo.PATH_BLOCK
+    pre["live"] = np.ones(m, dtype=bool)
+    chunks = [montecarlo._forms(pre, (), slice(k0, min(k0 + montecarlo.STEP_BLOCK, S)))
+              for k0 in range(0, S, montecarlo.STEP_BLOCK)]
+    steps = [(Kj, coefs) for K, coefs, _ in chunks for Kj in K]
+    K, coefs, _ = montecarlo._forms(pre, (), None)
+    steps.append((K[0], coefs))  # the terminal costs, with no move
+    terminal, costs = np.empty((cfg.paths, m)), np.empty((len(pre["criteria"]), cfg.paths))
+    for first in range(0, cfg.paths, B):
+        width = min(B, cfg.paths - first)
+        dW = montecarlo.path_increments(cfg.seed, first, width, S, pre["dt"])
+        X1 = np.ones((m + 1, width))
+        X1[:m] = pre["x0"][:, None]
+        cost = np.zeros((len(costs), width))
+        for k, (Kk, coefs) in enumerate(steps):
+            rows = coefs.shape[1]
+            Y = Kk @ X1
+            cost += coefs @ (Y[2 * m:2 * m + rows] * Y[2 * m + rows:2 * m + 2 * rows])
+            if k < S:
+                X1[:m] += Y[:m]
+                Y[m:2 * m] *= dW[:, k]
+                X1[:m] += Y[m:2 * m]
+        terminal[first:first + width], costs[:, first:first + width] = X1[:m].T, cost
+    return terminal, dict(zip(pre["criteria"], costs))

@@ -9,6 +9,7 @@ from robustlq import equilibrium, montecarlo
 from robustlq.model import BlowUpError, SpecError
 
 from conftest import hand_made_deviations, homogeneous_spec, instance_a, instance_b, random_spec
+from oracles import full_state_simulate
 
 
 def no_noise_spec(N=100):
@@ -317,6 +318,74 @@ def test_simulated_signals_are_the_feedback_maps(sol_a):
         assert np.array_equal(pre["signals"][name], maps[name]), name
 
 
+def synthetic_loop(m=4, nodes=3):
+    """(x0, A, b, C, d) node samples of an m-state closed loop, all zero."""
+    return (np.zeros(m), np.zeros((nodes, m, m)), np.zeros((nodes, m, 1)),
+            np.zeros((nodes, m, m)), np.zeros((nodes, m, 1)))
+
+
+def test_live_rule_on_synthetic_loops():
+    live = lambda loop: montecarlo._live(*loop).tolist()
+    # a chain: 2 drives 1, 1 drives 0, from a nonzero start at 2
+    x0, A, b, C, d = loop = synthetic_loop()
+    x0[2], A[:, 1, 2], A[:, 0, 1] = 1.0, 0.5, -0.2
+    assert live(loop) == [True, True, True, False]
+    # an offset that is nonzero at one node only
+    x0, A, b, C, d = loop = synthetic_loop()
+    b[1, 3, 0] = 1e-300
+    assert live(loop) == [False, False, False, True]
+    # a drive through the diffusion only, nonzero at one node
+    x0, A, b, C, d = loop = synthetic_loop()
+    d[:, 3, 0], C[2, 0, 3] = 0.1, 0.4
+    assert live(loop) == [True, False, False, True]
+    # a self-loop that starts at zero stays at zero
+    x0, A, b, C, d = loop = synthetic_loop()
+    A[:, 1, 1], C[:, 1, 1] = 2.0, 0.5
+    assert live(loop) == [False] * 4
+    # nothing to drop: every coordinate is reached from the first
+    x0, A, b, C, d = loop = synthetic_loop()
+    x0[0], A[:, 1, 0], C[:, 2, 1], A[0, 3, 2] = 1.0, 0.3, 0.2, 0.1
+    assert live(loop) == [True] * 4
+
+
+@pytest.mark.parametrize("make", [instance_a, instance_b, lambda: random_spec(1, 2),
+                                  lambda: random_spec(1, 4, N=200)],
+                         ids=["instance_a", "instance_b", "random_1_2", "random_1_4"])
+def test_loop_drops_the_zero_blocks(make):
+    # the n-blocks a1 and a2 (slots 6 and 7 of the 10n stack) start at 0
+    # and are driven by each other alone: the loop drops exactly those,
+    # and the terminal reports them as +0 on every path
+    sol = rl.solve_game(make())
+    n = sol.spec.n
+    live = montecarlo._precompute_base(sol, 1)["live"]
+    assert np.flatnonzero(~live).tolist() == list(range(6 * n, 8 * n))
+    out = rl.simulate(sol, rl.SimConfig(paths=50, seed=2, substeps=1))
+    dropped = out.terminal[:, ~live]
+    assert np.all(dropped == 0.0) and not np.signbit(dropped).any()
+    assert np.isfinite(out.terminal).all()
+
+
+def test_simulate_matches_full_state_loop():
+    # a game no pin covers, two path blocks, the second partial: the loop
+    # on the live coordinates against the loop on all 10n.  On the full
+    # block every sum is the full loop's bit for bit.  A BLAS may sum the
+    # paths past the last multiple of its tile width in lanes, which the
+    # dropped zero terms regroup (OpenBLAS does, for the last 4 paths of
+    # this 76-path block): there, roundoff within 1e-15 of the scale
+    sol = rl.solve_game(random_spec(1, 2, N=50))
+    cfg = rl.SimConfig(paths=1100, seed=8, substeps=2)
+    out = rl.simulate(sol, cfg)
+    terminal, costs = full_state_simulate(sol, cfg)
+    assert not montecarlo._precompute_base(sol, 1)["live"].all()
+    B = montecarlo.PATH_BLOCK
+    pairs = [(out.terminal, terminal)] + [(getattr(out, field), costs[name]) for name, field in
+                                          (("game", "j"), ("follower", "j_follower"),
+                                           ("leader", "j_leader"))]
+    for got, want in pairs:
+        assert np.array_equal(got[:B], want[:B])
+        assert np.all(np.abs(got[B:] - want[B:]) <= 1e-15 * np.abs(want).max(axis=0))
+
+
 def test_no_noise_paths_identical():
     sol = rl.solve_game(no_noise_spec())
     assert np.all(sol.Ctil.samples == 0.0) and np.all(sol.Dtil.samples == 0.0)
@@ -554,6 +623,20 @@ def test_bvp_oracle_banded_matches_dense_solve(make):
     assert np.abs(res.Y_oracle - Y).max() <= 1e-12 * scale
 
 
+def test_bvp_oracle_leaves_p3_unsolved():
+    # the oracle reads the 10n stage alone: a first call builds the stages
+    # but not P3, and a later ensure_diagnostics keeps them and adds the
+    # P3 a fresh one gives
+    sol = rl.solve_game(instance_b())
+    rl.bvp_oracle(sol, 64)
+    dh = sol.dh
+    assert dh is not None and sol.P3 is None
+    rl.ensure_diagnostics(sol)
+    assert sol.dh is dh
+    fresh = rl.ensure_diagnostics(rl.solve_game(instance_b()))
+    assert sol.P3.samples.tobytes() == fresh.P3.samples.tobytes()
+
+
 def test_bvp_oracle_memory_is_banded():
     # the dense system of this call would hold (2 * 40 * 129)^2 doubles
     sol = rl.ensure_diagnostics(rl.solve_game(random_spec(1, 4, N=800)))
@@ -608,6 +691,18 @@ def test_blowup_within_budget_flags(monkeypatch, sol_a):
     assert np.isnan(out.j[7]) and np.isfinite(out.j_mean)
     summary = out.summary()
     assert summary["blown"] == 1 and np.isfinite(summary["j"]["mean"])
+
+
+def test_blown_path_terminal_is_nan(monkeypatch, sol_a):
+    # a blown path's terminal row is nan in every coordinate, the dropped
+    # ones included, and stays out of the terminal statistics
+    poison_paths(monkeypatch, lambda pid: pid == 7)
+    out = rl.simulate(sol_a, rl.SimConfig(paths=2000, seed=1, substeps=1))
+    assert out.blown == 1
+    assert np.isnan(out.terminal[7]).all()
+    rest = np.delete(out.terminal, 7, axis=0)
+    assert np.isfinite(rest).all()
+    assert out.summary()["terminal_mean"] == rest.mean(axis=0).tolist()
 
 
 def test_blown_path_leaves_rows_finite(monkeypatch, sol_a):
