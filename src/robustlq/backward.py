@@ -201,7 +201,7 @@ def _left(quad, fraction, solve):
 def tabled(prob: RiccatiProblem) -> RiccatiProblem:
     """prob with its cubic-read `_left` coefficients copied into one table."""
     paths = {n: p for n in _left(*prob.terms())
-             if type(p := getattr(prob, n)).half is MatrixPath.half}
+             if type(p := getattr(prob, n))._cubic is MatrixPath._cubic}
     table = np.concatenate([p.samples for p in paths.values()], axis=-1)
     edges = np.cumsum([0] + [p.shape[1] for p in paths.values()])
     return replace(prob, **{n: MatrixPath(prob.grid, table[..., a:b])
@@ -218,7 +218,7 @@ def _columns(table: np.ndarray, path: MatrixPath):
     """The columns of the C-ordered table that a cubic-read path views, if any."""
     part, data = path.samples, lambda a: a.__array_interface__["data"][0]
     off, rem = divmod(data(part) - data(table), part.itemsize)
-    if (table.flags.c_contiguous and type(path).half is MatrixPath.half and not rem
+    if (table.flags.c_contiguous and type(path)._cubic is MatrixPath._cubic and not rem
             and part.strides == table.strides and part.shape[:2] == table.shape[:2]
             and 0 <= off <= table.shape[2] - part.shape[2]):
         return slice(off, off + part.shape[2])
@@ -342,27 +342,23 @@ def solve_riccati_follower(spec, delta: float = 1e-8) -> RiccatiSolution:
 
 
 class _InversePath(MatrixPath):
-    """scale * base^{-1}, inverted where it is read, so a midpoint inverts
-    base's midpoint read.  Node samples are inverted last node first, in the march's order, and
-    an even half step reads them."""
+    """scale * base^{-1}, inverted where it is read: the node samples last
+    node first, in the march's order, and each off-node read from base's
+    cubic read there (`_cubic`); `_invert` takes the reads' times in steps."""
 
     __slots__ = ("base", "scale", "what", "eye")
 
     def __init__(self, base: MatrixPath, scale: float, what: str):
         self.base, self.scale, self.what, self.eye = base, scale, what, np.eye(base.rows)
-        super().__init__(base.grid, self._invert(2 * np.arange(len(base.grid))[::-1])[::-1])
+        k = np.arange(len(base.grid))[::-1]
+        super().__init__(base.grid, self._invert(base.samples[k], k)[::-1])
 
-    def _invert(self, j) -> np.ndarray:
-        return self.scale * _solve_guarded(self.base.half(j), self.eye, self.what, j,
+    def _invert(self, mats, steps) -> np.ndarray:
+        return self.scale * _solve_guarded(mats, self.eye, self.what, 2 * steps,
                                            self.base.grid.dt)
 
-    def half(self, j) -> np.ndarray:
-        if not isinstance(j, np.ndarray):
-            return self._invert(j) if j & 1 else self.samples[j >> 1]
-        out = self.samples[j >> 1]
-        odd = (j & 1) == 1
-        out[odd] = self._invert(j[odd])
-        return out
+    def _cubic(self, k, w) -> np.ndarray:
+        return self._invert(self.base._cubic(k, w), k + w)
 
 
 def disturbance_problem(spec) -> RiccatiProblem:

@@ -45,9 +45,12 @@ def _fmt(x: float) -> str:
 
 
 def write_path_csv(path: MatrixPath, dest):
-    """Matrix path as CSV: one row per node, entries flattened row-major."""
+    """Matrix path as CSV: one row per node, entries flattened row-major,
+    entry (i, j) from 1 in column p_<i><j>, or p_<i>_<j> past 10 rows and
+    10 columns, where p_111 would name both (1, 11) and (11, 1)."""
     r, c = path.shape
-    header = "t," + ",".join(f"p_{i + 1}{j + 1}" for i in range(r) for j in range(c))
+    sep = "_" if min(r, c) > 10 else ""
+    header = "t," + ",".join(f"p_{i + 1}{sep}{j + 1}" for i in range(r) for j in range(c))
     lines = [header]
     for k, t in enumerate(path.grid.nodes):
         flat = path.samples[k].reshape(-1)
@@ -67,39 +70,22 @@ def _outdir(args) -> Path:
 
 
 def _dump_solution(sol, out: Path):
-    write_path_csv(sol.P, out / "P.csv")
-    write_path_csv(sol.P1, out / "P1.csv")
-    write_path_csv(sol.Phat, out / "Phat.csv")
-    write_path_csv(sol.phihat, out / "phihat.csv")
-    write_path_csv(sol.L, out / "L.csv")
-    write_path_csv(sol.psi, out / "psi.csv")
-    write_path_csv(sol.gains.PM1, out / "PM1.csv")
-    write_path_csv(sol.gains.PM2, out / "PM2.csv")
-    write_path_csv(sol.gains.phiM1, out / "phiM1.csv")
-    write_path_csv(sol.gains.phiM2, out / "phiM2.csv")
+    for name in ("P", "P1", "Phat", "phihat", "L", "psi"):
+        write_path_csv(getattr(sol, name), out / f"{name}.csv")
+    for name in ("PM1", "PM2", "phiM1", "phiM2"):
+        write_path_csv(getattr(sol.gains, name), out / f"{name}.csv")
 
 
 def _solution_summary(sol) -> dict:
     grid = sol.spec.grid
     probe_ts = [grid.nodes[int(round(f * grid.steps))] for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    gains_at = []
-    for t in probe_ts:
-        gains_at.append({
-            "t": t,
-            "PM1": sol.gains.PM1.at(t).tolist(),
-            "PM2": sol.gains.PM2.at(t).tolist(),
-            "phiM1": sol.gains.phiM1.at(t)[:, 0].tolist(),
-            "phiM2": sol.gains.phiM2.at(t)[:, 0].tolist(),
-        })
-    regularity = {}
-    for name, arr in sol.regularity.items():
-        arr = np.asarray(arr)
-        regularity[name] = {"min": float(arr.min()), "max": float(arr.max())}
-    return {
-        "value": equilibrium.value(sol),
-        "regularity": regularity,
-        "gains_at": gains_at,
-    }
+    g = sol.gains
+    gains_at = [{"t": t, "PM1": g.PM1.at(t).tolist(), "PM2": g.PM2.at(t).tolist(),
+                 "phiM1": g.phiM1.at(t)[:, 0].tolist(), "phiM2": g.phiM2.at(t)[:, 0].tolist()}
+                for t in probe_ts]
+    regularity = {name: {"min": float(np.min(arr)), "max": float(np.max(arr))}
+                  for name, arr in sol.regularity.items()}
+    return {"value": equilibrium.value(sol), "regularity": regularity, "gains_at": gains_at}
 
 
 def _write_json(obj, dest):
@@ -127,10 +113,9 @@ def cmd_simulate(args) -> int:
     summary["value"] = equilibrium.value(sol)
     _write_json(summary, out / "sim_summary.json")
     if args.per_path:
-        lines = ["path,j,j_follower,j_leader"]
-        for i in range(len(sim.j)):
-            lines.append(",".join([str(i), _fmt(sim.j[i]), _fmt(sim.j_follower[i]),
-                                   _fmt(sim.j_leader[i])]))
+        lines = ["path,j,j_follower,j_leader"] + [
+            ",".join([str(i), *map(_fmt, row)])
+            for i, row in enumerate(zip(sim.j, sim.j_follower, sim.j_leader))]
         (out / "paths.csv").write_text("\n".join(lines) + "\n")
     print(f"j mean {summary['j']['mean']:.12g} (stderr {summary['j']['stderr']:.3g}), "
           f"value {summary['value']:.12g}")
@@ -160,8 +145,7 @@ def cmd_verify(args) -> int:
     convexity = montecarlo.sampled_convexity(dev)
     (out / "convexity.csv").write_text("\n".join(convexity.csv_lines()) + "\n")
 
-    diffusion_free = (np.all(spec.C.samples == 0.0) and np.all(spec.D1.samples == 0.0)
-                      and np.all(spec.D2.samples == 0.0))
+    diffusion_free = not any(np.any(getattr(spec, n).samples) for n in ("C", "D1", "D2"))
     oracle = {"applicable": bool(diffusion_free)}
     if diffusion_free:
         res64 = montecarlo.bvp_oracle(sol, 64)

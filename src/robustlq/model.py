@@ -2,10 +2,11 @@
 the full game specification, and validation of the standing assumptions.
 
 All coefficients are deterministic functions of time, represented by their
-values at the nodes of a uniform grid.  `MatrixPath.at` reads a path at any
-time by linear interpolation; the backward RK4 marches read it by integer
-half step with `MatrixPath.half`, the node or the cubic midpoint of a cell,
-so no stage time is ever located.
+values at the nodes of a uniform grid.  Between nodes a path reads the
+cubic through the four nodes around the cell, one rule for every reader:
+`MatrixPath.at` reads it at any time, and the backward RK4 marches read it
+by integer half step with `MatrixPath.half`, the node or the cell's
+midpoint, so no stage time is ever located.
 The leader-observed disturbance f1 is restricted to a deterministic path,
 which keeps every backward equation in the pipeline an ODE.
 """
@@ -102,9 +103,9 @@ def make_grid(T: float, N: int) -> TimeGrid:
 class MatrixPath:
     """A matrix-valued function of time sampled at grid nodes.
 
-    Samples are stored as an array of shape (N+1, rows, cols); `at`
-    interpolates entrywise linearly between nodes, `half` reads a cell's
-    cubic midpoint, and both return node values bit-exactly.
+    Samples are stored as an array of shape (N+1, rows, cols).  `at` reads
+    any time and `half` a half step, both from one fourth-order rule,
+    `_cubic`, between nodes, and both return node values bit-exactly.
     """
 
     __slots__ = ("grid", "samples")
@@ -142,54 +143,73 @@ class MatrixPath:
 
     def at(self, t) -> np.ndarray:
         """Value at time t, or values stacked along the leading axes for an
-        array of times: node k where t locates at w = 0, else
-        (1-w) m_k + w m_{k+1}."""
+        array of times, at the cell k and weight w the time locates at
+        (`_read`)."""
         ts = np.asarray(t, dtype=float)
-        k, w = self.grid.locate(ts.reshape(-1))
-        out = self.samples[k]
-        mid = w != 0.0
-        wm, km = w[mid][:, None, None], k[mid]
-        out[mid] = (1.0 - wm) * self.samples[km] + wm * self.samples[km + 1]
-        return out.reshape(ts.shape + self.shape)
+        return self._read(*self.grid.locate(ts.reshape(-1))).reshape(ts.shape + self.shape)
 
     def half(self, j) -> np.ndarray:
         """Value at half step j, the time j dt/2: node j/2, bit-exactly, for
-        an even j, else the cubic midpoint of its cell (`_midpoint`);
+        an even j, else the midpoint w = 1/2 of its cell (`_cubic`);
         stacked along the leading axis for an int array of half steps, bit
         for bit the scalar reads."""
-        k = j >> 1
-        if not isinstance(j, np.ndarray):
-            return self._midpoint(np.array([k]))[0] if j & 1 else self.samples[k]
-        mid = (j & 1) == 1
+        if isinstance(j, np.ndarray):
+            return self._read(j >> 1, 0.5 * (j & 1))
+        return self._cubic(np.array([j >> 1]), 0.5)[0] if j & 1 else self.samples[j >> 1]
+
+    def _read(self, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Node k where w = 0, else the cubic at w in cell k (`_cubic`)."""
+        mid = w != 0.0
         if mid.all():
-            return self._midpoint(k)
+            return self._cubic(k, w)
         out = self.samples[k]
-        out[mid] = self._midpoint(k[mid])
+        if mid.any():
+            out[mid] = self._cubic(k[mid], w[mid])
         return out
 
-    def _midpoint(self, k: np.ndarray) -> np.ndarray:
-        """Midpoints of the cells k, [t_k, t_{k+1}], of the cubic through
-        four nodes: (a + b)/2 + ((a + b) - (c + d))/16 with a, b = m_k,
-        m_{k+1} and c, d = m_{k-1}, m_{k+2}; the first cell reads the
-        one-sided (5 m_0 + 15 m_1 - 5 m_2 + m_3)/16 and the last its
-        mirror.  Every correction is a sum of node differences, so a
-        constant path reads exactly.  A grid of fewer than three steps has
-        no cubic and reads the mean of the two nodes."""
+    def _cubic(self, k: np.ndarray, w) -> np.ndarray:
+        """Values at the times (k + w) dt, 0 < w < 1 (an array like k, or a
+        number), of the cubic through the four nodes around each cell k:
+        with a, b, c, d = m_k, m_{k+1}, m_{k-1}, m_{k+2}, s = a + b, t = c + d
+        and u = w - 1/2, s/2 + ((1/4 - u^2)/4)(s - t) + u [((9/4 - u^2)/2)
+        (b - a) + ((u^2 - 1/4)/6)(d - c)].  The first cell reads the cubic
+        through a, b, c, d = m_0..m_3, s/2 + (3(b - a) + 4(b - c) + (d - c)
+        + (2u/3)[(4u^2 - 18u + 23)(b - a) + 2(4u^2 - 12u - 1)(b - c) + (4u^2
+        - 6u - 1)(d - c)])/16, the last its mirror, m_N..m_{N-3} at -u.  All
+        corrections are sums of node differences, so a constant reads
+        exactly; the u-terms are skipped at u = 0.  A grid of fewer than
+        three steps reads the line s/2 + u (b - a)."""
         m, last = self.samples, len(self.samples) - 1
-        if last < 3:
-            return 0.5 * (m[k] + m[k + 1])
+        u = np.broadcast_to(np.subtract(w, 0.5), k.shape)[:, None, None]
+        skew = u.any()
         # in place, from one gathered copy per pair of nodes
-        out, outer = m[k], m[np.maximum(k - 1, 0)]
-        out += m[k + 1]
-        outer += m[np.minimum(k + 2, last)]
+        out, b = m[k], m[k + 1]
+        rise = b - out if skew else None
+        out += b
+        if last < 3:
+            out *= 0.5
+            return out + u * rise if skew else out
+        outer, d = m[np.maximum(k - 1, 0)], m[np.minimum(k + 2, last)]
+        if skew:
+            uu = u * u
+            odd = u * ((0.5 * (2.25 - uu)) * rise + ((uu - 0.25) / 6.0) * (d - outer))
+        outer += d
         np.subtract(out, outer, out=outer)
-        outer *= 0.0625
+        outer *= 0.25 * (0.25 - uu) if skew else 0.0625
         out *= 0.5
         out += outer
-        for end, (a, b, c, d) in ((0, m[:4]), (last - 1, m[:-5:-1])):
+        if skew:
+            out += odd
+        for end, sign, (a, b, c, d) in ((0, 1.0, m[:4]), (last - 1, -1.0, m[:-5:-1])):
             hit = k == end
             if hit.any():
-                out[hit] = 0.5 * (a + b) + (3.0 * (b - a) + 4.0 * (b - c) + (d - c)) * 0.0625
+                e = 3.0 * (b - a) + 4.0 * (b - c) + (d - c)
+                if skew:
+                    v = sign * u[hit]
+                    vv = 4.0 * v * v
+                    e = e + (v / 1.5) * ((vv - 18.0 * v + 23.0) * (b - a) + 2.0 * (
+                        vv - 12.0 * v - 1.0) * (b - c) + (vv - 6.0 * v - 1.0) * (d - c))
+                out[hit] = 0.5 * (a + b) + e * 0.0625
         return out
 
 

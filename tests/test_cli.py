@@ -81,6 +81,21 @@ def test_solve_csv_roundtrip_precision(homog_file, tmp_path):
     assert float(t0) == 0.0 and float(p0) == 0.0
 
 
+def test_csv_header_names_every_entry_once(tmp_path):
+    # p_<i><j> names each entry once while the path has at most 10 rows or
+    # at most 10 columns; past both, p_111 would be (1, 11) and (11, 1), as
+    # in the 20 x 20 Phat.csv and L.csv of an n = 2 game, so the names
+    # become p_<i>_<j>
+    grid = rl.make_grid(1.0, 2)
+    for (r, c), first, last in (((1, 1), "p_11", "p_11"), ((10, 20), "p_11", "p_1020"),
+                                ((20, 1), "p_11", "p_201"), ((11, 11), "p_1_1", "p_11_11"),
+                                ((20, 20), "p_1_1", "p_20_20")):
+        cli.write_path_csv(rl.MatrixPath.zeros(grid, r, c), tmp_path / "p.csv")
+        names = (tmp_path / "p.csv").read_text().splitlines()[0].split(",")
+        assert len(set(names)) == len(names) == r * c + 1, (r, c)
+        assert (names[0], names[1], names[-1]) == ("t", first, last)
+
+
 def test_example_reproduces_closed_form(tmp_path):
     out = tmp_path / "ex"
     code = cli.run(["example", "--a", "0.5", "--c", "-1", "--q", "1", "--g", "1",

@@ -147,6 +147,42 @@ def test_feedback_on_arrays_matches_scalar_calls(sol_a):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
+@pytest.mark.parametrize("game", ["instance_a", "random_2", "random_4"])
+def test_feedback_between_nodes_fourth_order(game):
+    # the strategy between nodes reads the four-node cubic: at the times
+    # (k + 1/3) T/50, off node on every grid here, the feedback of
+    # successive halvings N = 50, ..., 400 differs by about 16 times less
+    # each time (a linear read gives about 4)
+    make = instance_a if game == "instance_a" else (
+        lambda N: random_spec(11, int(game[-1]), N=N))
+    outs = []
+    for N in (50, 100, 200, 400):
+        spec = make(N)
+        t = (np.arange(50) + 1.0 / 3.0) * spec.grid.horizon / 50
+        X = np.random.default_rng(0).standard_normal((50, 10 * spec.n))
+        out = rl.feedback(rl.solve_game(spec), X, t)
+        outs.append(np.concatenate([out.u1, out.u2, out.f, out.f2], axis=-1))
+    gaps = [np.abs(b - a).max() for a, b in zip(outs, outs[1:])]
+    assert gaps[0] >= 12.0 * gaps[1] and gaps[1] >= 12.0 * gaps[2], gaps
+
+
+@pytest.mark.parametrize("game", ["instance_a", "instance_b", "random_1_4", "random_11_4"])
+def test_weights_between_nodes_keep_their_sign(game):
+    # a cubic read can overshoot between nodes: at the times of 4 Euler
+    # substeps a step, the follower's weight R1 + D1'PD1 and R0, R0hat,
+    # all read by `at`, stay strongly positive and the leader's Rbb
+    # strongly negative, as the solve checked them at the nodes
+    spec = {"instance_a": instance_a, "instance_b": instance_b}.get(
+        game, lambda: random_spec(int(game.split("_")[1]), 4))()
+    sol, delta = rl.solve_game(spec), 1e-8
+    t = rl.make_grid(spec.grid.horizon, 4 * spec.grid.steps).nodes
+    eigs = lambda M: np.linalg.eigvalsh(0.5 * (M + M.mT))
+    D1 = spec.D1.at(t)
+    for weight in (spec.R1.at(t) + D1.mT @ sol.P.at(t) @ D1, spec.R0.at(t), spec.R0hat.at(t)):
+        assert eigs(weight).min() >= delta
+    assert eigs(rl.MatrixPath(spec.grid, sol.terms.Rbb).at(t)).max() <= -delta
+
+
 def test_value_zero_initial_state():
     spec = homogeneous_spec(xi=0.0)
     assert rl.value(rl.solve_game(spec)) == 0.0
@@ -497,21 +533,22 @@ def test_locate_calls_independent_of_grid_size(monkeypatch):
 
 def test_midpoint_reads_per_solve(monkeypatch):
     # the odd half-step reads of an n = 4 solve at N = 200, in runs of
-    # RUN_BYTES: one `_midpoint` call a run for each coefficient table and
+    # RUN_BYTES: one `_cubic` call a run for each coefficient table and
     # for each coefficient read on its own.  [Phat | phihat]: the table,
     # A2, [Q | Upsilon] and C2 in 50 runs of 4 odd half steps (200);
     # [L | psi]: the [Atil | Btil] table, its square block A2, the source,
     # [Ctil | Dtil] and its square block C2 in 25 runs of 8 (125); the
     # follower's six paths and the disturbance table, A2, Q, C2 and R0 in
-    # one run each, plus R0's node inversion (12).  A right-hand side that
-    # reads every coefficient on its own again raises the count.
-    midpoint = rl.MatrixPath._midpoint
+    # one run each (11); R0's node inversion reads its nodes, not a cubic.
+    # A right-hand side that reads every coefficient on its own again
+    # raises the count.
+    cubic = rl.MatrixPath._cubic
     calls = []
 
-    def counting(path, k):
+    def counting(path, k, w):
         calls.append(len(k))
-        return midpoint(path, k)
+        return cubic(path, k, w)
 
-    monkeypatch.setattr(rl.MatrixPath, "_midpoint", counting)
+    monkeypatch.setattr(rl.MatrixPath, "_cubic", counting)
     rl.solve_game(random_spec(1, 4, N=200))
-    assert len(calls) == 337
+    assert len(calls) == 336

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
+from robustlq import backward
 from robustlq.model import MatrixPath, SpecError
 
 from conftest import instance_a, malformed_spec_docs
@@ -67,17 +68,30 @@ def test_sample_nodes_bit_exact():
 
 
 def _reference_at(path, t):
-    # the interpolation rule written out for one time: node times snap to
-    # the stored sample, including a time that rounds onto the next node
-    grid = path.grid
+    # the read rule written out for one time: node times snap to the
+    # stored sample, including a time that rounds onto the next node, and
+    # so does a time whose weight w in its cell rounds to 0; in between,
+    # the cubic through the four nodes around the cell in the form and
+    # order of operations of `MatrixPath._cubic`, one-sided in the end cells
+    grid, m = path.grid, path.samples
     u = t / grid.dt
     k = min(max(int(np.floor(u)), 0), grid.steps)
     if k < grid.steps and t == grid.nodes[k + 1]:
-        return path.samples[k + 1]
-    if t == grid.nodes[k] or k == grid.steps:
-        return path.samples[k]
-    w = u - k
-    return (1.0 - w) * path.samples[k] + w * path.samples[k + 1]
+        return m[k + 1]
+    if t == grid.nodes[k] or k == grid.steps or u == k:
+        return m[k]
+    u = (u - k) - 0.5
+    if 0 < k < grid.steps - 1:
+        a, b, c, d = m[k], m[k + 1], m[k - 1], m[k + 2]
+        s = a + b
+        return (s * 0.5 + (0.25 * (0.25 - u * u)) * (s - (c + d))
+                + u * ((0.5 * (2.25 - u * u)) * (b - a) + ((u * u - 0.25) / 6.0) * (d - c)))
+    (a, b, c, d), v = (m[:4], u) if k == 0 else (m[:-5:-1], -u)
+    e = (3.0 * (b - a) + 4.0 * (b - c) + (d - c)
+         + (v / 1.5) * ((4.0 * v * v - 18.0 * v + 23.0) * (b - a)
+                        + 2.0 * (4.0 * v * v - 12.0 * v - 1.0) * (b - c)
+                        + (4.0 * v * v - 6.0 * v - 1.0) * (d - c)))
+    return 0.5 * (a + b) + e * 0.0625
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
@@ -98,6 +112,20 @@ def test_located_reads_match_scalar_at(N, T):
     assert np.array_equal(path.samples, samples)
     k, w = grid.locate(np.array(times))
     assert list(zip(k.tolist(), w.tolist())) == [grid.locate(t) for t in times]
+
+
+def _assert_at_reads_half(path):
+    # `at` reads the rule `half` reads: at the midpoint time (k + 1/2) dt,
+    # in every cell where that time locates at w = 1/2, the odd half step
+    # 2k + 1 bit for bit, and within roundoff where it rounds off w = 1/2
+    N = path.grid.steps
+    tm = (np.arange(N) + 0.5) * path.grid.dt
+    k, w = path.grid.locate(tm)
+    mids = path.half(2 * np.arange(N) + 1)
+    assert np.array_equal(k, np.arange(N)) and (w == 0.5).mean() > 0.9
+    assert np.array_equal(path.at(tm[w == 0.5]), mids[w == 0.5])
+    assert all(np.array_equal(path.at(t), mid) for t, mid, on in zip(tm, mids, w == 0.5) if on)
+    assert np.allclose(path.at(tm), mids, rtol=1e-14, atol=1e-14)
 
 
 def test_half_step_reads():
@@ -122,18 +150,35 @@ def test_half_step_reads():
     assert np.array_equal(path.half(js[7:60]), ref[7:60])
     assert np.array_equal(path.half(js[::-2]), ref[::-2])
     assert np.array_equal(path.samples, m)
+    _assert_at_reads_half(path)
 
     # a cubic in time is read exactly (to roundoff) in every cell, the end
-    # cells too, and a constant bit-exactly
+    # cells too, at the midpoint by half and at w = 1/4, 1/2 and 3/4 by
+    # at; a constant bit-exactly
     t = grid.nodes
-    cubic = MatrixPath(grid, (1.0 + t - 2.0 * t ** 2 + 0.5 * t ** 3)[:, None, None])
+    poly = lambda t: 1.0 + t - 2.0 * t ** 2 + 0.5 * t ** 3
+    cubic = MatrixPath(grid, poly(t)[:, None, None])
     tm = (t[:-1] + t[1:]) / 2.0
     reads = cubic.half(2 * np.arange(100) + 1)[:, 0, 0]
-    assert np.allclose(reads, 1.0 + tm - 2.0 * tm ** 2 + 0.5 * tm ** 3, rtol=0.0, atol=1e-12)
+    assert np.allclose(reads, poly(tm), rtol=0.0, atol=1e-12)
+    tw = (np.arange(100)[:, None] + np.array([0.25, 0.5, 0.75])) * grid.dt
+    assert np.allclose(cubic.at(tw)[..., 0, 0], poly(tw), rtol=0.0, atol=1e-12)
     value = np.array([[0.1, -3.0e7, 7.3e-9]])
     const = MatrixPath.constant(grid, value)
     assert all(np.array_equal(const.half(j), value) for j in range(201))
     assert np.array_equal(const.half(js), np.broadcast_to(value, (201, 1, 3)))
+    assert np.array_equal(const.at(tw), np.broadcast_to(value, (100, 3, 1, 3)))
+
+    # the disturbance problem's B1, -(2/alpha) R0^{-1}, is read where it
+    # is read: nodes and off-node reads alike invert R0's read
+    R0 = MatrixPath(grid, m[:, :2, :2] @ m[:, :2, :2].mT + np.eye(2))
+    B1 = backward.disturbance_problem(rl.build_spec(
+        n=2, m1=1, m2=1, T=3.0, N=100, alpha=4.0, gamma=4.0, xi=[0.0, 0.0], G=np.eye(2),
+        R0=R0, R0hat=np.eye(2))).B1
+    inv = lambda M: -0.5 * np.linalg.solve(M, np.eye(2))
+    assert np.array_equal(B1.half(js), inv(R0.half(js)))
+    assert np.array_equal(B1.at(tw), inv(R0.at(tw)))
+    _assert_at_reads_half(B1)
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -147,6 +192,12 @@ def test_half_step_reads_coarse_grid(steps):
         assert np.array_equal(path.half(2 * k + 1), 0.5 * (m[k] + m[k + 1]))
     js = np.arange(2 * steps, -1, -1)
     assert np.array_equal(path.half(js), np.stack([path.half(int(j)) for j in js]))
+    _assert_at_reads_half(path)
+    # off the midpoint, the line through the cell's two nodes
+    tw = (np.arange(steps)[:, None] + np.array([0.25, 0.75])) * grid.dt
+    w = tw / grid.dt - np.arange(steps)[:, None]
+    line = (1.0 - w)[..., None, None] * m[:-1, None] + w[..., None, None] * m[1:, None]
+    assert np.allclose(path.at(tw), line, rtol=0.0, atol=1e-15)
 
 
 def test_located_read_rejects_out_of_range():

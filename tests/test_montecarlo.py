@@ -788,10 +788,10 @@ def test_one_suite_run(sol_a):
 # sha256 of the per-path arrays of simulate(instance_a, paths=64, seed=3,
 # substeps=2): any change to the realized numbers shows here
 SIM_GOLDEN = {
-    "j": "63f1b9ef547e0193c2ba27bf5643cf1713171bcc39a762e420489436bb0ecfe6",
-    "j_follower": "f9ab54b2983e1fc7c8f31b4ea3abd6bdaf1afecfc748462a677fa0d1b60b5b74",
-    "j_leader": "f6cd12ec1e376f0f39ba74f51aa633a2f1be47a642754a71e8cbd4c7777a41ce",
-    "terminal": "11eb2dd04031f6d459a3bc1b04b1844de32e7828101dc2f474a55ff33d350ecd",
+    "j": "e8fe21727405af96de1162e54f4dd19524a3a753b40d69d3c73441601ce2a87a",
+    "j_follower": "ee072b78d103a6876f99d6c3902b0b6903eee256c3ff6a62c825e85f1811f482",
+    "j_leader": "e34e980051a65ace074465cbb290ed46618a9d34ac0316ccd1b331c8f921bbf4",
+    "terminal": "488bc754abe4f0a6cd6b27eabed880934267484ffb65cbefec629f715ec1152f",
 }
 
 # rows of perturb_best_response and sampled_convexity on one
