@@ -41,7 +41,9 @@ the maps `feedback` evaluates; X holds only the coordinates that can
 leave 0 (`_live`).  A criterion is a sum of coef * s' W s terms, so a
 step's costs are weighted products of the rows E_s X1 and dt W E_s X1.
 One matrix product per step gives those rows, the closed-loop move and
-the tests' cross rows, and one call steps a chunk of STEP_BLOCK steps.
+the tests' cross rows.  The step matrices are formed in runs of about
+backward.RUN_BYTES, the rule of the Riccati marches' reads, and one call
+steps a block through a run.
 The four tests' response states are stacked into one state, held
 direction-major, which one more product with a block-diagonal map shared
 by every direction advances; a 0/1 selector sums each test's rows into
@@ -71,7 +73,7 @@ BLOWUP_PATH_BUDGET = 1e-3  # abort when more than this fraction of paths diverge
 # so the increments of a path, and the products and rounding of a full
 # block, do not depend on how many paths the run has.
 PATH_BLOCK = 1024
-STEP_BLOCK = 32  # steps whose matrices are formed together
+STEP_TILE = 32  # steps of a block's increments transposed together
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     X1 = [X; 1]: the equilibrium maps of `row_maps`, (steps, k, 10n+1),
     for the controls and disturbances, a constant (n, 10n+1) selector for
     x and xbar.  The closed loop (A, b, C, d) stays a tuple of paths that
-    `_forms` samples per chunk of steps, so its (10n, 10n) samples are
+    `_forms` samples per run of steps, so its (10n, 10n) samples are
     held only inside the step matrices.  The loop carries only the
     coordinates "live" masks (`_live`)."""
     spec = sol.spec
@@ -355,7 +357,9 @@ def _disturbance(sol, pre, dirs, side) -> _Response:
 def _forms(pre: dict, tests, ks):
     """Step matrices (K, coefs, resp) of the sub-grid steps ks, j indexing
     the steps; for ks None, of the terminal costs as one step of weight 1
-    that does not move.
+    that does not move.  Every step's matrices are formed on their own
+    rows, so a run of any length gives bit for bit the rows of shorter
+    runs.
 
     K[j] maps the block's augmented state X1 = [X[live]; 1] to, in this
     order: the drift part [dt A | dt b] and the diffusion part [C | d] of
@@ -394,12 +398,6 @@ def _forms(pre: dict, tests, ks):
         return sum(dt * c * (left[s].mT @ take(pre[w]) @ right[s])
                    for s, w, c in terms if s in left)
 
-    if ks is None:
-        drift = diff = np.zeros((m, m + 1))
-    else:
-        A, b, C, d = (path.at(pre["left"][ks]) for path in pre["closed_loop"])
-        drift = dt * np.concatenate([A, b], axis=2)[:, live][..., cols]
-        diff = np.concatenate([C, d], axis=2)[:, live][..., cols]
     # each (signal, weight) pair once, rows first[p]:first[p + 1] of both stacks
     pairs = list(dict.fromkeys((s, w) for terms in terms_of.values() for s, w, _ in terms))
     first = np.cumsum([0] + [E[s].shape[-2] for s, _ in pairs])
@@ -408,15 +406,26 @@ def _forms(pre: dict, tests, ks):
         for s, w, c in terms:
             p = pairs.index((s, w))
             coefs[i, first[p]:first[p + 1]] += c
-    parts = ([drift, diff] + [E[s] for s, _ in pairs]
-             + [dt * take(pre[w]) @ E[s] for s, w in pairs])
-    resp = None
+    row = 2 * m + 2 * first[-1]  # K's first cross row
     if tests:
         # test i holds rows zrow[i]:zrow[i + 1] of the stacked response state
         zrow = np.cumsum([0] + [t.b.shape[1] for t in tests])
         dirs, count, dz = tests[0].b.shape[2], len(tests), zrow[-1]
+    K = np.empty((steps, row + (dz + dirs * count if tests else 0), m + 1))
+    if ks is None:
+        K[:, :2 * m] = 0.0
+    else:
+        A, b, C, d = (path.at(pre["left"][ks]) for path in pre["closed_loop"])
+        K[:, :m] = dt * np.concatenate([A, b], axis=2)[:, live][..., cols]
+        K[:, m:2 * m] = np.concatenate([C, d], axis=2)[:, live][..., cols]
+    pair_rows = K[:, 2 * m:row].reshape(steps, 2, first[-1], m + 1)  # E_s, then dt W E_s
+    for p, (s, w) in enumerate(pairs):
+        rows = slice(first[p], first[p + 1])
+        pair_rows[:, 0, rows], pair_rows[:, 1, rows] = E[s], dt * take(pre[w]) @ E[s]
+    resp = None
+    if tests:
         Kz, zoff = np.zeros((steps, 3, dz, dz)), np.zeros((steps, dirs, 3, dz))
-        h, czz = np.empty((steps, dirs, count, m + 1)), np.empty((steps, dirs, count))
+        h, czz = K[:, row + dz:].reshape(steps, dirs, count, m + 1), np.empty((steps, dirs, count))
         sel = np.zeros((count, dz))
         for i, t in enumerate(tests):
             z = slice(zrow[i], zrow[i + 1])
@@ -427,7 +436,7 @@ def _forms(pre: dict, tests, ks):
                  else take(t.moves[s][0]) for s in moved}
             o = {s: np.zeros((E[s].shape[-2], dirs)) if t.moves[s][1] is None
                  else take(t.moves[s][1]) for s in moved}
-            parts.append(2.0 * wsum(terms, g, E))
+            K[:, row + zrow[i]:row + zrow[i + 1]] = 2.0 * wsum(terms, g, E)
             h[:, :, i] = 2.0 * wsum(terms, o, E)
             Kz[:, 2, z, z] = wsum(terms, g, g)
             zoff[:, :, 2, z] = (2.0 * wsum(terms, g, o)).mT
@@ -435,11 +444,21 @@ def _forms(pre: dict, tests, ks):
             if ks is not None:
                 Kz[:, 0, z, z], Kz[:, 1, z, z] = dt * t.A[ks], t.C[ks]
                 zoff[:, :, 0, z], zoff[:, :, 1, z] = (dt * t.b[ks]).mT, t.d[ks].mT
-        parts.append(h.reshape(steps, dirs * count, m + 1))
         resp = (Kz.reshape(steps, 3 * dz, dz), zoff.reshape(steps, dirs, 3 * dz, 1),
                 czz[..., None], sel)
-    K = np.concatenate([np.broadcast_to(p, (steps, p.shape[-2], m + 1)) for p in parts], axis=1)
     return K, coefs, resp
+
+
+def _run_length(pre: dict, tests) -> int:
+    """Steps per `_forms` run: about backward.RUN_BYTES of step matrices,
+    the K rows, Kz, zoff and czz of a step."""
+    m = np.count_nonzero(pre["live"])
+    pairs = {(s, w) for terms, _ in pre["criteria"].values() for s, w, _ in terms}
+    size = (2 * m + 2 * sum(pre["signals"][s].shape[-2] for s, _ in pairs)) * (m + 1)
+    if tests:
+        dirs, count, dz = tests[0].b.shape[2], len(tests), sum(t.b.shape[1] for t in tests)
+        size += (dz + dirs * count) * (m + 1) + 3 * dz * (dz + dirs) + dirs * count
+    return max(1, backward.RUN_BYTES // (8 * size))
 
 
 def _noise_free(tests) -> bool:
@@ -474,7 +493,8 @@ class _Block:
     def run(self, forms, dW=None):
         """Accumulate the costs of each step of `_forms` output at the state
         it starts from and, unless dW is None, make its Euler-Maruyama move
-        with its row of the increments dW (steps, width)."""
+        with its column of the increments dW (width, steps), transposed
+        STEP_TILE steps at a time."""
         (K, coefs, resp), X1, costs = forms, self.X1, self.costs
         m, rows = len(X1) - 1, coefs.shape[1]
         row, X = 2 * m + 2 * rows, X1[:m]
@@ -484,7 +504,10 @@ class _Block:
             (Kz, zoff, czz, sel), Z = resp, self.Z
             dz, cross, quad, noisy = Z.shape[1], self.cross, self.quad, self.noisy
             H, h = Y[row:row + dz], Y[row + dz:].reshape(cross.shape)
-        for j, Kj in enumerate(K):
+        moves = [None] * len(K) if dW is None else (
+            step for j in range(0, len(K), STEP_TILE)
+            for step in np.ascontiguousarray(dW[:, j:j + STEP_TILE].T))
+        for j, (Kj, dWj) in enumerate(zip(K, moves)):
             np.matmul(Kj, X1, out=Y)
             costs += coefs @ (E * WE)
             if resp is not None:
@@ -497,14 +520,14 @@ class _Block:
                 cross += h
                 quad += sel @ (Yz[:, 2 * dz:] * Z)
                 quad += czz[j]
-                if dW is not None:
+                if dWj is not None:
                     Z += Yz[:, :dz]
                     if noisy:  # else the diffusion band is 0 @ Z + 0
-                        Yz[:, dz:2 * dz] *= dW[j]
+                        Yz[:, dz:2 * dz] *= dWj
                         Z += Yz[:, dz:2 * dz]
-            if dW is not None:
+            if dWj is not None:
                 X += drift
-                diff *= dW[j]
+                diff *= dWj
                 X += diff
 
 
@@ -516,18 +539,20 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
 
     The path blocks run one after another, each through every step and
     the terminal costs before the next block's increments are drawn.  The
-    step forms are built once, while the first block runs, and kept only
-    if another block follows."""
+    step forms are built in runs of about backward.RUN_BYTES
+    (`_run_length`) once, while the first block runs, and kept only if
+    another block follows."""
     S = pre["steps"]
     out = {name: np.empty(cfg.paths) for name in pre["criteria"]}
     for t in tests:
         out["cross", t.name] = np.empty((cfg.paths, t.b.shape[2]))
         out["quad", t.name] = np.empty((cfg.paths, t.b.shape[2]))
     terminal = np.zeros((cfg.paths, len(pre["x0"])))
-    chunks = [slice(k0, min(k0 + STEP_BLOCK, S)) for k0 in range(0, S, STEP_BLOCK)]
+    size = _run_length(pre, tests)
+    runs = [slice(k0, min(k0 + size, S)) for k0 in range(0, S, size)]
     final = _forms(pre, tests, None)
     noise_free = _noise_free(tests)
-    cached = []  # the forms of `chunks`, once the first block has built them
+    cached = []  # the forms of `runs`, once the first block has built them
 
     blown = 0
     for first in range(0, cfg.paths, PATH_BLOCK):
@@ -536,14 +561,14 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
         blk = _Block(pre, tests, width, noise_free)
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
-            for i, ks in enumerate(chunks):
+            for i, ks in enumerate(runs):
                 if first:
                     forms = cached[i]
                 else:
                     forms = _forms(pre, tests, ks)
                     if cfg.paths > PATH_BLOCK:
                         cached.append(forms)
-                blk.run(forms, np.ascontiguousarray(dW[:, ks].T))
+                blk.run(forms, dW[:, ks])
             blk.run(final)
         del dW  # one block's increments are held at a time
 

@@ -153,15 +153,15 @@ def joint_offset_march(prob: backward.RiccatiProblem, u: MatrixPath, drift: Matr
 def full_state_simulate(sol, cfg):
     """(terminal, costs by criterion) of `simulate(sol, cfg)` from an Euler
     loop that steps every coordinate of the 10n state: the block-by-block
-    loop of `montecarlo._run` on step matrices formed with all of X live,
-    one product of the whole augmented state and an in-place move per
-    step, path block after path block."""
+    loop of `montecarlo._run` on step matrices formed in one run with all
+    of X live, one product of the whole augmented state and an in-place
+    move per step, path block after path block."""
     pre = montecarlo._precompute_base(sol, cfg.substeps)
     m, S, B = len(pre["x0"]), pre["steps"], montecarlo.PATH_BLOCK
     pre["live"] = np.ones(m, dtype=bool)
-    chunks = [montecarlo._forms(pre, (), slice(k0, min(k0 + montecarlo.STEP_BLOCK, S)))
-              for k0 in range(0, S, montecarlo.STEP_BLOCK)]
-    steps = [(Kj, coefs) for K, coefs, _ in chunks for Kj in K]
+    # forms of a run of any length are bit for bit the rows of shorter runs
+    K, coefs, _ = montecarlo._forms(pre, (), slice(0, S))
+    steps = [(Kj, coefs) for Kj in K]
     K, coefs, _ = montecarlo._forms(pre, (), None)
     steps.append((K[0], coefs))  # the terminal costs, with no move
     terminal, costs = np.empty((cfg.paths, m)), np.empty((len(pre["criteria"]), cfg.paths))

@@ -121,6 +121,77 @@ def test_simulate_holds_one_block_of_increments():
     assert peak < 2.5 * block, f"{peak / block:.2f} blocks"
 
 
+def test_deviation_run_holds_one_block_of_increments():
+    # one block of 800 steps over a two-path run of the same set-up: the
+    # step matrices are formed a run of about backward.RUN_BYTES at a time,
+    # so the block adds its increments and little more (forms of all 800
+    # steps at once would add 0.75 blocks)
+    sol = rl.solve_game(instance_a(N=100))
+    B, substeps = montecarlo.PATH_BLOCK, 8
+    block = B * sol.spec.grid.steps * substeps * 8
+    peaks = []
+    for paths in (2, B):
+        tracemalloc.start()
+        try:
+            rl.deviation_tests(sol, rl.SimConfig(paths=paths, seed=2, substeps=substeps),
+                               directions=2, samples=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1.3 * block, f"{(peaks[1] - peaks[0]) / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("run", ["simulate", "deviation_tests"])
+def test_closed_loop_reads_per_run_not_per_step(monkeypatch, run):
+    # the step matrices come in runs of about backward.RUN_BYTES: eight
+    # times the steps add far fewer than the 4 closed-loop reads per 32
+    # steps of fixed 32-step chunks
+    sol = rl.solve_game(instance_a(N=100))
+    calls = []
+    inner = rl.MatrixPath.at
+
+    def counting(self, t):
+        calls.append(1)
+        return inner(self, t)
+
+    monkeypatch.setattr(rl.MatrixPath, "at", counting)
+    counts = []
+    for substeps in (1, 8):
+        calls.clear()
+        cfg = rl.SimConfig(paths=20, seed=1, substeps=substeps)
+        if run == "simulate":
+            rl.simulate(sol, cfg)
+        else:
+            rl.deviation_tests(sol, cfg, directions=2, samples=2)
+        counts.append(len(calls))
+    more = (8 - 1) * sol.spec.grid.steps
+    assert 0 < counts[0] <= counts[1] < counts[0] + 4 * more / 64, counts
+
+
+@pytest.mark.parametrize("make", [instance_a, lambda: random_spec(5, 2, N=60)],
+                         ids=["instance_a", "random_n2"])
+@pytest.mark.parametrize("with_tests", [False, True], ids=["no_tests", "four_tests"])
+def test_forms_of_any_run_length_agree(make, with_tests):
+    # _forms over one run gives bit for bit the rows of shorter runs
+    sol = rl.solve_game(make())
+    cfg = rl.SimConfig(paths=10, seed=2, substeps=2)
+    pre = montecarlo._precompute_base(sol, cfg.substeps)
+    tests = rl.deviation_tests(sol, cfg, directions=2, samples=1).tests if with_tests else ()
+    S = pre["steps"]
+    K, coefs, resp = montecarlo._forms(pre, tests, slice(0, S))
+    for size in (1, 7, 32, S - 1):
+        for k0 in range(0, S, size):
+            ks = slice(k0, min(k0 + size, S))
+            Kr, coefs_r, resp_r = montecarlo._forms(pre, tests, ks)
+            assert np.array_equal(Kr, K[ks]) and np.array_equal(coefs_r, coefs), (size, k0)
+            if with_tests:
+                for whole, part in zip(resp[:3], resp_r[:3]):  # Kz, zoff, czz
+                    assert np.array_equal(part, whole[ks]), (size, k0)
+                assert np.array_equal(resp_r[3], resp[3])
+            else:
+                assert resp is None and resp_r is None
+
+
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_brownian_streams_disjoint_from_direction_streams(seed):
     # the streams `deviation_tests` draws directions from when
