@@ -79,13 +79,13 @@ RUN_BYTES = 512 * 1024
 def _half_reads(paths):
     """coef(j): each path (None stays None) read at half step j, as
     `path.half(j)` reads it.  An even j reads node views.  Odd reads come
-    from a table of the midpoints of the next run of cells downwards,
-    about RUN_BYTES, filled by one `path.midpoints` per path.  The reads
+    from a table of the next run of odd half steps downwards, about
+    RUN_BYTES, filled by one `path.half(js)` per path.  The reads
     are reused while j repeats: RK4 reads its midpoint twice and ends a
     step on the half step where the next begins.  An array of half steps
     is read afresh."""
     size = max(1, RUN_BYTES // max(1, 8 * sum(p.samples[0].size for p in paths if p is not None)))
-    run = [0, 0, []]  # the built run: the midpoints of cells first..stop-1
+    run = [-1, -1, []]  # the built run: odd half steps lo down to hi+1
     last = [None, None]
 
     def coef(j):
@@ -94,12 +94,13 @@ def _half_reads(paths):
         if last[0] == j:
             return last[1]
         if j & 1:
-            k, (first, stop, table) = j >> 1, run
-            if not first <= k < stop:
-                first, stop = max(k + 1 - size, 0), k + 1
-                table = [None if p is None else p.midpoints(first, stop) for p in paths]
-                run[:] = first, stop, table
-            reads = [None if t is None else t[k - first] for t in table]
+            lo, hi, table = run
+            if not hi < j <= lo:
+                lo, hi = j, max(j - 2 * size, -1)
+                js = np.arange(lo, hi, -2)
+                table = [None if p is None else p.half(js) for p in paths]
+                run[:] = lo, hi, table
+            reads = [None if t is None else t[(lo - j) >> 1] for t in table]
         else:
             reads = [None if p is None else p.samples[j >> 1] for p in paths]
         last[:] = j, reads
@@ -358,9 +359,6 @@ class _InversePath(MatrixPath):
 
     def _cubic(self, k, w) -> np.ndarray:
         return self._invert(self.base._cubic(k, w), k + w)
-
-    def midpoints(self, first: int, stop: int) -> np.ndarray:
-        return self._invert(self.base.midpoints(first, stop), np.arange(first, stop) + 0.5)
 
 
 def disturbance_problem(spec) -> RiccatiProblem:

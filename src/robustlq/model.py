@@ -157,28 +157,6 @@ class MatrixPath:
             return self._read(j >> 1, 0.5 * (j & 1))
         return self._cubic(np.array([j >> 1]), 0.5)[0] if j & 1 else self.samples[j >> 1]
 
-    def midpoints(self, first: int, stop: int) -> np.ndarray:
-        """The midpoints of cells first..stop-1, stacked: bit for bit
-        `half(2k + 1)` of each cell k.  The interior cells are read from
-        four slice views of the samples in `_cubic`'s order of operations,
-        the end cells by `_cubic` itself."""
-        m, last = self.samples, len(self.samples) - 1
-        if last < 3:
-            return self._cubic(np.arange(first, stop), 0.5)
-        lo, hi = max(first, 1), min(stop, last - 1)  # the interior cells
-        out = np.empty((stop - first,) + self.shape)
-        inner = out[lo - first:hi - first]
-        np.add(m[lo:hi], m[lo + 1:hi + 1], out=inner)
-        outer = m[lo - 1:hi - 1] + m[lo + 2:hi + 2]
-        np.subtract(inner, outer, out=outer)
-        outer *= 0.0625
-        inner *= 0.5
-        inner += outer
-        ends = np.array([k for k in (0, last - 1) if first <= k < stop], dtype=int)
-        if ends.size:
-            out[ends - first] = self._cubic(ends, 0.5)
-        return out
-
     def _read(self, k: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Node k where w = 0, else the cubic at w in cell k (`_cubic`)."""
         mid = w != 0.0

@@ -220,9 +220,9 @@ def _precompute_base(sol: EquilibriumSolution, substeps: int) -> dict:
     X1 = [X; 1]: the equilibrium maps of `row_maps`, (steps, k, 10n+1),
     for the controls and disturbances, a constant (n, 10n+1) selector for
     x and xbar.  The closed loop (A, b, C, d) stays a tuple of paths that
-    `_forms` samples per run of steps, so its (10n, 10n) samples are
-    held only inside the step matrices.  The loop carries only the
-    coordinates "live" masks (`_live`)."""
+    `_forms` samples per run of steps, one path at a time, so only the
+    live block of its samples is held, inside the step matrices.  The
+    loop carries only the coordinates "live" masks (`_live`)."""
     spec = sol.spec
     n = spec.n
     times = _subtimes(spec.grid, substeps)
@@ -414,10 +414,13 @@ def _forms(pre: dict, tests, ks):
     K = np.empty((steps, row + (dz + dirs * count if tests else 0), m + 1))
     if ks is None:
         K[:, :2 * m] = 0.0
-    else:
-        A, b, C, d = (path.at(pre["left"][ks]) for path in pre["closed_loop"])
-        K[:, :m] = dt * np.concatenate([A, b], axis=2)[:, live][..., cols]
-        K[:, m:2 * m] = np.concatenate([C, d], axis=2)[:, live][..., cols]
+    else:  # each closed-loop path read and its live block written in turn
+        times, idx = pre["left"][ks], np.flatnonzero(live)
+        A, b, C, d = pre["closed_loop"]
+        for band, M, v in ((K[:, :m], A, b), (K[:, m:2 * m], C, d)):
+            band[..., :m] = M.at(times)[:, idx[:, None], idx]
+            band[..., m] = v.at(times)[:, idx, 0]
+        K[:, :m] *= dt
     pair_rows = K[:, 2 * m:row].reshape(steps, 2, first[-1], m + 1)  # E_s, then dt W E_s
     for p, (s, w) in enumerate(pairs):
         rows = slice(first[p], first[p + 1])
@@ -449,16 +452,14 @@ def _forms(pre: dict, tests, ks):
     return K, coefs, resp
 
 
-def _run_length(pre: dict, tests) -> int:
-    """Steps per `_forms` run: about backward.RUN_BYTES of step matrices,
-    the K rows, Kz, zoff and czz of a step."""
-    m = np.count_nonzero(pre["live"])
-    pairs = {(s, w) for terms, _ in pre["criteria"].values() for s, w, _ in terms}
-    size = (2 * m + 2 * sum(pre["signals"][s].shape[-2] for s, _ in pairs)) * (m + 1)
-    if tests:
-        dirs, count, dz = tests[0].b.shape[2], len(tests), sum(t.b.shape[1] for t in tests)
-        size += (dz + dirs * count) * (m + 1) + 3 * dz * (dz + dirs) + dirs * count
-    return max(1, backward.RUN_BYTES // (8 * size))
+def _run_length(pre: dict, step) -> int:
+    """Steps per `_forms` run: about backward.RUN_BYTES of step matrices
+    and closed-loop samples, a step's bytes read off `step`, the forms of
+    one step."""
+    K, _, resp = step
+    size = K.nbytes + sum(a.nbytes for a in (resp or ())[:3])
+    size += sum(p.samples[0].nbytes for p in pre["closed_loop"])
+    return max(1, backward.RUN_BYTES // size)
 
 
 def _noise_free(tests) -> bool:
@@ -539,20 +540,21 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
 
     The path blocks run one after another, each through every step and
     the terminal costs before the next block's increments are drawn.  The
-    step forms are built in runs of about backward.RUN_BYTES
-    (`_run_length`) once, while the first block runs, and kept only if
-    another block follows."""
+    first step is formed on its own, and its bytes size the runs of about
+    backward.RUN_BYTES that follow (`_run_length`); those are formed once,
+    while the first block runs, and kept only if another block follows."""
     S = pre["steps"]
     out = {name: np.empty(cfg.paths) for name in pre["criteria"]}
     for t in tests:
         out["cross", t.name] = np.empty((cfg.paths, t.b.shape[2]))
         out["quad", t.name] = np.empty((cfg.paths, t.b.shape[2]))
     terminal = np.zeros((cfg.paths, len(pre["x0"])))
-    size = _run_length(pre, tests)
-    runs = [slice(k0, min(k0 + size, S)) for k0 in range(0, S, size)]
+    head = _forms(pre, tests, slice(0, 1))
+    size = _run_length(pre, head)
+    runs = [slice(0, 1)] + [slice(k0, min(k0 + size, S)) for k0 in range(1, S, size)]
     final = _forms(pre, tests, None)
     noise_free = _noise_free(tests)
-    cached = []  # the forms of `runs`, once the first block has built them
+    cached = [head]  # the forms of `runs` built so far
 
     blown = 0
     for first in range(0, cfg.paths, PATH_BLOCK):
@@ -562,7 +564,7 @@ def _run(pre: dict, cfg: SimConfig, tests=()):
         # diverged paths propagate nan by design and are flagged afterwards
         with np.errstate(invalid="ignore", over="ignore"):
             for i, ks in enumerate(runs):
-                if first:
+                if i < len(cached):
                     forms = cached[i]
                 else:
                     forms = _forms(pre, tests, ks)

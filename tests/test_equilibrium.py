@@ -533,7 +533,7 @@ def test_locate_calls_independent_of_grid_size(monkeypatch):
 
 def test_midpoint_reads_per_solve(monkeypatch):
     # the odd half-step reads of an n = 4 solve at N = 200, in runs of
-    # RUN_BYTES: one `midpoints` call a run for each coefficient table and
+    # RUN_BYTES: one `_cubic` call a run for each coefficient table and
     # for each coefficient read on its own.  [Phat | phihat]: the table,
     # A2, [Q | Upsilon] and C2 in 50 runs of 4 odd half steps (200);
     # [L | psi]: the [Atil | Btil] table, its square block A2, the source,
@@ -542,13 +542,13 @@ def test_midpoint_reads_per_solve(monkeypatch):
     # one run each (11); R0's node inversion reads its nodes, not a cubic.
     # A right-hand side that reads every coefficient on its own again
     # raises the count.
-    midpoints = rl.MatrixPath.midpoints
+    cubic = rl.MatrixPath._cubic
     calls = []
 
-    def counting(path, first, stop):
-        calls.append(stop - first)
-        return midpoints(path, first, stop)
+    def counting(path, k, w):
+        calls.append(len(k))
+        return cubic(path, k, w)
 
-    monkeypatch.setattr(rl.MatrixPath, "midpoints", counting)
+    monkeypatch.setattr(rl.MatrixPath, "_cubic", counting)
     rl.solve_game(random_spec(1, 4, N=200))
     assert len(calls) == 336

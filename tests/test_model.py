@@ -424,24 +424,3 @@ def test_spec_malformed_raises_spec_error(case):
     doc, message = malformed_spec_docs()[case]
     with pytest.raises(SpecError, match=message):
         rl.spec_from_dict(doc)
-
-
-@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 9, 100])
-def test_midpoints_equal_half_reads(steps):
-    # a run of cell midpoints read from slice views is `half` of each cell
-    # bit for bit, interior runs and runs that reach an end cell alike
-    rng = np.random.default_rng(steps)
-    grid = rl.make_grid(2.0, steps)
-    path = MatrixPath(grid, rng.standard_normal((steps + 1, 2, 3)))
-    weight = MatrixPath(grid, 2.0 * np.eye(2) + 0.1 * rng.standard_normal((steps + 1, 2, 2)))
-    inverse = backward._InversePath(weight, -0.5, "weight")
-    runs = {(0, steps), (0, 1), (steps - 1, steps), (0, min(3, steps)),
-            (max(steps - 3, 0), steps), (steps // 2, steps // 2 + 1)}
-    if steps > 4:
-        runs |= {(1, steps - 1), (2, steps - 2)}
-    for p in (path, inverse):
-        for first, stop in sorted(runs):
-            js = 2 * np.arange(first, stop) + 1
-            assert np.array_equal(p.midpoints(first, stop), p.half(js)), (first, stop)
-            assert all(np.array_equal(row, p.half(int(j)))
-                       for row, j in zip(p.midpoints(first, stop), js)), (first, stop)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustlq as rl
-from robustlq import equilibrium, montecarlo
+from robustlq import backward, equilibrium, montecarlo
 from robustlq.model import BlowUpError, SpecError
 
 from conftest import hand_made_deviations, homogeneous_spec, instance_a, instance_b, random_spec
@@ -139,6 +139,24 @@ def test_deviation_run_holds_one_block_of_increments():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1.3 * block, f"{(peaks[1] - peaks[0]) / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("make", [instance_a, lambda: random_spec(5, 4, N=60)],
+                         ids=["instance_a", "random_n4"])
+@pytest.mark.parametrize("with_tests", [False, True], ids=["no_tests", "four_tests"])
+def test_run_fits_run_bytes(make, with_tests):
+    # a run is sized off the forms of one step: its step matrices and
+    # closed-loop samples fit in backward.RUN_BYTES, and one more step's
+    # would not
+    sol = rl.solve_game(make())
+    cfg = rl.SimConfig(paths=10, seed=2, substeps=2)
+    pre = montecarlo._precompute_base(sol, cfg.substeps)
+    tests = rl.deviation_tests(sol, cfg, directions=2, samples=1).tests if with_tests else ()
+    size = montecarlo._run_length(pre, montecarlo._forms(pre, tests, slice(0, 1)))
+    K, _, resp = montecarlo._forms(pre, tests, slice(0, size))
+    held = K.nbytes + sum(a.nbytes for a in (resp or ())[:3])
+    held += size * sum(p.samples[0].nbytes for p in pre["closed_loop"])
+    assert 1 < size and held <= backward.RUN_BYTES < held * (size + 1) / size, size
 
 
 @pytest.mark.parametrize("run", ["simulate", "deviation_tests"])
