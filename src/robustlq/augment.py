@@ -82,6 +82,8 @@ class FollowerTerms:
       R           Rt1^{-1} R1 Rt1^{-1}, the follower-substitution weight
       DPD1        D2'P D1
       Rbb         R2 + DPD1 R DPD1', the leader's reduced control weight
+      Rbb_max_eig max eigenvalue of Rbb's symmetric part at each node, the
+                  margin checked against -delta
       Rbbinv      Rbb^{-1}
       W2          Rbb^{-1} R2 Rbb^{-1}, the leader's weight on its gain-map
                   output, as R is the follower's
@@ -106,6 +108,7 @@ class FollowerTerms:
     R: np.ndarray
     DPD1: np.ndarray
     Rbb: np.ndarray
+    Rbb_max_eig: np.ndarray
     Rbbinv: np.ndarray
     W2: np.ndarray
     cross: np.ndarray
@@ -152,7 +155,7 @@ def follower_terms(spec: GameSpec, P: MatrixPath, delta: float = 1e-8) -> Follow
         gR=(2.0 / spec.gamma) * np.linalg.inv(spec.R0hat.samples),
         B2eff=spec.B2.samples - BD @ Ps @ D2, D2eff=D2 - DD @ Ps @ D2,
         w=BD @ Ps @ sigma, sig=sigma - DD @ Ps @ sigma,
-        R=R, DPD1=DPD1, Rbb=Rbb, Rbbinv=Rbbinv, W2=Rbbinv @ R2 @ Rbbinv,
+        R=R, DPD1=DPD1, Rbb=Rbb, Rbb_max_eig=lam, Rbbinv=Rbbinv, W2=Rbbinv @ R2 @ Rbbinv,
         cross=DPD1 @ R @ D1.mT @ Ps @ sigma,
     )
 

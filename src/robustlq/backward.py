@@ -20,17 +20,22 @@ build their coefficients beforehand in stacks over runs of half steps.
 The offsets of verify's responses (`solve_offset_b1`, `solve_offset_b3`)
 are linear marches on a stored Riccati path (`_decoupled_offset`) that
 skip the terms its stage's Riccati equation skips.
-Stage solves are plain LU (an exactly singular matrix is a RegularityError with its
-node); near singularity is judged per node after the march, from SVD
-reciprocal condition numbers recorded in `regularity`, and for (I - P D2)
-also from the sign of its determinant, which must not change.
+Stage solves are plain LU, LAPACK's gesv called through the gufunc
+`np.linalg.solve` dispatches to (`lu_solve`): at these sizes the public
+wrapper costs more than the factorization.  An exactly singular matrix is
+a RegularityError with its node; near singularity is judged per node after
+the march, from SVD reciprocal condition numbers recorded in `regularity`,
+and for (I - P D2) also from the sign of its determinant, which must not
+change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import BlowUpError, MatrixPath, RegularityError, TimeGrid
 
@@ -46,7 +51,8 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     j dt/2: the step from node k to node k-1 evaluates it at j = 2k, 2k-1
     (twice) and 2k-2.  The terminal node of the result equals `terminal`
     bit-exactly.  Any non-finite value aborts with the node index where it
-    appeared.
+    appeared.  The march holds the errstate its stage solves (`lu_solve`)
+    need.
     """
     term = np.atleast_2d(np.asarray(terminal, dtype=float))
     out = np.empty((len(grid),) + term.shape)
@@ -56,18 +62,17 @@ def integrate_backward(rhs, terminal, grid: TimeGrid) -> MatrixPath:
     # intermediate warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps, 0, -1):
-            m, j = out[k], 2 * k
+            m, j, step = out[k], 2 * k, out[k - 1]
             k1 = rhs(j, m)
             k2 = rhs(j - 1, m - 0.5 * h * k1)
             k3 = rhs(j - 1, m - 0.5 * h * k2)
             k4 = rhs(j - 2, m - h * k3)
-            step = m - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(step).all():
+            np.subtract(m, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=step)
+            if not np.logical_and.reduce(np.isfinite(step), axis=None):
                 raise BlowUpError(
                     f"backward integration produced a non-finite value at node {k - 1}",
                     node=k - 1,
                 )
-            out[k - 1] = step
     return MatrixPath(grid, out)
 
 
@@ -120,14 +125,38 @@ def _rcond(mats) -> np.ndarray:
     return out
 
 
+def lu_solve(a, b) -> np.ndarray:
+    """np.linalg.solve(a, b) bit for bit, for float a and a matrix b (or
+    stacks of them, broadcast): the gufunc it dispatches to,
+    `_umath_linalg.solve` (LAPACK gesv), without the wrapper's per-call
+    cost.  The gufunc reports a singular matrix only by filling that
+    matrix's solution with NaN and raising the invalid flag, so the caller
+    holds np.errstate(invalid="ignore"), and a solution whose leading entry
+    is not finite is solved again by np.linalg.solve: that raises
+    LinAlgError for a singular matrix and otherwise returns the same
+    bits."""
+    x = _umath_linalg.solve(a, b)
+    if x.ndim == 2 and x.size:
+        finite = math.isfinite(x.item(0))
+    else:
+        finite = np.isfinite(x[..., :1, :1]).all()
+    return x if finite else np.linalg.solve(a, b)
+
+
 def _solve_guarded(mat, rhs_mat, what, j, dt):
-    """Solve mat @ X = rhs_mat by LU, for one matrix at half step j or a
-    stack at the half steps j; an exactly singular matrix fails loudly,
-    naming the time j dt/2 and the node j // 2 of the first singular one.
-    Near singularity is checked per node after the march, where the
-    margins are recorded."""
+    """Solve mat @ X = rhs_mat by LU (`lu_solve`), for one matrix at half
+    step j or a stack at the half steps j; an exactly singular matrix fails
+    loudly, naming the time j dt/2 and the node j // 2 of the first
+    singular one.  A matrix at an int j is a stage of a march, which holds
+    the errstate `lu_solve` needs; any other call (a stack from
+    `_InversePath`, a linear march's run or a residual check) opens its
+    own, once for the whole call.  Near singularity is checked per node
+    after the march, where the margins are recorded."""
     try:
-        return np.linalg.solve(mat, rhs_mat)
+        if type(j) is int:
+            return lu_solve(mat, rhs_mat)
+        with np.errstate(invalid="ignore"):
+            return lu_solve(mat, rhs_mat)
     except np.linalg.LinAlgError:
         if np.ndim(j):
             j = j[np.argmax(np.linalg.slogdet(mat)[0] == 0.0)]

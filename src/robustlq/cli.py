@@ -151,6 +151,7 @@ def cmd_verify(args) -> int:
         res64 = montecarlo.bvp_oracle(sol, 64)
         res128 = montecarlo.bvp_oracle(sol, 128)
         oracle.update(gap_n64=res64.gap, gap_n128=res128.gap,
+                      gap_extrapolated=res64.extrapolated(res128).gap,
                       ok=bool(res64.gap <= 1e-3 and res128.gap <= 0.6 * res64.gap))
     _write_json({"oracle": oracle,
                  "perturbation_ok": perturb.ok,

@@ -139,7 +139,7 @@ def solve_game(spec: GameSpec, delta: float = 1e-8) -> EquilibriumSolution:
                   MatrixPath(grid, CD), MatrixPath(grid, source), x.T @ spec.G @ x, grid)
     L, psi = split(Lpsi.samples)
 
-    regularity = dict(Psol.regularity)
+    regularity = dict(Psol.regularity, rbb_max_eig=terms.Rbb_max_eig)
     regularity.update({f"hamiltonian_{k}": v for k, v in Phsol.regularity.items()})
 
     return EquilibriumSolution(

@@ -53,15 +53,20 @@ one deterministic path per direction and is held as one column, which
 the cross rows of every path read; its quad is one column too.  The
 blocks run one at a time, so a run holds about one block of increments
 plus the step matrices, which the first block forms and the later
-blocks reuse.
+blocks reuse.  What is promised is a block's independence from the
+blocks after it, not a path's from the path count: the last, partial
+block's products have another width at another count, and BLAS may sum
+its last columns in another order, so its paths can differ in the last
+bits (about 1e-16 of the scale).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import augment, backward, equilibrium
 from .equilibrium import EquilibriumSolution, ensure_diagnostics, row_maps, skeleton
@@ -777,6 +782,30 @@ class OracleResult:
                     / (1.0 + np.linalg.norm(self.Y_pipeline, axis=1)))
         return float(max(gx, gy))
 
+    def extrapolated(self, finer: OracleResult) -> OracleResult:
+        """This oracle Richardson-extrapolated with `finer`, the oracle on
+        the grid of twice its steps: (4 Z_2c - Z_c)/3 at this grid's
+        nodes, where the trapezoidal rule's second-order error terms
+        cancel, against the same pipeline nodes."""
+        if len(finer.times) != 2 * len(self.times) - 1:
+            raise ValueError("Richardson extrapolation needs the oracle on twice the steps")
+        return replace(self, X_oracle=(4.0 * finer.X_oracle[::2] - self.X_oracle) / 3.0,
+                       Y_oracle=(4.0 * finer.Y_oracle[::2] - self.Y_oracle) / 3.0)
+
+
+def _qr_complete(a, rows):
+    """np.linalg.qr(a, mode="complete") of a tall float matrix, bit for
+    bit, as q and the leading `rows` rows of r: the gufuncs it calls
+    (`_umath_linalg.qr_r_raw`, `qr_complete`) and np.triu, without the
+    wrapper.  The caller holds np.errstate(invalid="ignore"); a q that is
+    not finite comes from np.linalg.qr instead, which raises on a LAPACK
+    failure and otherwise returns the same bits."""
+    r = a.copy()  # the factorization overwrites it
+    q = _umath_linalg.qr_complete(r, _umath_linalg.qr_r_raw(r))
+    if not np.isfinite(q).all():
+        q, r = np.linalg.qr(a, mode="complete")
+    return q, np.triu(r[:rows])
+
 
 def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     """z_k = (x_k, y_k) of the oracle at the c+1 nodes of grid, (c+1, 2 ten).
@@ -798,6 +827,11 @@ def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     rows are reduced by an orthogonal factorization of their z_k columns,
     which gives z_k in terms of z_(k+1) and carries `ten` rows in z_(k+1)
     alone to the next step.  Memory is O(c ten^2), not the dense (c ten)^2.
+    A step's factorization and triangular solve are the LAPACK gufuncs
+    that np.linalg.qr(mode="complete") and np.linalg.solve call
+    (`_qr_complete`, `backward.lu_solve`), bit for bit, under one errstate
+    for the whole solve; a result that is not finite is computed again by
+    the public call, so a singular system raises its LinAlgError.
     """
     ten = dh.A1.rows
     coarse_n, h = grid.steps, 0.5 * grid.dt
@@ -814,19 +848,20 @@ def _trapezoidal_bvp(dh, grid) -> np.ndarray:
     left[:ten, :ten], right[:ten, 0] = eye, dh.Xi[:, 0]
     back = np.empty((coarse_n, 2 * ten, 2 * ten + 1))  # z_k = back[k] @ [1; -z_(k+1)]
     try:
-        for k in range(coarse_n):
-            left[x, :ten], left[x, ten:] = -eye - A1[k], -B1[k]
-            left[y, :ten], left[y, ten:] = -Q[k], A2[k].T - eye
-            right[x, 0], right[y, 0] = h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])
-            right[x, 1:ten + 1], right[x, ten + 1:] = eye - A1[k + 1], -B1[k + 1]
-            right[y, 1:ten + 1], right[y, ten + 1:] = -Q[k + 1], eye + A2[k + 1].T
-            q, r = np.linalg.qr(left, mode="complete")
-            reduced = q.T @ right
-            back[k] = np.linalg.solve(r[:2 * ten], reduced[:2 * ten])
-            left[:ten], right[:ten, 0] = reduced[2 * ten:, 1:], reduced[2 * ten:, 0]
-        Z = np.empty((coarse_n + 1, 2 * ten))
-        Z[-1] = np.linalg.solve(np.vstack([left[:ten], np.hstack([-dh.G, eye])]),
-                                np.concatenate([right[:ten, 0], np.zeros(ten)]))
+        with np.errstate(invalid="ignore"):
+            for k in range(coarse_n):
+                left[x, :ten], left[x, ten:] = -eye - A1[k], -B1[k]
+                left[y, :ten], left[y, ten:] = -Q[k], A2[k].T - eye
+                right[x, 0], right[y, 0] = h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])
+                right[x, 1:ten + 1], right[x, ten + 1:] = eye - A1[k + 1], -B1[k + 1]
+                right[y, 1:ten + 1], right[y, ten + 1:] = -Q[k + 1], eye + A2[k + 1].T
+                q, r = _qr_complete(left, 2 * ten)
+                reduced = q.T @ right
+                back[k] = backward.lu_solve(r, reduced[:2 * ten])
+                left[:ten], right[:ten, 0] = reduced[2 * ten:, 1:], reduced[2 * ten:, 0]
+            Z = np.empty((coarse_n + 1, 2 * ten))
+            Z[-1] = np.linalg.solve(np.vstack([left[:ten], np.hstack([-dh.G, eye])]),
+                                    np.concatenate([right[:ten, 0], np.zeros(ten)]))
     except np.linalg.LinAlgError as exc:
         raise BlowUpError(f"oracle system is singular: {exc}") from exc
     for k in reversed(range(coarse_n)):

@@ -152,6 +152,30 @@ def test_singular_disturbance_weight_names_node():
     assert err.value.node == 200
 
 
+def test_lu_solve_is_numpy_solve_bit_for_bit():
+    # the gufunc called directly gives np.linalg.solve's bits: a stack
+    # against one right-hand side or a stack of them, and strided column
+    # views of one table like the SW slices of the generalized right-hand
+    # side; a numpy whose private kernel differs fails here
+    rng = np.random.default_rng(7)
+    stack, rhs = rng.standard_normal((6, 5, 5)), rng.standard_normal((5, 3))
+    table = rng.standard_normal((4, 5, 19))
+    for a, b in ((stack, rhs), (stack, stack[..., 1:3]), (table[1, :, 2:7], table[1, :, 9:12]),
+                 (table[..., :5], table[..., 10:19:3]), (rhs[:1, :1], rhs[2:3, 1:])):
+        got, want = backward.lu_solve(a, b), np.linalg.solve(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_lu_solve_singular_raises_numpy_error():
+    # a singular matrix anywhere in the stack: NaNs from the gufunc, then
+    # np.linalg.solve's own LinAlgError
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    for a in (stack, stack[1]):
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                          match="Singular matrix"):
+            backward.lu_solve(a, np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # generalized Riccati
 

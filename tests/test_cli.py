@@ -43,6 +43,18 @@ def test_solve_homogeneous(homog_file, tmp_path, capsys):
     assert "resolved configuration" in capsys.readouterr().out
 
 
+def test_solve_reports_leader_weight_margin(tmp_path):
+    # the max eigenvalue of Rbb along the grid, beside the other margins
+    f = tmp_path / "game_a.json"
+    rl.dump_spec(instance_a(N=50), f)
+    out = tmp_path / "out"
+    assert cli.run(["solve", "--spec", str(f), "--out", str(out), "--delta", "1e-3"]) == 0
+    regularity = json.loads((out / "summary.json").read_text())["regularity"]
+    assert set(regularity) == {"rtilde1_min_eig", "rbb_max_eig", "hamiltonian_decouple_rcond"}
+    margin = regularity["rbb_max_eig"]
+    assert margin["min"] <= margin["max"] <= -1e-3
+
+
 def test_echo_lists_every_option(homog_file, tmp_path, capsys):
     # the echo reads the parsed options, so no subcommand leaves one out
     for argv, key, value in (
@@ -154,6 +166,9 @@ def test_verify_runs_oracle_when_diffusion_free(game_b_file, tmp_path):
     summary = json.loads((out / "verify_summary.json").read_text())
     assert summary["oracle"]["applicable"] is True
     assert summary["oracle"]["gap_n64"] <= 1e-3
+    # the Richardson extrapolation of the two oracles is finite and closer
+    # to the pipeline than the finer oracle
+    assert 0.0 <= summary["oracle"]["gap_extrapolated"] < summary["oracle"]["gap_n128"]
     assert code == 0, summary
 
 

@@ -456,6 +456,24 @@ def test_decoupled_stages_are_j_symmetric(spec):
         assert gap(S, S.mT) <= 1e-13
 
 
+@pytest.mark.parametrize("make", [instance_a, instance_b, lambda: random_spec(1, 2, N=100),
+                                  lambda: random_spec(1, 4, N=100)],
+                         ids=["instance_a", "instance_b", "random_1_2", "random_1_4"])
+def test_weight_scaling_is_exact(make):
+    # every cost weight times 4, a power of two: each product and quotient
+    # of the cascade scales exactly, so the value is exactly 4 times as
+    # large and the four feedback maps, ratios of weights, keep their bits
+    spec = make()
+    times4 = lambda path: rl.MatrixPath(spec.grid, 4.0 * path.samples)
+    scaled = replace(spec, G=4.0 * spec.G, **{name: times4(getattr(spec, name))
+                                              for name in ("Q", "R1", "R2", "R0", "R0hat")})
+    sol, sol4 = rl.solve_game(spec), rl.solve_game(scaled)
+    assert rl.value(sol4) == 4.0 * rl.value(sol)
+    maps, maps4 = (equilibrium.row_maps(s, spec.grid.nodes) for s in (sol, sol4))
+    for name in ("u1", "u2", "f", "f2"):
+        assert maps4[name].tobytes() == maps[name].tobytes(), name
+
+
 # value, |Phat(0)|_F and Xi' Phat(0) Xi of fixed instances; a change to the
 # cascade that moves any of them beyond roundoff changes the solver's output
 GOLDEN = {

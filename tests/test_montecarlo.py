@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -710,6 +711,37 @@ def test_bvp_oracle_banded_matches_dense_solve(make):
     scale = max(np.abs(X).max(), np.abs(Y).max())
     assert np.abs(res.X_oracle - X).max() <= 1e-12 * scale
     assert np.abs(res.Y_oracle - Y).max() <= 1e-12 * scale
+
+
+def test_qr_complete_is_numpy_qr_bit_for_bit():
+    # the oracle's factorization, the gufuncs called directly, gives
+    # np.linalg.qr(mode="complete")'s bits and leaves its input alone; a
+    # numpy whose private kernels differ fails here
+    a = np.random.default_rng(3).standard_normal((30, 20))
+    keep = a.copy()
+    q, r = montecarlo._qr_complete(a, 20)
+    want_q, want_r = np.linalg.qr(a, mode="complete")
+    assert q.tobytes() == want_q.tobytes() and r.tobytes() == want_r[:20].tobytes()
+    assert a.tobytes() == keep.tobytes()
+
+
+def test_bvp_oracle_singular_step_is_blowup():
+    # h A1 = h A2 = I and B1 = Q = 0: no row of the first step reads y_0,
+    # so its triangular factor is singular
+    grid = rl.make_grid(1.0, 4)
+    const = lambda value: rl.MatrixPath.constant(grid, value)
+    zero, col = np.zeros((2, 2)), np.zeros((2, 1))
+    dh = SimpleNamespace(A1=const(np.eye(2) / (0.5 * grid.dt)), B1=const(zero), Q=const(zero),
+                         F=const(col), Upsilon=const(col), Xi=np.ones((2, 1)), G=zero)
+    with pytest.raises(BlowUpError, match="oracle system is singular: Singular matrix"):
+        montecarlo._trapezoidal_bvp(dh, grid)
+
+
+def test_oracle_extrapolation_needs_halved_steps(sol_b):
+    res64 = rl.bvp_oracle(sol_b, 64)
+    with pytest.raises(ValueError, match="twice the steps"):
+        res64.extrapolated(rl.bvp_oracle(sol_b, 100))
+    assert res64.extrapolated(rl.bvp_oracle(sol_b, 128)).gap < 1e-3 * res64.gap
 
 
 def test_bvp_oracle_leaves_p3_unsolved():
