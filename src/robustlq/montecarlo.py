@@ -793,18 +793,18 @@ class OracleResult:
                        Y_oracle=(4.0 * finer.Y_oracle[::2] - self.Y_oracle) / 3.0)
 
 
-def _qr_complete(a, rows):
+def _qr_complete(a):
     """np.linalg.qr(a, mode="complete") of a tall float matrix, bit for
-    bit, as q and the leading `rows` rows of r: the gufuncs it calls
-    (`_umath_linalg.qr_r_raw`, `qr_complete`) and np.triu, without the
-    wrapper.  The caller holds np.errstate(invalid="ignore"); a q that is
-    not finite comes from np.linalg.qr instead, which raises on a LAPACK
-    failure and otherwise returns the same bits."""
+    bit: the gufuncs it calls (`_umath_linalg.qr_r_raw`, `qr_complete`)
+    and np.triu, without the wrapper.  The caller holds
+    np.errstate(invalid="ignore"); a q that is not finite comes from
+    np.linalg.qr instead, which raises on a LAPACK failure and otherwise
+    returns the same bits."""
     r = a.copy()  # the factorization overwrites it
     q = _umath_linalg.qr_complete(r, _umath_linalg.qr_r_raw(r))
     if not np.isfinite(q).all():
-        q, r = np.linalg.qr(a, mode="complete")
-    return q, np.triu(r[:rows])
+        return np.linalg.qr(a, mode="complete")
+    return q, np.triu(r)
 
 
 def _trapezoidal_bvp(dh, grid) -> np.ndarray:
@@ -855,9 +855,9 @@ def _trapezoidal_bvp(dh, grid) -> np.ndarray:
                 right[x, 0], right[y, 0] = h * (F[k] + F[k + 1]), h * (Ups[k] + Ups[k + 1])
                 right[x, 1:ten + 1], right[x, ten + 1:] = eye - A1[k + 1], -B1[k + 1]
                 right[y, 1:ten + 1], right[y, ten + 1:] = -Q[k + 1], eye + A2[k + 1].T
-                q, r = _qr_complete(left, 2 * ten)
+                q, r = _qr_complete(left)
                 reduced = q.T @ right
-                back[k] = backward.lu_solve(r, reduced[:2 * ten])
+                back[k] = backward.lu_solve(r[:2 * ten], reduced[:2 * ten])
                 left[:ten], right[:ten, 0] = reduced[2 * ten:, 1:], reduced[2 * ten:, 0]
             Z = np.empty((coarse_n + 1, 2 * ten))
             Z[-1] = np.linalg.solve(np.vstack([left[:ten], np.hstack([-dh.G, eye])]),
